@@ -16,8 +16,8 @@ from .chain import (ProductChain, RecFunctions, build_product_chain,
                     compute_rec_functions, dump_chain, evaluate_qualitative,
                     full_product_graph, objective_colors, validate_strategy)
 from .strategy import (FiniteMemoryStrategy, MemoryElement, ProjectionGraph,
-                       build_projection_graph, memory_bound, project_strategy,
-                       stationary_strategy, uniform, validate_element)
+                       SupportStrategy, build_projection_graph, memory_bound,
+                       project_strategy, stationary_strategy, uniform)
 from .modelio import (load_fixture, load_model_file, load_strategy_file,
                       parse_model, parse_strategy, save_model_file,
                       save_strategy_file, serialize_model, serialize_strategy)
@@ -30,8 +30,7 @@ from .solve import (DEFAULT_STATE_BUDGET, Decision, allow, almost_buchi,
                     almost_reach, almost_safe, apre, obs_cover, pre,
                     solve_almost_cobuchi_fm, solve_parity_fm,
                     solve_positive_buchi_fm)
-from .oracle import (OracleResult, SupportStrategy, enumerate_strategies,
-                     oracle_decide)
+from .oracle import OracleResult, enumerate_strategies, oracle_decide
 from .cli import cli_main
 
 __version__ = "0.1.0"

@@ -51,6 +51,7 @@ from .model import (
     ResourceLimitError,
     StructuralError,
     belief_update,
+    fresh_name,
 )
 from .strategy import MemoryElement, uniform
 
@@ -257,30 +258,17 @@ class BeliefObsPomdp:
     moves: dict[str, tuple[str, ...]] = field(default_factory=dict)
     actionsel: dict[str, tuple[str, str]] = field(default_factory=dict)
 
-    def element_observations(self) -> tuple[str, ...]:
-        return tuple(self.elements)
-
     def certified_recurrent(self) -> frozenset[str]:
         """Action-selection states whose element certifies a won recurrence.
 
-        Co-Buchi: committed, class table {{2}}, priority 2.  Buchi:
-        committed with a definite class set containing 0 and the state's
-        own priority.
+        Committed, class table {{2}}, priority 2.  Buchi-mode elements
+        never commit, so there the set is empty.
         """
         out: set[str] = set()
         for name, (s, elem_name) in self.actionsel.items():
             elem = self.elements[elem_name]
-            if s not in elem.brec:
-                continue
-            zs = elem.srec_map[s]
-            if len(zs) != 1:
-                continue
-            (zinf,) = zs
-            if self.priority[name] not in zinf:
-                continue
-            if self.mode == COBUCHI_MODE and zinf == frozenset({2}):
-                out.add(name)
-            elif self.mode == BUCHI_MODE and 0 in zinf:
+            if (s in elem.brec and elem.srec_map[s] == _GOOD2
+                    and self.priority[name] == 2):
                 out.add(name)
         return frozenset(out)
 
@@ -294,10 +282,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         raise StructuralError(f"unknown root state {root!r}")
 
     taken_actions = set(pomdp.actions)
-    reject = "reject"
-    while reject in taken_actions:
-        reject += "_"
-    taken_actions.add(reject)
+    reject = fresh_name("reject", taken_actions)
 
     elem_name: dict[MemoryElement, str] = {}
     elements: dict[str, MemoryElement] = {}
@@ -306,10 +291,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         got = elem_name.get(elem)
         if got is not None:
             return got
-        name = f"m{len(elem_name)}"
-        while name in taken_actions:
-            name += "_"
-        taken_actions.add(name)
+        name = fresh_name(f"m{len(elem_name)}", taken_actions)
         elem_name[elem] = name
         elements[name] = elem
         return name

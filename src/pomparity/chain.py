@@ -13,8 +13,8 @@ reduce to graph questions about this chain:
   of the *full* product graph, the colour sets of the recurrent classes
   reachable from (s, m) and whether (s, m) itself is recurrent.
 
-Everything here reads supports only; weights never matter for these
-questions.
+Everything here reads supports only, through the strategy's support table
+(``strategy.supports``); weights never matter for these questions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .model import (MULLER, PARITY, ContractError, Objective, Pomdp,
-                    StructuralError, WinningMode)
+                    StructuralError, WinningMode, objective_as_parity)
 
 Node = tuple[str, str]  # (state, memory)
 
@@ -31,26 +31,27 @@ Node = tuple[str, str]  # (state, memory)
 def validate_strategy(pomdp: Pomdp, strategy) -> list[str]:
     """Report references in a strategy that do not exist in the model.
 
-    Works for any strategy object exposing ``memories``, ``initial_memory``,
-    ``action_select`` (memory -> weighted or plain action collection) and
-    ``memory_update`` ((memory, observation, action) -> weighted or plain
-    memory collection).
+    Here and below a strategy is anything exposing ``supports``, its
+    support table (``strategy.SupportStrategy``): ``memories``,
+    ``initial``, ``action_support`` (memory -> actions) and
+    ``update_support`` ((memory, observation, action) -> memories).
     """
+    table = strategy.supports
     problems: list[str] = []
-    memories = set(strategy.memories)
+    memories = set(table.memories)
     actions = set(pomdp.actions)
     observations = set(pomdp.observations)
-    if len(memories) != len(tuple(strategy.memories)):
+    if len(memories) != len(table.memories):
         problems.append("duplicate memory names")
-    if strategy.initial_memory not in memories:
-        problems.append(f"initial memory {strategy.initial_memory!r} is not declared")
-    for m, acts in strategy.action_select.items():
+    if table.initial not in memories:
+        problems.append(f"initial memory {table.initial!r} is not declared")
+    for m, acts in table.action_support.items():
         if m not in memories:
             problems.append(f"action selection for unknown memory {m!r}")
         for a in sorted(acts):
             if a not in actions:
                 problems.append(f"memory {m!r} selects unknown action {a!r}")
-    for (m, o, a), succs in strategy.memory_update.items():
+    for (m, o, a), succs in table.update_support.items():
         if m not in memories:
             problems.append(f"memory update for unknown memory {m!r}")
         if o not in observations:
@@ -63,7 +64,15 @@ def validate_strategy(pomdp: Pomdp, strategy) -> list[str]:
     return problems
 
 
-def _product_successors(pomdp: Pomdp, strategy, node: Node,
+def _checked_table(pomdp: Pomdp, strategy):
+    """The strategy's support table, or StructuralError naming what is unknown."""
+    problems = validate_strategy(pomdp, strategy)
+    if problems:
+        raise StructuralError("; ".join(problems))
+    return strategy.supports
+
+
+def _product_successors(pomdp: Pomdp, table, node: Node,
                         state_index: Mapping[str, int],
                         memory_index: Mapping[str, int]) -> tuple[Node, ...]:
     """One-step successors of (state, memory), deduplicated and ordered.
@@ -73,13 +82,15 @@ def _product_successors(pomdp: Pomdp, strategy, node: Node,
     matters for junk pairs of the full product graph).
     """
     s, m = node
-    available = pomdp.available_at(pomdp.obs_map[s])
+    obs_map = pomdp.obs_map
+    available = pomdp.available_at(obs_map[s])
+    update = table.update_support
     out: set[Node] = set()
-    for a in strategy.action_support(m):
+    for a in table.action_support.get(m, ()):
         if a not in available:
             continue
         for s2 in pomdp.supp(s, a):
-            for m2 in strategy.memory_support(m, pomdp.obs_map[s2], a):
+            for m2 in update.get((m, obs_map[s2], a), ()):
                 out.add((s2, m2))
     return tuple(sorted(out, key=lambda n: (state_index[n[0]], memory_index[n[1]])))
 
@@ -110,34 +121,29 @@ class ProductChain:
         (state index, memory index) order, members likewise sorted.
         """
         if not hasattr(self, "_bottom"):
-            self._bottom = _bottom_sccs(self.nodes, self.succ,
-                                        self.pomdp.state_index,
-                                        self.memory_index)
+            sidx, midx = self.pomdp.state_index, self.memory_index
+            key = lambda n: (sidx[n[0]], midx[n[1]])
+            comps, _, is_bottom = _condense(self.nodes, self.succ)
+            bottoms = [tuple(sorted(comp, key=key))
+                       for comp, bottom in zip(comps, is_bottom) if bottom]
+            bottoms.sort(key=lambda comp: key(comp[0]))
+            self._bottom = tuple(bottoms)
         return self._bottom
-
-    def rec_of(self, node: Node) -> tuple[int, ...]:
-        """Indices (into bottom_sccs()) of the classes reachable from node."""
-        if not hasattr(self, "_rec_of"):
-            self._rec_of = _reachable_bottoms(self.nodes, self.succ,
-                                              self.bottom_sccs())
-        return self._rec_of[node]
 
 
 def build_product_chain(pomdp: Pomdp, strategy) -> ProductChain:
     """Build the part of the product chain reachable from (s0, m0)."""
-    problems = validate_strategy(pomdp, strategy)
-    if problems:
-        raise StructuralError("; ".join(problems))
+    table = _checked_table(pomdp, strategy)
     state_index = pomdp.state_index
-    memories = tuple(strategy.memories)
+    memories = table.memories
     memory_index = {m: i for i, m in enumerate(memories)}
-    initial: Node = (pomdp.initial_state, strategy.initial_memory)
+    initial: Node = (pomdp.initial_state, table.initial)
     succ: dict[Node, tuple[Node, ...]] = {}
     frontier = [initial]
     seen = {initial}
     while frontier:
         node = frontier.pop()
-        nxt = _product_successors(pomdp, strategy, node, state_index, memory_index)
+        nxt = _product_successors(pomdp, table, node, state_index, memory_index)
         succ[node] = nxt
         for n in nxt:
             if n not in seen:
@@ -150,13 +156,14 @@ def build_product_chain(pomdp: Pomdp, strategy) -> ProductChain:
 
 def full_product_graph(pomdp: Pomdp, strategy) -> dict[Node, tuple[Node, ...]]:
     """Successor map over all of S x M, not just the reachable part."""
+    table = strategy.supports
     state_index = pomdp.state_index
-    memory_index = {m: i for i, m in enumerate(strategy.memories)}
+    memory_index = {m: i for i, m in enumerate(table.memories)}
     succ: dict[Node, tuple[Node, ...]] = {}
     for s in pomdp.states:
-        for m in strategy.memories:
+        for m in table.memories:
             node = (s, m)
-            succ[node] = _product_successors(pomdp, strategy, node,
+            succ[node] = _product_successors(pomdp, table, node,
                                              state_index, memory_index)
     return succ
 
@@ -210,45 +217,33 @@ def _sccs(nodes: Iterable[Node], succ: Mapping[Node, tuple[Node, ...]]) -> list[
     return out
 
 
-def _bottom_sccs(nodes, succ, state_index, memory_index) -> tuple[tuple[Node, ...], ...]:
-    key = lambda n: (state_index[n[0]], memory_index[n[1]])
-    bottoms = []
-    for comp in _sccs(nodes, succ):
-        members = set(comp)
-        is_bottom = all(t in members for n in comp for t in succ.get(n, ()))
-        if is_bottom:
-            bottoms.append(tuple(sorted(comp, key=key)))
-    bottoms.sort(key=lambda comp: key(comp[0]))
-    return tuple(bottoms)
+def _condense(nodes: Iterable[Node], succ: Mapping[Node, tuple[Node, ...]]
+              ) -> tuple[list[list[Node]], dict[Node, int], list[bool]]:
+    """Tarjan condensation of a support digraph.
 
-
-def _reachable_bottoms(nodes, succ, bottoms) -> dict[Node, tuple[int, ...]]:
-    """For every node, the sorted indices of bottom SCCs reachable from it."""
-    comp_of: dict[Node, int] = {}
+    Returns the components, successors first; each node's component index;
+    and which components are bottom (recurrent classes).
+    """
     comps = _sccs(nodes, succ)
-    for ci, comp in enumerate(comps):
-        for n in comp:
-            comp_of[n] = ci
-    bottom_id: dict[Node, int] = {}
-    for bi, comp in enumerate(bottoms):
-        for n in comp:
-            bottom_id[n] = bi
-    # Tarjan emits components in reverse topological order: successors first.
-    reach: list[set[int]] = [set() for _ in comps]
-    for ci, comp in enumerate(comps):
-        got: set[int] = set()
-        rep = comp[0]
-        if rep in bottom_id:
-            got.add(bottom_id[rep])
-        for n in comp:
-            for t in succ.get(n, ()):
-                if comp_of[t] != ci:
-                    got |= reach[comp_of[t]]
-        reach[ci] = got
-    return {n: tuple(sorted(reach[comp_of[n]])) for n in nodes}
+    comp_of = {n: ci for ci, comp in enumerate(comps) for n in comp}
+    is_bottom = [all(comp_of[t] == ci for n in comp for t in succ.get(n, ()))
+                 for ci, comp in enumerate(comps)]
+    return comps, comp_of, is_bottom
 
 
 # -- qualitative evaluation --
+
+def evaluable_objective(pomdp: Pomdp, objective: Objective
+                        ) -> tuple[Pomdp, Objective]:
+    """The model and objective a chain evaluation reads.
+
+    Parity and Muller pass through; the other kinds are rewritten into
+    parity by ``objective_as_parity``.
+    """
+    if objective.kind in (PARITY, MULLER):
+        return pomdp, objective
+    return objective_as_parity(pomdp, objective)
+
 
 def objective_colors(objective: Objective) -> dict[str, int]:
     """The colour map a chain evaluation reads: priorities or Muller colours."""
@@ -306,31 +301,18 @@ class RecFunctions:
 def compute_rec_functions(pomdp: Pomdp, strategy,
                           colors: Mapping[str, int]) -> RecFunctions:
     """Tabulate SetRec and BoolRec for every pair (s, m) of S x M."""
-    problems = validate_strategy(pomdp, strategy)
-    if problems:
-        raise StructuralError("; ".join(problems))
+    table = _checked_table(pomdp, strategy)
     missing = sorted(set(pomdp.states) - set(colors))
     if missing:
         raise StructuralError(f"no colour for states: {', '.join(missing)}")
-    succ = full_product_graph(pomdp, strategy)
-    nodes = tuple(succ)
-    comps = _sccs(nodes, succ)
-    comp_of: dict[Node, int] = {}
-    for ci, comp in enumerate(comps):
-        for n in comp:
-            comp_of[n] = ci
-    is_bottom: list[bool] = []
-    comp_colors: list[frozenset[int]] = []
-    for ci, comp in enumerate(comps):
-        members = set(comp)
-        is_bottom.append(all(t in members for n in comp for t in succ.get(n, ())))
-        comp_colors.append(frozenset(colors[s] for s, _ in comp))
+    succ = full_product_graph(pomdp, table)
+    comps, comp_of, is_bottom = _condense(tuple(succ), succ)
     # components arrive successors-first, so one pass suffices
     reach: list[frozenset[frozenset[int]]] = []
     for ci, comp in enumerate(comps):
         got: set[frozenset[int]] = set()
         if is_bottom[ci]:
-            got.add(comp_colors[ci])
+            got.add(frozenset(colors[s] for s, _ in comp))
         for n in comp:
             for t in succ.get(n, ()):
                 tc = comp_of[t]
@@ -339,7 +321,7 @@ def compute_rec_functions(pomdp: Pomdp, strategy,
         reach.append(frozenset(got))
     set_rec: dict[str, dict[str, frozenset[frozenset[int]]]] = {}
     bool_rec: dict[str, dict[str, int]] = {}
-    for m in strategy.memories:
+    for m in table.memories:
         set_rec[m] = {}
         bool_rec[m] = {}
         for s in pomdp.states:

@@ -22,8 +22,9 @@ import argparse
 import sys
 import time
 
-from .chain import build_product_chain, evaluate_qualitative
-from .model import (MULLER, PARITY, ContractError, ExactnessError, Objective,
+from .chain import (build_product_chain, evaluable_objective,
+                    evaluate_qualitative, objective_colors)
+from .model import (MULLER, ContractError, ExactnessError, Objective,
                     ParseError, Pomdp, ResourceLimitError, StructuralError,
                     WinningMode, objective_as_parity, validate,
                     validate_objective)
@@ -87,13 +88,6 @@ def _load_strategy(path: str):
         raise _fail(f"{path}: {exc}") from None
 
 
-def _evaluable(pomdp: Pomdp, objective: Objective) -> tuple[Pomdp, Objective]:
-    """Rewrite target-style objectives into parity; pass parity/Muller through."""
-    if objective.kind in (PARITY, MULLER):
-        return pomdp, objective
-    return objective_as_parity(pomdp, objective)
-
-
 def _record(**fields) -> str:
     return " ".join(f"{k}={v}" for k, v in fields.items())
 
@@ -139,7 +133,7 @@ def _cmd_verify(args) -> int:
     pomdp, objective = _load_model(args.model, need_objective=True)
     strategy = _load_strategy(args.strategy)
     mode = _MODES[args.mode]
-    base, evaluable = _evaluable(pomdp, objective)
+    base, evaluable = evaluable_objective(pomdp, objective)
     try:
         chain = build_product_chain(base, strategy)
     except StructuralError as exc:
@@ -154,13 +148,10 @@ def _cmd_verify(args) -> int:
 def _cmd_project(args) -> int:
     pomdp, objective = _load_model(args.model, need_objective=True)
     strategy = _load_strategy(args.strategy)
-    base, evaluable = _evaluable(pomdp, objective)
-    if evaluable.kind == PARITY:
-        colors = evaluable.priority_map
-    else:
-        colors = evaluable.color_map
+    base, evaluable = evaluable_objective(pomdp, objective)
     try:
-        projected = project_strategy(base, strategy, colors)
+        projected = project_strategy(base, strategy,
+                                     objective_colors(evaluable))
     except StructuralError as exc:
         raise _fail(f"{args.strategy}: {exc}") from None
     text = serialize_strategy(projected)

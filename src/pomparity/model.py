@@ -375,6 +375,15 @@ def validate(pomdp: Pomdp) -> list[str]:
     return problems
 
 
+def fresh_name(base: str, taken: set[str]) -> str:
+    """``base`` with underscores appended until it avoids ``taken``; reserved there."""
+    name = base
+    while name in taken:
+        name += "_"
+    taken.add(name)
+    return name
+
+
 def belief_update(pomdp: Pomdp, belief: Iterable[str], action: str,
                   obs: str) -> frozenset[str]:
     """Successor belief: union of supports filtered to the observation class.

@@ -22,36 +22,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
-from .chain import build_product_chain, evaluate_qualitative
-from .model import (MULLER, PARITY, ContractError, Objective, Pomdp,
-                    WinningMode, objective_as_parity)
-from .strategy import FiniteMemoryStrategy, memory_bound, uniform
-
-
-@dataclass
-class SupportStrategy:
-    """A finite-memory strategy described only by its supports.
-
-    ``action_support`` maps every memory to a non-empty action tuple and
-    ``update_support`` maps (memory, observation, supported action) to a
-    non-empty memory tuple.  ``to_strategy`` realizes it with uniform
-    weights; any other weighting wins exactly the same qualitative
-    objectives.
-    """
-
-    memories: tuple[str, ...]
-    action_support: dict[str, tuple[str, ...]]
-    update_support: dict[tuple[str, str, str], tuple[str, ...]]
-    initial: str
-
-    def to_strategy(self) -> FiniteMemoryStrategy:
-        return FiniteMemoryStrategy(
-            memories=self.memories,
-            action_select={m: uniform(acts)
-                           for m, acts in self.action_support.items()},
-            memory_update={key: uniform(ms)
-                           for key, ms in self.update_support.items()},
-            initial_memory=self.initial)
+from .chain import build_product_chain, evaluable_objective, evaluate_qualitative
+from .model import ContractError, Objective, Pomdp, WinningMode
+from .strategy import FiniteMemoryStrategy, SupportStrategy, memory_bound
 
 
 def _nonempty_subsets(n: int) -> tuple[tuple[int, ...], ...]:
@@ -163,7 +136,7 @@ class OracleResult:
     candidates: int
 
 
-def _playable(pomdp: Pomdp, chain) -> bool:
+def _playable(chain) -> bool:
     """Every reachable product node can actually play some available action."""
     return all(chain.succ[n] for n in chain.nodes)
 
@@ -183,8 +156,8 @@ def _search_slice(args) -> tuple[int | None, SupportStrategy | None, int, bool]:
         if limit is not None and checked >= limit:
             return None, None, checked, False
         checked += 1
-        chain = build_product_chain(pomdp, cand.to_strategy())
-        if not _playable(pomdp, chain):
+        chain = build_product_chain(pomdp, cand)
+        if not _playable(chain):
             continue
         if evaluate_qualitative(chain, objective, mode):
             return start + offset * stride, cand, checked, True
@@ -208,10 +181,7 @@ def oracle_decide(pomdp: Pomdp, objective: Objective, mode: WinningMode,
         raise ContractError("memory bound must be at least 1")
     if jobs < 1:
         raise ContractError("jobs must be at least 1")
-    if objective.kind in (PARITY, MULLER):
-        base, evaluable = pomdp, objective
-    else:
-        base, evaluable = objective_as_parity(pomdp, objective)
+    base, evaluable = evaluable_objective(pomdp, objective)
 
     if jobs == 1:
         found, cand, checked, exhausted = _search_slice(

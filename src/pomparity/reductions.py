@@ -34,6 +34,7 @@ from .model import (
     Objective,
     PARITY,
     Pomdp,
+    fresh_name,
 )
 from .strategy import FiniteMemoryStrategy
 
@@ -108,13 +109,6 @@ def _priority_table(pomdp: Pomdp, objective: Objective) -> dict[str, int]:
     return table
 
 
-def _fresh_name(base: str, taken: set[str]) -> str:
-    name = base
-    while name in taken:
-        name += "_"
-    return name
-
-
 def positive_parity_to_buchi(pomdp: Pomdp, objective: Objective) -> ReductionOutput:
     """Rewrite positive-parity winning as positive-Buchi winning.
 
@@ -136,14 +130,12 @@ def positive_parity_to_buchi(pomdp: Pomdp, objective: Objective) -> ReductionOut
 
     copy_name = {(s, i): f"{s}@{i}" for s in pomdp.states for i in copies}
     taken = set(copy_name.values())
-    init = _fresh_name("init", taken)
-    taken.add(init)
-    sink = _fresh_name("sink", taken)
+    init = fresh_name("init", taken)
+    sink = fresh_name("sink", taken)
 
     obs_taken = set(pomdp.observations)
-    init_obs = _fresh_name("o_init", obs_taken)
-    obs_taken.add(init_obs)
-    sink_obs = _fresh_name("o_sink", obs_taken)
+    init_obs = fresh_name("o_init", obs_taken)
+    sink_obs = fresh_name("o_sink", obs_taken)
 
     states = (init,) + tuple(copy_name[(s, i)]
                              for s in pomdp.states for i in copies) + (sink,)
@@ -265,8 +257,8 @@ def three_to_cobuchi(pomdp: Pomdp, objective: Objective) -> ReductionOutput:
             "co-Buchi rewrite needs priorities in {0,1,2}; offending states: "
             + ", ".join(out_of_range))
 
-    sink = _fresh_name("sink", set(pomdp.states))
-    sink_obs = _fresh_name("o_sink", set(pomdp.observations))
+    sink = fresh_name("sink", set(pomdp.states))
+    sink_obs = fresh_name("o_sink", set(pomdp.observations))
     states = pomdp.states + (sink,)
     observations = pomdp.observations + (sink_obs,)
     obs_map = dict(pomdp.obs_map)

@@ -44,6 +44,7 @@ from .model import (
     Objective,
     Pomdp,
     WinningMode,
+    fresh_name,
     make_absorbing,
     objective_as_parity,
 )
@@ -291,9 +292,7 @@ def _merge_initial(strategy: FiniteMemoryStrategy,
     first_moves = tuple(dict.fromkeys(first_moves))
     if len(first_moves) == 1:
         return replace(strategy, initial_memory=first_moves[0])
-    name = "m_init"
-    while name in strategy.memories:
-        name += "_"
+    name = fresh_name("m_init", set(strategy.memories))
     action_select = dict(strategy.action_select)
     memory_update = dict(strategy.memory_update)
     acts: set[str] = set()
@@ -449,13 +448,7 @@ def _prefix_then(pomdp: Pomdp, steps: tuple[tuple[str, str], ...],
     if not steps:
         return strategy
     taken = set(strategy.memories)
-    names = []
-    for i in range(len(steps)):
-        name = f"p{i}"
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        names.append(name)
+    names = [fresh_name(f"p{i}", taken) for i in range(len(steps))]
     action_select = dict(strategy.action_select)
     memory_update = dict(strategy.memory_update)
     for i, (_, a) in enumerate(steps):

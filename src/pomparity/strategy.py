@@ -2,10 +2,12 @@
 
 A finite-memory strategy is a pair of stochastic maps: action selection
 (memory -> actions) and memory update ((memory, new observation, action) ->
-memories), plus an initial memory.  Memories may optionally be annotated
-with a ``MemoryElement`` — a triple of a belief, a boolean-recurrence
-vector and a set-recurrence vector — which is how strategies produced by
-the projection and the solver carry their own explanation.
+memories), plus an initial memory.  Qualitative analyses read only its
+support table (``SupportStrategy``): which actions and memories have
+positive weight.  Memories may optionally be annotated with a
+``MemoryElement`` — a triple of a belief, a boolean-recurrence vector and
+a set-recurrence vector — which is how strategies produced by the
+projection and the solver carry their own explanation.
 
 The projection collapses an arbitrary finite-memory strategy onto the
 graph of triples (belief, BoolRec, SetRec): vertices whose recurrence
@@ -67,30 +69,35 @@ class MemoryElement:
         return self.srec_map[state]
 
 
-def validate_element(pomdp: Pomdp, element: MemoryElement) -> list[str]:
-    """Report memory-element invariant violations (empty list = fine)."""
-    problems: list[str] = []
-    states = set(pomdp.states)
-    for s in sorted(element.belief - states):
-        problems.append(f"belief contains unknown state {s!r}")
-    for s in sorted(element.brec - states):
-        problems.append(f"brec contains unknown state {s!r}")
-    for s in sorted(set(element.srec_map) - states):
-        problems.append(f"srec assigned to unknown state {s!r}")
-    if not element.belief:
-        problems.append("belief is empty")
-    else:
-        obs_here = {pomdp.obs_map[s] for s in element.belief if s in states}
-        if len(obs_here) > 1:
-            problems.append(
-                f"belief mixes observations: {', '.join(sorted(obs_here))}")
-    for s in pomdp.states:
-        if s not in element.srec_map:
-            problems.append(f"srec missing for state {s!r}")
-    for s in sorted(element.belief & states):
-        if not element.srec_map.get(s, frozenset()):
-            problems.append(f"srec empty for belief state {s!r}")
-    return problems
+@dataclass
+class SupportStrategy:
+    """A finite-memory strategy described only by its supports.
+
+    The one support table the chain and projection read.  ``action_support``
+    maps a memory to the actions it may play and ``update_support`` maps
+    (memory, observation, action) to the memories it may move to; a missing
+    entry means empty support.  ``to_strategy`` realizes it with uniform
+    weights; any other weighting wins exactly the same qualitative
+    objectives.
+    """
+
+    memories: tuple[str, ...]
+    action_support: dict[str, tuple[str, ...]]
+    update_support: dict[tuple[str, str, str], tuple[str, ...]]
+    initial: str
+
+    @property
+    def supports(self) -> "SupportStrategy":
+        return self
+
+    def to_strategy(self) -> "FiniteMemoryStrategy":
+        return FiniteMemoryStrategy(
+            memories=self.memories,
+            action_select={m: uniform(acts)
+                           for m, acts in self.action_support.items()},
+            memory_update={key: uniform(ms)
+                           for key, ms in self.update_support.items()},
+            initial_memory=self.initial)
 
 
 @dataclass
@@ -102,6 +109,8 @@ class FiniteMemoryStrategy:
     Missing entries mean empty support — such branches contribute no
     behaviour (they can only concern situations the strategy never faces).
     ``elements`` optionally annotates memories with MemoryElements.
+    Strategies are not mutated after construction: ``supports`` is derived
+    from the weights once, on first use.
     """
 
     memories: tuple[str, ...]
@@ -115,13 +124,22 @@ class FiniteMemoryStrategy:
         self.action_select = {m: _coerce_dist(d) for m, d in self.action_select.items()}
         self.memory_update = {k: _coerce_dist(d) for k, d in self.memory_update.items()}
 
+    @cached_property
+    def supports(self) -> SupportStrategy:
+        """Positive-weight entries of both maps, name-sorted; every key kept."""
+        def support(dist):
+            return tuple(sorted(x for x, w in dist.items() if w > 0))
+        return SupportStrategy(
+            memories=self.memories,
+            action_support={m: support(d) for m, d in self.action_select.items()},
+            update_support={k: support(d) for k, d in self.memory_update.items()},
+            initial=self.initial_memory)
+
     def action_support(self, memory: str) -> tuple[str, ...]:
-        dist = self.action_select.get(memory, {})
-        return tuple(sorted(a for a, w in dist.items() if w > 0))
+        return self.supports.action_support.get(memory, ())
 
     def memory_support(self, memory: str, obs: str, action: str) -> tuple[str, ...]:
-        dist = self.memory_update.get((memory, obs, action), {})
-        return tuple(sorted(m for m, w in dist.items() if w > 0))
+        return self.supports.update_support.get((memory, obs, action), ())
 
 
 def _coerce_dist(dist: Mapping) -> dict:
@@ -188,9 +206,10 @@ def build_projection_graph(pomdp: Pomdp, strategy,
     vertex's outgoing edges are contributed by every matching memory.
     """
     rec = compute_rec_functions(pomdp, strategy, colors)
+    table = strategy.supports
     keys: dict[str, tuple] = {}
     reps: dict[tuple, list[str]] = {}
-    for m in strategy.memories:
+    for m in table.memories:
         brec = frozenset(s for s in pomdp.states if rec.bool_rec[m][s])
         srec = tuple(sorted((s, rec.set_rec[m][s]) for s in pomdp.states))
         key = (brec, srec)
@@ -201,7 +220,7 @@ def build_projection_graph(pomdp: Pomdp, strategy,
         return MemoryElement(belief=belief, brec=key[0], srec=key[1])
 
     sort_key = lambda v: element_sort_key(pomdp, v)
-    initial = vertex(frozenset({pomdp.initial_state}), keys[strategy.initial_memory])
+    initial = vertex(frozenset({pomdp.initial_state}), keys[table.initial])
     edges: dict[MemoryElement, dict[str, tuple[MemoryElement, ...]]] = {}
     seen = {initial}
     frontier = [initial]
@@ -211,7 +230,7 @@ def build_projection_graph(pomdp: Pomdp, strategy,
         obs_here = pomdp.obs_map[next(iter(v.belief))]
         avail = pomdp.available_at(obs_here)
         for m in reps[(v.brec, v.srec)]:
-            for a in strategy.action_support(m):
+            for a in table.action_support.get(m, ()):
                 if a not in avail:
                     continue
                 image: set[str] = set()
@@ -221,7 +240,7 @@ def build_projection_graph(pomdp: Pomdp, strategy,
                 for t in image:
                     by_obs.setdefault(pomdp.obs_map[t], set()).add(t)
                 for o, succ_belief in by_obs.items():
-                    for m2 in strategy.memory_support(m, o, a):
+                    for m2 in table.update_support.get((m, o, a), ()):
                         v2 = vertex(frozenset(succ_belief), keys[m2])
                         out.setdefault(a, set()).add(v2)
                         if v2 not in seen:

@@ -9,6 +9,7 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        StructuralError, almost_cobuchi_red, belief_update,
                        is_belief_observation, objective_as_parity,
                        positive_buchi_red, validate)
+from pomparity.beliefobs import memory_action_allowed
 from conftest import random_belief_obs_pomdp, random_pomdp
 
 
@@ -187,3 +188,24 @@ def test_random_models_rewrite_cleanly():
         bo = almost_cobuchi_red(pomdp, prio)
         assert validate(bo.pomdp) == []
         assert is_belief_observation(bo.pomdp)
+
+
+def test_every_generated_move_passes_memory_action_allowed():
+    # the module docstring's claim, checked on every offered element move
+    rng = random.Random(7002)
+    checked = 0
+    for _ in range(300):
+        pomdp = random_pomdp(rng)
+        for rewrite, values in ((almost_cobuchi_red, (1, 2)),
+                                (positive_buchi_red, (0, 1))):
+            prio = {s: rng.choice(values) for s in pomdp.states}
+            bo = rewrite(pomdp, prio)
+            for (ename, a, o), qname in bo.memsel.items():
+                previous = bo.elements[ename]
+                context = (belief_update(pomdp, previous.belief, a, o),
+                           previous, a)
+                for move in bo.moves[qname]:
+                    assert memory_action_allowed(bo.elements[move], context,
+                                                 pomdp)
+                    checked += 1
+    assert checked > 10000

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pomparity import (ContractError, Objective, Pomdp, WinningMode,
-                       build_product_chain, enumerate_strategies,
+                       build_product_chain, dump_chain, enumerate_strategies,
                        oracle_decide)
 from conftest import chain_wins, random_parity, random_pomdp
 
@@ -174,3 +174,17 @@ def test_oracle_witnesses_verify_on_random_instances():
                 assert all(chain.succ[n] for n in chain.nodes)
                 assert chain_wins(pomdp, objective, mode, r.witness)
     assert seen_yes > 5
+
+
+def test_support_strategies_chain_like_their_uniform_realizations():
+    rng = random.Random(9100)
+    for n_actions in (1, 2, 2):
+        pomdp = random_pomdp(rng, max_states=3, n_actions=n_actions,
+                             max_obs=2)
+        for cand in enumerate_strategies(pomdp, 2):
+            direct = build_product_chain(pomdp, cand)
+            weighted = build_product_chain(pomdp, cand.to_strategy())
+            assert direct.nodes == weighted.nodes
+            assert direct.succ == weighted.succ
+            assert direct.bottom_sccs() == weighted.bottom_sccs()
+            assert dump_chain(direct) == dump_chain(weighted)
