@@ -231,6 +231,7 @@ class Pomdp:
                 row[t] = Fraction(w)
             coerced[key] = row
         self.transitions = coerced
+        self._supp: dict[tuple[str, str], tuple[str, ...]] = {}
 
     # -- derived lookups (cached; instances are immutable by convention) --
 
@@ -255,10 +256,6 @@ class Pomdp:
                 classes[o].append(s)
         return {o: tuple(members) for o, members in classes.items()}
 
-    @cached_property
-    def _support_cache(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        return {}
-
     def obs_of(self, state: str) -> str:
         return self.obs_map[state]
 
@@ -267,23 +264,22 @@ class Pomdp:
 
     def available_at(self, obs: str) -> frozenset[str]:
         acts = self.available.get(obs)
-        if acts is None:
-            return frozenset(self.actions)
-        return frozenset(acts)
+        return frozenset(self.actions) if acts is None else acts
 
     def dist(self, state: str, action: str) -> Mapping[str, Fraction]:
         return self.transitions.get((state, action), {})
 
     def supp(self, state: str, action: str) -> tuple[str, ...]:
-        """Successor support of (state, action), in canonical state order."""
+        """Successor support of (state, action), in distribution order.
+
+        Derived once per pair on first use.  Readers whose result depends
+        on the order sort by ``state_index`` themselves.
+        """
         key = (state, action)
-        got = self._support_cache.get(key)
+        got = self._supp.get(key)
         if got is None:
-            dist = self.transitions.get(key, {})
-            idx = self.state_index
-            got = tuple(sorted((t for t, w in dist.items() if w > 0),
-                               key=idx.__getitem__))
-            self._support_cache[key] = got
+            got = self._supp[key] = tuple(
+                t for t, w in self.transitions.get(key, {}).items() if w > 0)
         return got
 
 

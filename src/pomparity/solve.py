@@ -14,10 +14,15 @@ strategies suffice):
   Z* = nu Z. ObsCover(mu X.((T & inv(Z) & inv(Pre(Z))) | Apre(Z,X)));
 * ``almost_reach`` -- Buchi after making the targets absorbing.
 
+All of them read one table, which observations each action can lead an
+observation class to (``_moves``), and return with their set the actions
+they keep per observation, the play table of their strategy.
+
 ``solve_almost_cobuchi_fm`` rewrites a {1,2}-priority POMDP with the
-belief-observation construction, restricts it to its almost-surely safe
-part (the losing sink becomes unreachable), and asks for almost-sure
-reachability of the states whose element certifies a won recurrence.
+belief-observation construction, computes its almost-surely safe part (the
+losing sink stays unreachable), and asks there for almost-sure
+reachability of the states whose element certifies a won recurrence,
+reading those states as absorbing; it copies no model.
 ``solve_positive_buchi_fm`` reduces positive winning to almost-sure
 winning from some reachable state: a strategy wins with positive
 probability exactly when it can, after some finite prefix, win almost
@@ -43,6 +48,7 @@ from .model import (
     ContractError,
     Objective,
     Pomdp,
+    ResourceLimitError,
     WinningMode,
     fresh_name,
     make_absorbing,
@@ -54,22 +60,39 @@ from .strategy import FiniteMemoryStrategy, uniform
 
 # -- observation-set operators -------------------------------------------
 
+# observation -> action -> observations the observation's class can reach
+Moves = dict[str, dict[str, frozenset[str]]]
+
+
+def _moves(pomdp: Pomdp, allowed: Mapping[str, Iterable[str]],
+           absorbing: frozenset[str] = frozenset()) -> Moves:
+    """The move table of the observations of ``allowed`` and their actions.
+
+    The one place observation moves are derived from supports.  States in
+    ``absorbing`` constrain nothing, as if they looped on themselves.
+    """
+    obs_map = pomdp.obs_map
+    table = {}
+    for o in pomdp.observations:
+        if o in allowed:
+            members = [s for s in pomdp.states_with_obs(o)
+                       if s not in absorbing]
+            table[o] = {a: frozenset(obs_map[t] for s in members
+                                     for t in pomdp.supp(s, a))
+                        for a in allowed[o]}
+    return table
+
+
+def _kept(moves: Moves, obs_set: frozenset[str]) -> dict[str, frozenset[str]]:
+    """``allow(o, obs_set)`` for every observation of a move table."""
+    return {o: frozenset(a for a, seen in acts.items() if seen <= obs_set)
+            for o, acts in moves.items()}
+
+
 def allow(o: str, obs_set: Iterable[str], pomdp: Pomdp) -> frozenset[str]:
     """Actions available at ``o`` whose every successor observation stays in the set."""
-    obs_set = frozenset(obs_set)
-    out = []
-    for a in pomdp.available_at(o):
-        ok = True
-        for s in pomdp.states_with_obs(o):
-            for t in pomdp.supp(s, a):
-                if pomdp.obs_map[t] not in obs_set:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(a)
-    return frozenset(out)
+    moves = _moves(pomdp, {o: pomdp.available_at(o)})
+    return _kept(moves, frozenset(obs_set))[o]
 
 
 def pre(obs_set: Iterable[str], pomdp: Pomdp) -> frozenset[str]:
@@ -107,12 +130,13 @@ def obs_cover(states: Iterable[str], pomdp: Pomdp) -> frozenset[str]:
                      if set(pomdp.states_with_obs(o)) <= states)
 
 
-def _obs_strategy(pomdp: Pomdp, plays: Mapping[str, Iterable[str]],
-                  initial_obs: str) -> FiniteMemoryStrategy:
+def _obs_strategy(pomdp: Pomdp, moves: Moves,
+                  plays: Mapping[str, Iterable[str]]) -> FiniteMemoryStrategy:
     """Memoryless observation-based strategy as a finite-memory strategy.
 
     One memory per observation in the play table; the memory simply tracks
-    the last observation.
+    the last observation.  It starts at the initial observation, or at the
+    first one of the table if that is missing.
     """
     order = pomdp.obs_index
     memories = tuple(sorted(plays, key=order.__getitem__))
@@ -120,37 +144,32 @@ def _obs_strategy(pomdp: Pomdp, plays: Mapping[str, Iterable[str]],
     memory_update = {}
     for o in memories:
         for a in sorted(plays[o]):
-            succ_obs = {pomdp.obs_map[t] for s in pomdp.states_with_obs(o)
-                        for t in pomdp.supp(s, a)}
-            for o2 in succ_obs:
+            for o2 in moves[o][a]:
                 if o2 in plays:
                     memory_update[(o, o2, a)] = {o2: Fraction(1)}
+    o0 = pomdp.obs_map[pomdp.initial_state]
     return FiniteMemoryStrategy(
         memories=memories, action_select=action_select,
-        memory_update=memory_update, initial_memory=initial_obs)
+        memory_update=memory_update,
+        initial_memory=o0 if o0 in plays else memories[0])
 
 
-def _initial_in(pomdp: Pomdp, obs_set: frozenset[str]) -> str:
-    o0 = pomdp.obs_map[pomdp.initial_state]
-    if o0 in obs_set:
-        return o0
-    return min(obs_set, key=pomdp.obs_index.__getitem__)
-
-
-def _safe_obs(pomdp: Pomdp, safe_states: Iterable[str],
-              stats: dict | None = None) -> frozenset[str]:
-    """Fixpoint core of ``almost_safe``: just the winning observation set."""
+def _safe_obs(pomdp: Pomdp, moves: Moves, safe_states: Iterable[str],
+              stats: dict | None = None,
+              ) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
+    """Fixpoint core of ``almost_safe``: the set and its kept actions."""
     y = obs_cover(safe_states, pomdp)
     rounds = 0
     while True:
         rounds += 1
-        y2 = pre(y, pomdp)
+        kept = _kept(moves, y)
+        y2 = frozenset(o for o in y if kept[o])
         if y2 == y:
             break
         y = y2
     if stats is not None:
         stats["safety_iterations"] = stats.get("safety_iterations", 0) + rounds
-    return y
+    return y, {o: kept[o] for o in y}
 
 
 def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
@@ -162,30 +181,33 @@ def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
     set, repeatedly drop observations with no covering-preserving action.
     The companion strategy plays every preserving action uniformly.
     """
-    y = _safe_obs(pomdp, safe_states, stats)
-    if not y:
-        return y, None
-    plays = {o: allow(o, y, pomdp) for o in y}
-    return y, _obs_strategy(pomdp, plays, _initial_in(pomdp, y))
+    moves = _moves(pomdp, pomdp.available)
+    y, plays = _safe_obs(pomdp, moves, safe_states, stats)
+    return y, (_obs_strategy(pomdp, moves, plays) if y else None)
 
 
-def _buchi_obs(pomdp: Pomdp, targets: Iterable[str],
-               stats: dict | None = None) -> frozenset[str]:
-    """Fixpoint core of ``almost_buchi``: just the winning observation set."""
+def _buchi_obs(pomdp: Pomdp, moves: Moves, targets: Iterable[str],
+               stats: dict | None = None,
+               ) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
+    """Fixpoint core of ``almost_buchi``: the set and its kept actions.
+
+    Z starts at the observations of the move table.  States the table
+    reads as absorbing must be targets: each then starts in X or keeps
+    no action, so its own supports never add to X.
+    """
     targets = frozenset(targets)
-    z = frozenset(pomdp.observations)
+    z = frozenset(moves)
     outer = inner = 0
     while True:
         outer += 1
-        pre_z = pre(z, pomdp)
-        allowed = {o: allow(o, z, pomdp) for o in z}
+        kept = _kept(moves, z)
         base = {s for s in targets
-                if pomdp.obs_map[s] in z and pomdp.obs_map[s] in pre_z}
-        # mu X: backward closure of the base through allowed actions
+                if pomdp.obs_map[s] in z and kept[pomdp.obs_map[s]]}
+        # mu X: backward closure of the base through kept actions
         rev: dict[str, list[str]] = {}
         for o in z:
             for s in pomdp.states_with_obs(o):
-                for a in allowed[o]:
+                for a in kept[o]:
                     for t in pomdp.supp(s, a):
                         rev.setdefault(t, []).append(s)
         x = set(base)
@@ -207,7 +229,7 @@ def _buchi_obs(pomdp: Pomdp, targets: Iterable[str],
         stats["buchi_outer_iterations"] = stats.get(
             "buchi_outer_iterations", 0) + outer
         stats["buchi_inner_steps"] = stats.get("buchi_inner_steps", 0) + inner
-    return z
+    return z, {o: kept[o] for o in z}
 
 
 def almost_buchi(pomdp: Pomdp, targets: Iterable[str],
@@ -221,11 +243,9 @@ def almost_buchi(pomdp: Pomdp, targets: Iterable[str],
     never risks leaving Z.  The companion strategy plays allow(o, Z*)
     uniformly; its recurrent classes all intersect the targets.
     """
-    z = _buchi_obs(pomdp, targets, stats)
-    if not z:
-        return z, None
-    plays = {o: allow(o, z, pomdp) for o in z}
-    return z, _obs_strategy(pomdp, plays, _initial_in(pomdp, z))
+    moves = _moves(pomdp, pomdp.available)
+    z, plays = _buchi_obs(pomdp, moves, targets, stats)
+    return z, (_obs_strategy(pomdp, moves, plays) if z else None)
 
 
 def almost_reach(pomdp: Pomdp, targets: Iterable[str],
@@ -238,24 +258,6 @@ def almost_reach(pomdp: Pomdp, targets: Iterable[str],
     """
     targets = frozenset(targets)
     return almost_buchi(make_absorbing(pomdp, targets), targets, stats)
-
-
-def _restrict_to(pomdp: Pomdp, obs_set: frozenset[str]) -> Pomdp:
-    """The sub-POMDP on an observation set, actions cut to allow(o, set)."""
-    keep_obs = tuple(o for o in pomdp.observations if o in obs_set)
-    keep_states = tuple(s for s in pomdp.states
-                        if pomdp.obs_map[s] in obs_set)
-    available = {o: allow(o, obs_set, pomdp) for o in keep_obs}
-    transitions = {}
-    for s in keep_states:
-        for a in available[pomdp.obs_map[s]]:
-            transitions[(s, a)] = dict(pomdp.dist(s, a))
-    return Pomdp(states=keep_states, actions=pomdp.actions,
-                 observations=keep_obs,
-                 obs_map={s: pomdp.obs_map[s] for s in keep_states},
-                 transitions=transitions,
-                 initial_state=pomdp.initial_state,
-                 available=available)
 
 
 # -- decisions -------------------------------------------------------------
@@ -369,72 +371,47 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     stats["states_constructed"] = len(bo.pomdp.states)
     mode = WinningMode.ALMOST_SURE
     safe_set = frozenset(bo.pomdp.states) - {bo.sink_state}
-    y_safe = _safe_obs(bo.pomdp, safe_set, stats)
+    moves = _moves(bo.pomdp, bo.pomdp.available)
+    y_safe, safe_plays = _safe_obs(bo.pomdp, moves, safe_set, stats)
     stats["safe_observations"] = y_safe
     if bo.init_obs not in y_safe:
         stats["failed_stage"] = "safety"
         return Decision(False, mode, diagnostics=stats)
-    restricted = _restrict_to(bo.pomdp, y_safe)
-    wpr = bo.certified_recurrent() & set(restricted.states)
-    reach_absorbed = make_absorbing(restricted, wpr)
-    w2 = _buchi_obs(reach_absorbed, wpr, stats)
+    # Reachability of wpr inside the safe part, wpr made absorbing.
+    wpr = bo.certified_recurrent()
+    w2, reach_plays = _buchi_obs(bo.pomdp, _moves(bo.pomdp, safe_plays, wpr),
+                                 wpr, stats)
     stats["winning_observations"] = w2
     if bo.init_obs not in w2:
         stats["failed_stage"] = "reachability"
         return Decision(False, mode, diagnostics=stats)
 
-    plays: dict[str, frozenset[str]] = {}
-    for o in y_safe:
-        if o in (bo.init_obs, bo.sink_obs):
-            continue
-        if o in w2:
-            plays[o] = allow(o, w2, reach_absorbed)
-        else:
-            plays[o] = restricted.available_at(o)
-    first = sorted(m for m in allow(bo.init_obs, w2, reach_absorbed)
-                   if m in bo.elements)
+    plays = {o: reach_plays.get(o, acts) for o, acts in safe_plays.items()
+             if o not in (bo.init_obs, bo.sink_obs)}
+    first = sorted(m for m in reach_plays[bo.init_obs] if m in bo.elements)
     witness = _witness_from_plays(pomdp, bo, plays, first)
     objective = Objective.parity(dict(priority))
     _verify(pomdp, objective, mode, witness)
     return Decision(True, mode, witness=witness, diagnostics=stats)
 
 
-def _support_reachable(pomdp: Pomdp) -> tuple[str, ...]:
-    """States reachable from the initial state under available actions."""
-    seen = {pomdp.initial_state}
-    frontier = [pomdp.initial_state]
-    while frontier:
-        s = frontier.pop()
-        for a in pomdp.available_at(pomdp.obs_map[s]):
-            for t in pomdp.supp(s, a):
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-    return tuple(s for s in pomdp.states if s in seen)
+def _support_paths(pomdp: Pomdp) -> dict[str, tuple[tuple[str, str], ...]]:
+    """A shortest (state, action) path to each state reachable through supports.
 
-
-def _path_to(pomdp: Pomdp, target: str) -> tuple[tuple[str, str], ...]:
-    """A (state, action) path witnessing support reachability of target."""
-    parent: dict[str, tuple[str, str] | None] = {pomdp.initial_state: None}
+    Breadth-first under available actions, both actions and successors in
+    index order, so no path depends on how a distribution lists its states.
+    """
+    paths = {pomdp.initial_state: ()}
     queue = [pomdp.initial_state]
-    while queue:
-        s = queue.pop(0)
-        if s == target:
-            break
+    for s in queue:
         for a in sorted(pomdp.available_at(pomdp.obs_map[s]),
                         key=pomdp.action_index.__getitem__):
-            for t in pomdp.supp(s, a):
-                if t not in parent:
-                    parent[t] = (s, a)
+            for t in sorted(pomdp.supp(s, a),
+                            key=pomdp.state_index.__getitem__):
+                if t not in paths:
+                    paths[t] = paths[s] + ((s, a),)
                     queue.append(t)
-    steps: list[tuple[str, str]] = []
-    cur = target
-    while parent[cur] is not None:
-        s, a = parent[cur]          # type: ignore[misc]
-        steps.append((s, a))
-        cur = s
-    steps.reverse()
-    return tuple(steps)
+    return paths
 
 
 def _prefix_then(pomdp: Pomdp, steps: tuple[tuple[str, str], ...],
@@ -472,28 +449,35 @@ def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     positive-probability path first, necessity by restarting a positive
     winner inside one of its winning recurrent classes.  Each candidate
     root is checked with the belief-observation rewrite and the
-    almost-sure Buchi fixpoint.
+    almost-sure Buchi fixpoint.  ``budget`` bounds the states constructed
+    over all roots together.
     """
     stats: dict = {"states_constructed": 0, "roots_tried": 0}
     mode = WinningMode.POSITIVE
     objective = Objective.parity(dict(priority))
-    for t in _support_reachable(pomdp):
+    paths = _support_paths(pomdp)
+    for t in (s for s in pomdp.states if s in paths):
         stats["roots_tried"] += 1
-        bo = positive_buchi_red(pomdp, priority, root=t, budget=budget)
+        built = stats["states_constructed"]
+        try:
+            bo = positive_buchi_red(pomdp, priority, root=t, budget=budget - built)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(f"root {t!r}: {exc}, after {built} states "
+                                     f"for earlier roots of {budget}") from None
         stats["states_constructed"] += len(bo.pomdp.states)
         targets = frozenset(s for s in bo.pomdp.states
                             if bo.priority[s] == 0)
-        z = _buchi_obs(bo.pomdp, targets, stats)
+        z, kept = _buchi_obs(bo.pomdp, _moves(bo.pomdp, bo.pomdp.available),
+                             targets, stats)
         if bo.init_obs not in z:
             continue
         stats["winning_root"] = t
         stats["winning_observations"] = z
-        plays = {o: allow(o, z, bo.pomdp) for o in z
+        plays = {o: acts for o, acts in kept.items()
                  if o not in (bo.init_obs, bo.sink_obs)}
-        first = sorted(m for m in allow(bo.init_obs, z, bo.pomdp)
-                       if m in bo.elements)
+        first = sorted(m for m in kept[bo.init_obs] if m in bo.elements)
         tail = _witness_from_plays(pomdp, bo, plays, first)
-        witness = _prefix_then(pomdp, _path_to(pomdp, t), tail)
+        witness = _prefix_then(pomdp, paths[t], tail)
         _verify(pomdp, objective, mode, witness)
         return Decision(True, mode, witness=witness, diagnostics=stats)
     stats["failed_stage"] = "no almost-sure root"

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface, driven in-process."""
 
+import hashlib
 import re
 from fractions import Fraction
 
@@ -378,3 +379,91 @@ def test_outputs_are_byte_deterministic(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_positive_budget_bounds_all_roots_together(tmp_path, capsys):
+    """ex1 builds 239 states over its roots in positive mode, none over 100."""
+    model = write_ex1(tmp_path)
+    code, out, err = run(capsys, "solve", "--mode", "positive", model,
+                         "--budget", "100")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: state budget exhausted")
+    code, out, _ = run(capsys, "solve", "--mode", "positive", model,
+                       "--budget", "239")
+    assert code == 0
+    assert fields(out.strip())["states_constructed"] == "239"
+
+
+# Recorded outputs: stdout without wall_time_s, and the witness's sha256.
+PINNED_OUTPUTS = {
+    ("ex1", "almost"): (
+        "verdict=yes mode=almost states_constructed=159 fixpoint_iterations=3",
+        "0970e93a429977a5dfb86aed727abbc8cb6534617dbcbaa04ef0fc579792de64"),
+    ("ex1", "positive"): (
+        "verdict=yes mode=positive states_constructed=239 fixpoint_iterations=10",
+        "c21858a73c5c10ba2c07205b7ea6744dadfe6b3e81ce8b1969b8fcd2cfbc37ef"),
+    ("ex2", "almost"): (
+        "verdict=yes mode=almost states_constructed=1595 fixpoint_iterations=5",
+        "a4e3020f493a146fcbe9af8252bc3e7e0f93b4bbcd781f7de843576245d8eb98"),
+    ("ex2", "positive"): (
+        "verdict=yes mode=positive states_constructed=353 fixpoint_iterations=12",
+        "c0cf4821d3a2a8cf0ac0c69b6fcc92c18eafb76af003f38a7583ac6397b1cce7"),
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(PINNED_OUTPUTS))
+def test_solve_outputs_match_the_recorded_bytes(tmp_path, capsys, name, mode):
+    model = tmp_path / f"{name}.pomdp"
+    model.write_text(fixture_text(name), encoding="utf-8")
+    witness = tmp_path / "w.strat"
+    code, out, _ = run(capsys, "solve", "--mode", mode, str(model),
+                       "--witness", str(witness))
+    assert code == 0
+    record, digest = PINNED_OUTPUTS[(name, mode)]
+    assert re.sub(r" wall_time_s=\S+", "", out.strip()) == record
+    assert hashlib.sha256(witness.read_bytes()).hexdigest() == digest
+
+
+def ordered_model(s1_first: bool) -> str:
+    """Positive Buchi of t, reached only from s1 or s2 (one observation).
+
+    Only t wins almost surely as a root, and the breadth-first path to it
+    runs through whichever of s1, s2 is queued first.
+    """
+    pair = "s1 1/2, s2 1/2" if s1_first else "s2 1/2, s1 1/2"
+    return f"""\
+states: s0 s1 s2 t bad
+actions: a b
+observations: o0 o1 o_t o_bad
+obs: s0 : o0
+obs: s1 : o1
+obs: s2 : o1
+obs: t : o_t
+obs: bad : o_bad
+init: s0
+trans: s0 a -> {pair}
+trans: s0 b -> {pair}
+trans: s1 a -> t 1/2, bad 1/2
+trans: s1 b -> bad 1
+trans: s2 a -> bad 1
+trans: s2 b -> bad 1/2, t 1/2
+trans: t a -> t 1
+trans: t b -> t 1
+trans: bad a -> bad 1
+trans: bad b -> bad 1
+objective: buchi t
+"""
+
+
+def test_positive_witness_ignores_successor_listing_order(tmp_path, capsys):
+    witnesses = []
+    for s1_first in (True, False):
+        model = tmp_path / f"order{int(s1_first)}.pomdp"
+        model.write_text(ordered_model(s1_first), encoding="utf-8")
+        witness = tmp_path / f"order{int(s1_first)}.strat"
+        code, _, _ = run(capsys, "solve", "--mode", "positive", str(model),
+                         "--witness", str(witness))
+        assert code == 0
+        witnesses.append(witness.read_bytes())
+    assert witnesses[0] == witnesses[1]

@@ -8,9 +8,11 @@ import pytest
 
 from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        UnsupportedConversionError, WinningMode, allow,
-                       almost_buchi, almost_reach, almost_safe, apre,
-                       obs_cover, oracle_decide, pre, solve_parity_fm,
+                       almost_buchi, almost_cobuchi_red, almost_reach,
+                       almost_safe, apre, make_absorbing, obs_cover,
+                       oracle_decide, positive_buchi_red, pre, solve_parity_fm,
                        solve_positive_buchi_fm, solve_almost_cobuchi_fm)
+from pomparity.solve import _buchi_obs, _moves, _safe_obs
 from conftest import (all_memoryless_supports, chain_wins,
                       observation_stationary, random_belief_obs_pomdp,
                       random_mdp, random_parity, random_pomdp)
@@ -142,6 +144,105 @@ def test_buchi_fixpoint_matches_enumeration_on_belief_obs_models():
         assert z == winning_obs_by_enumeration(pomdp, Objective.buchi(targets))
         if z and pomdp.obs_map[pomdp.initial_state] in z:
             assert chain_wins(pomdp, Objective.buchi(targets), ALMOST, sigma)
+
+
+# -- fixpoint cores against a reference iteration --
+
+def reference_safe(pomdp, safe_states):
+    """The safety fixpoint by its definition: nu Y. ObsCover(F) & Pre(Y)."""
+    y = obs_cover(safe_states, pomdp)
+    rounds = 0
+    while True:
+        rounds += 1
+        y2 = pre(y, pomdp)
+        if y2 == y:
+            break
+        y = y2
+    return y, {o: allow(o, y, pomdp) for o in y}, rounds
+
+
+def reference_buchi(pomdp, targets):
+    """The Buchi fixpoint by its definition, X grown one Apre layer a step."""
+    z = frozenset(pomdp.observations)
+    outer = inner = 0
+    while True:
+        outer += 1
+        pre_z = pre(z, pomdp)
+        x = {s for s in targets if pomdp.obs_map[s] in pre_z}
+        grew = bool(x)
+        while grew:
+            inner += 1
+            layer = apre(z, x, pomdp) - x
+            x |= layer
+            grew = bool(layer)
+        z2 = obs_cover(x, pomdp)
+        if z2 == z:
+            break
+        z = z2
+    return z, {o: allow(o, z, pomdp) for o in z}, outer, inner
+
+
+def restrict_to(pomdp, obs_set):
+    """The sub-POMDP on an observation set, actions cut to allow(o, set)."""
+    keep_states = tuple(s for s in pomdp.states if pomdp.obs_map[s] in obs_set)
+    available = {o: allow(o, obs_set, pomdp)
+                 for o in pomdp.observations if o in obs_set}
+    return Pomdp(states=keep_states, actions=pomdp.actions,
+                 observations=tuple(available),
+                 obs_map={s: pomdp.obs_map[s] for s in keep_states},
+                 transitions={(s, a): dict(pomdp.dist(s, a))
+                              for s in keep_states
+                              for a in available[pomdp.obs_map[s]]},
+                 initial_state=pomdp.initial_state, available=available)
+
+
+def assert_reach_stage_matches(pomdp, y, plays, targets):
+    """Reaching the targets inside Y, as the co-Buchi pipeline asks it,
+    against the Buchi reference on a restricted copy with absorbing targets."""
+    inside = frozenset(s for s in targets if pomdp.obs_map[s] in y)
+    stats = {}
+    w, kept = _buchi_obs(pomdp, _moves(pomdp, plays, inside), inside, stats)
+    absorbed = make_absorbing(restrict_to(pomdp, y), inside)
+    assert (w, kept, stats["buchi_outer_iterations"],
+            stats["buchi_inner_steps"]) == reference_buchi(absorbed, inside)
+
+
+def test_fixpoint_cores_match_the_reference_iteration():
+    """Same sets, kept actions and round counts as the definitions, on
+    random models and both rewrites, and for the co-Buchi pipeline's
+    reach stage, which makes no restricted or absorbing copy."""
+    rng = random.Random(8004)
+    reach_stages = 0
+    for _ in range(200):
+        base = random_pomdp(rng)
+        cob = almost_cobuchi_red(base, {s: rng.choice((1, 2))
+                                        for s in base.states})
+        buc = positive_buchi_red(base, {s: rng.choice((0, 1))
+                                        for s in base.states})
+        for pomdp in (base, cob.pomdp, buc.pomdp):
+            moves = _moves(pomdp, pomdp.available)
+            safe = {s for s in pomdp.states if rng.random() < 0.8}
+            stats = {}
+            y, plays = _safe_obs(pomdp, moves, safe, stats)
+            assert (y, plays, stats["safety_iterations"]) == \
+                reference_safe(pomdp, safe)
+            targets = {s for s in pomdp.states if rng.random() < 0.3}
+            stats = {}
+            z, kept = _buchi_obs(pomdp, moves, targets, stats)
+            assert (z, kept, stats["buchi_outer_iterations"],
+                    stats["buchi_inner_steps"]) == \
+                reference_buchi(pomdp, targets)
+            if y:
+                assert_reach_stage_matches(pomdp, y, plays, targets)
+
+        pomdp = cob.pomdp
+        y, plays = _safe_obs(pomdp, _moves(pomdp, pomdp.available),
+                             set(pomdp.states) - {cob.sink_state})
+        if y:
+            reach_stages += 1
+            assert_reach_stage_matches(pomdp, y, plays,
+                                       cob.certified_recurrent())
+    assert reach_stages >= 100
 
 
 # -- solve pipelines --
