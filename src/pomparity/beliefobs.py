@@ -2,12 +2,12 @@
 
 A finite-memory strategy, projected onto its recurrence summaries, walks a
 graph of memory elements: (belief, committed set, class-set table) triples
-(``strategy.MemoryElement``).  This module materializes the POMDP whose
-states pair an unobserved model state with such an element, whose
-observations reveal exactly the element, and whose extra actions pick the
-next element.  On the result the belief always equals the observation
-class (``is_belief_observation``), so memoryless strategies suffice and
-the observation-set fixpoints of the solve module decide it.
+(``strategy.MemoryElement``).  This module records, by its supports, the
+POMDP whose states pair an unobserved model state with such an element,
+whose observations reveal exactly the element, and whose extra actions
+pick the next element.  On the result the belief always equals the
+observation class (``is_belief_observation``), so memoryless strategies
+suffice and the observation-set fixpoints of the solve module decide it.
 
 Two variants share the skeleton:
 
@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     ContractError,
-    Objective,
     Pomdp,
     ResourceLimitError,
     StructuralError,
@@ -230,21 +229,28 @@ def _successor_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
 
 @dataclass
 class BeliefObsPomdp:
-    """A materialized belief-observation POMDP plus its bookkeeping.
+    """A belief-observation POMDP, recorded by its supports, plus bookkeeping.
 
-    ``pomdp`` is the playable model (uniform exact weights); observations
-    named in ``elements`` correspond one-to-one to memory elements and
-    double as the element-move action names.  ``memsel`` maps
-    (element name, model action, model observation) to the intermediate
-    observation where the next element is chosen, and ``moves`` lists the
-    element names offered there (empty = routed to the sink by the reject
-    action).  ``priority`` assigns every new state its two-priority value
-    and ``objective`` packages it for the chain module.
+    ``succ`` maps (state, action) to its successors and ``classes`` an
+    observation to its states; ``supp``, ``states_with_obs`` and
+    ``available`` answer from them as the playable model ``pomdp``
+    (uniform exact weights, built on first use) would.  Observations named
+    in ``elements`` are memory elements and double as the element-move
+    action names.  ``memsel`` maps (element name, model action, model
+    observation) to the intermediate observation where the next element is
+    chosen, and ``moves`` lists the element names offered there (empty =
+    routed to the sink by the reject action).  ``priority`` assigns every
+    new state its two-priority value.
     """
 
     mode: str
-    pomdp: Pomdp
-    objective: Objective
+    states: tuple[str, ...]
+    actions: tuple[str, ...]
+    observations: tuple[str, ...]
+    obs_map: dict[str, str]
+    available: dict[str, frozenset[str]]
+    succ: dict[tuple[str, str], tuple[str, ...]]
+    classes: dict[str, list[str]]
     priority: dict[str, int]
     root: str
     init_state: str
@@ -257,6 +263,19 @@ class BeliefObsPomdp:
     memsel: dict[tuple[str, str, str], str]
     moves: dict[str, tuple[str, ...]] = field(default_factory=dict)
     actionsel: dict[str, tuple[str, str]] = field(default_factory=dict)
+
+    def supp(self, state: str, action: str) -> tuple[str, ...]:
+        return self.succ.get((state, action), ())
+
+    def states_with_obs(self, obs: str) -> Sequence[str]:
+        return self.classes.get(obs, ())
+
+    @cached_property
+    def pomdp(self) -> Pomdp:
+        """The playable model: uniform exact weights over every support."""
+        weights = {key: uniform(succ) for key, succ in self.succ.items()}
+        return Pomdp(self.states, self.actions, self.observations,
+                     self.obs_map, weights, self.init_state, self.available)
 
     def certified_recurrent(self) -> frozenset[str]:
         """Action-selection states whose element certifies a won recurrence.
@@ -287,17 +306,9 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     elem_name: dict[MemoryElement, str] = {}
     elements: dict[str, MemoryElement] = {}
 
-    def name_of(elem: MemoryElement) -> str:
-        got = elem_name.get(elem)
-        if got is not None:
-            return got
-        name = fresh_name(f"m{len(elem_name)}", taken_actions)
-        elem_name[elem] = name
-        elements[name] = elem
-        return name
-
     init_state, sink_state = "start", "dead"
     init_obs, sink_obs = "o_start", "o_dead"
+    to_sink = (sink_state,)
 
     def act_state(s: str, ename: str) -> str:
         return f"A~{s}~{ename}"
@@ -305,7 +316,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     states: list[str] = [init_state, sink_state]
     observations: list[str] = [init_obs, sink_obs]
     obs_map: dict[str, str] = {init_state: init_obs, sink_state: sink_obs}
-    transitions: dict[tuple[str, str], dict[str, Fraction]] = {}
+    succ: dict[tuple[str, str], tuple[str, ...]] = {}
     available: dict[str, frozenset[str]] = {}
     priority_out: dict[str, int] = {
         init_state: 2 if mode == COBUCHI_MODE else 1, sink_state: 1}
@@ -324,7 +335,9 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         known = elem_name.get(elem)
         if known is not None:
             return known
-        ename = name_of(elem)
+        ename = fresh_name(f"m{len(elem_name)}", taken_actions)
+        elem_name[elem] = ename
+        elements[ename] = elem
         observations.append(ename)
         for s in sorted(elem.belief, key=pomdp.state_index.__getitem__):
             name = act_state(s, ename)
@@ -341,7 +354,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     initial_moves = tuple(add_element(e) for e in initial)
     available[init_obs] = frozenset(initial_moves)
     for ename in initial_moves:
-        transitions[(init_state, ename)] = {act_state(root, ename): Fraction(1)}
+        succ[(init_state, ename)] = (act_state(root, ename),)
 
     cursor = 0
     while cursor < len(frontier):
@@ -355,8 +368,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         for a in acts:
             if not action_allowed(elem, a, pomdp, prio):
                 for s in elem.belief:
-                    transitions[(act_state(s, ename), a)] = {
-                        sink_state: Fraction(1)}
+                    succ[(act_state(s, ename), a)] = to_sink
                 continue
             reached = sorted(
                 {t for s in elem.belief for t in pomdp.supp(s, a)},
@@ -384,37 +396,31 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                     priority_out[mname] = prio[t]
                     if move_names:
                         for e2name in move_names:
-                            transitions[(mname, e2name)] = {
-                                act_state(t, e2name): Fraction(1)}
+                            succ[(mname, e2name)] = (act_state(t, e2name),)
                     else:
-                        transitions[(mname, reject)] = {
-                            sink_state: Fraction(1)}
+                        succ[(mname, reject)] = to_sink
                 guard_budget()
             for s in elem.belief:
-                succ = pomdp.supp(s, a)
-                transitions[(act_state(s, ename), a)] = uniform(
-                    f"M~{t}~{qname_of[pomdp.obs_map[t]]}" for t in succ)
+                succ[(act_state(s, ename), a)] = tuple(
+                    f"M~{t}~{qname_of[pomdp.obs_map[t]]}"
+                    for t in pomdp.supp(s, a))
 
     all_actions = tuple(pomdp.actions) + (reject,) + tuple(elements)
     for a in all_actions:
-        transitions[(sink_state, a)] = {sink_state: Fraction(1)}
+        succ[(sink_state, a)] = to_sink
+    available[sink_obs] = frozenset(all_actions)
+    classes: dict[str, list[str]] = {}
+    for s in states:
+        classes.setdefault(obs_map[s], []).append(s)
 
-    built = Pomdp(states=tuple(states), actions=all_actions,
-                  observations=tuple(observations), obs_map=obs_map,
-                  transitions=transitions, initial_state=init_state,
-                  available=available)
-    if mode == COBUCHI_MODE:
-        objective = Objective.cobuchi(
-            s for s in built.states if priority_out[s] == 2)
-    else:
-        objective = Objective.buchi(
-            s for s in built.states if priority_out[s] == 0)
     return BeliefObsPomdp(
-        mode=mode, pomdp=built, objective=objective, priority=priority_out,
-        root=root, init_state=init_state, sink_state=sink_state,
-        init_obs=init_obs, sink_obs=sink_obs, reject_action=reject,
-        initial_moves=initial_moves, elements=elements, memsel=memsel,
-        moves=moves, actionsel=actionsel)
+        mode=mode, states=tuple(states), actions=all_actions,
+        observations=tuple(observations), obs_map=obs_map,
+        available=available, succ=succ, classes=classes,
+        priority=priority_out, root=root, init_state=init_state,
+        sink_state=sink_state, init_obs=init_obs, sink_obs=sink_obs,
+        reject_action=reject, initial_moves=initial_moves,
+        elements=elements, memsel=memsel, moves=moves, actionsel=actionsel)
 
 
 def almost_cobuchi_red(pomdp: Pomdp, priority: Mapping[str, int],

@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 class PomparityError(Exception):
@@ -186,6 +185,19 @@ def validate_objective(pomdp: "Pomdp", objective: Objective) -> list[str]:
     return problems
 
 
+def exact_dist(dist: Mapping, where: tuple[str, object]) -> dict:
+    """A copy of ``dist`` with ``Fraction`` weights: the one exactness rule.
+    A float is refused, naming ``where`` (what, key); a Fraction is kept."""
+    out = {}
+    for x, w in dist.items():
+        if isinstance(w, float):
+            raise ExactnessError(
+                f"float weight {w!r} in {where[0]} {where[1]!r} -> {x!r}; "
+                f"use Fraction, int or a numeric string")
+        out[x] = w if type(w) is Fraction else Fraction(w)
+    return out
+
+
 @dataclass
 class Pomdp:
     """A finite POMDP.
@@ -220,17 +232,8 @@ class Pomdp:
             if o not in norm:  # unknown observation; kept for validate to flag
                 norm[o] = frozenset(acts)
         self.available = norm
-        coerced: dict[tuple[str, str], dict[str, Fraction]] = {}
-        for key, dist in self.transitions.items():
-            row: dict[str, Fraction] = {}
-            for t, w in dist.items():
-                if isinstance(w, float):
-                    raise ExactnessError(
-                        f"float weight {w!r} for transition {key} -> {t!r}; "
-                        f"use Fraction, int or a numeric string")
-                row[t] = Fraction(w)
-            coerced[key] = row
-        self.transitions = coerced
+        self.transitions = {key: exact_dist(dist, ("transition", key))
+                            for key, dist in self.transitions.items()}
         self._supp: dict[tuple[str, str], tuple[str, ...]] = {}
 
     # -- derived lookups (cached; instances are immutable by convention) --
@@ -255,9 +258,6 @@ class Pomdp:
             if o in classes:
                 classes[o].append(s)
         return {o: tuple(members) for o, members in classes.items()}
-
-    def obs_of(self, state: str) -> str:
-        return self.obs_map[state]
 
     def states_with_obs(self, obs: str) -> tuple[str, ...]:
         return self.obs_classes.get(obs, ())

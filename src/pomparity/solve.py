@@ -62,14 +62,17 @@ from .strategy import FiniteMemoryStrategy, uniform
 
 # observation -> action -> observations the observation's class can reach
 Moves = dict[str, dict[str, frozenset[str]]]
+# what the fixpoint cores read: observations, obs_map, states_with_obs, supp
+Supports = Pomdp | BeliefObsPomdp
 
 
-def _moves(pomdp: Pomdp, allowed: Mapping[str, Iterable[str]],
+def _moves(pomdp: Supports, allowed: Mapping[str, Iterable[str]],
            absorbing: frozenset[str] = frozenset()) -> Moves:
     """The move table of the observations of ``allowed`` and their actions.
 
-    The one place observation moves are derived from supports.  States in
-    ``absorbing`` constrain nothing, as if they looped on themselves.
+    The one place observation moves are derived from the supports of a
+    ``Pomdp`` or a ``BeliefObsPomdp``.  States in ``absorbing`` constrain
+    nothing, as if they looped on themselves.
     """
     obs_map = pomdp.obs_map
     table = {}
@@ -123,7 +126,7 @@ def apre(y_obs: Iterable[str], x_states: Iterable[str],
     return frozenset(out)
 
 
-def obs_cover(states: Iterable[str], pomdp: Pomdp) -> frozenset[str]:
+def obs_cover(states: Iterable[str], pomdp: Supports) -> frozenset[str]:
     """Observations whose entire class lies inside the state set."""
     states = frozenset(states)
     return frozenset(o for o in pomdp.observations
@@ -154,10 +157,11 @@ def _obs_strategy(pomdp: Pomdp, moves: Moves,
         initial_memory=o0 if o0 in plays else memories[0])
 
 
-def _safe_obs(pomdp: Pomdp, moves: Moves, safe_states: Iterable[str],
+def _safe_obs(pomdp: Supports, moves: Moves, safe_states: Iterable[str],
               stats: dict | None = None,
               ) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
-    """Fixpoint core of ``almost_safe``: the set and its kept actions."""
+    """Fixpoint core of ``almost_safe``, on a ``Pomdp`` or a
+    ``BeliefObsPomdp``: the set and its kept actions."""
     y = obs_cover(safe_states, pomdp)
     rounds = 0
     while True:
@@ -186,10 +190,11 @@ def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
     return y, (_obs_strategy(pomdp, moves, plays) if y else None)
 
 
-def _buchi_obs(pomdp: Pomdp, moves: Moves, targets: Iterable[str],
+def _buchi_obs(pomdp: Supports, moves: Moves, targets: Iterable[str],
                stats: dict | None = None,
                ) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
-    """Fixpoint core of ``almost_buchi``: the set and its kept actions.
+    """Fixpoint core of ``almost_buchi``, on a ``Pomdp`` or a
+    ``BeliefObsPomdp``: the set and its kept actions.
 
     Z starts at the observations of the move table.  States the table
     reads as absorbing must be targets: each then starts in X or keeps
@@ -368,19 +373,18 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     """
     stats: dict = {}
     bo = almost_cobuchi_red(pomdp, priority, root=root, budget=budget)
-    stats["states_constructed"] = len(bo.pomdp.states)
+    stats["states_constructed"] = len(bo.states)
     mode = WinningMode.ALMOST_SURE
-    safe_set = frozenset(bo.pomdp.states) - {bo.sink_state}
-    moves = _moves(bo.pomdp, bo.pomdp.available)
-    y_safe, safe_plays = _safe_obs(bo.pomdp, moves, safe_set, stats)
+    safe_set = frozenset(bo.states) - {bo.sink_state}
+    moves = _moves(bo, bo.available)
+    y_safe, safe_plays = _safe_obs(bo, moves, safe_set, stats)
     stats["safe_observations"] = y_safe
     if bo.init_obs not in y_safe:
         stats["failed_stage"] = "safety"
         return Decision(False, mode, diagnostics=stats)
     # Reachability of wpr inside the safe part, wpr made absorbing.
     wpr = bo.certified_recurrent()
-    w2, reach_plays = _buchi_obs(bo.pomdp, _moves(bo.pomdp, safe_plays, wpr),
-                                 wpr, stats)
+    w2, reach_plays = _buchi_obs(bo, _moves(bo, safe_plays, wpr), wpr, stats)
     stats["winning_observations"] = w2
     if bo.init_obs not in w2:
         stats["failed_stage"] = "reachability"
@@ -464,11 +468,9 @@ def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
         except ResourceLimitError as exc:
             raise ResourceLimitError(f"root {t!r}: {exc}, after {built} states "
                                      f"for earlier roots of {budget}") from None
-        stats["states_constructed"] += len(bo.pomdp.states)
-        targets = frozenset(s for s in bo.pomdp.states
-                            if bo.priority[s] == 0)
-        z, kept = _buchi_obs(bo.pomdp, _moves(bo.pomdp, bo.pomdp.available),
-                             targets, stats)
+        stats["states_constructed"] += len(bo.states)
+        targets = frozenset(s for s in bo.states if bo.priority[s] == 0)
+        z, kept = _buchi_obs(bo, _moves(bo, bo.available), targets, stats)
         if bo.init_obs not in z:
             continue
         stats["winning_root"] = t

@@ -26,8 +26,8 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .chain import compute_rec_functions
-from .model import (MULLER, PARITY, ContractError, ExactnessError, Objective,
-                    Pomdp, StructuralError)
+from .model import (MULLER, PARITY, ContractError, Objective, Pomdp,
+                    StructuralError, exact_dist)
 
 
 def uniform(items: Iterable) -> dict:
@@ -121,8 +121,10 @@ class FiniteMemoryStrategy:
 
     def __post_init__(self):
         self.memories = tuple(self.memories)
-        self.action_select = {m: _coerce_dist(d) for m, d in self.action_select.items()}
-        self.memory_update = {k: _coerce_dist(d) for k, d in self.memory_update.items()}
+        self.action_select = {m: exact_dist(d, ("action selection", m))
+                              for m, d in self.action_select.items()}
+        self.memory_update = {k: exact_dist(d, ("memory update", k))
+                              for k, d in self.memory_update.items()}
 
     @cached_property
     def supports(self) -> SupportStrategy:
@@ -140,17 +142,6 @@ class FiniteMemoryStrategy:
 
     def memory_support(self, memory: str, obs: str, action: str) -> tuple[str, ...]:
         return self.supports.update_support.get((memory, obs, action), ())
-
-
-def _coerce_dist(dist: Mapping) -> dict:
-    out = {}
-    for key, w in dist.items():
-        if isinstance(w, float):
-            raise ExactnessError(
-                f"float weight {w!r} in a strategy distribution; "
-                f"use Fraction, int or a numeric string")
-        out[key] = Fraction(w)
-    return out
 
 
 def stationary_strategy(pomdp: Pomdp, support: Iterable[str],

@@ -127,9 +127,6 @@ def test_rewrite_certificates_claim_only_priority_two(ex1_rewrite):
 
 def test_rewrite_objective_matches_priorities(ex1_rewrite):
     _, _, bo = ex1_rewrite
-    assert bo.objective.kind == "cobuchi"
-    assert set(bo.objective.targets) == {
-        s for s in bo.pomdp.states if bo.priority[s] == 2}
     assert bo.priority[bo.sink_state] == 1
 
 
@@ -142,9 +139,6 @@ def test_buchi_rewrite_carries_no_certificates(ex2fix):
     assert bb.certified_recurrent() == frozenset()
     for elem in bb.elements.values():
         assert elem.brec == frozenset()
-    assert bb.objective.kind == "buchi"
-    assert set(bb.objective.targets) == {
-        s for s in bb.pomdp.states if bb.priority[s] == 0}
 
 
 def test_rewrite_can_be_rerooted(ex2fix):
@@ -209,3 +203,25 @@ def test_every_generated_move_passes_memory_action_allowed():
                                                  pomdp)
                     checked += 1
     assert checked > 10000
+
+
+def assert_supports_are_the_playable_model(bo):
+    played = bo.pomdp
+    assert bo.states == played.states
+    for s, a in played.transitions:
+        assert bo.supp(s, a) == played.supp(s, a)
+    for o in played.observations:
+        assert tuple(bo.states_with_obs(o)) == played.states_with_obs(o)
+        assert bo.available[o] == played.available_at(o)
+
+
+def test_support_graph_is_its_playable_model(ex1_rewrite):
+    """The recorded supports answer as the lazily built weighted model."""
+    rng = random.Random(8005)
+    for _ in range(200):
+        base = random_pomdp(rng)
+        for rewrite, values in ((almost_cobuchi_red, (1, 2)),
+                                (positive_buchi_red, (0, 1))):
+            prio = {s: rng.choice(values) for s in base.states}
+            assert_supports_are_the_playable_model(rewrite(base, prio))
+    assert_supports_are_the_playable_model(ex1_rewrite[2])

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pomparity import (ExactnessError, FiniteMemoryStrategy, Objective,
-                       ParseError, parse_model, parse_strategy,
+                       ParseError, load_fixture, parse_model, parse_strategy,
                        serialize_model, serialize_strategy,
                        stationary_strategy, uniform)
 from pomparity.modelio import fixture_text
@@ -158,3 +159,43 @@ def test_strategy_float_free_guarantee():
     for dist in parsed.action_select.values():
         for w in dist.values():
             assert isinstance(w, Fraction)
+
+
+# -- malformed input --
+
+# Characters that matter to the two formats, plus a few that do not.
+TOKEN_CHARS = " \n\t:,->#/.{}0123456789abemos_~"
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` after a few character edits and line copies."""
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("insert", "delete", "replace", "copy line")))
+        if op == "copy line":
+            lines = text.splitlines(keepends=True)
+            line = lines[draw(st.integers(0, len(lines) - 1))]
+            lines.insert(draw(st.integers(0, len(lines))), line)
+            text = "".join(lines)
+            continue
+        i = draw(st.integers(0, len(text)))
+        piece = ("" if op == "delete"
+                 else draw(st.text(TOKEN_CHARS, min_size=1, max_size=3)))
+        cut = 0 if op == "insert" else draw(st.integers(1, 3))
+        text = text[:i] + piece + text[i + cut:]
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_malformed_documents_raise_only_documented_errors(data):
+    """Mutated models and strategies parse or fail with a named error."""
+    model_text = fixture_text("ex1")
+    strat_text = serialize_strategy(
+        stationary_strategy(load_fixture("ex1")[0], ("a", "b")))
+    for parse, text in ((parse_model, model_text),
+                        (parse_strategy, strat_text)):
+        try:
+            parse(data.draw(mutated(text)))
+        except (ParseError, ExactnessError):
+            pass

@@ -12,6 +12,7 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        almost_safe, apre, make_absorbing, obs_cover,
                        oracle_decide, positive_buchi_red, pre, solve_parity_fm,
                        solve_positive_buchi_fm, solve_almost_cobuchi_fm)
+from pomparity import solve
 from pomparity.solve import _buchi_obs, _moves, _safe_obs
 from conftest import (all_memoryless_supports, chain_wins,
                       observation_stationary, random_belief_obs_pomdp,
@@ -261,6 +262,29 @@ def test_solve_fixture_verdicts(ex1, ex2, ex2fix):
             else:
                 assert d.witness is None
                 assert "failed_stage" in d.diagnostics
+
+
+def test_no_pipeline_builds_the_weighted_rewrite(ex1, ex2, monkeypatch):
+    """The pipelines read the rewrite's supports, never ``bo.pomdp``."""
+    built = []
+
+    def capture(rewrite):
+        def wrapped(*args, **kwargs):
+            bo = rewrite(*args, **kwargs)
+            built.append(bo)
+            return bo
+        return wrapped
+
+    monkeypatch.setattr(solve, "almost_cobuchi_red",
+                        capture(solve.almost_cobuchi_red))
+    monkeypatch.setattr(solve, "positive_buchi_red",
+                        capture(solve.positive_buchi_red))
+    for pomdp, objective in (ex1, ex2):
+        for mode in (ALMOST, POSITIVE):
+            before = len(built)
+            assert solve_parity_fm(pomdp, objective, mode).winning
+            assert len(built) > before
+    assert all("pomdp" not in bo.__dict__ for bo in built)
 
 
 def test_solve_diagnostics_names(ex1):

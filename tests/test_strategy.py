@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pomparity import (ContractError, Objective, WinningMode, belief_update,
+from pomparity import (ContractError, ExactnessError, FiniteMemoryStrategy,
+                       Objective, WinningMode, belief_update,
                        build_product_chain, build_projection_graph,
                        compute_rec_functions, evaluate_qualitative,
                        memory_bound, objective_as_parity, project_strategy,
@@ -34,6 +35,26 @@ def test_uniform_is_an_exact_distribution(items):
     dist = uniform(items)
     assert sum(dist.values()) == Fraction(1)
     assert set(dist) == set(items)
+
+
+def test_strategy_weights_must_be_exact():
+    """A float names the offending key; a ``Fraction`` is kept as given."""
+    half = Fraction(1, 2)
+    with pytest.raises(ExactnessError, match="action selection 'm'"):
+        FiniteMemoryStrategy(
+            memories=("m",), action_select={"m": {"a": half, "b": 0.5}},
+            memory_update={}, initial_memory="m")
+    with pytest.raises(ExactnessError,
+                       match=r"memory update \('m', 'o', 'a'\)"):
+        FiniteMemoryStrategy(
+            memories=("m",), action_select={"m": {"a": 1}},
+            memory_update={("m", "o", "a"): {"m": 1.0}}, initial_memory="m")
+    sigma = FiniteMemoryStrategy(
+        memories=("m",), action_select={"m": {"a": half, "b": "1/2"}},
+        memory_update={("m", "o", "a"): {"m": 1}}, initial_memory="m")
+    assert sigma.action_select["m"]["a"] is half
+    assert sigma.action_select["m"]["b"] == half
+    assert type(sigma.memory_update[("m", "o", "a")]["m"]) is Fraction
 
 
 def test_uniform_refuses_empty_input():
