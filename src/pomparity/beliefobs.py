@@ -72,6 +72,11 @@ def _all_subsets(values: tuple[int, ...]) -> frozenset[frozenset[int]]:
 _TOP = {mode: _all_subsets(prios) for mode, prios in _PRIORITY_SETS.items()}
 _GOOD2 = frozenset({frozenset({2})})
 
+# (belief, committed set, class tables in model state order): one element,
+# cheap to hash before the name-sorted ``MemoryElement`` is built
+ElementKey = tuple[frozenset[str], frozenset[str],
+                   tuple[frozenset[frozenset[int]], ...]]
+
 
 def _priority_table(pomdp: Pomdp, priority: Mapping[str, int],
                     allowed: tuple[int, ...]) -> dict[str, int]:
@@ -140,29 +145,27 @@ def memory_action_allowed(candidate: MemoryElement,
 
 
 def _initial_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
-                      root: str) -> tuple[MemoryElement, ...]:
+                      root: str) -> tuple[ElementKey, ...]:
     """Element moves available before the first action, knowing the root.
 
     Co-Buchi elements must certify that only {2}-recurrences are reachable
     from the root; commitment is offered when the root's own priority fits.
     Buchi mode starts from the single maximal-table element.
     """
-    top = _TOP[mode]
-    base = {t: top for t in pomdp.states}
-    out: list[MemoryElement] = []
-    if mode == COBUCHI_MODE:
-        base[root] = _GOOD2
-        out.append(MemoryElement.make({root}, (), base))
-        if priority[root] == 2:
-            out.append(MemoryElement.make({root}, {root}, base))
-    else:
-        out.append(MemoryElement.make({root}, (), base))
+    belief = frozenset({root})
+    tables = [_TOP[mode]] * len(pomdp.states)
+    if mode == BUCHI_MODE:
+        return ((belief, frozenset(), tuple(tables)),)
+    tables[pomdp.state_index[root]] = _GOOD2
+    out = [(belief, frozenset(), tuple(tables))]
+    if priority[root] == 2:
+        out.append((belief, belief, tuple(tables)))
     return tuple(out)
 
 
 def _successor_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                         element: MemoryElement, action: str, obs: str,
-                        limit: int | None = None) -> tuple[MemoryElement, ...]:
+                        limit: int | None = None) -> tuple[ElementKey, ...]:
     """All generated element moves for one (element, action, observation).
 
     Buchi mode yields the single belief-support successor under maximal
@@ -171,15 +174,15 @@ def _successor_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     an explore and/or commit option, and the options multiply out.  The
     empty tuple means the branch is dead: no element move is compatible
     with the commitments already made.  ``limit`` bounds the number of
-    moves one branch may multiply out to.
+    moves one branch may multiply out to.  Moves come as element keys,
+    which cost no canonical element to build.
     """
     top = _TOP[mode]
     new_belief = belief_update(pomdp, element.belief, action, obs)
     if not new_belief:
         return ()
     if mode == BUCHI_MODE:
-        return (MemoryElement.make(
-            new_belief, (), {t: top for t in pomdp.states}),)
+        return ((new_belief, frozenset(), (top,) * len(pomdp.states)),)
 
     caps: dict[str, frozenset[frozenset[int]]] = {}
     forced: set[str] = set()
@@ -193,13 +196,13 @@ def _successor_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
             if committed:
                 forced.add(t)
 
-    base_srec = {t: caps.get(t, top) for t in pomdp.states
-                 if t not in new_belief}
+    base_tables = [caps.get(t, top) for t in pomdp.states]
     base_brec = forced - new_belief
 
-    per_state: list[tuple[str, list[tuple[bool, frozenset]]]] = []
+    per_state: list[tuple[str, int, list[tuple[bool, frozenset]]]] = []
     combinations = 1
-    for t in sorted(new_belief, key=pomdp.state_index.__getitem__):
+    for i in sorted(map(pomdp.state_index.__getitem__, new_belief)):
+        t = pomdp.states[i]
         cap = caps[t]
         options: list[tuple[bool, frozenset]] = []
         if t not in forced:
@@ -208,22 +211,22 @@ def _successor_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
             options.append((True, _GOOD2))
         if not options:
             return ()
-        per_state.append((t, options))
+        per_state.append((t, i, options))
         combinations *= len(options)
     if limit is not None and combinations > limit:
         raise ResourceLimitError(
             f"one memory-selection branch multiplies out to {combinations} "
             f"element moves, past the {limit}-state budget")
 
-    out: list[MemoryElement] = []
-    for combo in itertools.product(*(opts for _, opts in per_state)):
+    out: list[ElementKey] = []
+    for combo in itertools.product(*(opts for _, _, opts in per_state)):
         brec = set(base_brec)
-        srec = dict(base_srec)
-        for (t, _), (committed, table) in zip(per_state, combo):
+        tables = list(base_tables)
+        for (t, i, _), (committed, table) in zip(per_state, combo):
             if committed:
                 brec.add(t)
-            srec[t] = table
-        out.append(MemoryElement.make(new_belief, brec, srec))
+            tables[i] = table
+        out.append((new_belief, frozenset(brec), tuple(tables)))
     return tuple(out)
 
 
@@ -239,8 +242,12 @@ class BeliefObsPomdp:
     action names.  ``memsel`` maps (element name, model action, model
     observation) to the intermediate observation where the next element is
     chosen, and ``moves`` lists the element names offered there (empty =
-    routed to the sink by the reject action).  ``priority`` assigns every
-    new state its two-priority value.
+    routed to the sink by the reject action).  ``msel`` maps each state of
+    such an observation to its model state t.  ``succ`` holds no row for
+    a memory-selection state and an offered move e: that row is
+    ``(A~t~e,)``, and ``supp`` answers it from ``msel`` and ``moves``; the
+    reject rows are stored.  ``priority`` assigns every new state its
+    two-priority value.
     """
 
     mode: str
@@ -262,18 +269,52 @@ class BeliefObsPomdp:
     elements: dict[str, MemoryElement]
     memsel: dict[tuple[str, str, str], str]
     moves: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    msel: dict[str, str] = field(default_factory=dict)
     actionsel: dict[str, tuple[str, str]] = field(default_factory=dict)
 
     def supp(self, state: str, action: str) -> tuple[str, ...]:
-        return self.succ.get((state, action), ())
+        row = self.succ.get((state, action))
+        if row is not None:
+            return row
+        t = self.msel.get(state)
+        if t is None or action not in self.available[self.obs_map[state]]:
+            return ()
+        return (_act_state(t, action),)
 
     def states_with_obs(self, obs: str) -> Sequence[str]:
         return self.classes.get(obs, ())
 
     @cached_property
+    def selection_obs(self) -> frozenset[str]:
+        """Memory-selection observations that offer element moves.
+
+        Each of their actions e leads every state to ``A~t~e``, which is
+        observed as e, so their move rows need no walk over the class.
+        """
+        return frozenset(q for q, names in self.moves.items() if names)
+
+    @cached_property
     def pomdp(self) -> Pomdp:
-        """The playable model: uniform exact weights over every support."""
-        weights = {key: uniform(succ) for key, succ in self.succ.items()}
+        """The playable model: uniform exact weights over every support.
+
+        Rows come in construction order: the memory-selection rows of one
+        (element, action) branch just before the first stored row of it.
+        """
+        branch_of: dict[str, tuple[str, str]] = {}
+        pending: dict[tuple[str, str], list[str]] = {}
+        for (ename, a, _), q in self.memsel.items():
+            branch_of[q] = (ename, a)
+            pending.setdefault((ename, a), []).append(q)
+        weights = {}
+        for (s, a), row in self.succ.items():
+            branch = (branch_of[self.obs_map[s]] if s in self.msel
+                      else (self.obs_map[s], a))
+            for q in pending.pop(branch, ()):
+                for m in self.classes[q]:
+                    for e in self.moves[q] or (self.reject_action,):
+                        weights[(m, e)] = uniform(self.supp(m, e))
+            if (s, a) not in weights:
+                weights[(s, a)] = uniform(row)
         return Pomdp(self.states, self.actions, self.observations,
                      self.obs_map, weights, self.init_state, self.available)
 
@@ -292,6 +333,10 @@ class BeliefObsPomdp:
         return frozenset(out)
 
 
+def _act_state(s: str, ename: str) -> str:
+    return f"A~{s}~{ename}"
+
+
 def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                  root: str | None, budget: int) -> BeliefObsPomdp:
     prio = _priority_table(pomdp, priority, _PRIORITY_SETS[mode])
@@ -303,15 +348,12 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     taken_actions = set(pomdp.actions)
     reject = fresh_name("reject", taken_actions)
 
-    elem_name: dict[MemoryElement, str] = {}
+    elem_name: dict[ElementKey, str] = {}
     elements: dict[str, MemoryElement] = {}
 
     init_state, sink_state = "start", "dead"
     init_obs, sink_obs = "o_start", "o_dead"
     to_sink = (sink_state,)
-
-    def act_state(s: str, ename: str) -> str:
-        return f"A~{s}~{ename}"
 
     states: list[str] = [init_state, sink_state]
     observations: list[str] = [init_obs, sink_obs]
@@ -323,6 +365,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     actionsel: dict[str, tuple[str, str]] = {}
     memsel: dict[tuple[str, str, str], str] = {}
     moves: dict[str, tuple[str, ...]] = {}
+    msel: dict[str, str] = {}
 
     def guard_budget() -> None:
         if len(states) > budget:
@@ -330,17 +373,19 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                 f"belief-observation construction exceeded its {budget}-state "
                 f"budget ({len(states)} states constructed)")
 
-    def add_element(elem: MemoryElement) -> str:
-        """Register an element and its action-selection states; queue it."""
-        known = elem_name.get(elem)
+    def add_element(key: ElementKey) -> str:
+        """Intern an element; register its action-selection states, queue it."""
+        known = elem_name.get(key)
         if known is not None:
             return known
+        belief, brec, tables = key
+        elem = MemoryElement.make(belief, brec, dict(zip(pomdp.states, tables)))
         ename = fresh_name(f"m{len(elem_name)}", taken_actions)
-        elem_name[elem] = ename
+        elem_name[key] = ename
         elements[ename] = elem
         observations.append(ename)
         for s in sorted(elem.belief, key=pomdp.state_index.__getitem__):
-            name = act_state(s, ename)
+            name = _act_state(s, ename)
             states.append(name)
             obs_map[name] = ename
             priority_out[name] = prio[s]
@@ -354,7 +399,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     initial_moves = tuple(add_element(e) for e in initial)
     available[init_obs] = frozenset(initial_moves)
     for ename in initial_moves:
-        succ[(init_state, ename)] = (act_state(root, ename),)
+        succ[(init_state, ename)] = (_act_state(root, ename),)
 
     cursor = 0
     while cursor < len(frontier):
@@ -368,7 +413,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         for a in acts:
             if not action_allowed(elem, a, pomdp, prio):
                 for s in elem.belief:
-                    succ[(act_state(s, ename), a)] = to_sink
+                    succ[(_act_state(s, ename), a)] = to_sink
                 continue
             reached = sorted(
                 {t for s in elem.belief for t in pomdp.supp(s, a)},
@@ -394,14 +439,12 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                     states.append(mname)
                     obs_map[mname] = qname
                     priority_out[mname] = prio[t]
-                    if move_names:
-                        for e2name in move_names:
-                            succ[(mname, e2name)] = (act_state(t, e2name),)
-                    else:
+                    msel[mname] = t
+                    if not move_names:
                         succ[(mname, reject)] = to_sink
                 guard_budget()
             for s in elem.belief:
-                succ[(act_state(s, ename), a)] = tuple(
+                succ[(_act_state(s, ename), a)] = tuple(
                     f"M~{t}~{qname_of[pomdp.obs_map[t]]}"
                     for t in pomdp.supp(s, a))
 
@@ -420,7 +463,8 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         priority=priority_out, root=root, init_state=init_state,
         sink_state=sink_state, init_obs=init_obs, sink_obs=sink_obs,
         reject_action=reject, initial_moves=initial_moves,
-        elements=elements, memsel=memsel, moves=moves, actionsel=actionsel)
+        elements=elements, memsel=memsel, moves=moves, msel=msel,
+        actionsel=actionsel)
 
 
 def almost_cobuchi_red(pomdp: Pomdp, priority: Mapping[str, int],

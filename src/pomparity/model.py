@@ -391,7 +391,7 @@ def belief_update(pomdp: Pomdp, belief: Iterable[str], action: str,
     belief = frozenset(belief)
     if not belief:
         raise ContractError("belief update from an empty belief")
-    unknown = sorted(belief - set(pomdp.states))
+    unknown = sorted(s for s in belief if s not in pomdp.state_index)
     if unknown:
         raise StructuralError(f"belief contains unknown states: {', '.join(unknown)}")
     obs_here = {pomdp.obs_map[s] for s in belief}

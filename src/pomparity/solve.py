@@ -67,22 +67,32 @@ Supports = Pomdp | BeliefObsPomdp
 
 
 def _moves(pomdp: Supports, allowed: Mapping[str, Iterable[str]],
-           absorbing: frozenset[str] = frozenset()) -> Moves:
+           absorbing: frozenset[str] = frozenset(),
+           by_name: frozenset[str] = frozenset()) -> Moves:
     """The move table of the observations of ``allowed`` and their actions.
 
     The one place observation moves are derived from the supports of a
     ``Pomdp`` or a ``BeliefObsPomdp``.  States in ``absorbing`` constrain
-    nothing, as if they looped on themselves.
+    nothing, as if they looped on themselves.  Observations in ``by_name``
+    are read without a walk over their class: each of their actions leads
+    every state to the observation named by the action.
     """
     obs_map = pomdp.obs_map
     table = {}
     for o in pomdp.observations:
-        if o in allowed:
-            members = [s for s in pomdp.states_with_obs(o)
-                       if s not in absorbing]
-            table[o] = {a: frozenset(obs_map[t] for s in members
-                                     for t in pomdp.supp(s, a))
-                        for a in allowed[o]}
+        if o not in allowed:
+            continue
+        members = pomdp.states_with_obs(o)
+        if o in by_name:
+            if absorbing.issuperset(members):
+                table[o] = {a: frozenset() for a in allowed[o]}
+            else:
+                table[o] = {a: frozenset((a,)) for a in allowed[o]}
+            continue
+        members = [s for s in members if s not in absorbing]
+        table[o] = {a: frozenset(obs_map[t] for s in members
+                                 for t in pomdp.supp(s, a))
+                    for a in allowed[o]}
     return table
 
 
@@ -376,7 +386,7 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     stats["states_constructed"] = len(bo.states)
     mode = WinningMode.ALMOST_SURE
     safe_set = frozenset(bo.states) - {bo.sink_state}
-    moves = _moves(bo, bo.available)
+    moves = _moves(bo, bo.available, by_name=bo.selection_obs)
     y_safe, safe_plays = _safe_obs(bo, moves, safe_set, stats)
     stats["safe_observations"] = y_safe
     if bo.init_obs not in y_safe:
@@ -384,7 +394,8 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
         return Decision(False, mode, diagnostics=stats)
     # Reachability of wpr inside the safe part, wpr made absorbing.
     wpr = bo.certified_recurrent()
-    w2, reach_plays = _buchi_obs(bo, _moves(bo, safe_plays, wpr), wpr, stats)
+    w2, reach_plays = _buchi_obs(
+        bo, _moves(bo, safe_plays, wpr, bo.selection_obs), wpr, stats)
     stats["winning_observations"] = w2
     if bo.init_obs not in w2:
         stats["failed_stage"] = "reachability"
@@ -470,7 +481,9 @@ def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
                                      f"for earlier roots of {budget}") from None
         stats["states_constructed"] += len(bo.states)
         targets = frozenset(s for s in bo.states if bo.priority[s] == 0)
-        z, kept = _buchi_obs(bo, _moves(bo, bo.available), targets, stats)
+        z, kept = _buchi_obs(
+            bo, _moves(bo, bo.available, by_name=bo.selection_obs),
+            targets, stats)
         if bo.init_obs not in z:
             continue
         stats["winning_root"] = t

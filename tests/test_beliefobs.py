@@ -10,6 +10,7 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        is_belief_observation, objective_as_parity,
                        positive_buchi_red, validate)
 from pomparity.beliefobs import memory_action_allowed
+from pomparity.strategy import MemoryElement
 from conftest import random_belief_obs_pomdp, random_pomdp
 
 
@@ -225,3 +226,35 @@ def test_support_graph_is_its_playable_model(ex1_rewrite):
             prio = {s: rng.choice(values) for s in base.states}
             assert_supports_are_the_playable_model(rewrite(base, prio))
     assert_supports_are_the_playable_model(ex1_rewrite[2])
+
+
+def test_elements_are_interned(ex1, monkeypatch):
+    """One ``MemoryElement.make`` call per distinct element, and no stored
+    row for a memory-selection state and an offered move."""
+    make = MemoryElement.make
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(MemoryElement, "make", counting)
+    base, parity = objective_as_parity(*ex1)
+    rewrites = [(almost_cobuchi_red, base, parity.priority_map)]
+    rng = random.Random(8007)
+    for _ in range(60):
+        model = random_pomdp(rng)
+        for rewrite, values in ((almost_cobuchi_red, (1, 2)),
+                                (positive_buchi_red, (0, 1))):
+            rewrites.append((rewrite, model,
+                             {s: rng.choice(values) for s in model.states}))
+    for rewrite, model, prio in rewrites:
+        made.clear()
+        bo = rewrite(model, prio)
+        assert len(made) == len(bo.elements)
+        for elem in bo.elements.values():
+            assert elem == make(elem.belief, elem.brec, elem.srec_map)
+        assert len(set(bo.elements.values())) == len(bo.elements)
+        for qname, offered in bo.moves.items():
+            for mname in bo.states_with_obs(qname):
+                assert not any((mname, e) in bo.succ for e in offered)

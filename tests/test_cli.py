@@ -1,11 +1,16 @@
 """End-to-end checks of the command-line surface, driven in-process."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pomparity
 from pomparity.cli import cli_main
 from pomparity.model import Objective
 from pomparity.modelio import (fixture_text, load_model_file, parse_model,
@@ -467,3 +472,38 @@ def test_positive_witness_ignores_successor_listing_order(tmp_path, capsys):
         assert code == 0
         witnesses.append(witness.read_bytes())
     assert witnesses[0] == witnesses[1]
+
+
+def test_reduced_ex1_solve_matches_the_recorded_bytes(tmp_path, capsys):
+    """The 57,158-state co-Buchi construction of ``ex1`` reduced to co-Buchi."""
+    model = write_ex1(tmp_path)
+    reduced = str(tmp_path / "ex1.cobuchi.pomdp")
+    code, _, _ = run(capsys, "reduce", model, "--to", "cobuchi", "-o", reduced)
+    assert code == 0
+    witness = tmp_path / "w.strat"
+    code, out, _ = run(capsys, "solve", "--mode", "almost", reduced,
+                       "--witness", str(witness))
+    assert code == 0
+    assert re.sub(r" wall_time_s=\S+", "", out.strip()) == (
+        "verdict=yes mode=almost states_constructed=57158 "
+        "fixpoint_iterations=7")
+    assert hashlib.sha256(witness.read_bytes()).hexdigest() == (
+        "b533108209abe714bc1c69c90b6203b93cc8a8661cbe2125f6364deeff54b32c")
+
+
+def test_package_runs_as_a_module(tmp_path):
+    """``python -m pomparity`` from a source checkout is the CLI."""
+    model = write_ex1(tmp_path)
+    witness = tmp_path / "w.strat"
+    src = str(Path(pomparity.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "pomparity", "solve", "--mode", "almost",
+         model, "--witness", str(witness)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    record, digest = PINNED_OUTPUTS[("ex1", "almost")]
+    assert re.sub(r" wall_time_s=\S+", "", done.stdout.strip()) == record
+    assert hashlib.sha256(witness.read_bytes()).hexdigest() == digest

@@ -10,8 +10,9 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        UnsupportedConversionError, WinningMode, allow,
                        almost_buchi, almost_cobuchi_red, almost_reach,
                        almost_safe, apre, make_absorbing, obs_cover,
-                       oracle_decide, positive_buchi_red, pre, solve_parity_fm,
-                       solve_positive_buchi_fm, solve_almost_cobuchi_fm)
+                       objective_as_parity, oracle_decide, positive_buchi_red,
+                       pre, solve_parity_fm, solve_positive_buchi_fm,
+                       solve_almost_cobuchi_fm)
 from pomparity import solve
 from pomparity.solve import _buchi_obs, _moves, _safe_obs
 from conftest import (all_memoryless_supports, chain_wins,
@@ -244,6 +245,47 @@ def test_fixpoint_cores_match_the_reference_iteration():
             assert_reach_stage_matches(pomdp, y, plays,
                                        cob.certified_recurrent())
     assert reach_stages >= 100
+
+
+def assert_implicit_rows_read_as_stored(bo, rng):
+    """The move table and the fixpoint cores on the rewrite, whose
+    memory-selection rows are implicit, against its playable model."""
+    played = bo.pomdp
+    selection = [q for q in bo.moves if q in bo.selection_obs]
+    for _ in range(4):
+        allowed = {o: frozenset(a for a in acts if rng.random() < 0.7)
+                   for o, acts in bo.available.items() if rng.random() < 0.9}
+        absorbing = {s for s in bo.states if rng.random() < 0.2}
+        for q in rng.sample(selection, min(len(selection), 3)):
+            absorbing.update(bo.states_with_obs(q))
+        absorbing = frozenset(absorbing)
+        for absorb in (frozenset(), absorbing):
+            moves = _moves(bo, allowed, absorb, bo.selection_obs)
+            assert moves == _moves(played, allowed, absorb)
+            safe = {s for s in bo.states
+                    if bo.obs_map[s] in allowed and rng.random() < 0.9}
+            targets = absorb | {s for s in bo.states if rng.random() < 0.3}
+            runs = []
+            for model in (bo, played):
+                stats = {}
+                runs.append((_safe_obs(model, moves, safe, stats),
+                             _buchi_obs(model, moves, targets, stats), stats))
+            assert runs[0] == runs[1]
+
+
+def test_move_table_reads_the_implicit_selection_rows(ex1):
+    """``_moves`` fills the rows it skips walking exactly as the walk
+    over the stored supports of the playable model would."""
+    rng = random.Random(8006)
+    for _ in range(200):
+        base = random_pomdp(rng)
+        for rewrite, values in ((almost_cobuchi_red, (1, 2)),
+                                (positive_buchi_red, (0, 1))):
+            prio = {s: rng.choice(values) for s in base.states}
+            assert_implicit_rows_read_as_stored(rewrite(base, prio), rng)
+    base, parity = objective_as_parity(*ex1)
+    assert_implicit_rows_read_as_stored(
+        almost_cobuchi_red(base, parity.priority_map), rng)
 
 
 # -- solve pipelines --
