@@ -42,14 +42,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
     ContractError,
     Pomdp,
     ResourceLimitError,
     StructuralError,
-    belief_update,
     fresh_name,
 )
 from .strategy import MemoryElement, uniform
@@ -163,26 +162,27 @@ def _initial_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     return tuple(out)
 
 
-def _successor_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
-                        element: MemoryElement, action: str, obs: str,
-                        limit: int | None = None) -> tuple[ElementKey, ...]:
-    """All generated element moves for one (element, action, observation).
+def _element_moves(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
+                   element: MemoryElement, action: str,
+                   limit: int | None = None
+                   ) -> Callable[[frozenset[str]], tuple[ElementKey, ...]]:
+    """The generated element moves after ``action`` from ``element``.
 
-    Buchi mode yields the single belief-support successor under maximal
-    tables.  In co-Buchi mode, out-of-belief components are canonical
-    (forced commitments, cap tables); each new belief state contributes
-    an explore and/or commit option, and the options multiply out.  The
-    empty tuple means the branch is dead: no element move is compatible
-    with the commitments already made.  ``limit`` bounds the number of
-    moves one branch may multiply out to.  Moves come as element keys,
-    which cost no canonical element to build.
+    Returns a function from the new belief of one branch observation to
+    that branch's moves; what the observation does not change is computed
+    once, here.  Buchi mode yields the single belief-support successor
+    under maximal tables.  In co-Buchi mode, out-of-belief components are
+    canonical (forced commitments, cap tables); each new belief state
+    contributes an explore and/or commit option, and the options multiply
+    out.  No moves means the branch is dead: none is compatible with the
+    commitments already made.  ``limit`` bounds the moves one branch may
+    multiply out to.  Moves are element keys, which cost no canonical
+    element to build.
     """
     top = _TOP[mode]
-    new_belief = belief_update(pomdp, element.belief, action, obs)
-    if not new_belief:
-        return ()
     if mode == BUCHI_MODE:
-        return ((new_belief, frozenset(), (top,) * len(pomdp.states)),)
+        maximal = (top,) * len(pomdp.states)
+        return lambda new_belief: ((new_belief, frozenset(), maximal),)
 
     caps: dict[str, frozenset[frozenset[int]]] = {}
     forced: set[str] = set()
@@ -195,39 +195,41 @@ def _successor_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
             caps[t] = caps.get(t, top) & ls
             if committed:
                 forced.add(t)
-
     base_tables = [caps.get(t, top) for t in pomdp.states]
-    base_brec = forced - new_belief
 
-    per_state: list[tuple[str, int, list[tuple[bool, frozenset]]]] = []
-    combinations = 1
-    for i in sorted(map(pomdp.state_index.__getitem__, new_belief)):
-        t = pomdp.states[i]
-        cap = caps[t]
-        options: list[tuple[bool, frozenset]] = []
-        if t not in forced:
-            options.append((False, cap))
-        if priority[t] == 2 and frozenset({2}) in cap:
-            options.append((True, _GOOD2))
-        if not options:
-            return ()
-        per_state.append((t, i, options))
-        combinations *= len(options)
-    if limit is not None and combinations > limit:
-        raise ResourceLimitError(
-            f"one memory-selection branch multiplies out to {combinations} "
-            f"element moves, past the {limit}-state budget")
+    def moves(new_belief: frozenset[str]) -> tuple[ElementKey, ...]:
+        base_brec = forced - new_belief
+        per_state: list[tuple[str, int, list[tuple[bool, frozenset]]]] = []
+        combinations = 1
+        for i in sorted(map(pomdp.state_index.__getitem__, new_belief)):
+            t = pomdp.states[i]
+            cap = caps[t]
+            options: list[tuple[bool, frozenset]] = []
+            if t not in forced:
+                options.append((False, cap))
+            if priority[t] == 2 and frozenset({2}) in cap:
+                options.append((True, _GOOD2))
+            if not options:
+                return ()
+            per_state.append((t, i, options))
+            combinations *= len(options)
+        if limit is not None and combinations > limit:
+            raise ResourceLimitError(
+                f"one memory-selection branch multiplies out to {combinations} "
+                f"element moves, past the {limit}-state budget")
 
-    out: list[ElementKey] = []
-    for combo in itertools.product(*(opts for _, _, opts in per_state)):
-        brec = set(base_brec)
-        tables = list(base_tables)
-        for (t, i, _), (committed, table) in zip(per_state, combo):
-            if committed:
-                brec.add(t)
-            tables[i] = table
-        out.append((new_belief, frozenset(brec), tuple(tables)))
-    return tuple(out)
+        out: list[ElementKey] = []
+        for combo in itertools.product(*(opts for _, _, opts in per_state)):
+            brec = set(base_brec)
+            tables = list(base_tables)
+            for (t, i, _), (committed, table) in zip(per_state, combo):
+                if committed:
+                    brec.add(t)
+                tables[i] = table
+            out.append((new_belief, frozenset(brec), tuple(tables)))
+        return tuple(out)
+
+    return moves
 
 
 @dataclass
@@ -418,23 +420,22 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
             reached = sorted(
                 {t for s in elem.belief for t in pomdp.supp(s, a)},
                 key=pomdp.state_index.__getitem__)
-            branch_obs = sorted({pomdp.obs_map[t] for t in reached},
-                                key=pomdp.obs_index.__getitem__)
+            split: dict[str, list[str]] = {}
+            for t in reached:
+                split.setdefault(pomdp.obs_map[t], []).append(t)
+            moves_to = _element_moves(pomdp, prio, mode, elem, a, limit=budget)
             qname_of: dict[str, str] = {}
-            for o in branch_obs:
+            for o in sorted(split, key=pomdp.obs_index.__getitem__):
                 qname = f"q{len(memsel)}"
                 memsel[(ename, a, o)] = qname
                 qname_of[o] = qname
                 observations.append(qname)
-                succs = _successor_elements(pomdp, prio, mode, elem, a, o,
-                                            limit=budget)
-                move_names = tuple(add_element(e2) for e2 in succs)
+                move_names = tuple(add_element(e2)
+                                   for e2 in moves_to(frozenset(split[o])))
                 moves[qname] = move_names
                 available[qname] = (frozenset(move_names) if move_names
                                     else frozenset({reject}))
-                for t in reached:
-                    if pomdp.obs_map[t] != o:
-                        continue
+                for t in split[o]:
                     mname = f"M~{t}~{qname}"
                     states.append(mname)
                     obs_map[mname] = qname

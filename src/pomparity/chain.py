@@ -15,17 +15,30 @@ reduce to graph questions about this chain:
 
 Everything here reads supports only, through the strategy's support table
 (``strategy.supports``); weights never matter for these questions.
+Internally a pair (s, m) is the integer ``s * |M| + m`` over state and
+memory indices, so integer order is (state index, memory index) order.
+Each call compiles the strategy's table against the model's
+``Pomdp.index_supports`` into one successor function on those integers,
+and one Tarjan condensation walks the pairs as it first reaches them.
+Names appear only in ``ProductChain.nodes``, ``succ`` and
+``bottom_sccs()``, in ``dump_chain`` and in the result of
+``full_product_graph``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping
 
 from .model import (MULLER, PARITY, ContractError, Objective, Pomdp,
                     StructuralError, WinningMode, objective_as_parity)
 
 Node = tuple[str, str]  # (state, memory)
+Graph = dict[int, tuple[int, ...]]  # pair id -> sorted successor ids
+
+# Tuples are built from lists, not iterators: tuple() shrinks what it built
+# from an iterator, and CPython's per-size free lists then kept enough such
+# tuples to add 2 MB (10%) to the peak RSS of the ``oracle_sweep`` benchmark.
 
 
 def validate_strategy(pomdp: Pomdp, strategy) -> list[str]:
@@ -64,35 +77,99 @@ def validate_strategy(pomdp: Pomdp, strategy) -> list[str]:
     return problems
 
 
-def _checked_table(pomdp: Pomdp, strategy):
-    """The strategy's support table, or StructuralError naming what is unknown."""
-    problems = validate_strategy(pomdp, strategy)
-    if problems:
-        raise StructuralError("; ".join(problems))
-    return strategy.supports
+def _compile(pomdp: Pomdp, table) -> tuple[int, Callable[[int], tuple[int, ...]]]:
+    """The initial pair id and the successor function of the product chain.
 
-
-def _product_successors(pomdp: Pomdp, table, node: Node,
-                        state_index: Mapping[str, int],
-                        memory_index: Mapping[str, int]) -> tuple[Node, ...]:
-    """One-step successors of (state, memory), deduplicated and ordered.
-
-    Actions the strategy selects but that are unavailable at the current
-    observation contribute no edges (they cannot be played there; this only
-    matters for junk pairs of the full product graph).
+    Every name in the support table is looked up here; a failed lookup
+    raises ``StructuralError`` worded by ``validate_strategy``.  Actions
+    the strategy selects but that are unavailable at the current
+    observation contribute no edges (they cannot be played there; this
+    only matters for junk pairs of the full product graph).
     """
-    s, m = node
-    obs_map = pomdp.obs_map
-    available = pomdp.available_at(obs_map[s])
-    update = table.update_support
-    out: set[Node] = set()
-    for a in table.action_support.get(m, ()):
-        if a not in available:
-            continue
-        for s2 in pomdp.supp(s, a):
-            for m2 in update.get((m, obs_map[s2], a), ()):
-                out.add((s2, m2))
-    return tuple(sorted(out, key=lambda n: (state_index[n[0]], memory_index[n[1]])))
+    obs, moves = pomdp.index_supports
+    n_mem, n_obs, n_act = (len(table.memories), len(pomdp.observations),
+                           len(pomdp.actions))
+    mem = {m: i for i, m in enumerate(table.memories)}
+    aidx, oidx = pomdp.action_index, pomdp.obs_index
+    s0 = pomdp.state_index[pomdp.initial_state]
+    acts: list[tuple[int, ...]] = [()] * n_mem
+    update: list[tuple[int, ...]] = [()] * (n_mem * n_obs * n_act)
+    try:
+        if len(mem) != n_mem:  # duplicate memory names
+            raise KeyError(table.memories)
+        initial = s0 * n_mem + mem[table.initial]
+        for m, names in table.action_support.items():
+            acts[mem[m]] = tuple([aidx[a] for a in names])
+        for (m, o, a), targets in table.update_support.items():
+            update[(mem[m] * n_obs + oidx[o]) * n_act + aidx[a]] = tuple([
+                mem[t] for t in targets])
+    except KeyError:
+        raise StructuralError(
+            "; ".join(validate_strategy(pomdp, table))) from None
+
+    def successors(node: int) -> tuple[int, ...]:
+        s, m = divmod(node, n_mem)
+        row = moves[s]
+        out: set[int] = set()
+        for a in acts[m]:
+            for t in row[a]:
+                base = t * n_mem
+                for m2 in update[(m * n_obs + obs[t]) * n_act + a]:
+                    out.add(base + m2)
+        return tuple(sorted(out))
+
+    return initial, successors
+
+
+def _condense(successors: Callable[[int], tuple[int, ...]],
+              roots: Iterable[int]) -> tuple[Graph, list[tuple[int, ...]],
+                                             dict[int, int], list[bool]]:
+    """Walk the pairs reachable from ``roots`` and condense them.
+
+    One iterative Tarjan pass, which calls ``successors`` once per pair
+    as it first reaches it.  Returns the successor map of every pair
+    reached; the components, successors first; each pair's component
+    index; and which components are bottom (recurrent classes).
+    """
+    graph: Graph = {}
+    index: dict[int, int] = {}
+    low: dict[int, int] = {-1: -1}
+    comp_of: dict[int, int] = {}
+    comps: list[tuple[int, ...]] = []
+    is_bottom: list[bool] = []
+    stack: list[int] = []
+    work = [(-1, iter(roots))]  # -1: a virtual pair whose successors are the roots
+    while work:
+        node, children = work[-1]
+        for child in children:
+            if child not in index:
+                index[child] = low[child] = len(index)
+                stack.append(child)
+                graph[child] = nxt = successors(child)
+                work.append((child, iter(nxt)))
+                break
+            if child not in comp_of and index[child] < low[node]:
+                low[node] = index[child]  # child is still on the stack
+        else:
+            work.pop()
+            if not work:
+                break
+            parent = work[-1][0]
+            if low[node] < low[parent]:
+                low[parent] = low[node]
+            if low[node] == index[node]:
+                ci = len(comps)
+                comp = []
+                while True:
+                    n = stack.pop()
+                    comp_of[n] = ci
+                    comp.append(n)
+                    if n == node:
+                        break
+                inside = set(comp)
+                comps.append(tuple(comp))
+                is_bottom.append(all(inside.issuperset(graph[n]) for n in comp))
+    return graph, comps, comp_of, is_bottom
 
 
 @dataclass
@@ -109,10 +186,7 @@ class ProductChain:
     initial: Node
     nodes: tuple[Node, ...]
     succ: dict[Node, tuple[Node, ...]]
-
-    @property
-    def memory_index(self) -> dict[str, int]:
-        return {m: i for i, m in enumerate(self.memories)}
+    _bottoms: tuple[tuple[Node, ...], ...] = field(repr=False)
 
     def bottom_sccs(self) -> tuple[tuple[Node, ...], ...]:
         """Recurrent classes: bottom SCCs of the reachable support digraph.
@@ -120,115 +194,32 @@ class ProductChain:
         Deterministic order: classes sorted by their least node in
         (state index, memory index) order, members likewise sorted.
         """
-        if not hasattr(self, "_bottom"):
-            sidx, midx = self.pomdp.state_index, self.memory_index
-            key = lambda n: (sidx[n[0]], midx[n[1]])
-            comps, _, is_bottom = _condense(self.nodes, self.succ)
-            bottoms = [tuple(sorted(comp, key=key))
-                       for comp, bottom in zip(comps, is_bottom) if bottom]
-            bottoms.sort(key=lambda comp: key(comp[0]))
-            self._bottom = tuple(bottoms)
-        return self._bottom
+        return self._bottoms
 
 
 def build_product_chain(pomdp: Pomdp, strategy) -> ProductChain:
     """Build the part of the product chain reachable from (s0, m0)."""
-    table = _checked_table(pomdp, strategy)
-    state_index = pomdp.state_index
-    memories = table.memories
-    memory_index = {m: i for i, m in enumerate(memories)}
-    initial: Node = (pomdp.initial_state, table.initial)
-    succ: dict[Node, tuple[Node, ...]] = {}
-    frontier = [initial]
-    seen = {initial}
-    while frontier:
-        node = frontier.pop()
-        nxt = _product_successors(pomdp, table, node, state_index, memory_index)
-        succ[node] = nxt
-        for n in nxt:
-            if n not in seen:
-                seen.add(n)
-                frontier.append(n)
-    nodes = tuple(sorted(seen, key=lambda n: (state_index[n[0]], memory_index[n[1]])))
-    return ProductChain(pomdp=pomdp, memories=memories, initial=initial,
-                        nodes=nodes, succ=succ)
+    table = strategy.supports
+    initial, successors = _compile(pomdp, table)
+    graph, comps, _, is_bottom = _condense(successors, (initial,))
+    bottoms = sorted(sorted(comp) for comp, bottom in zip(comps, is_bottom)
+                     if bottom)
+    name = [(s, m) for s in pomdp.states for m in table.memories].__getitem__
+    return ProductChain(
+        pomdp=pomdp, memories=table.memories, initial=name(initial),
+        nodes=tuple([name(n) for n in sorted(graph)]),
+        succ={name(n): tuple([name(t) for t in ts]) for n, ts in graph.items()},
+        _bottoms=tuple([tuple([name(n) for n in comp]) for comp in bottoms]))
 
 
 def full_product_graph(pomdp: Pomdp, strategy) -> dict[Node, tuple[Node, ...]]:
     """Successor map over all of S x M, not just the reachable part."""
     table = strategy.supports
-    state_index = pomdp.state_index
-    memory_index = {m: i for i, m in enumerate(table.memories)}
-    succ: dict[Node, tuple[Node, ...]] = {}
-    for s in pomdp.states:
-        for m in table.memories:
-            node = (s, m)
-            succ[node] = _product_successors(pomdp, table, node,
-                                             state_index, memory_index)
-    return succ
-
-
-# -- strongly connected components (iterative Tarjan) --
-
-def _sccs(nodes: Iterable[Node], succ: Mapping[Node, tuple[Node, ...]]) -> list[list[Node]]:
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    on_stack: set[Node] = set()
-    stack: list[Node] = []
-    out: list[list[Node]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[Node, int]] = [(root, 0)]
-        while work:
-            node, child_i = work.pop()
-            if child_i == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            children = succ.get(node, ())
-            advanced = False
-            for i in range(child_i, len(children)):
-                child = children[i]
-                if child not in index:
-                    work.append((node, i + 1))
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-        # root finished
-    return out
-
-
-def _condense(nodes: Iterable[Node], succ: Mapping[Node, tuple[Node, ...]]
-              ) -> tuple[list[list[Node]], dict[Node, int], list[bool]]:
-    """Tarjan condensation of a support digraph.
-
-    Returns the components, successors first; each node's component index;
-    and which components are bottom (recurrent classes).
-    """
-    comps = _sccs(nodes, succ)
-    comp_of = {n: ci for ci, comp in enumerate(comps) for n in comp}
-    is_bottom = [all(comp_of[t] == ci for n in comp for t in succ.get(n, ()))
-                 for ci, comp in enumerate(comps)]
-    return comps, comp_of, is_bottom
+    _, successors = _compile(pomdp, table)
+    graph = _condense(successors, range(len(pomdp.states) * len(table.memories)))[0]
+    name = [(s, m) for s in pomdp.states for m in table.memories].__getitem__
+    return {name(n): tuple([name(t) for t in ts])
+            for n, ts in sorted(graph.items())}
 
 
 # -- qualitative evaluation --
@@ -245,19 +236,20 @@ def evaluable_objective(pomdp: Pomdp, objective: Objective
     return objective_as_parity(pomdp, objective)
 
 
-def objective_colors(objective: Objective) -> dict[str, int]:
-    """The colour map a chain evaluation reads: priorities or Muller colours."""
+def objective_colors(objective: Objective) -> Mapping[str, int]:
+    """The colour map a chain evaluation reads: priorities or Muller colours.
+
+    The objective's own cached map, not a copy: read it, do not mutate it.
+    """
     if objective.kind == PARITY:
-        return dict(objective.priority_map)
+        return objective.priority_map
     if objective.kind == MULLER:
-        return dict(objective.color_map)
+        return objective.color_map
     raise ContractError(
         f"chain evaluation needs a parity or Muller objective, got {objective.kind}")
 
 
-def _class_good(comp: tuple[Node, ...], objective: Objective,
-                colors: Mapping[str, int]) -> bool:
-    seen = {colors[s] for s, _ in comp}
+def _class_good(seen: set[int], objective: Objective) -> bool:
     if objective.kind == PARITY:
         return min(seen) % 2 == 0
     return frozenset(seen) in objective.family
@@ -272,14 +264,13 @@ def evaluate_qualitative(chain: ProductChain, objective: Objective,
     Positive: at least one does.
     """
     colors = objective_colors(objective)
-    missing = sorted({s for s, _ in chain.nodes} - set(colors))
+    missing = sorted(s for s in {s for s, _ in chain.nodes} if s not in colors)
     if missing:
         raise StructuralError(
             f"objective assigns nothing to states: {', '.join(missing)}")
-    bottoms = chain.bottom_sccs()
-    if mode == WinningMode.ALMOST_SURE:
-        return all(_class_good(c, objective, colors) for c in bottoms)
-    return any(_class_good(c, objective, colors) for c in bottoms)
+    good = (_class_good({colors[s] for s, _ in comp}, objective)
+            for comp in chain.bottom_sccs())
+    return all(good) if mode == WinningMode.ALMOST_SURE else any(good)
 
 
 # -- recurrence summaries --
@@ -301,34 +292,34 @@ class RecFunctions:
 def compute_rec_functions(pomdp: Pomdp, strategy,
                           colors: Mapping[str, int]) -> RecFunctions:
     """Tabulate SetRec and BoolRec for every pair (s, m) of S x M."""
-    table = _checked_table(pomdp, strategy)
+    table = strategy.supports
+    n_mem = len(table.memories)
+    _, successors = _compile(pomdp, table)
+    graph, comps, comp_of, is_bottom = _condense(
+        successors, range(len(pomdp.states) * n_mem))
     missing = sorted(set(pomdp.states) - set(colors))
     if missing:
         raise StructuralError(f"no colour for states: {', '.join(missing)}")
-    succ = full_product_graph(pomdp, table)
-    comps, comp_of, is_bottom = _condense(tuple(succ), succ)
+    colour = [colors[s] for s in pomdp.states]
     # components arrive successors-first, so one pass suffices
     reach: list[frozenset[frozenset[int]]] = []
     for ci, comp in enumerate(comps):
         got: set[frozenset[int]] = set()
         if is_bottom[ci]:
-            got.add(frozenset(colors[s] for s, _ in comp))
+            got.add(frozenset(colour[n // n_mem] for n in comp))
         for n in comp:
-            for t in succ.get(n, ()):
+            for t in graph[n]:
                 tc = comp_of[t]
                 if tc != ci:
                     got |= reach[tc]
         reach.append(frozenset(got))
-    set_rec: dict[str, dict[str, frozenset[frozenset[int]]]] = {}
-    bool_rec: dict[str, dict[str, int]] = {}
-    for m in table.memories:
-        set_rec[m] = {}
-        bool_rec[m] = {}
-        for s in pomdp.states:
-            ci = comp_of[(s, m)]
-            set_rec[m][s] = reach[ci]
-            bool_rec[m][s] = 1 if is_bottom[ci] else 0
-    return RecFunctions(set_rec=set_rec, bool_rec=bool_rec)
+
+    def by_pair(value):  # memory -> state -> value of the pair's component
+        return {m: {s: value(comp_of[si * n_mem + mi])
+                    for si, s in enumerate(pomdp.states)}
+                for mi, m in enumerate(table.memories)}
+    return RecFunctions(set_rec=by_pair(reach.__getitem__),
+                        bool_rec=by_pair(lambda ci: int(is_bottom[ci])))
 
 
 def dump_chain(chain: ProductChain) -> str:

@@ -251,6 +251,16 @@ class Pomdp:
         return {o: i for i, o in enumerate(self.observations)}
 
     @cached_property
+    def index_supports(self) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+        """Per state index: its observation index, and per action index its
+        successor state indices (none where the action is unavailable)."""
+        sidx, obs_map = self.state_index, self.obs_map
+        return (tuple(self.obs_index[obs_map[s]] for s in self.states),
+                tuple(tuple(tuple(map(sidx.__getitem__, self.supp(s, a)))
+                            if a in self.available_at(obs_map[s]) else ()
+                            for a in self.actions) for s in self.states))
+
+    @cached_property
     def obs_classes(self) -> dict[str, tuple[str, ...]]:
         classes: dict[str, list[str]] = {o: [] for o in self.observations}
         for s in self.states:

@@ -136,11 +136,6 @@ class OracleResult:
     candidates: int
 
 
-def _playable(chain) -> bool:
-    """Every reachable product node can actually play some available action."""
-    return all(chain.succ[n] for n in chain.nodes)
-
-
 def _search_slice(args) -> tuple[int | None, SupportStrategy | None, int, bool]:
     """Scan every stride-th candidate from start; first winner of the slice.
 
@@ -157,9 +152,8 @@ def _search_slice(args) -> tuple[int | None, SupportStrategy | None, int, bool]:
             return None, None, checked, False
         checked += 1
         chain = build_product_chain(pomdp, cand)
-        if not _playable(chain):
-            continue
-        if evaluate_qualitative(chain, objective, mode):
+        # a winner must be playable: every reachable pair has a successor
+        if all(chain.succ.values()) and evaluate_qualitative(chain, objective, mode):
             return start + offset * stride, cand, checked, True
     return None, None, checked, True
 
@@ -181,6 +175,8 @@ def oracle_decide(pomdp: Pomdp, objective: Objective, mode: WinningMode,
         raise ContractError("memory bound must be at least 1")
     if jobs < 1:
         raise ContractError("jobs must be at least 1")
+    if budget is not None and budget < 0:
+        raise ContractError("candidate budget must not be negative")
     base, evaluable = evaluable_objective(pomdp, objective)
 
     if jobs == 1:

@@ -1,5 +1,8 @@
 """Product chains: bottom SCCs, recurrence functions, qualitative evaluation."""
 
+import collections
+import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -152,3 +155,132 @@ def test_chain_second_opinion_helper_agrees_on_ex1(ex1):
     assert chain_wins(pomdp, objective, ALMOST, alternating(pomdp))
     assert not chain_wins(pomdp, objective, ALMOST,
                           stationary_strategy(pomdp, ["a"]))
+
+
+# -- error texts: the compiled table fails exactly where validation does --
+
+def _mutations(rng, pomdp, strategy):
+    """One support table per problem kind ``validate_strategy`` reports."""
+    table = strategy.supports
+    change = functools.partial(dataclasses.replace, table)
+    m = rng.choice(table.memories)
+    key = rng.choice(sorted(table.update_support))
+    act, upd = table.action_support, table.update_support
+    o, a = rng.choice(pomdp.observations), rng.choice(pomdp.actions)
+    yield change(memories=table.memories + (m,))
+    yield change(initial="ghost")
+    yield change(action_support={**act, "ghost": (a,)})
+    yield change(action_support={**act, m: act[m] + ("zap",)})
+    yield change(update_support={**upd, ("ghost", o, a): (m,)})
+    yield change(update_support={**upd, (m, "o_ghost", a): (m,)})
+    yield change(update_support={**upd, (m, o, "zap"): (m,)})
+    yield change(update_support={**upd, key: upd[key] + ("ghost",)})
+    yield change(initial="ghost",
+                 update_support={**upd, (m, o, "zap"): ("ghost",)})
+
+
+def test_structural_errors_are_worded_by_validate_strategy():
+    rng = random.Random(4711)
+    for _ in range(30):
+        pomdp = random_pomdp(rng)
+        strategy = random_strategy(rng, pomdp)
+        colors = {s: 0 for s in pomdp.states}
+        assert validate_strategy(pomdp, strategy) == []
+        build_product_chain(pomdp, strategy)
+        compute_rec_functions(pomdp, strategy, colors)
+        for bad in _mutations(rng, pomdp, strategy):
+            problems = validate_strategy(pomdp, bad)
+            assert problems
+            for build in (lambda: build_product_chain(pomdp, bad),
+                          lambda: compute_rec_functions(pomdp, bad, colors)):
+                with pytest.raises(StructuralError) as err:
+                    build()
+                assert str(err.value) == "; ".join(problems)
+
+
+# -- differential: the chain against a plain name-level reference --
+
+def _restricted(rng, pomdp):
+    """The model with one action per restricted observation.
+
+    The rows of the now-unavailable actions stay in the model, so only
+    the availability rule keeps their edges out of the chain.
+    """
+    available = {o: frozenset({rng.choice(pomdp.actions)})
+                 for o in pomdp.observations if rng.random() < 0.5}
+    return dataclasses.replace(pomdp, available=available)
+
+
+def _partial(rng, strategy):
+    """The strategy's table with some updates dropped (dead ends appear)."""
+    upd = {k: v for k, v in strategy.supports.update_support.items()
+           if rng.random() < 0.8}
+    return dataclasses.replace(strategy.supports, update_support=upd)
+
+
+def _reference(pomdp, table, colors):
+    """Successors pair by pair, reachability by BFS, bottom classes by
+    mutual reachability; all in name order by (state index, memory index)."""
+    order = {(s, m): (pomdp.state_index[s], table.memories.index(m))
+             for s in pomdp.states for m in table.memories}
+    full = {}
+    for s, m in sorted(order, key=order.get):
+        out = set()
+        for a in table.action_support.get(m, ()):
+            if a not in pomdp.available_at(pomdp.obs_map[s]):
+                continue
+            for t in pomdp.supp(s, a):
+                for m2 in table.update_support.get((m, pomdp.obs_map[t], a), ()):
+                    out.add((t, m2))
+        full[(s, m)] = tuple(sorted(out, key=order.get))
+
+    def reach(start):
+        seen, queue = {start}, collections.deque([start])
+        while queue:
+            for t in full[queue.popleft()]:
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+        return seen
+
+    reaches = {n: reach(n) for n in full}
+    recurrent = {n for n in full if all(n in reaches[t] for t in reaches[n])}
+    initial = (pomdp.initial_state, table.initial)
+    nodes = tuple(sorted(reaches[initial], key=order.get))
+    bottoms = sorted({tuple(sorted(reaches[n], key=order.get))
+                      for n in nodes if n in recurrent},
+                     key=lambda c: order[c[0]])
+    set_rec = {m: {s: frozenset(frozenset(colors[t] for t, _ in reaches[r])
+                                for r in reaches[(s, m)] if r in recurrent)
+                   for s in pomdp.states} for m in table.memories}
+    bool_rec = {m: {s: int((s, m) in recurrent) for s in pomdp.states}
+                for m in table.memories}
+    return (nodes, {n: full[n] for n in nodes}, tuple(bottoms), full,
+            set_rec, bool_rec)
+
+
+def test_chain_matches_a_reachability_reference():
+    rng = random.Random(27182)
+    restricted = 0
+    for i in range(200):
+        pomdp = random_pomdp(rng, max_states=5)
+        if i % 2:
+            pomdp = _restricted(rng, pomdp)
+            restricted += any(len(acts) < len(pomdp.actions)
+                              for acts in pomdp.available.values())
+        strategy = random_strategy(rng, pomdp)
+        if i % 3 == 0:
+            strategy = _partial(rng, strategy)
+        colors = {s: rng.randint(0, 3) for s in pomdp.states}
+        nodes, succ, bottoms, full, set_rec, bool_rec = _reference(
+            pomdp, strategy.supports, colors)
+        chain = build_product_chain(pomdp, strategy)
+        assert chain.nodes == nodes
+        assert chain.succ == succ
+        assert chain.bottom_sccs() == bottoms
+        got = full_product_graph(pomdp, strategy)
+        assert got == full and list(got) == list(full)
+        rec = compute_rec_functions(pomdp, strategy, colors)
+        assert rec.set_rec == set_rec
+        assert rec.bool_rec == bool_rec
+    assert restricted > 20

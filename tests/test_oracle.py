@@ -9,6 +9,8 @@ import pytest
 from pomparity import (ContractError, Objective, Pomdp, WinningMode,
                        build_product_chain, dump_chain, enumerate_strategies,
                        oracle_decide)
+from pomparity.cli import cli_main
+from pomparity.modelio import fixture_text
 from conftest import chain_wins, random_parity, random_pomdp
 
 ALMOST = WinningMode.ALMOST_SURE
@@ -116,6 +118,20 @@ def test_budget_exhaustion_is_inconclusive(ex1):
     assert not r.definitive
     assert r.witness is None
     assert r.candidates <= 10
+
+
+def test_negative_budget_is_a_contract_error(ex1, tmp_path, capsys):
+    pomdp, objective = ex1
+    with pytest.raises(ContractError, match="budget"):
+        oracle_decide(pomdp, objective, ALMOST, 2, budget=-3)
+    model = tmp_path / "ex1.pomdp"
+    model.write_text(fixture_text("ex1"), encoding="utf-8")
+    code = cli_main(["oracle", str(model), "--mode", "almost",
+                     "--memory-bound", "2", "--budget", "-3"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "budget must not be negative" in err
 
 
 def test_trivially_winning_loop():
