@@ -261,14 +261,16 @@ def evaluate_qualitative(chain: ProductChain, objective: Objective,
 
     Almost-sure: every reachable recurrent class satisfies the objective
     (its minimal priority is even / its colour set is accepting).
-    Positive: at least one does.
+    Positive: at least one does.  A bottom class that is a single pair
+    with no successor is a play the strategy stops, never a good class.
     """
     colors = objective_colors(objective)
     missing = sorted(s for s in {s for s, _ in chain.nodes} if s not in colors)
     if missing:
         raise StructuralError(
             f"objective assigns nothing to states: {', '.join(missing)}")
-    good = (_class_good({colors[s] for s, _ in comp}, objective)
+    good = (bool(chain.succ[comp[0]])
+            and _class_good({colors[s] for s, _ in comp}, objective)
             for comp in chain.bottom_sccs())
     return all(good) if mode == WinningMode.ALMOST_SURE else any(good)
 

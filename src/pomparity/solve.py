@@ -29,12 +29,13 @@ probability exactly when it can, after some finite prefix, win almost
 surely from wherever that prefix ends.  ``solve_parity_fm`` routes any
 parity objective through the reductions module into those two pipelines
 and lifts the witness back (the reductions preserve strategies verbatim).
+Witnesses are built and transformed as support tables; each pipeline
+weights its table once, after the chain has checked it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .beliefobs import (
@@ -55,7 +56,7 @@ from .model import (
     objective_as_parity,
 )
 from .reductions import almost_parity_to_cobuchi, positive_parity_to_buchi
-from .strategy import FiniteMemoryStrategy, uniform
+from .strategy import FiniteMemoryStrategy, SupportStrategy
 
 
 # -- observation-set operators -------------------------------------------
@@ -144,27 +145,21 @@ def obs_cover(states: Iterable[str], pomdp: Supports) -> frozenset[str]:
 
 
 def _obs_strategy(pomdp: Pomdp, moves: Moves,
-                  plays: Mapping[str, Iterable[str]]) -> FiniteMemoryStrategy:
-    """Memoryless observation-based strategy as a finite-memory strategy.
+                  plays: Mapping[str, Iterable[str]]) -> SupportStrategy:
+    """Memoryless observation-based strategy as a finite-memory table.
 
     One memory per observation in the play table; the memory simply tracks
     the last observation.  It starts at the initial observation, or at the
     first one of the table if that is missing.
     """
-    order = pomdp.obs_index
-    memories = tuple(sorted(plays, key=order.__getitem__))
-    action_select = {o: uniform(sorted(plays[o])) for o in memories}
-    memory_update = {}
-    for o in memories:
-        for a in sorted(plays[o]):
-            for o2 in moves[o][a]:
-                if o2 in plays:
-                    memory_update[(o, o2, a)] = {o2: Fraction(1)}
+    memories = tuple(sorted(plays, key=pomdp.obs_index.__getitem__))
+    action_support = {o: tuple(sorted(plays[o])) for o in memories}
+    update_support = {(o, o2, a): (o2,) for o in memories
+                      for a in action_support[o]
+                      for o2 in moves[o][a] if o2 in plays}
     o0 = pomdp.obs_map[pomdp.initial_state]
-    return FiniteMemoryStrategy(
-        memories=memories, action_select=action_select,
-        memory_update=memory_update,
-        initial_memory=o0 if o0 in plays else memories[0])
+    return SupportStrategy(memories, action_support, update_support,
+                           o0 if o0 in plays else memories[0])
 
 
 def _safe_obs(pomdp: Supports, moves: Moves, safe_states: Iterable[str],
@@ -197,7 +192,7 @@ def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
     """
     moves = _moves(pomdp, pomdp.available)
     y, plays = _safe_obs(pomdp, moves, safe_states, stats)
-    return y, (_obs_strategy(pomdp, moves, plays) if y else None)
+    return y, (_obs_strategy(pomdp, moves, plays).to_strategy() if y else None)
 
 
 def _buchi_obs(pomdp: Supports, moves: Moves, targets: Iterable[str],
@@ -260,7 +255,7 @@ def almost_buchi(pomdp: Pomdp, targets: Iterable[str],
     """
     moves = _moves(pomdp, pomdp.available)
     z, plays = _buchi_obs(pomdp, moves, targets, stats)
-    return z, (_obs_strategy(pomdp, moves, plays) if z else None)
+    return z, (_obs_strategy(pomdp, moves, plays).to_strategy() if z else None)
 
 
 def almost_reach(pomdp: Pomdp, targets: Iterable[str],
@@ -297,8 +292,8 @@ class Decision:
         return "yes" if self.winning else "no"
 
 
-def _merge_initial(strategy: FiniteMemoryStrategy,
-                   first_moves: Iterable[str]) -> FiniteMemoryStrategy:
+def _merge_initial(table: SupportStrategy,
+                   first_moves: Iterable[str]) -> SupportStrategy:
     """Collapse a randomized initial memory choice into one memory state.
 
     The auxiliary memory unions the action supports of the candidate
@@ -307,33 +302,27 @@ def _merge_initial(strategy: FiniteMemoryStrategy,
     some candidate's chain and vice versa, so verdicts are preserved.
     """
     first_moves = tuple(dict.fromkeys(first_moves))
+    acts, updates = table.action_support, table.update_support
     if len(first_moves) == 1:
-        return replace(strategy, initial_memory=first_moves[0])
-    name = fresh_name("m_init", set(strategy.memories))
-    action_select = dict(strategy.action_select)
-    memory_update = dict(strategy.memory_update)
-    acts: set[str] = set()
+        return SupportStrategy(table.memories, acts, updates, first_moves[0],
+                               table.elements)
+    name = fresh_name("m_init", set(table.memories))
+    played: set[str] = set()
     for m in first_moves:
-        acts.update(strategy.action_support(m))
-    action_select[name] = uniform(sorted(acts))
-    keys = {(o, a) for (m, o, a) in strategy.memory_update
-            if m in first_moves}
-    for (o, a) in sorted(keys):
-        union: set[str] = set()
-        for m in first_moves:
-            if a in strategy.action_support(m):
-                union.update(strategy.memory_support(m, o, a))
-        if union:
-            memory_update[(name, o, a)] = uniform(sorted(union))
-    return FiniteMemoryStrategy(
-        memories=strategy.memories + (name,),
-        action_select=action_select, memory_update=memory_update,
-        initial_memory=name, elements=dict(strategy.elements))
+        played.update(acts.get(m, ()))
+    unions: dict[tuple[str, str, str], set[str]] = {}
+    for (m, o, a), targets in updates.items():
+        if m in first_moves and a in acts.get(m, ()):
+            unions.setdefault((name, o, a), set()).update(targets)
+    return SupportStrategy(
+        table.memories + (name,), {**acts, name: tuple(sorted(played))},
+        {**updates, **{k: tuple(sorted(ms)) for k, ms in unions.items()}},
+        name, table.elements)
 
 
 def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
                         plays: Mapping[str, Iterable[str]],
-                        first_moves: Iterable[str]) -> FiniteMemoryStrategy:
+                        first_moves: Iterable[str]) -> SupportStrategy:
     """Back-translate an observation play table on the rewrite into a strategy.
 
     Memories are the element observations in the table's domain; the
@@ -343,32 +332,32 @@ def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
     moves is merged into a single auxiliary memory.
     """
     element_memories = tuple(e for e in bo.elements if e in plays)
-    action_select = {}
-    memory_update = {}
+    action_support = {e: tuple(sorted(plays[e])) for e in element_memories}
+    update_support = {}
     for e in element_memories:
-        action_select[e] = uniform(sorted(plays[e]))
-        for a in sorted(plays[e]):
+        for a in action_support[e]:
             for o in pomdp.observations:
                 q = bo.memsel.get((e, a, o))
                 if q is None or q not in plays:
                     continue
-                nxt = sorted(m for m in plays[q] if m in bo.elements)
+                nxt = tuple(sorted(m for m in plays[q] if m in bo.elements))
                 if nxt:
-                    memory_update[(e, o, a)] = uniform(nxt)
-    strategy = FiniteMemoryStrategy(
-        memories=element_memories, action_select=action_select,
-        memory_update=memory_update, initial_memory=element_memories[0],
-        elements={e: bo.elements[e] for e in element_memories})
-    return _merge_initial(strategy, first_moves)
+                    update_support[(e, o, a)] = nxt
+    table = SupportStrategy(
+        element_memories, action_support, update_support, element_memories[0],
+        {e: bo.elements[e] for e in element_memories})
+    return _merge_initial(table, first_moves)
 
 
 def _verify(pomdp: Pomdp, objective: Objective, mode: WinningMode,
-            witness: FiniteMemoryStrategy) -> None:
-    chain = build_product_chain(pomdp, witness)
+            table: SupportStrategy) -> FiniteMemoryStrategy:
+    """Chain-check a witness table, then weight it: the witness returned."""
+    chain = build_product_chain(pomdp, table)
     if not evaluate_qualitative(chain, objective, mode):
         raise ContractError(
             "internal error: extracted witness failed independent "
             "chain verification; refusing to answer yes")
+    return table.to_strategy()
 
 
 def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
@@ -404,9 +393,8 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     plays = {o: reach_plays.get(o, acts) for o, acts in safe_plays.items()
              if o not in (bo.init_obs, bo.sink_obs)}
     first = sorted(m for m in reach_plays[bo.init_obs] if m in bo.elements)
-    witness = _witness_from_plays(pomdp, bo, plays, first)
-    objective = Objective.parity(dict(priority))
-    _verify(pomdp, objective, mode, witness)
+    table = _witness_from_plays(pomdp, bo, plays, first)
+    witness = _verify(pomdp, Objective.parity(dict(priority)), mode, table)
     return Decision(True, mode, witness=witness, diagnostics=stats)
 
 
@@ -430,7 +418,7 @@ def _support_paths(pomdp: Pomdp) -> dict[str, tuple[tuple[str, str], ...]]:
 
 
 def _prefix_then(pomdp: Pomdp, steps: tuple[tuple[str, str], ...],
-                 strategy: FiniteMemoryStrategy) -> FiniteMemoryStrategy:
+                 table: SupportStrategy) -> SupportStrategy:
     """Play a fixed action sequence, then hand over to a strategy.
 
     The prefix memories count steps; each plays its action surely and
@@ -438,20 +426,18 @@ def _prefix_then(pomdp: Pomdp, steps: tuple[tuple[str, str], ...],
     update targets the strategy's initial memory.
     """
     if not steps:
-        return strategy
-    taken = set(strategy.memories)
+        return table
+    taken = set(table.memories)
     names = [fresh_name(f"p{i}", taken) for i in range(len(steps))]
-    action_select = dict(strategy.action_select)
-    memory_update = dict(strategy.memory_update)
+    action_support = dict(table.action_support)
+    update_support = dict(table.update_support)
     for i, (_, a) in enumerate(steps):
-        action_select[names[i]] = {a: Fraction(1)}
-        nxt = names[i + 1] if i + 1 < len(steps) else strategy.initial_memory
+        action_support[names[i]] = (a,)
+        nxt = names[i + 1] if i + 1 < len(steps) else table.initial
         for o in pomdp.observations:
-            memory_update[(names[i], o, a)] = {nxt: Fraction(1)}
-    return FiniteMemoryStrategy(
-        memories=tuple(names) + strategy.memories,
-        action_select=action_select, memory_update=memory_update,
-        initial_memory=names[0], elements=dict(strategy.elements))
+            update_support[(names[i], o, a)] = (nxt,)
+    return SupportStrategy(tuple(names) + table.memories, action_support,
+                           update_support, names[0], table.elements)
 
 
 def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
@@ -492,8 +478,8 @@ def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
                  if o not in (bo.init_obs, bo.sink_obs)}
         first = sorted(m for m in kept[bo.init_obs] if m in bo.elements)
         tail = _witness_from_plays(pomdp, bo, plays, first)
-        witness = _prefix_then(pomdp, paths[t], tail)
-        _verify(pomdp, objective, mode, witness)
+        witness = _verify(pomdp, objective, mode,
+                          _prefix_then(pomdp, paths[t], tail))
         return Decision(True, mode, witness=witness, diagnostics=stats)
     stats["failed_stage"] = "no almost-sure root"
     return Decision(False, mode, diagnostics=stats)
@@ -516,6 +502,8 @@ def solve_parity_fm(pomdp: Pomdp, objective: Objective,
     """
     if mode not in (WinningMode.ALMOST_SURE, WinningMode.POSITIVE):
         raise ContractError(f"unsupported winning mode {mode!r}")
+    if budget < 0:
+        raise ContractError("state budget must not be negative")
     base, parity = objective_as_parity(pomdp, objective)
     values = set(parity.priority_map.values())
     if mode is WinningMode.ALMOST_SURE and values <= {1, 2}:
@@ -538,14 +526,13 @@ def solve_parity_fm(pomdp: Pomdp, objective: Objective,
     diagnostics["reduced_states"] = len(red.pomdp.states)
     if not inner.winning:
         return Decision(False, mode, diagnostics=diagnostics)
-    witness = _lift_through(inner.witness, base)
-    _verify(base, parity, mode, witness)
+    witness = _verify(base, parity, mode,
+                      _lift_through(inner.witness.supports, base))
     return Decision(True, mode, witness=witness, diagnostics=diagnostics)
 
 
-def _lift_through(strategy: FiniteMemoryStrategy,
-                  pomdp: Pomdp) -> FiniteMemoryStrategy:
-    """Replay a strategy from a reduced model on the model it reduces.
+def _lift_through(table: SupportStrategy, pomdp: Pomdp) -> SupportStrategy:
+    """Replay a strategy table from a reduced model on the model it reduces.
 
     Observations are preserved by the reductions, so only update entries
     for observations the target model lacks are dropped (they concern
@@ -553,10 +540,7 @@ def _lift_through(strategy: FiniteMemoryStrategy,
     describe the reduced state space and are dropped with them.
     """
     keep = set(pomdp.observations)
-    memory_update = {k: dict(v) for k, v in strategy.memory_update.items()
-                     if k[1] in keep}
-    return FiniteMemoryStrategy(
-        memories=strategy.memories,
-        action_select={m: dict(d) for m, d in strategy.action_select.items()},
-        memory_update=memory_update,
-        initial_memory=strategy.initial_memory)
+    return SupportStrategy(
+        table.memories, table.action_support,
+        {k: ms for k, ms in table.update_support.items() if k[1] in keep},
+        table.initial)

@@ -73,18 +73,21 @@ class MemoryElement:
 class SupportStrategy:
     """A finite-memory strategy described only by its supports.
 
-    The one support table the chain and projection read.  ``action_support``
-    maps a memory to the actions it may play and ``update_support`` maps
+    The one support table the chain and projection read, and the form a
+    strategy has while the program builds it.  ``action_support`` maps a
+    memory to the actions it may play and ``update_support`` maps
     (memory, observation, action) to the memories it may move to; a missing
-    entry means empty support.  ``to_strategy`` realizes it with uniform
-    weights; any other weighting wins exactly the same qualitative
-    objectives.
+    entry means empty support.  Tuples are name-sorted.  ``elements``
+    optionally annotates memories with MemoryElements.  ``to_strategy``
+    realizes the table with uniform weights, the one place weights are
+    made; any other weighting wins exactly the same qualitative objectives.
     """
 
     memories: tuple[str, ...]
     action_support: dict[str, tuple[str, ...]]
     update_support: dict[tuple[str, str, str], tuple[str, ...]]
     initial: str
+    elements: dict[str, MemoryElement] = field(default_factory=dict)
 
     @property
     def supports(self) -> "SupportStrategy":
@@ -97,7 +100,7 @@ class SupportStrategy:
                            for m, acts in self.action_support.items()},
             memory_update={key: uniform(ms)
                            for key, ms in self.update_support.items()},
-            initial_memory=self.initial)
+            initial_memory=self.initial, elements=self.elements)
 
 
 @dataclass
@@ -135,13 +138,10 @@ class FiniteMemoryStrategy:
             memories=self.memories,
             action_support={m: support(d) for m, d in self.action_select.items()},
             update_support={k: support(d) for k, d in self.memory_update.items()},
-            initial=self.initial_memory)
+            initial=self.initial_memory, elements=self.elements)
 
     def action_support(self, memory: str) -> tuple[str, ...]:
         return self.supports.action_support.get(memory, ())
-
-    def memory_support(self, memory: str, obs: str, action: str) -> tuple[str, ...]:
-        return self.supports.update_support.get((memory, obs, action), ())
 
 
 def stationary_strategy(pomdp: Pomdp, support: Iterable[str],
@@ -151,13 +151,11 @@ def stationary_strategy(pomdp: Pomdp, support: Iterable[str],
     unknown = sorted(set(support) - set(pomdp.actions))
     if unknown:
         raise StructuralError(f"unknown actions: {', '.join(unknown)}")
-    update = {}
-    for o in pomdp.observations:
-        for a in support:
-            update[(name, o, a)] = {name: Fraction(1)}
-    return FiniteMemoryStrategy(
-        memories=(name,), action_select={name: uniform(support)},
-        memory_update=update, initial_memory=name)
+    return SupportStrategy(
+        memories=(name,), action_support={name: support},
+        update_support={(name, o, a): (name,)
+                        for o in pomdp.observations for a in support},
+        initial=name).to_strategy()
 
 
 # -- projection graph --
@@ -194,52 +192,60 @@ def build_projection_graph(pomdp: Pomdp, strategy,
     """Build the projection graph of a strategy, lazily from the start vertex.
 
     Memories whose (BoolRec, SetRec) summaries coincide are merged: a
-    vertex's outgoing edges are contributed by every matching memory.
+    vertex's outgoing edges are contributed by every matching memory.  A
+    vertex's belief image under an action, split by observation, is
+    computed once, and each successor element is built once.
     """
     rec = compute_rec_functions(pomdp, strategy, colors)
     table = strategy.supports
-    keys: dict[str, tuple] = {}
-    reps: dict[tuple, list[str]] = {}
+    summaries: dict[tuple, int] = {}  # (brec, srec) -> summary class
+    cls: dict[str, int] = {}
+    reps: list[list[str]] = []
     for m in table.memories:
         brec = frozenset(s for s in pomdp.states if rec.bool_rec[m][s])
         srec = tuple(sorted((s, rec.set_rec[m][s]) for s in pomdp.states))
-        key = (brec, srec)
-        keys[m] = key
-        reps.setdefault(key, []).append(m)
+        ci = cls[m] = summaries.setdefault((brec, srec), len(summaries))
+        if ci == len(reps):
+            reps.append([])
+        reps[ci].append(m)
+    summary = list(summaries)  # summary class -> (brec, srec)
+    built: dict[tuple[frozenset[str], int], MemoryElement] = {}
+    frontier: list[tuple[MemoryElement, int]] = []
 
-    def vertex(belief: frozenset[str], key: tuple) -> MemoryElement:
-        return MemoryElement(belief=belief, brec=key[0], srec=key[1])
+    def vertex(belief: frozenset[str], ci: int) -> MemoryElement:
+        v = built.get((belief, ci))
+        if v is None:
+            v = built[(belief, ci)] = MemoryElement(belief, *summary[ci])
+            frontier.append((v, ci))
+        return v
 
     sort_key = lambda v: element_sort_key(pomdp, v)
-    initial = vertex(frozenset({pomdp.initial_state}), keys[table.initial])
+    obs_map = pomdp.obs_map
+    initial = vertex(frozenset({pomdp.initial_state}), cls[table.initial])
     edges: dict[MemoryElement, dict[str, tuple[MemoryElement, ...]]] = {}
-    seen = {initial}
-    frontier = [initial]
     while frontier:
-        v = frontier.pop()
+        v, ci = frontier.pop()
         out: dict[str, set[MemoryElement]] = {}
-        obs_here = pomdp.obs_map[next(iter(v.belief))]
-        avail = pomdp.available_at(obs_here)
-        for m in reps[(v.brec, v.srec)]:
+        split: dict[str, dict[str, frozenset[str]]] = {}
+        avail = pomdp.available_at(obs_map[next(iter(v.belief))])
+        for m in reps[ci]:
             for a in table.action_support.get(m, ()):
                 if a not in avail:
                     continue
-                image: set[str] = set()
-                for s in v.belief:
-                    image.update(pomdp.supp(s, a))
-                by_obs: dict[str, set[str]] = {}
-                for t in image:
-                    by_obs.setdefault(pomdp.obs_map[t], set()).add(t)
+                by_obs = split.get(a)
+                if by_obs is None:
+                    groups: dict[str, set[str]] = {}
+                    for s in v.belief:
+                        for t in pomdp.supp(s, a):
+                            groups.setdefault(obs_map[t], set()).add(t)
+                    by_obs = split[a] = {o: frozenset(ts)
+                                         for o, ts in groups.items()}
                 for o, succ_belief in by_obs.items():
                     for m2 in table.update_support.get((m, o, a), ()):
-                        v2 = vertex(frozenset(succ_belief), keys[m2])
-                        out.setdefault(a, set()).add(v2)
-                        if v2 not in seen:
-                            seen.add(v2)
-                            frontier.append(v2)
+                        out.setdefault(a, set()).add(vertex(succ_belief, cls[m2]))
         edges[v] = {a: tuple(sorted(vs, key=sort_key))
                     for a, vs in sorted(out.items())}
-    vertices = tuple(sorted(seen, key=sort_key))
+    vertices = tuple(sorted(built.values(), key=sort_key))
     return ProjectionGraph(pomdp=pomdp, initial=initial, vertices=vertices,
                            edges=edges)
 
@@ -255,29 +261,23 @@ def project_strategy(pomdp: Pomdp, strategy,
     """
     pg = build_projection_graph(pomdp, strategy, colors)
     names = {v: f"v{i}" for i, v in enumerate(pg.vertices)}
-    action_select: dict[str, dict[str, Fraction]] = {}
-    memory_update: dict[tuple[str, str, str], dict[str, Fraction]] = {}
-    elements: dict[str, MemoryElement] = {}
-    for v in pg.vertices:
-        nm = names[v]
-        elements[nm] = v
+    action_support: dict[str, tuple[str, ...]] = {}
+    update_support: dict[tuple[str, str, str], tuple[str, ...]] = {}
+    for v, nm in names.items():
         per_action = pg.edges.get(v, {})
-        acts = tuple(sorted(per_action))
-        if acts:
-            action_select[nm] = uniform(acts)
-        for a in acts:
+        if per_action:
+            action_support[nm] = tuple(sorted(per_action))
+        for a, succs in per_action.items():
             by_obs: dict[str, list[str]] = {}
-            for v2 in per_action[a]:
+            for v2 in succs:
                 o = pomdp.obs_map[next(iter(v2.belief))]
                 by_obs.setdefault(o, []).append(names[v2])
-            for o, targets in sorted(by_obs.items()):
-                memory_update[(nm, o, a)] = uniform(targets)
-    return FiniteMemoryStrategy(
-        memories=tuple(names[v] for v in pg.vertices),
-        action_select=action_select,
-        memory_update=memory_update,
-        initial_memory=names[pg.initial],
-        elements=elements)
+            for o, targets in by_obs.items():
+                update_support[(nm, o, a)] = tuple(sorted(targets))
+    return SupportStrategy(
+        memories=tuple(names.values()), action_support=action_support,
+        update_support=update_support, initial=names[pg.initial],
+        elements={nm: v for v, nm in names.items()}).to_strategy()
 
 
 def memory_bound(pomdp: Pomdp, objective: Objective) -> int:

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,10 +15,11 @@ import pomparity
 from pomparity.cli import cli_main
 from pomparity.model import Objective
 from pomparity.modelio import (fixture_text, load_model_file, parse_model,
-                               parse_strategy, save_strategy_file)
+                               parse_strategy, save_strategy_file,
+                               serialize_model)
 from pomparity.strategy import FiniteMemoryStrategy, memory_bound, stationary_strategy
 
-from conftest import alternating
+from conftest import alternating, random_parity, random_pomdp
 
 
 def run(capsys, *argv):
@@ -123,6 +125,48 @@ def test_verify_rejects_the_stationary_strategy(tmp_path, capsys):
     assert rec["verdict"] == "no"
     assert int(rec["nodes"]) > 0
     assert int(rec["bottom_sccs"]) >= 1
+
+
+DEAD_END_MODEL = """\
+states: s0 g b
+actions: a
+observations: o0 o1 o2
+obs: s0 : o0
+obs: g : o1
+obs: b : o2
+init: s0
+trans: s0 a -> g 1
+trans: g a -> b 1
+trans: b a -> b 1
+objective: buchi g
+"""
+
+DEAD_END_STRATEGY = """\
+memories: m n
+init: m
+act: m -> a 1
+update: m o1 a -> n 1
+"""
+
+
+def test_verify_rejects_a_strategy_that_stops_playing(tmp_path, capsys):
+    """Memory n plays nothing, so the pair (g, n) has no successor.  It is
+    a bottom class of priority 0, but a stopped play visits g once."""
+    model = tmp_path / "dead.pomdp"
+    model.write_text(DEAD_END_MODEL, encoding="utf-8")
+    strategy = tmp_path / "dead.strat"
+    strategy.write_text(DEAD_END_STRATEGY, encoding="utf-8")
+    for mode in ("almost", "positive"):
+        code, out, _ = run(capsys, "verify", str(model), str(strategy),
+                           "--mode", mode)
+        assert code == 1
+        assert fields(out.strip()) == {"verdict": "no", "mode": mode,
+                                       "nodes": "2", "bottom_sccs": "1"}
+        code, out, _ = run(capsys, "solve", "--mode", mode, str(model))
+        assert (code, fields(out.strip())["verdict"]) == (1, "no")
+        code, out, _ = run(capsys, "oracle", str(model), "--mode", mode,
+                           "--memory-bound", "2")
+        assert (code, fields(out.strip())["verdict"]) == (1, "no")
 
 
 def test_verify_accepts_the_alternating_strategy(tmp_path, capsys):
@@ -386,6 +430,16 @@ def test_outputs_are_byte_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_negative_budget_is_a_contract_error(tmp_path, capsys):
+    model = write_ex1(tmp_path)
+    for mode in ("almost", "positive"):
+        code, out, err = run(capsys, "solve", "--mode", mode, model,
+                             "--budget", "-5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: state budget must not be negative\n"
+
+
 def test_positive_budget_bounds_all_roots_together(tmp_path, capsys):
     """ex1 builds 239 states over its roots in positive mode, none over 100."""
     model = write_ex1(tmp_path)
@@ -428,6 +482,76 @@ def test_solve_outputs_match_the_recorded_bytes(tmp_path, capsys, name, mode):
     record, digest = PINNED_OUTPUTS[(name, mode)]
     assert re.sub(r" wall_time_s=\S+", "", out.strip()) == record
     assert hashlib.sha256(witness.read_bytes()).hexdigest() == digest
+
+
+# Recorded outputs on the first six models drawn by ``random_pomdp`` and
+# ``random_parity(..., top=3)`` from ``random.Random(5)``: the witness of
+# (0, almost) and (4, almost) merges several initial moves, on a
+# co-Buchi model; (2, almost) does so on a reduced model; (5, positive)
+# plays a two-step prefix first.
+PINNED_RANDOM = {
+    (0, "almost"): (
+        "verdict=yes mode=almost states_constructed=73 fixpoint_iterations=2",
+        "717cbdfe90ef3ef57ce822349e6e9161d48bcd365f71030455ca7cd39ca4e35a"),
+    (0, "positive"): (
+        "verdict=yes mode=positive states_constructed=89 fixpoint_iterations=8",
+        "0e0a37a37a3505f2af4dc1c830c5c0e5459a15fb7ebd7fc1bac9a53cec581a89"),
+    (1, "almost"): (
+        "verdict=yes mode=almost states_constructed=681 fixpoint_iterations=4",
+        "db4a4d45523899e5519d967ab3e425ae56c4e3b9eb25c32a8abd1dc379125f92"),
+    (1, "positive"): (
+        "verdict=yes mode=positive states_constructed=215 fixpoint_iterations=5",
+        "3115224e9a2856761b581927bffc6680f939cb8cfec3092515e78a567d9b34ed"),
+    (2, "almost"): (
+        "verdict=yes mode=almost states_constructed=987 fixpoint_iterations=2",
+        "64c3c8bd8d6ff52ea59e37bcf6674d6d529060d9f77daf00d15f15b3b626d509"),
+    (2, "positive"): (
+        "verdict=yes mode=positive states_constructed=83 fixpoint_iterations=7",
+        "7768291d241265ae7a0620fe75ece18a5da52040f803b6070cf3b2d7695274da"),
+    (3, "almost"): (
+        "verdict=no mode=almost states_constructed=160 fixpoint_iterations=5",
+        None),
+    (3, "positive"): (
+        "verdict=no mode=positive states_constructed=254 fixpoint_iterations=22",
+        None),
+    (4, "almost"): (
+        "verdict=yes mode=almost states_constructed=42 fixpoint_iterations=2",
+        "07a675c4877db21914921dfcc008c7620b9fa4d3a1b53e13e5c83b70753b4788"),
+    (4, "positive"): (
+        "verdict=yes mode=positive states_constructed=55 fixpoint_iterations=7",
+        "7802f800a44d9993bc0d66478ad9c7c5fa829cb32726f37a8805e8d02b8bbeba"),
+    (5, "almost"): (
+        "verdict=yes mode=almost states_constructed=1094 fixpoint_iterations=7",
+        "9c0aabd8e674c79ed6c76f87fcf17da6a7f50dfe623fe7365f7e5adc3b0453a9"),
+    (5, "positive"): (
+        "verdict=yes mode=positive states_constructed=164 fixpoint_iterations=5",
+        "5a0cd61bbb4f6a80850a1610bf28bb17060518153e56dab610c365021759444a"),
+}
+
+
+@pytest.fixture(scope="module")
+def random_models():
+    rng = random.Random(5)
+    out = []
+    for _ in range(6):
+        pomdp = random_pomdp(rng)
+        out.append(serialize_model(pomdp, random_parity(rng, pomdp, top=3)))
+    return out
+
+
+@pytest.mark.parametrize("index,mode", sorted(PINNED_RANDOM))
+def test_random_solve_outputs_match_the_recorded_bytes(
+        tmp_path, capsys, random_models, index, mode):
+    model = tmp_path / f"r{index}.pomdp"
+    model.write_text(random_models[index], encoding="utf-8")
+    witness = tmp_path / "w.strat"
+    code, out, _ = run(capsys, "solve", "--mode", mode, str(model),
+                       "--witness", str(witness))
+    record, digest = PINNED_RANDOM[(index, mode)]
+    assert re.sub(r" wall_time_s=\S+", "", out.strip()) == record
+    assert code == (0 if digest else 1)
+    if digest:
+        assert hashlib.sha256(witness.read_bytes()).hexdigest() == digest
 
 
 def ordered_model(s1_first: bool) -> str:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pomparity import (ContractError, ExactnessError, FiniteMemoryStrategy,
-                       Objective, WinningMode, belief_update,
+                       MemoryElement, Objective, SupportStrategy,
+                       WinningMode, belief_update,
                        build_product_chain, build_projection_graph,
                        compute_rec_functions, evaluate_qualitative,
                        memory_bound, objective_as_parity, project_strategy,
@@ -55,6 +56,40 @@ def test_strategy_weights_must_be_exact():
     assert sigma.action_select["m"]["a"] is half
     assert sigma.action_select["m"]["b"] == half
     assert type(sigma.memory_update[("m", "o", "a")]["m"]) is Fraction
+
+
+def name_sorted(pool):
+    """Non-empty, name-sorted tuples drawn from a pool."""
+    return st.lists(st.sampled_from(pool), min_size=1, unique=True).map(
+        lambda xs: tuple(sorted(xs)))
+
+
+@st.composite
+def support_tables(draw):
+    """Support tables with name-sorted, non-empty tuples.  Names mix
+    one- and two-digit suffixes so that name order differs from index
+    order."""
+    memories = tuple(draw(st.lists(st.sampled_from(
+        ("m", "m10", "m2", "n", "v1", "v10", "v9")), min_size=1, unique=True)))
+    keys = st.tuples(st.sampled_from(memories),
+                     st.sampled_from(("o1", "o10", "o2")),
+                     st.sampled_from(("a", "b10", "b2")))
+    element = st.builds(MemoryElement.make,
+                        belief=st.frozensets(st.sampled_from("st"), min_size=1),
+                        brec=st.frozensets(st.sampled_from("st")),
+                        srec=st.just({"s": [[0, 1]], "t": []}))
+    return SupportStrategy(
+        memories=memories,
+        action_support=draw(st.dictionaries(
+            st.sampled_from(memories), name_sorted(("a", "b10", "b2")))),
+        update_support=draw(st.dictionaries(keys, name_sorted(memories))),
+        initial=draw(st.sampled_from(memories)),
+        elements=draw(st.dictionaries(st.sampled_from(memories), element)))
+
+
+@given(support_tables())
+def test_weighting_a_table_gives_the_table_back(table):
+    assert table.to_strategy().supports == table
 
 
 def test_uniform_refuses_empty_input():
