@@ -341,6 +341,8 @@ def _act_state(s: str, ename: str) -> str:
 
 def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                  root: str | None, budget: int) -> BeliefObsPomdp:
+    if budget < 0:
+        raise ContractError("state budget must not be negative")
     prio = _priority_table(pomdp, priority, _PRIORITY_SETS[mode])
     if root is None:
         root = pomdp.initial_state

@@ -284,7 +284,9 @@ class RecFunctions:
     ``set_rec[m][s]`` is the set of colour sets of recurrent classes
     reachable from (s, m); ``bool_rec[m][s]`` is 1 iff (s, m) itself lies in
     a recurrent class.  BoolRec = 1 forces SetRec to be the singleton of the
-    colour set of the class containing (s, m).
+    colour set of the class containing (s, m).  A class that is a single
+    pair with no successor, where the strategy stops, counts with the empty
+    colour set, so a stopped memory never shares a summary with a live one.
     """
 
     set_rec: dict[str, dict[str, frozenset[frozenset[int]]]]
@@ -308,7 +310,8 @@ def compute_rec_functions(pomdp: Pomdp, strategy,
     for ci, comp in enumerate(comps):
         got: set[frozenset[int]] = set()
         if is_bottom[ci]:
-            got.add(frozenset(colour[n // n_mem] for n in comp))
+            got.add(frozenset(colour[n // n_mem] for n in comp)
+                    if graph[comp[0]] else frozenset())
         for n in comp:
             for t in graph[n]:
                 tc = comp_of[t]

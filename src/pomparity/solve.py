@@ -502,8 +502,6 @@ def solve_parity_fm(pomdp: Pomdp, objective: Objective,
     """
     if mode not in (WinningMode.ALMOST_SURE, WinningMode.POSITIVE):
         raise ContractError(f"unsupported winning mode {mode!r}")
-    if budget < 0:
-        raise ContractError("state budget must not be negative")
     base, parity = objective_as_parity(pomdp, objective)
     values = set(parity.priority_map.values())
     if mode is WinningMode.ALMOST_SURE and values <= {1, 2}:

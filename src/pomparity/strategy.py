@@ -198,37 +198,34 @@ def build_projection_graph(pomdp: Pomdp, strategy,
     """
     rec = compute_rec_functions(pomdp, strategy, colors)
     table = strategy.supports
-    summaries: dict[tuple, int] = {}  # (brec, srec) -> summary class
-    cls: dict[str, int] = {}
-    reps: list[list[str]] = []
+    keys: dict[str, tuple] = {}
+    reps: dict[tuple, list[str]] = {}
     for m in table.memories:
         brec = frozenset(s for s in pomdp.states if rec.bool_rec[m][s])
         srec = tuple(sorted((s, rec.set_rec[m][s]) for s in pomdp.states))
-        ci = cls[m] = summaries.setdefault((brec, srec), len(summaries))
-        if ci == len(reps):
-            reps.append([])
-        reps[ci].append(m)
-    summary = list(summaries)  # summary class -> (brec, srec)
-    built: dict[tuple[frozenset[str], int], MemoryElement] = {}
-    frontier: list[tuple[MemoryElement, int]] = []
+        key = (brec, srec)
+        keys[m] = key
+        reps.setdefault(key, []).append(m)
+    built: dict[tuple[frozenset[str], tuple], MemoryElement] = {}
+    frontier: list[MemoryElement] = []
 
-    def vertex(belief: frozenset[str], ci: int) -> MemoryElement:
-        v = built.get((belief, ci))
+    def vertex(belief: frozenset[str], key: tuple) -> MemoryElement:
+        v = built.get((belief, key))
         if v is None:
-            v = built[(belief, ci)] = MemoryElement(belief, *summary[ci])
-            frontier.append((v, ci))
+            v = built[(belief, key)] = MemoryElement(belief, *key)
+            frontier.append(v)
         return v
 
     sort_key = lambda v: element_sort_key(pomdp, v)
     obs_map = pomdp.obs_map
-    initial = vertex(frozenset({pomdp.initial_state}), cls[table.initial])
+    initial = vertex(frozenset({pomdp.initial_state}), keys[table.initial])
     edges: dict[MemoryElement, dict[str, tuple[MemoryElement, ...]]] = {}
     while frontier:
-        v, ci = frontier.pop()
+        v = frontier.pop()
         out: dict[str, set[MemoryElement]] = {}
         split: dict[str, dict[str, frozenset[str]]] = {}
         avail = pomdp.available_at(obs_map[next(iter(v.belief))])
-        for m in reps[ci]:
+        for m in reps[(v.brec, v.srec)]:
             for a in table.action_support.get(m, ()):
                 if a not in avail:
                     continue
@@ -242,7 +239,7 @@ def build_projection_graph(pomdp: Pomdp, strategy,
                                          for o, ts in groups.items()}
                 for o, succ_belief in by_obs.items():
                     for m2 in table.update_support.get((m, o, a), ()):
-                        out.setdefault(a, set()).add(vertex(succ_belief, cls[m2]))
+                        out.setdefault(a, set()).add(vertex(succ_belief, keys[m2]))
         edges[v] = {a: tuple(sorted(vs, key=sort_key))
                     for a, vs in sorted(out.items())}
     vertices = tuple(sorted(built.values(), key=sort_key))

@@ -250,7 +250,8 @@ def _reference(pomdp, table, colors):
     bottoms = sorted({tuple(sorted(reaches[n], key=order.get))
                       for n in nodes if n in recurrent},
                      key=lambda c: order[c[0]])
-    set_rec = {m: {s: frozenset(frozenset(colors[t] for t, _ in reaches[r])
+    set_rec = {m: {s: frozenset(frozenset(colors[t] for t, _ in reaches[r]
+                                          if full[r])
                                 for r in reaches[(s, m)] if r in recurrent)
                    for s in pomdp.states} for m in table.memories}
     bool_rec = {m: {s: int((s, m) in recurrent) for s in pomdp.states}

@@ -376,6 +376,21 @@ def test_solve_respects_its_budget(ex1):
         solve_parity_fm(pomdp, objective, ALMOST, budget=5)
 
 
+def test_every_entry_refuses_a_negative_budget(ex1):
+    pomdp, objective = ex1
+    cobuchi = {s: 1 for s in pomdp.states}
+    buchi = {s: 0 for s in pomdp.states}
+    calls = [lambda: solve_parity_fm(pomdp, objective, ALMOST, budget=-5),
+             lambda: solve_parity_fm(pomdp, objective, POSITIVE, budget=-5),
+             lambda: solve_almost_cobuchi_fm(pomdp, cobuchi, budget=-5),
+             lambda: solve_positive_buchi_fm(pomdp, buchi, budget=-5),
+             lambda: almost_cobuchi_red(pomdp, cobuchi, budget=-5),
+             lambda: positive_buchi_red(pomdp, buchi, budget=-5)]
+    for call in calls:
+        with pytest.raises(ContractError, match="budget must not be negative"):
+            call()
+
+
 def test_direct_pipelines_check_their_priority_ranges(ex1):
     pomdp, _ = ex1
     with pytest.raises(ContractError):

@@ -1,5 +1,6 @@
 """Strategy projection: graph invariants, verdict and recurrence preservation."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,8 +12,8 @@ from pomparity import (ContractError, ExactnessError, FiniteMemoryStrategy,
                        WinningMode, belief_update,
                        build_product_chain, build_projection_graph,
                        compute_rec_functions, evaluate_qualitative,
-                       memory_bound, objective_as_parity, project_strategy,
-                       uniform)
+                       memory_bound, objective_as_parity, parse_model,
+                       parse_strategy, project_strategy, uniform)
 from conftest import (alternating, chain_wins, random_parity, random_pomdp,
                       random_strategy)
 
@@ -151,6 +152,75 @@ def test_projected_strategy_preserves_both_verdicts():
         for mode in (ALMOST, POSITIVE):
             assert (chain_wins(pomdp, objective, mode, projected)
                     == chain_wins(pomdp, objective, mode, sigma))
+
+
+STOPPING_MODEL = """\
+states: s0 g b
+actions: a c
+observations: o0 o1 o2
+obs: s0 : o0
+obs: g : o1
+obs: b : o2
+init: s0
+trans: s0 a -> g 1
+trans: g a -> b 1
+trans: b a -> b 1
+trans: s0 c -> s0 1
+trans: g c -> g 1
+trans: b c -> b 1
+objective: buchi g
+"""
+
+STOPPING_STRATEGY = """\
+memories: m n k
+init: m
+act: m -> a 1
+act: k -> c 1
+update: m o1 a -> n 1
+update: k o0 c -> k 1
+update: k o1 c -> k 1
+update: k o2 c -> k 1
+"""
+
+
+def test_projection_keeps_a_stopped_memory_apart():
+    """n plays nothing and k loops on c, so (g, n) is a dead end and (g, k)
+    a live class of the same colours; merging them would let the
+    projection loop at g where the strategy stops."""
+    pomdp, objective = parse_model(STOPPING_MODEL)
+    _, parity = objective_as_parity(pomdp, objective)
+    sigma = parse_strategy(STOPPING_STRATEGY)
+    keys = summaries(pomdp, sigma, parity.priority_map)
+    assert keys["n"] != keys["k"]
+    projected = project_strategy(pomdp, sigma, parity.priority_map)
+    for mode in (ALMOST, POSITIVE):
+        assert not chain_wins(pomdp, objective, mode, sigma)
+        assert not chain_wins(pomdp, objective, mode, projected)
+
+
+def _partial(rng, strategy):
+    """The strategy's table with some moves and updates dropped."""
+    table = strategy.supports
+    acts = {m: a for m, a in table.action_support.items() if rng.random() < 0.75}
+    upd = {k: v for k, v in table.update_support.items() if rng.random() < 0.6}
+    return dataclasses.replace(table, action_support=acts,
+                               update_support=upd).to_strategy()
+
+
+def test_projection_of_a_stopping_strategy_preserves_both_verdicts():
+    rng = random.Random(3007)
+    stopped = 0
+    for _ in range(200):
+        pomdp = random_pomdp(rng, max_states=3)
+        objective = random_parity(rng, pomdp)
+        sigma = _partial(rng, random_strategy(rng, pomdp))
+        chain = build_product_chain(pomdp, sigma)
+        stopped += not all(chain.succ.values())
+        projected = project_strategy(pomdp, sigma, objective.priority_map)
+        for mode in (ALMOST, POSITIVE):
+            assert (chain_wins(pomdp, objective, mode, projected)
+                    == chain_wins(pomdp, objective, mode, sigma))
+    assert stopped > 50
 
 
 def test_projected_memory_count_is_bounded():
