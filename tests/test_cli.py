@@ -615,6 +615,113 @@ def test_reduced_ex1_solve_matches_the_recorded_bytes(tmp_path, capsys):
         "b533108209abe714bc1c69c90b6203b93cc8a8661cbe2125f6364deeff54b32c")
 
 
+# Recorded ``oracle`` outputs: exit code, stdout record without its wall
+# time, and the witness file's digest (None: no witness written).  Models
+# are the two fixtures and ``random_pomdp(rng, max_states=3, max_obs=3)``
+# draws with ``random_parity(..., top=3)``: the first four of
+# ``random.Random(24)`` (r24_0 wins with two memories at candidate 112,
+# r24_3 with one memory at candidate 2) and the first of
+# ``random.Random(21)``, which exhausts all 9,804 candidates.
+PINNED_ORACLE = {
+    ("ex1", "almost", 1, None): (
+        1, "verdict=no searched_memories=1 definitive=false candidates=3",
+        None),
+    ("ex1", "almost", 2, None): (
+        0, "verdict=yes searched_memories=2 definitive=true candidates=94",
+        "7ecd96a3eb5a9acaf159cacaece7f4ba935c22aa80187d421567cf801ba601e0"),
+    ("ex1", "almost", 2, 5): (
+        1, "verdict=inconclusive searched_memories=2 definitive=false candidates=5",
+        None),
+    ("ex1", "positive", 1, None): (
+        1, "verdict=no searched_memories=1 definitive=false candidates=3",
+        None),
+    ("ex1", "positive", 2, None): (
+        0, "verdict=yes searched_memories=2 definitive=true candidates=94",
+        "7ecd96a3eb5a9acaf159cacaece7f4ba935c22aa80187d421567cf801ba601e0"),
+    ("ex2", "almost", 1, None): (
+        1, "verdict=no searched_memories=1 definitive=false candidates=3",
+        None),
+    ("ex2", "almost", 2, None): (
+        0, "verdict=yes searched_memories=2 definitive=true candidates=814",
+        "4f78660e98eb96038c82b9f42e251af1e3e979c873aa2028a8e9b0c00ca3d673"),
+    ("ex2", "positive", 1, None): (
+        1, "verdict=no searched_memories=1 definitive=false candidates=3",
+        None),
+    ("ex2", "positive", 2, None): (
+        0, "verdict=yes searched_memories=2 definitive=true candidates=814",
+        "4f78660e98eb96038c82b9f42e251af1e3e979c873aa2028a8e9b0c00ca3d673"),
+    ("r24_0", "almost", 1, None): (
+        1, "verdict=no searched_memories=1 definitive=false candidates=3",
+        None),
+    ("r24_0", "almost", 2, None): (
+        0, "verdict=yes searched_memories=2 definitive=true candidates=112",
+        "0988a9c808b89a4a105acde30bb6c304b32f0bd298893b7ed2b1395083e0c243"),
+    ("r24_0", "positive", 1, None): (
+        1, "verdict=no searched_memories=1 definitive=false candidates=3",
+        None),
+    ("r24_0", "positive", 2, None): (
+        0, "verdict=yes searched_memories=2 definitive=true candidates=112",
+        "0988a9c808b89a4a105acde30bb6c304b32f0bd298893b7ed2b1395083e0c243"),
+    ("r24_3", "almost", 1, None): (
+        0, "verdict=yes searched_memories=1 definitive=true candidates=2",
+        "445a009e6197eaa5865356994540bb370a2ee6ef0a0ed5d10e719683c22bfc29"),
+    ("r24_3", "almost", 2, None): (
+        0, "verdict=yes searched_memories=2 definitive=true candidates=2",
+        "445a009e6197eaa5865356994540bb370a2ee6ef0a0ed5d10e719683c22bfc29"),
+    ("r24_3", "positive", 1, None): (
+        0, "verdict=yes searched_memories=1 definitive=true candidates=2",
+        "445a009e6197eaa5865356994540bb370a2ee6ef0a0ed5d10e719683c22bfc29"),
+    ("r24_3", "positive", 2, None): (
+        0, "verdict=yes searched_memories=2 definitive=true candidates=2",
+        "445a009e6197eaa5865356994540bb370a2ee6ef0a0ed5d10e719683c22bfc29"),
+    ("r21_0", "almost", 1, None): (
+        1, "verdict=no searched_memories=1 definitive=false candidates=3",
+        None),
+    ("r21_0", "almost", 2, None): (
+        1, "verdict=no searched_memories=2 definitive=false candidates=9804",
+        None),
+    ("r21_0", "positive", 1, None): (
+        1, "verdict=no searched_memories=1 definitive=false candidates=3",
+        None),
+    ("r21_0", "positive", 2, None): (
+        1, "verdict=no searched_memories=2 definitive=false candidates=9804",
+        None),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_models():
+    models = {"ex1": fixture_text("ex1"), "ex2": fixture_text("ex2")}
+    for seed, count in ((24, 4), (21, 1)):
+        rng = random.Random(seed)
+        for i in range(count):
+            pomdp = random_pomdp(rng, max_states=3, max_obs=3)
+            models[f"r{seed}_{i}"] = serialize_model(
+                pomdp, random_parity(rng, pomdp, top=3))
+    return models
+
+
+@pytest.mark.parametrize("name,mode,k,budget", sorted(
+    PINNED_ORACLE, key=lambda key: (key[0], key[1], key[2], key[3] or 0)))
+def test_oracle_outputs_match_the_recorded_bytes(
+        tmp_path, capsys, oracle_models, name, mode, k, budget):
+    model = tmp_path / f"{name}.pomdp"
+    model.write_text(oracle_models[name], encoding="utf-8")
+    witness = tmp_path / "w.strat"
+    argv = ["oracle", str(model), "--mode", mode, "--memory-bound", str(k),
+            "--witness", str(witness)]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    code, out, _ = run(capsys, *argv)
+    expected_code, record, digest = PINNED_ORACLE[(name, mode, k, budget)]
+    assert code == expected_code
+    assert re.sub(r" wall_time_s=\S+", "", out.strip()) == record
+    if digest is None:
+        assert not witness.exists()
+    else:
+        assert hashlib.sha256(witness.read_bytes()).hexdigest() == digest
+
+
 def test_package_runs_as_a_module(tmp_path):
     """``python -m pomparity`` from a source checkout is the CLI."""
     model = write_ex1(tmp_path)
