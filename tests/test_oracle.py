@@ -1,14 +1,16 @@
 """Brute-force support enumeration: counting, canonicity, verdicts."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from pomparity import (ContractError, Objective, Pomdp, WinningMode,
-                       build_product_chain, dump_chain, enumerate_strategies,
-                       oracle_decide)
+from pomparity import (ContractError, Objective, Pomdp, StructuralError,
+                       WinningMode, build_product_chain, dump_chain,
+                       enumerate_strategies, evaluate_qualitative, memory_bound,
+                       oracle_decide, stationary_strategy)
 from pomparity.cli import cli_main
 from pomparity.modelio import fixture_text
 from conftest import chain_wins, random_parity, random_pomdp
@@ -204,3 +206,157 @@ def test_support_strategies_chain_like_their_uniform_realizations():
             assert direct.succ == weighted.succ
             assert direct.bottom_sccs() == weighted.bottom_sccs()
             assert dump_chain(direct) == dump_chain(weighted)
+
+
+# -- the search against the named path --
+
+def drawn_model(rng: random.Random, n_actions: int) -> Pomdp:
+    """2-4 states; the initial state observes o0 alone, the rest share o1.
+
+    With two actions, action b is unavailable at o1 in about half the
+    models, so some candidates select an action their states cannot play.
+    """
+    n = rng.randint(2, 4)
+    states = tuple(f"s{i}" for i in range(n))
+    actions = ("a", "b")[:n_actions]
+    obs_map = {s: "o1" for s in states}
+    obs_map["s0"] = "o0"
+    available = ({"o1": frozenset({"a"})}
+                 if n_actions == 2 and rng.random() < 0.5 else {})
+    one = Fraction(1)
+    transitions = {}
+    for s in states:
+        for a in actions:
+            if a in available.get(obs_map[s], actions):
+                support = rng.sample(states, rng.randint(1, 2))
+                transitions[(s, a)] = {t: one / len(support) for t in support}
+    return Pomdp(states=states, actions=actions, observations=("o0", "o1"),
+                 obs_map=obs_map, transitions=transitions,
+                 initial_state="s0", available=available)
+
+
+def drawn_objective(rng: random.Random, pomdp: Pomdp, muller: bool) -> Objective:
+    if not muller:
+        return Objective.parity({s: rng.randint(0, 3) for s in pomdp.states})
+    family = [f for f in ({0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2})
+              if rng.random() < 0.4]
+    return Objective.muller({s: rng.randint(0, 2) for s in pomdp.states},
+                            family)
+
+
+def named_search(pomdp, objective, mode, k, budget, jobs=1):
+    """The search as first written, on named candidates.
+
+    Worker w of ``jobs`` scans every jobs-th candidate of the named stream
+    from w, at most its share of the budget, and stops at its first
+    winner: a candidate whose chain, built by name, gives every reached
+    pair a successor and wins.  The least winning index is the winner.
+    """
+    share = None if budget is None else -(-budget // jobs)
+    winners, checked, exhausted = [], 0, True
+    for w in range(jobs):
+        stream = itertools.islice(enumerate_strategies(pomdp, k), w, None, jobs)
+        for offset, cand in enumerate(stream):
+            if share is not None and offset >= share:
+                exhausted = False
+                break
+            checked += 1
+            chain = build_product_chain(pomdp, cand)
+            if (all(chain.succ[n] for n in chain.nodes)
+                    and evaluate_qualitative(chain, objective, mode)):
+                winners.append((w + offset * jobs, cand))
+                break
+    if winners:
+        return "yes", min(winners, key=lambda w: w[0])[1], checked, True
+    if exhausted:
+        return "no", None, checked, k >= memory_bound(pomdp, objective)
+    return "inconclusive", None, checked, False
+
+
+def assert_same_search(pomdp, objective, mode, k, budget, jobs=1):
+    verdict, cand, checked, definitive = named_search(
+        pomdp, objective, mode, k, budget, jobs)
+    r = oracle_decide(pomdp, objective, mode, k, budget=budget, jobs=jobs)
+    assert (r.verdict, r.candidates, r.definitive) == (
+        verdict, checked, definitive)
+    assert r.witness == (None if cand is None else cand.to_strategy())
+    return verdict, checked
+
+
+def test_search_matches_the_named_path_on_random_models():
+    rng = random.Random(9200)
+    verdicts = collections.Counter()
+    for i in range(24):
+        n_actions = 1 + i % 2
+        pomdp = drawn_model(rng, n_actions)
+        objective = drawn_objective(rng, pomdp, muller=i % 4 >= 2)
+        for mode in (ALMOST, POSITIVE):
+            # the full two-memory stream is 9,804 candidates with two actions
+            for k, budget in ((1, None), (2, None if n_actions == 1 else 400),
+                              (2, 3)):
+                verdict, _ = assert_same_search(pomdp, objective, mode, k,
+                                                budget)
+                verdicts[verdict] += 1
+    assert min(verdicts["yes"], verdicts["no"], verdicts["inconclusive"]) >= 10
+
+
+def test_search_matches_the_named_path_over_whole_streams():
+    rng = random.Random(9300)
+    for muller in (False, True):
+        pomdp = drawn_model(rng, 2)
+        objective = drawn_objective(rng, pomdp, muller)
+        for mode in (ALMOST, POSITIVE):
+            assert_same_search(pomdp, objective, mode, 2, None)
+
+
+def test_parallel_search_matches_the_named_path():
+    # seed 9406 draws a model whose first almost-sure winner is candidate 3,
+    # seed 9400 one without any two-memory winner
+    for seed, verdict in ((9406, "yes"), (9400, "no")):
+        rng = random.Random(seed)
+        pomdp = drawn_model(rng, 2)
+        objective = drawn_objective(rng, pomdp, muller=False)
+        assert assert_same_search(pomdp, objective, ALMOST, 2, None,
+                                  jobs=2)[0] == verdict
+    assert assert_same_search(pomdp, objective, ALMOST, 2, 501, jobs=2) == (
+        "inconclusive", 502)
+
+
+# -- states the objective does not colour --
+
+def gap_model() -> Pomdp:
+    """s0 -> s1, a self-loop; s2 loops but is unreachable from s0."""
+    one = Fraction(1)
+    return Pomdp(states=("s0", "s1", "s2"), actions=("a",),
+                 observations=("o0", "o1"),
+                 obs_map={"s0": "o0", "s1": "o1", "s2": "o1"},
+                 transitions={("s0", "a"): {"s1": one},
+                              ("s1", "a"): {"s1": one},
+                              ("s2", "a"): {"s2": one}},
+                 initial_state="s0")
+
+
+def test_a_reached_state_without_colour_is_a_structural_error():
+    pomdp = gap_model()
+    chain = build_product_chain(pomdp, stationary_strategy(pomdp, ["a"]))
+    for objective in (Objective.parity({"s0": 0, "s2": 0}),
+                      Objective.muller({"s0": 0, "s2": 0}, [{0}])):
+        for mode in (ALMOST, POSITIVE):
+            with pytest.raises(StructuralError,
+                               match="objective assigns nothing to states: s1$"):
+                evaluate_qualitative(chain, objective, mode)
+            with pytest.raises(StructuralError,
+                               match="objective assigns nothing to states: s1$"):
+                oracle_decide(pomdp, objective, mode, 2)
+
+
+def test_an_unreached_state_needs_no_colour():
+    pomdp = gap_model()
+    chain = build_product_chain(pomdp, stationary_strategy(pomdp, ["a"]))
+    objective = Objective.parity({"s0": 1, "s1": 0})
+    for mode in (ALMOST, POSITIVE):
+        assert evaluate_qualitative(chain, objective, mode)
+        r = oracle_decide(pomdp, objective, mode, 2)
+        assert (r.verdict, r.candidates) == ("yes", 1)
+    lose = Objective.parity({"s0": 0, "s1": 1})
+    assert oracle_decide(pomdp, lose, ALMOST, 1).verdict == "no"
