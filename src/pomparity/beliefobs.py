@@ -24,17 +24,18 @@ canonically (the committed bit exactly on states a committed belief state
 can reach; the class table as the intersection cap inherited from all
 predecessors), and on-belief states choose between an "explore" move
 (uncommitted, maximal cap) and a "commit" move (committed with class set
-{{2}}).  Every generated move passes the verbatim
-``memory_action_allowed`` predicate, and every summary a real strategy
-could carry is dominated by a generated one, so the reachable winning
-structure is preserved.  Where no move at all is generatable the play is
-routed to the losing sink by a dedicated reject action, mirroring how
-disallowed moves behave.  In Buchi mode the downstream analyses target
-raw priority-0 states and never read certificates, and a committed
-element's continuations are always mirrored by its uncommitted
-counterpart, so elements carry no commitments at all: the construction
-is the plain belief-support automaton under maximal class tables, one
-successor element per branch.
+{{2}}).  Every generated move is one a play may adopt: committed belief
+states reach only committed states, and along every model edge the class
+table only shrinks (the tests check every generated move against this
+predicate).  Every summary a real strategy could carry is dominated by a
+generated one, so the reachable winning structure is preserved.  Where
+no move at all is generatable the play is routed to the losing sink by a
+dedicated reject action, mirroring how disallowed moves behave.  In
+Buchi mode the downstream analyses target raw priority-0 states and
+never read certificates, and a committed element's continuations are
+always mirrored by its uncommitted counterpart, so elements carry no
+commitments at all: the construction is the plain belief-support
+automaton under maximal class tables, one successor element per branch.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .model import (
     ContractError,
@@ -112,33 +113,6 @@ def action_allowed(element: MemoryElement, action: str, pomdp: Pomdp,
             continue
         for t in pomdp.supp(s, action):
             if priority[t] not in zinf:
-                return False
-    return True
-
-
-def memory_action_allowed(candidate: MemoryElement,
-                          context: tuple[Iterable[str], MemoryElement, str],
-                          pomdp: Pomdp) -> bool:
-    """May the play adopt ``candidate`` after ``action`` from ``previous``?
-
-    ``context`` is the (new belief, previous element, action) triple that
-    identifies a memory-selection observation.  Two conditions: committed
-    belief states only reach committed states (commitment is permanent),
-    and along every model edge the class table may only shrink.
-    """
-    new_belief, previous, action = context
-    if candidate.belief != frozenset(new_belief):
-        return False
-    for s in previous.belief & previous.brec:
-        for t in pomdp.supp(s, action):
-            if t not in candidate.brec:
-                return False
-    for s in pomdp.states:
-        if action not in pomdp.available_at(pomdp.obs_map[s]):
-            continue
-        ls = previous.srec_of(s)
-        for t in pomdp.supp(s, action):
-            if not candidate.srec_of(t) <= ls:
                 return False
     return True
 

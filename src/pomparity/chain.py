@@ -22,13 +22,16 @@ Each call compiles the strategy's table against the model's
 and one Tarjan condensation walks the pairs as it first reaches them.
 Names appear only in ``ProductChain.nodes``, ``succ`` and
 ``bottom_sccs()``, in ``dump_chain`` and in the result of
-``full_product_graph``.
+``full_product_graph``.  The evaluation rules are written once, over pair
+ids (``_wins``): ``evaluate_qualitative`` applies them to a built chain,
+and the oracle to the chains it walks for its unnamed candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from itertools import compress
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (MULLER, PARITY, ContractError, Objective, Pomdp,
                     StructuralError, WinningMode, objective_as_parity)
@@ -178,7 +181,8 @@ class ProductChain:
 
     ``nodes`` lists every (state, memory) pair reachable from the initial
     pair, sorted by (state index, memory index); ``succ`` maps each node to
-    its deduplicated, equally-sorted successor tuple.
+    its deduplicated, equally-sorted successor tuple.  The same graph over
+    pair ids, and its recurrent classes, are kept for evaluation.
     """
 
     pomdp: Pomdp
@@ -186,7 +190,8 @@ class ProductChain:
     initial: Node
     nodes: tuple[Node, ...]
     succ: dict[Node, tuple[Node, ...]]
-    _bottoms: tuple[tuple[Node, ...], ...] = field(repr=False)
+    _graph: Graph = field(repr=False)
+    _bottoms: list[list[int]] = field(repr=False)
 
     def bottom_sccs(self) -> tuple[tuple[Node, ...], ...]:
         """Recurrent classes: bottom SCCs of the reachable support digraph.
@@ -194,7 +199,10 @@ class ProductChain:
         Deterministic order: classes sorted by their least node in
         (state index, memory index) order, members likewise sorted.
         """
-        return self._bottoms
+        states, memories = self.pomdp.states, self.memories
+        n_mem = len(memories)
+        return tuple([tuple([(states[n // n_mem], memories[n % n_mem])
+                             for n in comp]) for comp in self._bottoms])
 
 
 def build_product_chain(pomdp: Pomdp, strategy) -> ProductChain:
@@ -202,14 +210,13 @@ def build_product_chain(pomdp: Pomdp, strategy) -> ProductChain:
     table = strategy.supports
     initial, successors = _compile(pomdp, table)
     graph, comps, _, is_bottom = _condense(successors, (initial,))
-    bottoms = sorted(sorted(comp) for comp, bottom in zip(comps, is_bottom)
-                     if bottom)
     name = [(s, m) for s in pomdp.states for m in table.memories].__getitem__
     return ProductChain(
         pomdp=pomdp, memories=table.memories, initial=name(initial),
         nodes=tuple([name(n) for n in sorted(graph)]),
         succ={name(n): tuple([name(t) for t in ts]) for n, ts in graph.items()},
-        _bottoms=tuple([tuple([name(n) for n in comp]) for comp in bottoms]))
+        _graph=graph,
+        _bottoms=sorted(sorted(comp) for comp in compress(comps, is_bottom)))
 
 
 def full_product_graph(pomdp: Pomdp, strategy) -> dict[Node, tuple[Node, ...]]:
@@ -255,24 +262,47 @@ def _class_good(seen: set[int], objective: Objective) -> bool:
     return frozenset(seen) in objective.family
 
 
+def _state_colours(pomdp: Pomdp, objective: Objective) -> list[int | None]:
+    """The colour of every state, by state index; None where there is none."""
+    colors = objective_colors(objective)
+    return [colors.get(s) for s in pomdp.states]
+
+
+def _wins(graph: Graph, bottoms: Iterable[Sequence[int]], n_mem: int,
+          colour: Sequence[int | None], pomdp: Pomdp,
+          objective: Objective, mode: WinningMode) -> bool:
+    """The evaluation rules, on a product chain walked over pair ids.
+
+    ``graph`` maps every reached pair to its successors and ``bottoms``
+    lists the chain's recurrent classes; ``colour`` is ``_state_colours``.
+    A reached state without a colour is a ``StructuralError``; an
+    unreached one is not looked at.  Almost-sure: every recurrent class
+    satisfies the objective (its minimal priority is even / its colour
+    set is accepting).  Positive: at least one does.  A recurrent class
+    that is a single pair with no successor is a play the strategy stops,
+    never a good class.
+    """
+    if None in colour:
+        missing = sorted({pomdp.states[n // n_mem] for n in graph
+                          if colour[n // n_mem] is None})
+        if missing:
+            raise StructuralError(
+                f"objective assigns nothing to states: {', '.join(missing)}")
+    good = (bool(graph[comp[0]])
+            and _class_good({colour[n // n_mem] for n in comp}, objective)
+            for comp in bottoms)
+    return all(good) if mode == WinningMode.ALMOST_SURE else any(good)
+
+
 def evaluate_qualitative(chain: ProductChain, objective: Objective,
                          mode: WinningMode) -> bool:
     """Does the chained strategy win the objective in the given mode?
 
-    Almost-sure: every reachable recurrent class satisfies the objective
-    (its minimal priority is even / its colour set is accepting).
-    Positive: at least one does.  A bottom class that is a single pair
-    with no successor is a play the strategy stops, never a good class.
+    The rules are ``_wins``'s, applied to the chain's reachable part.
     """
-    colors = objective_colors(objective)
-    missing = sorted(s for s in {s for s, _ in chain.nodes} if s not in colors)
-    if missing:
-        raise StructuralError(
-            f"objective assigns nothing to states: {', '.join(missing)}")
-    good = (bool(chain.succ[comp[0]])
-            and _class_good({colors[s] for s, _ in comp}, objective)
-            for comp in chain.bottom_sccs())
-    return all(good) if mode == WinningMode.ALMOST_SURE else any(good)
+    return _wins(chain._graph, chain._bottoms, len(chain.memories),
+                 _state_colours(chain.pomdp, objective), chain.pomdp,
+                 objective, mode)
 
 
 # -- recurrence summaries --

@@ -7,8 +7,15 @@ feasible on small instances: enumerate all support-level finite-memory
 strategies up to a memory bound, evaluate each on its product chain, and
 report the first winner in a fixed deterministic order.
 
+The search never names a candidate.  Each one is a pair of index tables
+(action supports per memory, update supports per key), its product chain
+is walked over pair ids by the chain module's Tarjan pass, and it is
+judged by the same evaluation rules that ``evaluate_qualitative`` applies
+to a named chain.  Only the winner becomes a ``SupportStrategy``;
+``enumerate_strategies`` names every candidate of the same stream.
+
 The oracle shares nothing with the solve pipelines except the chain
-evaluator itself, so agreement between the two is meaningful evidence.
+module itself, so agreement between the two is meaningful evidence.
 A "no" is definitive only when the searched bound reaches the sufficient
 memory size for the objective; below that it means no winner with that
 little memory, which is still a one-sided check (any oracle "yes" must be
@@ -17,16 +24,21 @@ matched by the solver).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
-from .chain import build_product_chain, evaluable_objective, evaluate_qualitative
+from .chain import _condense, _state_colours, _wins, evaluable_objective
+# The search never builds a named chain.  These stay importable from here
+# because perfbench/spans.py wraps the chain layer as each caller sees it.
+from .chain import build_product_chain, evaluate_qualitative  # noqa: F401
 from .model import ContractError, Objective, Pomdp, WinningMode
 from .strategy import FiniteMemoryStrategy, SupportStrategy, memory_bound
 
 
+@functools.cache
 def _nonempty_subsets(n: int) -> tuple[tuple[int, ...], ...]:
     """All non-empty subsets of range(n) as index tuples, in mask order.
 
@@ -75,6 +87,58 @@ def _is_canonical(act_combo: tuple[int, ...], upd_combo: tuple[int, ...],
     return True
 
 
+# A candidate as index tables: (group, upd_combo).  The group is shared by
+# every candidate with the same memory count j and action supports:
+# (j, acts, key_pos), where acts[mi] is the action indices memory mi plays
+# and key_pos maps each update key (mi, observation index, action index) to
+# its position.  upd_combo[pos] is the update support at that key, as a
+# position in _nonempty_subsets(j).
+Group = tuple[int, tuple[tuple[int, ...], ...], dict[tuple[int, int, int], int]]
+
+
+def _candidate_tables(pomdp: Pomdp, k: int, canonical: bool = True
+                      ) -> Iterator[tuple[Group, tuple[int, ...]]]:
+    """The candidate stream of ``enumerate_strategies``, as index tables."""
+    if k < 1:
+        raise ContractError("memory bound must be at least 1")
+    n_obs = len(pomdp.observations)
+    act_options = _nonempty_subsets(len(pomdp.actions))
+    for j in range(1, k + 1):
+        mem_options = _nonempty_subsets(j)
+        for act_combo in itertools.product(range(len(act_options)), repeat=j):
+            acts = tuple([act_options[c] for c in act_combo])
+            key_pos = {key: pos for pos, key in enumerate(
+                (mi, oi, a) for mi in range(j) for oi in range(n_obs)
+                for a in acts[mi])}
+            group = (j, acts, key_pos)
+            for upd_combo in itertools.product(range(len(mem_options)),
+                                               repeat=len(key_pos)):
+                # with two memories the only renaming is the identity
+                if canonical and j > 2 and not _is_canonical(
+                        act_combo, upd_combo, key_pos, act_options,
+                        mem_options, j, n_obs):
+                    continue
+                yield group, upd_combo
+
+
+def _named(pomdp: Pomdp, group: Group, upd_combo: tuple[int, ...]
+           ) -> SupportStrategy:
+    """The candidate as a support table over memories m0..m(j-1)."""
+    j, acts, key_pos = group
+    actions, observations = pomdp.actions, pomdp.observations
+    memories = tuple([f"m{i}" for i in range(j)])
+    mem_options = _nonempty_subsets(j)
+    return SupportStrategy(
+        memories=memories,
+        action_support={memories[mi]: tuple([actions[a] for a in acts[mi]])
+                        for mi in range(j)},
+        update_support={
+            (memories[mi], observations[oi], actions[a]): tuple([
+                memories[t] for t in mem_options[upd_combo[pos]]])
+            for (mi, oi, a), pos in key_pos.items()},
+        initial=memories[0])
+
+
 def enumerate_strategies(pomdp: Pomdp, k: int,
                          canonical: bool = True) -> Iterator[SupportStrategy]:
     """All support strategies with at most k memories, deterministically.
@@ -85,38 +149,26 @@ def enumerate_strategies(pomdp: Pomdp, k: int,
     then lexicographically by (action supports, update supports) in mask
     encoding — so "the first winner" is reproducible.
     """
-    if k < 1:
-        raise ContractError("memory bound must be at least 1")
-    actions = tuple(pomdp.actions)
-    observations = tuple(pomdp.observations)
-    act_options = _nonempty_subsets(len(actions))
-    for j in range(1, k + 1):
-        memories = tuple(f"m{i}" for i in range(j))
-        mem_options = _nonempty_subsets(j)
-        for act_combo in itertools.product(range(len(act_options)), repeat=j):
-            keys = [(mi, oi, a)
-                    for mi in range(j)
-                    for oi in range(len(observations))
-                    for a in act_options[act_combo[mi]]]
-            key_pos = {key: pos for pos, key in enumerate(keys)}
-            for upd_combo in itertools.product(range(len(mem_options)),
-                                               repeat=len(keys)):
-                if canonical and j > 1 and not _is_canonical(
-                        act_combo, upd_combo, key_pos, act_options,
-                        mem_options, j, len(observations)):
-                    continue
-                action_support = {
-                    memories[mi]: tuple(actions[a]
-                                        for a in act_options[act_combo[mi]])
-                    for mi in range(j)}
-                update_support = {
-                    (memories[mi], observations[oi], actions[a]):
-                        tuple(memories[t]
-                              for t in mem_options[upd_combo[pos]])
-                    for (mi, oi, a), pos in key_pos.items()}
-                yield SupportStrategy(
-                    memories=memories, action_support=action_support,
-                    update_support=update_support, initial=memories[0])
+    for group, upd_combo in _candidate_tables(pomdp, k, canonical):
+        yield _named(pomdp, group, upd_combo)
+
+
+def _compile_group(pomdp: Pomdp, group: Group) -> list[list[tuple]]:
+    """Per pair id s*j+m, what its successors are made of.
+
+    One (row, pos) per successor state t of an action a that m plays at s:
+    the key at pos is (m, obs(t), a), and row[u] lists the pair ids of t
+    under update support u.  A candidate's successors of a pair are then
+    the union of row[upd_combo[pos]] over its entries.
+    """
+    j, acts, key_pos = group
+    obs, moves = pomdp.index_supports
+    rows = [tuple([tuple([t * j + m2 for m2 in targets])
+                   for targets in _nonempty_subsets(j)])
+            for t in range(len(obs))]
+    return [[(rows[t], key_pos[(m, obs[t], a)])
+             for a in acts[m] for t in moves[s][a]]
+            for s in range(len(obs)) for m in range(j)]
 
 
 @dataclass
@@ -141,20 +193,37 @@ def _search_slice(args) -> tuple[int | None, SupportStrategy | None, int, bool]:
 
     Returns (absolute index of the winner or None, the winning support
     strategy or None, candidates checked, whether the slice was exhausted
-    rather than stopped by the limit).
+    rather than stopped by the limit).  Candidates stay index tables; a
+    winner must be playable (every reached pair has a successor) and win
+    by ``chain._wins``.  Only the winner is named.
     """
     pomdp, objective, mode, k, start, stride, limit = args
-    stream = itertools.islice(enumerate_strategies(pomdp, k),
-                              start, None, stride)
+    s0 = pomdp.state_index[pomdp.initial_state]
+    colour = _state_colours(pomdp, objective)
+    stream = itertools.islice(_candidate_tables(pomdp, k), start, None, stride)
+    group = parts = upd = None
+
+    def successors(node: int) -> tuple[int, ...]:
+        # of the current candidate: its group's ``parts``, its ``upd``
+        out: set[int] = set()
+        for row, pos in parts[node]:
+            out.update(row[upd[pos]])
+        return tuple(out)
+
     checked = 0
-    for offset, cand in enumerate(stream):
+    for offset, (cand_group, upd) in enumerate(stream):
         if limit is not None and checked >= limit:
             return None, None, checked, False
         checked += 1
-        chain = build_product_chain(pomdp, cand)
-        # a winner must be playable: every reachable pair has a successor
-        if all(chain.succ.values()) and evaluate_qualitative(chain, objective, mode):
-            return start + offset * stride, cand, checked, True
+        if cand_group is not group:
+            group, parts = cand_group, _compile_group(pomdp, cand_group)
+        j = group[0]
+        graph, comps, _, is_bottom = _condense(successors, (s0 * j,))
+        if all(graph.values()) and _wins(
+                graph, itertools.compress(comps, is_bottom), j, colour,
+                pomdp, objective, mode):
+            return (start + offset * stride, _named(pomdp, group, upd),
+                    checked, True)
     return None, None, checked, True
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 
@@ -9,7 +10,6 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        StructuralError, almost_cobuchi_red, belief_update,
                        is_belief_observation, objective_as_parity,
                        positive_buchi_red, validate)
-from pomparity.beliefobs import memory_action_allowed
 from pomparity.strategy import MemoryElement
 from conftest import random_belief_obs_pomdp, random_pomdp
 
@@ -185,8 +185,36 @@ def test_random_models_rewrite_cleanly():
         assert is_belief_observation(bo.pomdp)
 
 
+def memory_action_allowed(candidate: MemoryElement,
+                          context: tuple[Iterable[str], MemoryElement, str],
+                          pomdp: Pomdp) -> bool:
+    """May the play adopt ``candidate`` after ``action`` from ``previous``?
+
+    ``context`` is the (new belief, previous element, action) triple that
+    identifies a memory-selection observation.  Two conditions: committed
+    belief states only reach committed states (commitment is permanent),
+    and along every model edge the class table may only shrink.
+    """
+    new_belief, previous, action = context
+    if candidate.belief != frozenset(new_belief):
+        return False
+    for s in previous.belief & previous.brec:
+        for t in pomdp.supp(s, action):
+            if t not in candidate.brec:
+                return False
+    for s in pomdp.states:
+        if action not in pomdp.available_at(pomdp.obs_map[s]):
+            continue
+        ls = previous.srec_of(s)
+        for t in pomdp.supp(s, action):
+            if not candidate.srec_of(t) <= ls:
+                return False
+    return True
+
+
 def test_every_generated_move_passes_memory_action_allowed():
-    # the module docstring's claim, checked on every offered element move
+    # the beliefobs module docstring's claim, checked on every offered
+    # element move
     rng = random.Random(7002)
     checked = 0
     for _ in range(300):
