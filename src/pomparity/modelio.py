@@ -53,9 +53,14 @@ def _check_name(token: str, what: str, line_no: int) -> str:
     return token
 
 
-def _parse_weight(token: str, line_no: int, line: str) -> Fraction:
+def _parse_weight(token: str, line_no: int, line: str,
+                  weights: dict[str, Fraction]) -> Fraction:
+    """The weight a token spells, parsed once per document into ``weights``."""
+    w = weights.get(token)
+    if w is not None:
+        return w
     try:
-        w = Fraction(token)
+        w = weights[token] = Fraction(token)
     except (ValueError, ZeroDivisionError):
         col = line.find(token) + 1
         raise ParseError(f"invalid weight {token!r}", line=line_no,
@@ -63,8 +68,8 @@ def _parse_weight(token: str, line_no: int, line: str) -> Fraction:
     return w
 
 
-def _parse_weighted(payload: str, line_no: int, line: str,
-                    what: str) -> dict[str, Fraction]:
+def _parse_weighted(payload: str, line_no: int, line: str, what: str,
+                    weights: dict[str, Fraction]) -> dict[str, Fraction]:
     """Parse ``name w, name w, ...`` and insist the weights sum to one."""
     dist: dict[str, Fraction] = {}
     total = Fraction(0)
@@ -74,7 +79,7 @@ def _parse_weighted(payload: str, line_no: int, line: str,
             raise ParseError(f"expected '<{what}> <weight>' pairs, got {part.strip()!r}",
                              line=line_no)
         name = _check_name(tokens[0], what, line_no)
-        w = _parse_weight(tokens[1], line_no, line)
+        w = _parse_weight(tokens[1], line_no, line, weights)
         if name in dist:
             raise ParseError(f"duplicate {what} {name!r} in one distribution",
                              line=line_no)
@@ -115,6 +120,7 @@ def parse_model(text: str) -> tuple[Pomdp, Objective | None]:
     declared_max: int | None = None
     priorities: dict[str, int] = {}
     obj_line = 0
+    weights: dict[str, Fraction] = {}
 
     for line_no, keyword, payload, line in _lines(text):
         if keyword in ("states", "actions", "observations"):
@@ -171,7 +177,8 @@ def parse_model(text: str) -> tuple[Pomdp, Objective | None]:
             if (s, a) in transitions:
                 raise ParseError(f"duplicate transition line for {s!r}/{a!r}",
                                  line=line_no)
-            transitions[(s, a)] = _parse_weighted(rest, line_no, line, "state")
+            transitions[(s, a)] = _parse_weighted(rest, line_no, line, "state",
+                                                     weights)
         elif keyword == "objective":
             if objective_kind is not None:
                 raise ParseError("duplicate objective line", line=line_no)
@@ -334,6 +341,7 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
     beliefs: dict[str, frozenset[str]] = {}
     brecs: dict[str, frozenset[str]] = {}
     srecs: dict[str, dict[str, frozenset[frozenset[int]]]] = {}
+    weights: dict[str, Fraction] = {}
 
     for line_no, keyword, payload, line in _lines(text):
         if keyword == "memories":
@@ -354,7 +362,8 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
             m = _check_name(head.strip(), "memory", line_no)
             if m in action_select:
                 raise ParseError(f"duplicate act line for memory {m!r}", line=line_no)
-            action_select[m] = _parse_weighted(rest, line_no, line, "action")
+            action_select[m] = _parse_weighted(rest, line_no, line, "action",
+                                                 weights)
         elif keyword == "update":
             if "->" not in payload:
                 raise ParseError(
@@ -368,7 +377,8 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
             key = (tokens[0], tokens[1], tokens[2])
             if key in memory_update:
                 raise ParseError(f"duplicate update line for {key}", line=line_no)
-            memory_update[key] = _parse_weighted(rest, line_no, line, "memory")
+            memory_update[key] = _parse_weighted(rest, line_no, line, "memory",
+                                                    weights)
         elif keyword in ("belief", "brec"):
             parts = payload.split(":")
             if len(parts) != 2:

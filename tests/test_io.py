@@ -60,6 +60,37 @@ def test_decimal_weights_failing_to_sum_raise_exactness_error():
     assert "999/1000" in str(err.value)
 
 
+def test_weight_errors_name_the_later_line_that_repeats_a_token():
+    """Each distinct weight token is parsed once per document, yet an
+    error on a later line that repeats a token names that line."""
+    halves = MINI.replace("trans: s0 a -> s1 1", "trans: s0 a -> s1 1/2, s0 1/2")
+    cases = [
+        ("trans: s1 a -> s1 1/2", ExactnessError, "line 8: weights sum to 1/2"),
+        ("trans: s1 a -> s1 1/2, s0 -1/2", ParseError,
+         "non-positive weight for state 's0' (line 8)"),
+        ("trans: s1 a -> s1 1/2, s0 1/0", ParseError,
+         "invalid weight '1/0' (line 8, column 27)"),
+    ]
+    for later, error, message in cases:
+        doc = halves.replace("trans: s1 a -> s1 1", later)
+        with pytest.raises(error) as err:
+            parse_model(doc)
+        assert message in str(err.value)
+        # the same bad token on the earlier line too: that line reports
+        bad = later.split()[-1]
+        if error is ParseError:
+            doc = doc.replace("s0 1/2\n", f"s0 {bad}\n", 1)
+            with pytest.raises(ParseError) as err:
+                parse_model(doc)
+            assert (err.value.line, str(err.value)) == (
+                7, message.replace("line 8", "line 7"))
+    strategy = ("memories: m n\ninit: m\nact: m -> a 1/2, b 1/2\n"
+                "act: n -> a 1/2, b 1/0\n")
+    with pytest.raises(ParseError) as err:
+        parse_strategy(strategy)
+    assert (err.value.line, err.value.column) == (4, 20)
+
+
 def test_empty_states_section_errors_at_the_header():
     doc = MINI.replace("states: s0 s1", "states:")
     with pytest.raises(ParseError) as err:
