@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
     ContractError,
@@ -261,13 +261,8 @@ class BeliefObsPomdp:
         return self.classes.get(obs, ())
 
     @cached_property
-    def selection_obs(self) -> frozenset[str]:
-        """Memory-selection observations that offer element moves.
-
-        Each of their actions e leads every state to ``A~t~e``, which is
-        observed as e, so their move rows need no walk over the class.
-        """
-        return frozenset(q for q, names in self.moves.items() if names)
+    def obs_index(self) -> dict[str, int]:
+        return {o: i for i, o in enumerate(self.observations)}
 
     @cached_property
     def pomdp(self) -> Pomdp:
@@ -311,6 +306,129 @@ class BeliefObsPomdp:
 
 def _act_state(s: str, ename: str) -> str:
     return f"A~{s}~{ename}"
+
+
+@dataclass
+class ObsGraph:
+    """Which observations each allowed (observation, action) can lead to.
+
+    The one form the solve fixpoints read, over integer ids: observation
+    j is ``model.observations[j]``, and ``domain[j]`` is 1 where it has an
+    entry in the allowed actions.  Observation j owns the action slots
+    ``first[j]`` to ``first[j + 1] - 1``; slot k plays ``acts[k]`` at
+    observation ``owner[k]``.  ``pred[j]`` lists, once each, the slots
+    that can lead to observation j.  States in ``absorbing`` constrain
+    nothing, as if they looped on themselves.
+
+    A fixpoint keeps, for the observations inside its current set, the
+    live slots (every successor inside) and their count per observation:
+    ``counters`` makes them, ``kill`` updates them as observations leave
+    the set, and ``kept`` reads the set and its live actions off them.
+    """
+
+    model: Pomdp | BeliefObsPomdp
+    absorbing: frozenset[str]
+    domain: bytearray
+    first: list[int]
+    acts: list[str]
+    owner: list[int]
+    pred: list[list[int]]
+
+    def counters(self, inside: bytearray) -> tuple[bytearray, list[int]]:
+        """The live slots of the observations inside, and their counts."""
+        first = self.first
+        live = bytearray(map(inside.__getitem__, self.owner))
+        count = [here * (first[j + 1] - first[j])
+                 for j, here in enumerate(inside)]
+        self.kill(live, count, [j for j, here in enumerate(inside) if not here])
+        return live, count
+
+    def kill(self, live: bytearray, count: list[int],
+             removed: Iterable[int]) -> list[int]:
+        """Kill the slots of removed observations and the live slots that
+        can lead to them; return the observations that lost their last
+        live slot."""
+        first, owner, pred = self.first, self.owner, self.pred
+        emptied = []
+        for j in removed:
+            live[first[j]:first[j + 1]] = bytes(first[j + 1] - first[j])
+            count[j] = 0
+            for k in pred[j]:
+                if live[k]:
+                    live[k] = 0
+                    o = owner[k]
+                    count[o] -= 1
+                    if not count[o]:
+                        emptied.append(o)
+        return emptied
+
+    def kept(self, inside: bytearray, live: bytearray,
+             ) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
+        """The observations inside, and the actions of their live slots."""
+        first, acts = self.first, self.acts
+        plays = {o: frozenset(acts[k] for k in range(first[j], first[j + 1])
+                              if live[k])
+                 for j, o in enumerate(self.model.observations) if inside[j]}
+        return frozenset(plays), plays
+
+
+def obs_graph(model: Pomdp | BeliefObsPomdp,
+              allowed: Mapping[str, frozenset[str]],
+              absorbing: frozenset[str] = frozenset()) -> ObsGraph:
+    """The observation graph of ``allowed`` on a model.
+
+    A ``Pomdp`` is compiled by walking the supports of every state.  A
+    rewrite is read from its construction records without a walk: an
+    element's action leads to the observations ``memsel`` lists for it, or
+    to the sink when its rows are the stored sink rows; at any other
+    observation an available action e leads every state to observation e
+    if e is an element, and to the sink otherwise; the sink leads to
+    itself.  Only an element some but not all of whose states are
+    absorbing has the rows of its other states walked.
+    """
+    index, obs_map = model.obs_index, model.obs_map
+    n = len(model.observations)
+    graph = ObsGraph(model, absorbing, bytearray(n), [0] * (n + 1), [], [],
+                     [[] for _ in range(n)])
+    acts, owner, pred = graph.acts, graph.owner, graph.pred
+    records = isinstance(model, BeliefObsPomdp)
+    elements = model.elements if records else {}
+    if records:
+        sink = index[model.sink_obs]
+        branches: dict[tuple[str, str], list[int]] = {}
+        for (ename, a, _), q in model.memsel.items():
+            branches.setdefault((ename, a), []).append(index[q])
+    for j, o in enumerate(model.observations):
+        graph.first[j] = base = len(acts)
+        if o not in allowed:
+            continue
+        graph.domain[j] = 1
+        acts.extend(allowed[o])
+        owner.extend([j] * (len(acts) - base))
+        members = model.states_with_obs(o)
+        free = ([s for s in members if s not in absorbing] if absorbing
+                else members)
+        if not free:
+            continue
+        if not records or (o in elements and len(free) < len(members)):
+            for k in range(base, len(acts)):
+                for i in {index[obs_map[t]] for s in free
+                          for t in model.supp(s, acts[k])}:
+                    pred[i].append(k)
+        elif o in elements:
+            for k in range(base, len(acts)):
+                for i in branches.get((o, acts[k])) or (
+                        (sink,) if model.succ.get((members[0], acts[k]))
+                        else ()):
+                    pred[i].append(k)
+        else:
+            avail, moves = model.available[o], o != model.sink_obs
+            for k, a in enumerate(allowed[o], base):
+                if a in avail:
+                    pred[index[a] if moves and a in elements
+                         else sink].append(k)
+    graph.first[n] = len(acts)
+    return graph
 
 
 def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,

@@ -14,9 +14,16 @@ strategies suffice):
   Z* = nu Z. ObsCover(mu X.((T & inv(Z) & inv(Pre(Z))) | Apre(Z,X)));
 * ``almost_reach`` -- Buchi after making the targets absorbing.
 
-All of them read one table, which observations each action can lead an
-observation class to (``_moves``), and return with their set the actions
-they keep per observation, the play table of their strategy.
+All of them are worklist attractors over per-observation counts of live
+action slots, on one integer observation graph (``beliefobs.ObsGraph``)
+read from a rewrite's construction records or walked over a ``Pomdp``'s
+supports.  They return their set, the actions they keep per observation
+(the play table of their strategy), and the removal rank of every other
+observation: the round in which the round-by-round iteration removes it,
+so each fixpoint takes max rank + 1 rounds (``fixpoint_iterations`` sums
+the safety and outer Buchi rounds).  Safety is one pass; the Buchi
+fixpoint keeps its outer rounds, updates its counters as Z shrinks, and
+grows X over integer state rows compiled once per call.
 
 ``solve_almost_cobuchi_fm`` rewrites a {1,2}-priority POMDP with the
 belief-observation construction, computes its almost-surely safe part (the
@@ -41,7 +48,9 @@ from typing import Iterable, Mapping
 from .beliefobs import (
     BeliefObsPomdp,
     DEFAULT_STATE_BUDGET,
+    ObsGraph,
     almost_cobuchi_red,
+    obs_graph,
     positive_buchi_red,
 )
 from .chain import build_product_chain, evaluate_qualitative
@@ -61,52 +70,12 @@ from .strategy import FiniteMemoryStrategy, SupportStrategy
 
 # -- observation-set operators -------------------------------------------
 
-# observation -> action -> observations the observation's class can reach
-Moves = dict[str, dict[str, frozenset[str]]]
-# what the fixpoint cores read: observations, obs_map, states_with_obs, supp
-Supports = Pomdp | BeliefObsPomdp
-
-
-def _moves(pomdp: Supports, allowed: Mapping[str, Iterable[str]],
-           absorbing: frozenset[str] = frozenset(),
-           by_name: frozenset[str] = frozenset()) -> Moves:
-    """The move table of the observations of ``allowed`` and their actions.
-
-    The one place observation moves are derived from the supports of a
-    ``Pomdp`` or a ``BeliefObsPomdp``.  States in ``absorbing`` constrain
-    nothing, as if they looped on themselves.  Observations in ``by_name``
-    are read without a walk over their class: each of their actions leads
-    every state to the observation named by the action.
-    """
-    obs_map = pomdp.obs_map
-    table = {}
-    for o in pomdp.observations:
-        if o not in allowed:
-            continue
-        members = pomdp.states_with_obs(o)
-        if o in by_name:
-            if absorbing.issuperset(members):
-                table[o] = {a: frozenset() for a in allowed[o]}
-            else:
-                table[o] = {a: frozenset((a,)) for a in allowed[o]}
-            continue
-        members = [s for s in members if s not in absorbing]
-        table[o] = {a: frozenset(obs_map[t] for s in members
-                                 for t in pomdp.supp(s, a))
-                    for a in allowed[o]}
-    return table
-
-
-def _kept(moves: Moves, obs_set: frozenset[str]) -> dict[str, frozenset[str]]:
-    """``allow(o, obs_set)`` for every observation of a move table."""
-    return {o: frozenset(a for a, seen in acts.items() if seen <= obs_set)
-            for o, acts in moves.items()}
-
-
 def allow(o: str, obs_set: Iterable[str], pomdp: Pomdp) -> frozenset[str]:
     """Actions available at ``o`` whose every successor observation stays in the set."""
-    moves = _moves(pomdp, {o: pomdp.available_at(o)})
-    return _kept(moves, frozenset(obs_set))[o]
+    obs_set = frozenset(obs_set)
+    return frozenset(a for a in pomdp.available_at(o) if all(
+        pomdp.obs_map[t] in obs_set
+        for s in pomdp.states_with_obs(o) for t in pomdp.supp(s, a)))
 
 
 def pre(obs_set: Iterable[str], pomdp: Pomdp) -> frozenset[str]:
@@ -137,14 +106,15 @@ def apre(y_obs: Iterable[str], x_states: Iterable[str],
     return frozenset(out)
 
 
-def obs_cover(states: Iterable[str], pomdp: Supports) -> frozenset[str]:
+def obs_cover(states: Iterable[str],
+              pomdp: Pomdp | BeliefObsPomdp) -> frozenset[str]:
     """Observations whose entire class lies inside the state set."""
     states = frozenset(states)
     return frozenset(o for o in pomdp.observations
                      if set(pomdp.states_with_obs(o)) <= states)
 
 
-def _obs_strategy(pomdp: Pomdp, moves: Moves,
+def _obs_strategy(pomdp: Pomdp,
                   plays: Mapping[str, Iterable[str]]) -> SupportStrategy:
     """Memoryless observation-based strategy as a finite-memory table.
 
@@ -152,33 +122,48 @@ def _obs_strategy(pomdp: Pomdp, moves: Moves,
     the last observation.  It starts at the initial observation, or at the
     first one of the table if that is missing.
     """
+    obs_map = pomdp.obs_map
     memories = tuple(sorted(plays, key=pomdp.obs_index.__getitem__))
     action_support = {o: tuple(sorted(plays[o])) for o in memories}
-    update_support = {(o, o2, a): (o2,) for o in memories
+    update_support = {(o, obs_map[t], a): (obs_map[t],) for o in memories
                       for a in action_support[o]
-                      for o2 in moves[o][a] if o2 in plays}
-    o0 = pomdp.obs_map[pomdp.initial_state]
+                      for s in pomdp.states_with_obs(o)
+                      for t in pomdp.supp(s, a) if obs_map[t] in plays}
+    o0 = obs_map[pomdp.initial_state]
     return SupportStrategy(memories, action_support, update_support,
                            o0 if o0 in plays else memories[0])
 
 
-def _safe_obs(pomdp: Supports, moves: Moves, safe_states: Iterable[str],
+def _safe_obs(graph: ObsGraph, start: Iterable[str],
               stats: dict | None = None,
-              ) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
-    """Fixpoint core of ``almost_safe``, on a ``Pomdp`` or a
-    ``BeliefObsPomdp``: the set and its kept actions."""
-    y = obs_cover(safe_states, pomdp)
-    rounds = 0
-    while True:
+              ) -> tuple[frozenset[str], dict[str, frozenset[str]],
+                         dict[str, int]]:
+    """Fixpoint core of ``almost_safe``: the set, its kept actions, and
+    the removal rank of every observation that leaves it.
+
+    One worklist pass from ``start``, ObsCover(F) for the safe states F.
+    An observation with no live slot goes, with rank 1 at the start and
+    otherwise one more than the rank of the removal that killed its last
+    slot: the round in which the round-by-round iteration removes it, so
+    that iteration takes max rank + 1 rounds (``safety_iterations``).
+    """
+    model = graph.model
+    inside = bytearray(len(model.observations))
+    for o in start:
+        inside[model.obs_index[o]] = 1
+    live, count = graph.counters(inside)
+    ranks: dict[str, int] = {}
+    rounds = 1
+    layer = [j for j, here in enumerate(inside) if here and not count[j]]
+    while layer:
+        for j in layer:
+            inside[j] = 0
+            ranks[model.observations[j]] = rounds
+        layer = graph.kill(live, count, layer)
         rounds += 1
-        kept = _kept(moves, y)
-        y2 = frozenset(o for o in y if kept[o])
-        if y2 == y:
-            break
-        y = y2
     if stats is not None:
         stats["safety_iterations"] = stats.get("safety_iterations", 0) + rounds
-    return y, {o: kept[o] for o in y}
+    return *graph.kept(inside, live), ranks
 
 
 def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
@@ -190,56 +175,72 @@ def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
     set, repeatedly drop observations with no covering-preserving action.
     The companion strategy plays every preserving action uniformly.
     """
-    moves = _moves(pomdp, pomdp.available)
-    y, plays = _safe_obs(pomdp, moves, safe_states, stats)
-    return y, (_obs_strategy(pomdp, moves, plays).to_strategy() if y else None)
+    graph = obs_graph(pomdp, pomdp.available)
+    y, plays, _ = _safe_obs(graph, obs_cover(safe_states, pomdp), stats)
+    return y, (_obs_strategy(pomdp, plays).to_strategy() if y else None)
 
 
-def _buchi_obs(pomdp: Supports, moves: Moves, targets: Iterable[str],
+def _buchi_obs(graph: ObsGraph, targets: Iterable[str],
                stats: dict | None = None,
-               ) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
-    """Fixpoint core of ``almost_buchi``, on a ``Pomdp`` or a
-    ``BeliefObsPomdp``: the set and its kept actions.
+               ) -> tuple[frozenset[str], dict[str, frozenset[str]],
+                          dict[str, int]]:
+    """Fixpoint core of ``almost_buchi``: the set, its kept actions, and
+    the outer round that removes each observation.
 
-    Z starts at the observations of the move table.  States the table
-    reads as absorbing must be targets: each then starts in X or keeps
-    no action, so its own supports never add to X.
+    Z starts at the graph's domain, and the live counters follow it as
+    it shrinks.  Each outer round grows X backwards from the targets
+    through live slots, over integer state rows compiled once per call.
+    States the graph reads as absorbing must be targets: each then starts
+    in X or keeps no action, so their rows are left out.
     """
-    targets = frozenset(targets)
-    z = frozenset(moves)
+    model, first, acts = graph.model, graph.first, graph.acts
+    names = model.observations
+    obs_of = [j for j, o in enumerate(names) if graph.domain[j]
+              for _ in model.states_with_obs(o)]
+    states = [s for j, o in enumerate(names) if graph.domain[j]
+              for s in model.states_with_obs(o)]
+    sid = {s: i for i, s in enumerate(states)}
+    rev: list[list[tuple[int, int]]] = [[] for _ in states]
+    for i, s in enumerate(states):
+        if s not in graph.absorbing:
+            j = obs_of[i]
+            for k in range(first[j], first[j + 1]):
+                for t in model.supp(s, acts[k]):
+                    if t in sid:
+                        rev[sid[t]].append((k, i))
+    goals = [sid[s] for s in frozenset(targets) if s in sid]
+    inside = bytearray(graph.domain)
+    live, count = graph.counters(inside)
+    ranks: dict[str, int] = {}
     outer = inner = 0
     while True:
         outer += 1
-        kept = _kept(moves, z)
-        base = {s for s in targets
-                if pomdp.obs_map[s] in z and kept[pomdp.obs_map[s]]}
-        # mu X: backward closure of the base through kept actions
-        rev: dict[str, list[str]] = {}
-        for o in z:
-            for s in pomdp.states_with_obs(o):
-                for a in kept[o]:
-                    for t in pomdp.supp(s, a):
-                        rev.setdefault(t, []).append(s)
-        x = set(base)
-        frontier = list(base)
+        x = bytearray(len(states))
+        frontier = [i for i in goals if count[obs_of[i]]]
+        for i in frontier:
+            x[i] = 1
         while frontier:
             inner += 1
             nxt = []
-            for t in frontier:
-                for s in rev.get(t, ()):
-                    if s not in x:
-                        x.add(s)
-                        nxt.append(s)
+            for u in frontier:
+                for k, i in rev[u]:
+                    if live[k] and not x[i]:
+                        x[i] = 1
+                        nxt.append(i)
             frontier = nxt
-        z2 = frozenset(o for o in z if set(pomdp.states_with_obs(o)) <= x)
-        if z2 == z:
+        removed = {obs_of[i] for i, got in enumerate(x)
+                   if not got and inside[obs_of[i]]}
+        if not removed:
             break
-        z = z2
+        for j in removed:
+            inside[j] = 0
+            ranks[names[j]] = outer
+        graph.kill(live, count, removed)
     if stats is not None:
         stats["buchi_outer_iterations"] = stats.get(
             "buchi_outer_iterations", 0) + outer
         stats["buchi_inner_steps"] = stats.get("buchi_inner_steps", 0) + inner
-    return z, {o: kept[o] for o in z}
+    return *graph.kept(inside, live), ranks
 
 
 def almost_buchi(pomdp: Pomdp, targets: Iterable[str],
@@ -253,9 +254,9 @@ def almost_buchi(pomdp: Pomdp, targets: Iterable[str],
     never risks leaving Z.  The companion strategy plays allow(o, Z*)
     uniformly; its recurrent classes all intersect the targets.
     """
-    moves = _moves(pomdp, pomdp.available)
-    z, plays = _buchi_obs(pomdp, moves, targets, stats)
-    return z, (_obs_strategy(pomdp, moves, plays).to_strategy() if z else None)
+    graph = obs_graph(pomdp, pomdp.available)
+    z, plays, _ = _buchi_obs(graph, targets, stats)
+    return z, (_obs_strategy(pomdp, plays).to_strategy() if z else None)
 
 
 def almost_reach(pomdp: Pomdp, targets: Iterable[str],
@@ -374,17 +375,18 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     bo = almost_cobuchi_red(pomdp, priority, root=root, budget=budget)
     stats["states_constructed"] = len(bo.states)
     mode = WinningMode.ALMOST_SURE
-    safe_set = frozenset(bo.states) - {bo.sink_state}
-    moves = _moves(bo, bo.available, by_name=bo.selection_obs)
-    y_safe, safe_plays = _safe_obs(bo, moves, safe_set, stats)
+    # ObsCover of every state but the losing sink
+    safe_obs = set(bo.observations) - {bo.sink_obs}
+    y_safe, safe_plays, _ = _safe_obs(obs_graph(bo, bo.available), safe_obs,
+                                      stats)
     stats["safe_observations"] = y_safe
     if bo.init_obs not in y_safe:
         stats["failed_stage"] = "safety"
         return Decision(False, mode, diagnostics=stats)
     # Reachability of wpr inside the safe part, wpr made absorbing.
     wpr = bo.certified_recurrent()
-    w2, reach_plays = _buchi_obs(
-        bo, _moves(bo, safe_plays, wpr, bo.selection_obs), wpr, stats)
+    w2, reach_plays, _ = _buchi_obs(obs_graph(bo, safe_plays, wpr), wpr,
+                                    stats)
     stats["winning_observations"] = w2
     if bo.init_obs not in w2:
         stats["failed_stage"] = "reachability"
@@ -467,9 +469,7 @@ def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
                                      f"for earlier roots of {budget}") from None
         stats["states_constructed"] += len(bo.states)
         targets = frozenset(s for s in bo.states if bo.priority[s] == 0)
-        z, kept = _buchi_obs(
-            bo, _moves(bo, bo.available, by_name=bo.selection_obs),
-            targets, stats)
+        z, kept, _ = _buchi_obs(obs_graph(bo, bo.available), targets, stats)
         if bo.init_obs not in z:
             continue
         stats["winning_root"] = t

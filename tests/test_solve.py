@@ -1,6 +1,7 @@
 """Fixpoint operators and the solve pipelines, cross-checked independently."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        pre, solve_parity_fm, solve_positive_buchi_fm,
                        solve_almost_cobuchi_fm)
 from pomparity import solve
-from pomparity.solve import _buchi_obs, _moves, _safe_obs
+from pomparity.beliefobs import obs_graph
+from pomparity.solve import _buchi_obs, _safe_obs
 from conftest import (all_memoryless_supports, chain_wins,
                       observation_stationary, random_belief_obs_pomdp,
                       random_mdp, random_parity, random_pomdp)
@@ -154,19 +156,22 @@ def reference_safe(pomdp, safe_states):
     """The safety fixpoint by its definition: nu Y. ObsCover(F) & Pre(Y)."""
     y = obs_cover(safe_states, pomdp)
     rounds = 0
+    removed = {}
     while True:
         rounds += 1
         y2 = pre(y, pomdp)
+        removed.update(dict.fromkeys(y - y2, rounds))
         if y2 == y:
             break
         y = y2
-    return y, {o: allow(o, y, pomdp) for o in y}, rounds
+    return y, {o: allow(o, y, pomdp) for o in y}, rounds, removed
 
 
 def reference_buchi(pomdp, targets):
     """The Buchi fixpoint by its definition, X grown one Apre layer a step."""
     z = frozenset(pomdp.observations)
     outer = inner = 0
+    removed = {}
     while True:
         outer += 1
         pre_z = pre(z, pomdp)
@@ -178,10 +183,11 @@ def reference_buchi(pomdp, targets):
             x |= layer
             grew = bool(layer)
         z2 = obs_cover(x, pomdp)
+        removed.update(dict.fromkeys(z - z2, outer))
         if z2 == z:
             break
         z = z2
-    return z, {o: allow(o, z, pomdp) for o in z}, outer, inner
+    return z, {o: allow(o, z, pomdp) for o in z}, outer, inner, removed
 
 
 def restrict_to(pomdp, obs_set):
@@ -203,15 +209,17 @@ def assert_reach_stage_matches(pomdp, y, plays, targets):
     against the Buchi reference on a restricted copy with absorbing targets."""
     inside = frozenset(s for s in targets if pomdp.obs_map[s] in y)
     stats = {}
-    w, kept = _buchi_obs(pomdp, _moves(pomdp, plays, inside), inside, stats)
+    w, kept, ranks = _buchi_obs(obs_graph(pomdp, plays, inside), inside, stats)
     absorbed = make_absorbing(restrict_to(pomdp, y), inside)
     assert (w, kept, stats["buchi_outer_iterations"],
-            stats["buchi_inner_steps"]) == reference_buchi(absorbed, inside)
+            stats["buchi_inner_steps"], ranks) == \
+        reference_buchi(absorbed, inside)
 
 
 def test_fixpoint_cores_match_the_reference_iteration():
-    """Same sets, kept actions and round counts as the definitions, on
-    random models and both rewrites, and for the co-Buchi pipeline's
+    """Same sets, kept actions and round counts as the definitions, and
+    each observation's removal rank equal to the round that removes it,
+    on random models and both rewrites, and for the co-Buchi pipeline's
     reach stage, which makes no restricted or absorbing copy."""
     rng = random.Random(8004)
     reach_stages = 0
@@ -222,24 +230,24 @@ def test_fixpoint_cores_match_the_reference_iteration():
         buc = positive_buchi_red(base, {s: rng.choice((0, 1))
                                         for s in base.states})
         for pomdp in (base, cob.pomdp, buc.pomdp):
-            moves = _moves(pomdp, pomdp.available)
+            graph = obs_graph(pomdp, pomdp.available)
             safe = {s for s in pomdp.states if rng.random() < 0.8}
             stats = {}
-            y, plays = _safe_obs(pomdp, moves, safe, stats)
-            assert (y, plays, stats["safety_iterations"]) == \
+            y, plays, ranks = _safe_obs(graph, obs_cover(safe, pomdp), stats)
+            assert (y, plays, stats["safety_iterations"], ranks) == \
                 reference_safe(pomdp, safe)
             targets = {s for s in pomdp.states if rng.random() < 0.3}
             stats = {}
-            z, kept = _buchi_obs(pomdp, moves, targets, stats)
+            z, kept, ranks = _buchi_obs(graph, targets, stats)
             assert (z, kept, stats["buchi_outer_iterations"],
-                    stats["buchi_inner_steps"]) == \
+                    stats["buchi_inner_steps"], ranks) == \
                 reference_buchi(pomdp, targets)
             if y:
                 assert_reach_stage_matches(pomdp, y, plays, targets)
 
         pomdp = cob.pomdp
-        y, plays = _safe_obs(pomdp, _moves(pomdp, pomdp.available),
-                             set(pomdp.states) - {cob.sink_state})
+        y, plays, _ = _safe_obs(obs_graph(pomdp, pomdp.available), obs_cover(
+            set(pomdp.states) - {cob.sink_state}, pomdp))
         if y:
             reach_stages += 1
             assert_reach_stage_matches(pomdp, y, plays,
@@ -247,11 +255,29 @@ def test_fixpoint_cores_match_the_reference_iteration():
     assert reach_stages >= 100
 
 
+def graph_table(graph):
+    """(observation, action) -> the observations the graph lets it reach."""
+    names = graph.model.observations
+    table = {(names[j], graph.acts[k]): set() for k, j in enumerate(graph.owner)}
+    for j, slots in enumerate(graph.pred):
+        assert len(set(slots)) == len(slots)
+        for k in slots:
+            table[(names[graph.owner[k]], graph.acts[k])].add(names[j])
+    return table
+
+
+def walked_table(pomdp, allowed, absorbing):
+    """The same table by a walk over every state's supports."""
+    return {(o, a): {pomdp.obs_map[t] for s in pomdp.states_with_obs(o)
+                     if s not in absorbing for t in pomdp.supp(s, a)}
+            for o in pomdp.observations if o in allowed for a in allowed[o]}
+
+
 def assert_implicit_rows_read_as_stored(bo, rng):
-    """The move table and the fixpoint cores on the rewrite, whose
+    """The observation graph and the fixpoint cores on the rewrite, whose
     memory-selection rows are implicit, against its playable model."""
     played = bo.pomdp
-    selection = [q for q in bo.moves if q in bo.selection_obs]
+    selection = [q for q, names in bo.moves.items() if names]
     for _ in range(4):
         allowed = {o: frozenset(a for a in acts if rng.random() < 0.7)
                    for o, acts in bo.available.items() if rng.random() < 0.9}
@@ -260,22 +286,25 @@ def assert_implicit_rows_read_as_stored(bo, rng):
             absorbing.update(bo.states_with_obs(q))
         absorbing = frozenset(absorbing)
         for absorb in (frozenset(), absorbing):
-            moves = _moves(bo, allowed, absorb, bo.selection_obs)
-            assert moves == _moves(played, allowed, absorb)
+            graphs = [obs_graph(model, allowed, absorb)
+                      for model in (bo, played)]
+            assert graph_table(graphs[0]) == graph_table(graphs[1]) == \
+                walked_table(played, allowed, absorb)
             safe = {s for s in bo.states
                     if bo.obs_map[s] in allowed and rng.random() < 0.9}
             targets = absorb | {s for s in bo.states if rng.random() < 0.3}
             runs = []
-            for model in (bo, played):
+            for graph in graphs:
                 stats = {}
-                runs.append((_safe_obs(model, moves, safe, stats),
-                             _buchi_obs(model, moves, targets, stats), stats))
+                runs.append((_safe_obs(graph, obs_cover(safe, bo), stats),
+                             _buchi_obs(graph, targets, stats), stats))
             assert runs[0] == runs[1]
 
 
 def test_move_table_reads_the_implicit_selection_rows(ex1):
-    """``_moves`` fills the rows it skips walking exactly as the walk
-    over the stored supports of the playable model would."""
+    """The graph read from the rewrite's records fills the rows it skips
+    walking exactly as the walk over the stored supports of the playable
+    model would, under random allowed actions and absorbing states."""
     rng = random.Random(8006)
     for _ in range(200):
         base = random_pomdp(rng)
@@ -286,6 +315,62 @@ def test_move_table_reads_the_implicit_selection_rows(ex1):
     base, parity = objective_as_parity(*ex1)
     assert_implicit_rows_read_as_stored(
         almost_cobuchi_red(base, parity.priority_map), rng)
+
+
+def with_a_reject(bo, rng):
+    """The rewrite with one selection observation recorded as the
+    construction records a branch that offers no element move."""
+    q = rng.choice([q for q, names in bo.moves.items() if names])
+    succ = dict(bo.succ)
+    for m in bo.states_with_obs(q):
+        succ[(m, bo.reject_action)] = (bo.sink_state,)
+    return replace(bo, moves={**bo.moves, q: ()}, succ=succ, available={
+        **bo.available, q: frozenset({bo.reject_action})})
+
+
+def test_observation_graph_reads_the_construction_records():
+    """On the full rewrite, with and without its certified-recurrent
+    states read as absorbing, the graph read from the records equals a
+    walk over every state's supports.  The draws cover disallowed actions
+    (all-sink rows), the initial and sink observations, and elements some
+    or all of whose states are certified.  No draw leaves a branch without
+    element moves, so one selection observation per rewrite is turned
+    into such a branch (routed to the sink by the reject action) by hand."""
+    rng = random.Random(8007)
+    seen = Counter()
+    for _ in range(200):
+        base = random_pomdp(rng)
+        for rewrite, values in ((almost_cobuchi_red, (1, 2)),
+                                (positive_buchi_red, (0, 1))):
+            bo = rewrite(base, {s: rng.choice(values) for s in base.states})
+            certified = bo.certified_recurrent()
+            for model in (bo, with_a_reject(bo, rng)):
+                for absorbing in (frozenset(), certified):
+                    table = graph_table(obs_graph(model, model.available,
+                                                  absorbing))
+                    assert table == walked_table(model.pomdp, model.available,
+                                                 absorbing)
+                    seen["reject"] += sum(table[(q, model.reject_action)]
+                                          == {model.sink_obs}
+                                          for q, names in model.moves.items()
+                                          if not names)
+            table = graph_table(obs_graph(bo, bo.available))
+            for e in bo.initial_moves:
+                assert table[(bo.init_obs, e)] == {e}
+            assert all(table[(bo.sink_obs, a)] == {bo.sink_obs}
+                       for a in bo.actions)
+            branches = {(e, a) for e, a, _ in bo.memsel}
+            seen["disallowed"] += sum(table[(e, a)] == {bo.sink_obs}
+                                      for e in bo.elements
+                                      for a in bo.available[e]
+                                      if (e, a) not in branches)
+            for e in bo.elements:
+                cut = len(certified.intersection(bo.states_with_obs(e)))
+                if cut:
+                    whole = cut == len(bo.states_with_obs(e))
+                    seen["all certified" if whole else "some certified"] += 1
+    assert min(seen[k] for k in ("disallowed", "reject", "all certified",
+                                 "some certified")) >= 100, seen
 
 
 # -- solve pipelines --
