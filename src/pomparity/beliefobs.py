@@ -28,9 +28,16 @@ predecessors), and on-belief states choose between an "explore" move
 states reach only committed states, and along every model edge the class
 table only shrinks (the tests check every generated move against this
 predicate).  Every summary a real strategy could carry is dominated by a
-generated one, so the reachable winning structure is preserved.  Where
-no move at all is generatable the play is routed to the losing sink by a
-dedicated reject action, mirroring how disallowed moves behave.  In
+generated one, so the reachable winning structure is preserved.
+
+The co-Buchi commitment invariant: every class table of an element
+contains {2}, and every committed belief state has table {{2}} and
+priority 2.  Only the root and the commit option commit, both with {{2}}
+and priority 2; caps (the explore tables) intersect tables that all
+contain {2}; ``action_allowed`` lets a committed belief state reach only
+priority-2 states, so a forced state can always commit.  Hence every
+branch offers an element move, and only disallowed actions enter the
+losing sink.  In
 Buchi mode the downstream analyses target raw priority-0 states and
 never read certificates, and a committed element's continuations are
 always mirrored by its uncommitted counterpart, so elements carry no
@@ -97,24 +104,12 @@ def action_allowed(element: MemoryElement, action: str, pomdp: Pomdp,
                    priority: Mapping[str, int]) -> bool:
     """May ``action`` be played without breaking a certified recurrence?
 
-    A belief state that is committed with a definite class set containing
-    its own priority claims the play is inside a recurrent class with
-    exactly those priorities; the action is allowed only if every
-    successor of such a state keeps its priority inside the claimed set.
+    A committed belief state claims the play is inside a recurrent class
+    of priority 2 (the commitment invariant), so the action is allowed
+    only if every successor of such a state has priority 2.
     """
-    for s in element.belief:
-        if s not in element.brec:
-            continue
-        zs = element.srec_of(s)
-        if len(zs) != 1:
-            continue
-        (zinf,) = zs
-        if priority[s] not in zinf:
-            continue
-        for t in pomdp.supp(s, action):
-            if priority[t] not in zinf:
-                return False
-    return True
+    return all(priority[t] == 2 for s in element.belief & element.brec
+               for t in pomdp.supp(s, action))
 
 
 def _initial_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
@@ -148,8 +143,8 @@ def _element_moves(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     under maximal tables.  In co-Buchi mode, out-of-belief components are
     canonical (forced commitments, cap tables); each new belief state
     contributes an explore and/or commit option, and the options multiply
-    out.  No moves means the branch is dead: none is compatible with the
-    commitments already made.  ``limit`` bounds the moves one branch may
+    out.  By the commitment invariant every state has an option, so every
+    branch has a move.  ``limit`` bounds the moves one branch may
     multiply out to.  Moves are element keys, which cost no canonical
     element to build.
     """
@@ -181,10 +176,8 @@ def _element_moves(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
             options: list[tuple[bool, frozenset]] = []
             if t not in forced:
                 options.append((False, cap))
-            if priority[t] == 2 and frozenset({2}) in cap:
+            if priority[t] == 2:
                 options.append((True, _GOOD2))
-            if not options:
-                return ()
             per_state.append((t, i, options))
             combinations *= len(options)
         if limit is not None and combinations > limit:
@@ -217,13 +210,14 @@ class BeliefObsPomdp:
     in ``elements`` are memory elements and double as the element-move
     action names.  ``memsel`` maps (element name, model action, model
     observation) to the intermediate observation where the next element is
-    chosen, and ``moves`` lists the element names offered there (empty =
-    routed to the sink by the reject action).  ``msel`` maps each state of
-    such an observation to its model state t.  ``succ`` holds no row for
-    a memory-selection state and an offered move e: that row is
-    ``(A~t~e,)``, and ``supp`` answers it from ``msel`` and ``moves``; the
-    reject rows are stored.  ``priority`` assigns every new state its
-    two-priority value.
+    chosen, and ``moves`` lists the element names offered there (never
+    empty, by the module's commitment invariant).  ``msel`` maps each
+    state of such an observation to its model state t.  ``succ`` holds no
+    row for a memory-selection state: its row for an offered move e is
+    ``(A~t~e,)``, and ``supp`` answers it from ``msel`` and ``moves``.  The
+    only stored rows into the sink are those of disallowed actions and the
+    sink's own.  ``priority`` assigns every new state its two-priority
+    value.
     """
 
     mode: str
@@ -240,13 +234,11 @@ class BeliefObsPomdp:
     sink_state: str
     init_obs: str
     sink_obs: str
-    reject_action: str
     initial_moves: tuple[str, ...]
     elements: dict[str, MemoryElement]
     memsel: dict[tuple[str, str, str], str]
     moves: dict[str, tuple[str, ...]] = field(default_factory=dict)
     msel: dict[str, str] = field(default_factory=dict)
-    actionsel: dict[str, tuple[str, str]] = field(default_factory=dict)
 
     def supp(self, state: str, action: str) -> tuple[str, ...]:
         row = self.succ.get((state, action))
@@ -266,42 +258,25 @@ class BeliefObsPomdp:
 
     @cached_property
     def pomdp(self) -> Pomdp:
-        """The playable model: uniform exact weights over every support.
-
-        Rows come in construction order: the memory-selection rows of one
-        (element, action) branch just before the first stored row of it.
-        """
-        branch_of: dict[str, tuple[str, str]] = {}
-        pending: dict[tuple[str, str], list[str]] = {}
-        for (ename, a, _), q in self.memsel.items():
-            branch_of[q] = (ename, a)
-            pending.setdefault((ename, a), []).append(q)
-        weights = {}
-        for (s, a), row in self.succ.items():
-            branch = (branch_of[self.obs_map[s]] if s in self.msel
-                      else (self.obs_map[s], a))
-            for q in pending.pop(branch, ()):
-                for m in self.classes[q]:
-                    for e in self.moves[q] or (self.reject_action,):
-                        weights[(m, e)] = uniform(self.supp(m, e))
-            if (s, a) not in weights:
-                weights[(s, a)] = uniform(row)
+        """The playable model: uniform exact weights over every support."""
+        weights = {key: uniform(row) for key, row in self.succ.items()}
+        for q, offered in self.moves.items():
+            for m in self.classes[q]:
+                for e in offered:
+                    weights[(m, e)] = uniform(self.supp(m, e))
         return Pomdp(self.states, self.actions, self.observations,
                      self.obs_map, weights, self.init_state, self.available)
 
     def certified_recurrent(self) -> frozenset[str]:
         """Action-selection states whose element certifies a won recurrence.
 
-        Committed, class table {{2}}, priority 2.  Buchi-mode elements
-        never commit, so there the set is empty.
+        By the commitment invariant these are exactly the committed belief
+        states (class table {{2}}, priority 2).  Buchi-mode elements never
+        commit, so there the set is empty.
         """
-        out: set[str] = set()
-        for name, (s, elem_name) in self.actionsel.items():
-            elem = self.elements[elem_name]
-            if (s in elem.brec and elem.srec_map[s] == _GOOD2
-                    and self.priority[name] == 2):
-                out.add(name)
-        return frozenset(out)
+        return frozenset(_act_state(s, ename)
+                         for ename, elem in self.elements.items()
+                         for s in elem.belief & elem.brec)
 
 
 def _act_state(s: str, ename: str) -> str:
@@ -380,11 +355,10 @@ def obs_graph(model: Pomdp | BeliefObsPomdp,
     A ``Pomdp`` is compiled by walking the supports of every state.  A
     rewrite is read from its construction records without a walk: an
     element's action leads to the observations ``memsel`` lists for it, or
-    to the sink when its rows are the stored sink rows; at any other
-    observation an available action e leads every state to observation e
-    if e is an element, and to the sink otherwise; the sink leads to
-    itself.  Only an element some but not all of whose states are
-    absorbing has the rows of its other states walked.
+    to the sink when its rows are the stored sink rows; at the initial and
+    memory-selection observations a move e leads to observation e; the
+    sink leads to itself.  Only an element some but not all of whose
+    states are absorbing has the rows of its other states walked.
     """
     index, obs_map = model.obs_index, model.obs_map
     n = len(model.observations)
@@ -425,8 +399,7 @@ def obs_graph(model: Pomdp | BeliefObsPomdp,
             avail, moves = model.available[o], o != model.sink_obs
             for k, a in enumerate(allowed[o], base):
                 if a in avail:
-                    pred[index[a] if moves and a in elements
-                         else sink].append(k)
+                    pred[index[a] if moves else sink].append(k)
     graph.first[n] = len(acts)
     return graph
 
@@ -442,7 +415,6 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         raise StructuralError(f"unknown root state {root!r}")
 
     taken_actions = set(pomdp.actions)
-    reject = fresh_name("reject", taken_actions)
 
     elem_name: dict[ElementKey, str] = {}
     elements: dict[str, MemoryElement] = {}
@@ -458,7 +430,6 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     available: dict[str, frozenset[str]] = {}
     priority_out: dict[str, int] = {
         init_state: 2 if mode == COBUCHI_MODE else 1, sink_state: 1}
-    actionsel: dict[str, tuple[str, str]] = {}
     memsel: dict[tuple[str, str, str], str] = {}
     moves: dict[str, tuple[str, ...]] = {}
     msel: dict[str, str] = {}
@@ -485,7 +456,6 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
             states.append(name)
             obs_map[name] = ename
             priority_out[name] = prio[s]
-            actionsel[name] = (s, ename)
         guard_budget()
         frontier.append(ename)
         return ename
@@ -527,23 +497,20 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                 move_names = tuple(add_element(e2)
                                    for e2 in moves_to(frozenset(split[o])))
                 moves[qname] = move_names
-                available[qname] = (frozenset(move_names) if move_names
-                                    else frozenset({reject}))
+                available[qname] = frozenset(move_names)
                 for t in split[o]:
                     mname = f"M~{t}~{qname}"
                     states.append(mname)
                     obs_map[mname] = qname
                     priority_out[mname] = prio[t]
                     msel[mname] = t
-                    if not move_names:
-                        succ[(mname, reject)] = to_sink
                 guard_budget()
             for s in elem.belief:
                 succ[(_act_state(s, ename), a)] = tuple(
                     f"M~{t}~{qname_of[pomdp.obs_map[t]]}"
                     for t in pomdp.supp(s, a))
 
-    all_actions = tuple(pomdp.actions) + (reject,) + tuple(elements)
+    all_actions = tuple(pomdp.actions) + tuple(elements)
     for a in all_actions:
         succ[(sink_state, a)] = to_sink
     available[sink_obs] = frozenset(all_actions)
@@ -557,9 +524,8 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         available=available, succ=succ, classes=classes,
         priority=priority_out, root=root, init_state=init_state,
         sink_state=sink_state, init_obs=init_obs, sink_obs=sink_obs,
-        reject_action=reject, initial_moves=initial_moves,
-        elements=elements, memsel=memsel, moves=moves, msel=msel,
-        actionsel=actionsel)
+        initial_moves=initial_moves, elements=elements, memsel=memsel,
+        moves=moves, msel=msel)
 
 
 def almost_cobuchi_red(pomdp: Pomdp, priority: Mapping[str, int],

@@ -52,30 +52,26 @@ class CliError(Exception):
     pass
 
 
-def _fail(message: str) -> "CliError":
-    return CliError(message)
-
-
 def _load_model(path: str, need_objective: bool) -> tuple[Pomdp, Objective | None]:
     try:
         pomdp, objective = load_model_file(path)
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (ParseError, ExactnessError) as exc:
-        raise _fail(f"{path}: {exc}") from None
+        raise CliError(f"{path}: {exc}") from None
     problems = validate(pomdp)
     hard = [p for p in problems if _WAIVED_MARK not in p]
     for p in problems:
         if _WAIVED_MARK in p:
             print(f"warning: {path}: {p}", file=sys.stderr)
     if hard:
-        raise _fail("\n".join(f"{path}: {p}" for p in hard))
+        raise CliError("\n".join(f"{path}: {p}" for p in hard))
     if objective is not None:
         obj_problems = validate_objective(pomdp, objective)
         if obj_problems:
-            raise _fail("\n".join(f"{path}: {p}" for p in obj_problems))
+            raise CliError("\n".join(f"{path}: {p}" for p in obj_problems))
     if need_objective and objective is None:
-        raise _fail(f"{path}: the model file declares no objective")
+        raise CliError(f"{path}: the model file declares no objective")
     return pomdp, objective
 
 
@@ -83,9 +79,9 @@ def _load_strategy(path: str):
     try:
         return load_strategy_file(path)
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (ParseError, ExactnessError) as exc:
-        raise _fail(f"{path}: {exc}") from None
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _record(**fields) -> str:
@@ -97,7 +93,7 @@ def _write_text(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
-        raise _fail(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_solve(args) -> int:
@@ -107,7 +103,7 @@ def _cmd_solve(args) -> int:
     try:
         decision = solve_parity_fm(pomdp, objective, mode, budget=args.budget)
     except ResourceLimitError as exc:
-        raise _fail(f"state budget exhausted: {exc}") from None
+        raise CliError(f"state budget exhausted: {exc}") from None
     wall = time.perf_counter() - started
     diag = decision.diagnostics
     iterations = (diag.get("safety_iterations", 0)
@@ -137,7 +133,7 @@ def _cmd_verify(args) -> int:
     try:
         chain = build_product_chain(base, strategy)
     except StructuralError as exc:
-        raise _fail(f"{args.strategy}: {exc}") from None
+        raise CliError(f"{args.strategy}: {exc}") from None
     winning = evaluate_qualitative(chain, evaluable, mode)
     print(_record(verdict="yes" if winning else "no", mode=args.mode,
                   nodes=len(chain.nodes),
@@ -153,7 +149,7 @@ def _cmd_project(args) -> int:
         projected = project_strategy(base, strategy,
                                      objective_colors(evaluable))
     except StructuralError as exc:
-        raise _fail(f"{args.strategy}: {exc}") from None
+        raise CliError(f"{args.strategy}: {exc}") from None
     text = serialize_strategy(projected)
     if args.output is None:
         sys.stdout.write(text)
@@ -166,12 +162,12 @@ def _cmd_project(args) -> int:
 def _cmd_reduce(args) -> int:
     pomdp, objective = _load_model(args.model, need_objective=True)
     if objective.kind == MULLER:
-        raise _fail("reduce does not handle Muller objectives")
+        raise CliError("reduce does not handle Muller objectives")
     base, parity = objective_as_parity(pomdp, objective)
     try:
         red: ReductionOutput = _REDUCTIONS[args.to](base, parity)
     except ContractError as exc:
-        raise _fail(str(exc)) from None
+        raise CliError(str(exc)) from None
     text = serialize_model(red.pomdp, red.objective)
     origin_lines = []
     for new in red.pomdp.states:
@@ -217,9 +213,9 @@ def _cmd_info(args) -> int:
     try:
         pomdp, objective = load_model_file(args.model)
     except OSError as exc:
-        raise _fail(f"cannot read {args.model}: {exc.strerror or exc}") from None
+        raise CliError(f"cannot read {args.model}: {exc.strerror or exc}") from None
     except (ParseError, ExactnessError) as exc:
-        raise _fail(f"{args.model}: {exc}") from None
+        raise CliError(f"{args.model}: {exc}") from None
     problems = validate(pomdp)
     if objective is not None:
         problems += validate_objective(pomdp, objective)
@@ -301,10 +297,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ContractError, StructuralError, ResourceLimitError) as exc:
+    except (CliError, ContractError, StructuralError,
+            ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

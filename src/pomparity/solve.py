@@ -341,7 +341,7 @@ def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
                 q = bo.memsel.get((e, a, o))
                 if q is None or q not in plays:
                     continue
-                nxt = tuple(sorted(m for m in plays[q] if m in bo.elements))
+                nxt = tuple(sorted(plays[q]))
                 if nxt:
                     update_support[(e, o, a)] = nxt
     table = SupportStrategy(
@@ -394,7 +394,7 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
 
     plays = {o: reach_plays.get(o, acts) for o, acts in safe_plays.items()
              if o not in (bo.init_obs, bo.sink_obs)}
-    first = sorted(m for m in reach_plays[bo.init_obs] if m in bo.elements)
+    first = sorted(reach_plays[bo.init_obs])
     table = _witness_from_plays(pomdp, bo, plays, first)
     witness = _verify(pomdp, Objective.parity(dict(priority)), mode, table)
     return Decision(True, mode, witness=witness, diagnostics=stats)
@@ -476,7 +476,7 @@ def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
         stats["winning_observations"] = z
         plays = {o: acts for o, acts in kept.items()
                  if o not in (bo.init_obs, bo.sink_obs)}
-        first = sorted(m for m in kept[bo.init_obs] if m in bo.elements)
+        first = sorted(kept[bo.init_obs])
         tail = _witness_from_plays(pomdp, bo, plays, first)
         witness = _verify(pomdp, objective, mode,
                           _prefix_then(pomdp, paths[t], tail))

@@ -7,7 +7,8 @@ from typing import Iterable
 import pytest
 
 from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
-                       StructuralError, almost_cobuchi_red, belief_update,
+                       StructuralError, almost_cobuchi_red,
+                       almost_parity_to_cobuchi, belief_update,
                        is_belief_observation, objective_as_parity,
                        positive_buchi_red, validate)
 from pomparity.strategy import MemoryElement
@@ -97,6 +98,7 @@ def test_rewrite_memory_selection_states(ex1_rewrite):
         elem = bo.elements[ename]
         new_belief = belief_update(base, elem.belief, a, o)
         offered = bo.moves[qname]
+        assert offered
         for e2name in offered:
             assert bo.elements[e2name].belief == new_belief
         members = [s for s in bo.pomdp.states
@@ -105,13 +107,9 @@ def test_rewrite_memory_selection_states(ex1_rewrite):
         for t in new_belief:
             mname = f"M~{t}~{qname}"
             assert bo.priority[mname] == prio[t]
-            if offered:
-                for e2name in offered:
-                    assert (bo.pomdp.dist(mname, e2name)
-                            == {f"A~{t}~{e2name}": Fraction(1)})
-            else:
-                assert (bo.pomdp.dist(mname, bo.reject_action)
-                        == {bo.sink_state: Fraction(1)})
+            for e2name in offered:
+                assert (bo.pomdp.dist(mname, e2name)
+                        == {f"A~{t}~{e2name}": Fraction(1)})
 
 
 def test_rewrite_certificates_claim_only_priority_two(ex1_rewrite):
@@ -120,10 +118,61 @@ def test_rewrite_certificates_claim_only_priority_two(ex1_rewrite):
     assert certified
     for name in certified:
         assert bo.priority[name] == 2
-        s, ename = bo.actionsel[name]
+        ename = bo.obs_map[name]
         elem = bo.elements[ename]
+        (s,) = [s for s in elem.belief if f"A~{s}~{ename}" == name]
         assert s in elem.brec
         assert elem.srec_of(s) == frozenset({frozenset({2})})
+
+
+def without_an_action(pomdp, rng):
+    """The model with one action made unavailable at one observation."""
+    o, a = rng.choice(pomdp.observations), rng.choice(pomdp.actions)
+    available = {o: frozenset(pomdp.actions) - {a}}
+    model = Pomdp(pomdp.states, pomdp.actions, pomdp.observations,
+                  pomdp.obs_map, {(s, b): dict(pomdp.dist(s, b))
+                                  for (s, b) in pomdp.transitions
+                                  if (pomdp.obs_map[s], b) != (o, a)},
+                  pomdp.initial_state, available)
+    assert validate(model) == []
+    return model
+
+
+def assert_commitment_invariant(bo):
+    """The beliefobs module docstring's co-Buchi commitment invariant and
+    its consequences: every branch offers a move, and the certified
+    states are the committed ones with table {{2}} and priority 2."""
+    good = frozenset({frozenset({2})})
+    certified = set()
+    for ename, elem in bo.elements.items():
+        assert all(frozenset({2}) in table for table in elem.srec_map.values())
+        for s in elem.belief & elem.brec:
+            assert elem.srec_of(s) == good
+            assert bo.priority[f"A~{s}~{ename}"] == 2
+        certified.update(
+            f"A~{s}~{ename}" for s in elem.belief
+            if s in elem.brec and elem.srec_of(s) == good
+            and bo.priority[f"A~{s}~{ename}"] == 2)
+    assert all(bo.moves[q] for q in bo.memsel.values())
+    assert bo.certified_recurrent() == certified
+    return len(certified)
+
+
+def test_cobuchi_rewrites_keep_the_commitment_invariant(ex1):
+    rng = random.Random(7003)
+    certified = restricted = 0
+    for i in range(300):
+        pomdp = random_pomdp(rng)
+        if i % 2:
+            pomdp = without_an_action(pomdp, rng)
+            restricted += 1
+        prio = {s: rng.choice((1, 2)) for s in pomdp.states}
+        certified += assert_commitment_invariant(almost_cobuchi_red(pomdp, prio))
+    assert certified > 1000 and restricted == 150
+    red = almost_parity_to_cobuchi(*objective_as_parity(*ex1))
+    prio = {s: 2 if s in red.objective.targets else 1 for s in red.pomdp.states}
+    assert assert_commitment_invariant(
+        almost_cobuchi_red(red.pomdp, prio)) == 15513
 
 
 def test_rewrite_objective_matches_priorities(ex1_rewrite):

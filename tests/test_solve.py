@@ -317,25 +317,12 @@ def test_move_table_reads_the_implicit_selection_rows(ex1):
         almost_cobuchi_red(base, parity.priority_map), rng)
 
 
-def with_a_reject(bo, rng):
-    """The rewrite with one selection observation recorded as the
-    construction records a branch that offers no element move."""
-    q = rng.choice([q for q, names in bo.moves.items() if names])
-    succ = dict(bo.succ)
-    for m in bo.states_with_obs(q):
-        succ[(m, bo.reject_action)] = (bo.sink_state,)
-    return replace(bo, moves={**bo.moves, q: ()}, succ=succ, available={
-        **bo.available, q: frozenset({bo.reject_action})})
-
-
 def test_observation_graph_reads_the_construction_records():
     """On the full rewrite, with and without its certified-recurrent
     states read as absorbing, the graph read from the records equals a
     walk over every state's supports.  The draws cover disallowed actions
     (all-sink rows), the initial and sink observations, and elements some
-    or all of whose states are certified.  No draw leaves a branch without
-    element moves, so one selection observation per rewrite is turned
-    into such a branch (routed to the sink by the reject action) by hand."""
+    or all of whose states are certified."""
     rng = random.Random(8007)
     seen = Counter()
     for _ in range(200):
@@ -344,16 +331,10 @@ def test_observation_graph_reads_the_construction_records():
                                 (positive_buchi_red, (0, 1))):
             bo = rewrite(base, {s: rng.choice(values) for s in base.states})
             certified = bo.certified_recurrent()
-            for model in (bo, with_a_reject(bo, rng)):
-                for absorbing in (frozenset(), certified):
-                    table = graph_table(obs_graph(model, model.available,
-                                                  absorbing))
-                    assert table == walked_table(model.pomdp, model.available,
-                                                 absorbing)
-                    seen["reject"] += sum(table[(q, model.reject_action)]
-                                          == {model.sink_obs}
-                                          for q, names in model.moves.items()
-                                          if not names)
+            for absorbing in (frozenset(), certified):
+                table = graph_table(obs_graph(bo, bo.available, absorbing))
+                assert table == walked_table(bo.pomdp, bo.available,
+                                             absorbing)
             table = graph_table(obs_graph(bo, bo.available))
             for e in bo.initial_moves:
                 assert table[(bo.init_obs, e)] == {e}
@@ -369,7 +350,7 @@ def test_observation_graph_reads_the_construction_records():
                 if cut:
                     whole = cut == len(bo.states_with_obs(e))
                     seen["all certified" if whole else "some certified"] += 1
-    assert min(seen[k] for k in ("disallowed", "reject", "all certified",
+    assert min(seen[k] for k in ("disallowed", "all certified",
                                  "some certified")) >= 100, seen
 
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pomparity import (ContractError, ExactnessError, FiniteMemoryStrategy,
                        MemoryElement, Objective, SupportStrategy,
@@ -32,6 +32,7 @@ def summaries(pomdp, strategy, colors):
     return out
 
 
+@settings(max_examples=100, derandomize=True)
 @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True))
 def test_uniform_is_an_exact_distribution(items):
     dist = uniform(items)
@@ -88,6 +89,7 @@ def support_tables(draw):
         elements=draw(st.dictionaries(st.sampled_from(memories), element)))
 
 
+@settings(max_examples=100, derandomize=True)
 @given(support_tables())
 def test_weighting_a_table_gives_the_table_back(table):
     assert table.to_strategy().supports == table
