@@ -28,7 +28,10 @@ predecessors), and on-belief states choose between an "explore" move
 states reach only committed states, and along every model edge the class
 table only shrinks (the tests check every generated move against this
 predicate).  Every summary a real strategy could carry is dominated by a
-generated one, so the reachable winning structure is preserved.
+generated one, so the reachable winning structure is preserved.  One
+construction enumerates each branch signature (forced commitments, cap
+tables, new belief) once: branches with equal signatures share one move
+tuple and one offered set, so these objects must never be mutated.
 
 The co-Buchi commitment invariant: every class table of an element
 contains {2}, and every committed belief state has table {{2}} and
@@ -134,24 +137,28 @@ def _initial_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
 def _element_moves(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                    element: MemoryElement, action: str,
                    limit: int | None = None
-                   ) -> Callable[[frozenset[str]], tuple[ElementKey, ...]]:
+                   ) -> tuple[tuple, Callable[[frozenset[str]],
+                                              tuple[ElementKey, ...]]]:
     """The generated element moves after ``action`` from ``element``.
 
-    Returns a function from the new belief of one branch observation to
-    that branch's moves; what the observation does not change is computed
-    once, here.  Buchi mode yields the single belief-support successor
-    under maximal tables.  In co-Buchi mode, out-of-belief components are
-    canonical (forced commitments, cap tables); each new belief state
-    contributes an explore and/or commit option, and the options multiply
-    out.  By the commitment invariant every state has an option, so every
-    branch has a move.  ``limit`` bounds the moves one branch may
-    multiply out to.  Moves are element keys, which cost no canonical
-    element to build.
+    Returns a signature and a function from the new belief of one branch
+    observation to that branch's moves; what the observation does not
+    change is computed once, here.  The moves depend only on the signature
+    (the forced commitments and cap tables; empty in Buchi mode) and the
+    new belief.  Only ``element.srec`` and the committed belief states
+    ``element.belief & element.brec`` are read.  Buchi mode yields the
+    single belief-support successor under maximal tables.  In co-Buchi
+    mode, out-of-belief components are canonical (forced commitments, cap
+    tables); each new belief state contributes an explore and/or commit
+    option, and the options multiply out.  By the commitment invariant
+    every state has an option, so every branch has a move.  ``limit``
+    bounds the moves one branch may multiply out to.  Moves are element
+    keys, which cost no canonical element to build.
     """
     top = _TOP[mode]
     if mode == BUCHI_MODE:
         maximal = (top,) * len(pomdp.states)
-        return lambda new_belief: ((new_belief, frozenset(), maximal),)
+        return (), lambda new_belief: ((new_belief, frozenset(), maximal),)
 
     caps: dict[str, frozenset[frozenset[int]]] = {}
     forced: set[str] = set()
@@ -196,7 +203,7 @@ def _element_moves(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
             out.append((new_belief, frozenset(brec), tuple(tables)))
         return tuple(out)
 
-    return moves
+    return (frozenset(forced), tuple(base_tables)), moves
 
 
 @dataclass
@@ -214,7 +221,9 @@ class BeliefObsPomdp:
     empty, by the module's commitment invariant).  ``msel`` maps each
     state of such an observation to its model state t.  ``succ`` holds no
     row for a memory-selection state: its row for an offered move e is
-    ``(A~t~e,)``, and ``supp`` answers it from ``msel`` and ``moves``.  The
+    ``(A~t~e,)``, and ``supp`` answers it from ``msel`` and ``moves``.
+    Branches with equal signatures share one ``moves`` tuple and one
+    ``available`` set, so these objects must never be mutated.  The
     only stored rows into the sink are those of disallowed actions and the
     sink's own.  ``priority`` assigns every new state its two-priority
     value.
@@ -433,6 +442,10 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     memsel: dict[tuple[str, str, str], str] = {}
     moves: dict[str, tuple[str, ...]] = {}
     msel: dict[str, str] = {}
+    # (action, srec, committed belief states) -> _element_moves' result
+    cap_memo: dict[tuple, tuple] = {}
+    # (signature, new belief) -> one branch's offered names, shared
+    branch_memo: dict[tuple, tuple[tuple[str, ...], frozenset[str]]] = {}
 
     def guard_budget() -> None:
         if len(states) > budget:
@@ -487,19 +500,26 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
             split: dict[str, list[str]] = {}
             for t in reached:
                 split.setdefault(pomdp.obs_map[t], []).append(t)
-            moves_to = _element_moves(pomdp, prio, mode, elem, a, limit=budget)
-            qname_of: dict[str, str] = {}
+            cap_key = (a, elem.srec, elem.belief & elem.brec)
+            found = cap_memo.get(cap_key)
+            if found is None:
+                found = cap_memo[cap_key] = _element_moves(
+                    pomdp, prio, mode, elem, a, limit=budget)
+            signature, moves_to = found
+            mname_of: dict[str, str] = {}
             for o in sorted(split, key=pomdp.obs_index.__getitem__):
                 qname = f"q{len(memsel)}"
                 memsel[(ename, a, o)] = qname
-                qname_of[o] = qname
                 observations.append(qname)
-                move_names = tuple(add_element(e2)
-                                   for e2 in moves_to(frozenset(split[o])))
-                moves[qname] = move_names
-                available[qname] = frozenset(move_names)
+                new_belief = frozenset(split[o])
+                branch = (signature, new_belief)
+                offered = branch_memo.get(branch)
+                if offered is None:
+                    names = tuple(map(add_element, moves_to(new_belief)))
+                    offered = branch_memo[branch] = (names, frozenset(names))
+                moves[qname], available[qname] = offered
                 for t in split[o]:
-                    mname = f"M~{t}~{qname}"
+                    mname = mname_of[t] = f"M~{t}~{qname}"
                     states.append(mname)
                     obs_map[mname] = qname
                     priority_out[mname] = prio[t]
@@ -507,8 +527,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                 guard_budget()
             for s in elem.belief:
                 succ[(_act_state(s, ename), a)] = tuple(
-                    f"M~{t}~{qname_of[pomdp.obs_map[t]]}"
-                    for t in pomdp.supp(s, a))
+                    map(mname_of.__getitem__, pomdp.supp(s, a)))
 
     all_actions = tuple(pomdp.actions) + tuple(elements)
     for a in all_actions:

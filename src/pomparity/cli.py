@@ -19,6 +19,7 @@ output unsolvable.  All other violations abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -232,7 +233,10 @@ def _cmd_info(args) -> int:
     return 2 if hard else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``cli_main`` call; each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="pomparity",
         description="Qualitative finite-memory analysis of POMDPs.")
@@ -293,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (CliError, ContractError, StructuralError,

@@ -11,6 +11,7 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        almost_parity_to_cobuchi, belief_update,
                        is_belief_observation, objective_as_parity,
                        positive_buchi_red, validate)
+from pomparity import beliefobs
 from pomparity.strategy import MemoryElement
 from conftest import random_belief_obs_pomdp, random_pomdp
 
@@ -335,3 +336,48 @@ def test_elements_are_interned(ex1, monkeypatch):
         for qname, offered in bo.moves.items():
             for mname in bo.states_with_obs(qname):
                 assert not any((mname, e) in bo.succ for e in offered)
+
+
+def test_shared_branch_moves_are_the_enumerated_ones(ex1, monkeypatch):
+    """Every memory-selection observation offers, in order, exactly the
+    moves a fresh enumeration of its branch gives, though the construction
+    enumerates each branch signature only once."""
+    element_moves = beliefobs._element_moves
+    enumerated = []
+
+    def counting(*args, **kwargs):
+        signature, moves = element_moves(*args, **kwargs)
+
+        def counted(new_belief):
+            enumerated.append(new_belief)
+            return moves(new_belief)
+        return signature, counted
+
+    monkeypatch.setattr(beliefobs, "_element_moves", counting)
+    red = almost_parity_to_cobuchi(*objective_as_parity(*ex1))
+    cases = [(almost_cobuchi_red, beliefobs.COBUCHI_MODE, red.pomdp,
+              {s: 2 if s in red.objective.targets else 1
+               for s in red.pomdp.states})]
+    rng = random.Random(8009)
+    for _ in range(60):
+        model = random_pomdp(rng)
+        for rewrite, mode, values in (
+                (almost_cobuchi_red, beliefobs.COBUCHI_MODE, (1, 2)),
+                (positive_buchi_red, beliefobs.BUCHI_MODE, (0, 1))):
+            cases.append((rewrite, mode, model,
+                          {s: rng.choice(values) for s in model.states}))
+    for i, (rewrite, mode, model, prio) in enumerate(cases):
+        enumerated.clear()
+        bo = rewrite(model, prio)
+        if i == 0:
+            assert len(enumerated) < len(bo.memsel) == 3454
+        name_of = {elem: name for name, elem in bo.elements.items()}
+        for (ename, a, o), q in bo.memsel.items():
+            elem = bo.elements[ename]
+            _, moves = element_moves(model, prio, mode, elem, a)
+            fresh = tuple(name_of[MemoryElement.make(
+                              belief, brec, dict(zip(model.states, tables)))]
+                          for belief, brec, tables in moves(
+                              belief_update(model, elem.belief, a, o)))
+            assert bo.moves[q] == fresh
+            assert bo.available[q] == frozenset(fresh)

@@ -95,6 +95,22 @@ def test_solve_explicit_witness_path(tmp_path, capsys):
     assert code == 0
 
 
+def test_parser_keeps_no_value_between_calls(tmp_path, capsys):
+    """The shared parser leaks no option of one call into the next."""
+    model = write_ex1(tmp_path)
+    target = str(tmp_path / "w.strat")
+    code, _, err = run(capsys, "solve", "--mode", "almost", model,
+                       "--witness", target, "--budget", "100000")
+    assert code == 0 and f"witness: {target}" in err
+    code, _, _ = run(capsys, "info", model)
+    assert code == 0
+    code, _, err = run(capsys, "solve", "--mode", "positive", model)
+    assert code == 0
+    default = str(tmp_path / "ex1.witness.strat")
+    assert f"witness: {default}" in err
+    assert (tmp_path / "ex1.witness.strat").exists()
+
+
 def test_solve_losing_model_exits_one_without_witness(tmp_path, capsys):
     path = tmp_path / "doom.pomdp"
     path.write_text(LOSING_MODEL, encoding="utf-8")
