@@ -13,8 +13,8 @@ Two variants share the skeleton:
 
 * ``almost_cobuchi_red`` for priorities {1,2} — almost-sure co-Buchi
   analysis; initial elements certify that only all-priority-2 recurrences
-  are reachable, and "winning pseudo-recurrent" states (committed, class
-  table {{2}}, priority 2) are the reachability targets downstream.
+  are reachable, and the "winning pseudo-recurrent" states (committed,
+  class table {{2}}, priority 2) are the Buchi targets downstream.
 * ``positive_buchi_red`` for priorities {0,1} — the Buchi analyses; the
   downstream target is simply the priority-0 states.
 
@@ -40,8 +40,16 @@ and priority 2; caps (the explore tables) intersect tables that all
 contain {2}; ``action_allowed`` lets a committed belief state reach only
 priority-2 states, so a forced state can always commit.  Hence every
 branch offers an element move, and only disallowed actions enter the
-losing sink.  In
-Buchi mode the downstream analyses target raw priority-0 states and
+losing sink.  The certified-recurrent states (the committed belief
+states) are closed: every allowed action of one leads, through every
+offered element move, to certified-recurrent states.  Such a state's
+successors t are forced, a forced t (priority 2, by ``action_allowed``)
+is offered only the commit option, and t lies in its branch's new
+belief, so every offered element holds t as a committed belief state.
+A play that avoids the sink thus stays among these states once it
+reaches them: reaching them is visiting them infinitely often.
+
+In Buchi mode the downstream analyses target raw priority-0 states and
 never read certificates, and a committed element's continuations are
 always mirrored by its uncommitted counterpart, so elements carry no
 commitments at all: the construction is the plain belief-support
@@ -51,6 +59,7 @@ automaton under maximal class tables, one successor element per branch.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -301,8 +310,8 @@ class ObsGraph:
     entry in the allowed actions.  Observation j owns the action slots
     ``first[j]`` to ``first[j + 1] - 1``; slot k plays ``acts[k]`` at
     observation ``owner[k]``.  ``pred[j]`` lists, once each, the slots
-    that can lead to observation j.  States in ``absorbing`` constrain
-    nothing, as if they looped on themselves.
+    that can lead to observation j, as a C int array: on a large rewrite
+    the slot ids would otherwise be one Python int object each.
 
     A fixpoint keeps, for the observations inside its current set, the
     live slots (every successor inside) and their count per observation:
@@ -311,12 +320,11 @@ class ObsGraph:
     """
 
     model: Pomdp | BeliefObsPomdp
-    absorbing: frozenset[str]
     domain: bytearray
     first: list[int]
     acts: list[str]
     owner: list[int]
-    pred: list[list[int]]
+    pred: list[array]
 
     def counters(self, inside: bytearray) -> tuple[bytearray, list[int]]:
         """The live slots of the observations inside, and their counts."""
@@ -357,8 +365,7 @@ class ObsGraph:
 
 
 def obs_graph(model: Pomdp | BeliefObsPomdp,
-              allowed: Mapping[str, frozenset[str]],
-              absorbing: frozenset[str] = frozenset()) -> ObsGraph:
+              allowed: Mapping[str, frozenset[str]]) -> ObsGraph:
     """The observation graph of ``allowed`` on a model.
 
     A ``Pomdp`` is compiled by walking the supports of every state.  A
@@ -366,16 +373,14 @@ def obs_graph(model: Pomdp | BeliefObsPomdp,
     element's action leads to the observations ``memsel`` lists for it, or
     to the sink when its rows are the stored sink rows; at the initial and
     memory-selection observations a move e leads to observation e; the
-    sink leads to itself.  Only an element some but not all of whose
-    states are absorbing has the rows of its other states walked.
+    sink leads to itself.
     """
     index, obs_map = model.obs_index, model.obs_map
     n = len(model.observations)
-    graph = ObsGraph(model, absorbing, bytearray(n), [0] * (n + 1), [], [],
-                     [[] for _ in range(n)])
+    graph = ObsGraph(model, bytearray(n), [0] * (n + 1), [], [],
+                     [array("i") for _ in range(n)])
     acts, owner, pred = graph.acts, graph.owner, graph.pred
     records = isinstance(model, BeliefObsPomdp)
-    elements = model.elements if records else {}
     if records:
         sink = index[model.sink_obs]
         branches: dict[tuple[str, str], list[int]] = {}
@@ -389,16 +394,12 @@ def obs_graph(model: Pomdp | BeliefObsPomdp,
         acts.extend(allowed[o])
         owner.extend([j] * (len(acts) - base))
         members = model.states_with_obs(o)
-        free = ([s for s in members if s not in absorbing] if absorbing
-                else members)
-        if not free:
-            continue
-        if not records or (o in elements and len(free) < len(members)):
+        if not records:
             for k in range(base, len(acts)):
-                for i in {index[obs_map[t]] for s in free
+                for i in {index[obs_map[t]] for s in members
                           for t in model.supp(s, acts[k])}:
                     pred[i].append(k)
-        elif o in elements:
+        elif o in model.elements:
             for k in range(base, len(acts)):
                 for i in branches.get((o, acts[k])) or (
                         (sink,) if model.succ.get((members[0], acts[k]))

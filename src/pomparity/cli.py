@@ -53,13 +53,18 @@ class CliError(Exception):
     pass
 
 
-def _load_model(path: str, need_objective: bool) -> tuple[Pomdp, Objective | None]:
+def _read(load, path: str):
+    """``load(path)``, with read and parse errors worded as CLI errors."""
     try:
-        pomdp, objective = load_model_file(path)
+        return load(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (ParseError, ExactnessError) as exc:
         raise CliError(f"{path}: {exc}") from None
+
+
+def _load_model(path: str, need_objective: bool) -> tuple[Pomdp, Objective | None]:
+    pomdp, objective = _read(load_model_file, path)
     problems = validate(pomdp)
     hard = [p for p in problems if _WAIVED_MARK not in p]
     for p in problems:
@@ -74,15 +79,6 @@ def _load_model(path: str, need_objective: bool) -> tuple[Pomdp, Objective | Non
     if need_objective and objective is None:
         raise CliError(f"{path}: the model file declares no objective")
     return pomdp, objective
-
-
-def _load_strategy(path: str):
-    try:
-        return load_strategy_file(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except (ParseError, ExactnessError) as exc:
-        raise CliError(f"{path}: {exc}") from None
 
 
 def _record(**fields) -> str:
@@ -128,7 +124,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     pomdp, objective = _load_model(args.model, need_objective=True)
-    strategy = _load_strategy(args.strategy)
+    strategy = _read(load_strategy_file, args.strategy)
     mode = _MODES[args.mode]
     base, evaluable = evaluable_objective(pomdp, objective)
     try:
@@ -144,7 +140,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_project(args) -> int:
     pomdp, objective = _load_model(args.model, need_objective=True)
-    strategy = _load_strategy(args.strategy)
+    strategy = _read(load_strategy_file, args.strategy)
     base, evaluable = evaluable_objective(pomdp, objective)
     try:
         projected = project_strategy(base, strategy,
@@ -211,12 +207,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    try:
-        pomdp, objective = load_model_file(args.model)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.model}: {exc.strerror or exc}") from None
-    except (ParseError, ExactnessError) as exc:
-        raise CliError(f"{args.model}: {exc}") from None
+    pomdp, objective = _read(load_model_file, args.model)
     problems = validate(pomdp)
     if objective is not None:
         problems += validate_objective(pomdp, objective)

@@ -123,18 +123,20 @@ def _candidate_tables(pomdp: Pomdp, k: int, canonical: bool = True
 
 def _named(pomdp: Pomdp, group: Group, upd_combo: tuple[int, ...]
            ) -> SupportStrategy:
-    """The candidate as a support table over memories m0..m(j-1)."""
+    """The candidate as a name-sorted support table over memories
+    m0..m(j-1)."""
     j, acts, key_pos = group
     actions, observations = pomdp.actions, pomdp.observations
     memories = tuple([f"m{i}" for i in range(j)])
     mem_options = _nonempty_subsets(j)
     return SupportStrategy(
         memories=memories,
-        action_support={memories[mi]: tuple([actions[a] for a in acts[mi]])
+        action_support={memories[mi]: tuple(sorted([actions[a]
+                                                    for a in acts[mi]]))
                         for mi in range(j)},
         update_support={
-            (memories[mi], observations[oi], actions[a]): tuple([
-                memories[t] for t in mem_options[upd_combo[pos]]])
+            (memories[mi], observations[oi], actions[a]): tuple(sorted([
+                memories[t] for t in mem_options[upd_combo[pos]]]))
             for (mi, oi, a), pos in key_pos.items()},
         initial=memories[0])
 

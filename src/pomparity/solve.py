@@ -28,8 +28,10 @@ grows X over integer state rows compiled once per call.
 ``solve_almost_cobuchi_fm`` rewrites a {1,2}-priority POMDP with the
 belief-observation construction, computes its almost-surely safe part (the
 losing sink stays unreachable), and asks there for almost-sure
-reachability of the states whose element certifies a won recurrence,
-reading those states as absorbing; it copies no model.
+reachability of the states whose element certifies a won recurrence.
+Those states are closed under every allowed action (the ``beliefobs``
+commitment invariant), so it asks it as plain Buchi on them and copies
+no model.
 ``solve_positive_buchi_fm`` reduces positive winning to almost-sure
 winning from some reachable state: a strategy wins with positive
 probability exactly when it can, after some finite prefix, win almost
@@ -190,10 +192,11 @@ def _buchi_obs(graph: ObsGraph, targets: Iterable[str],
     Z starts at the graph's domain, and the live counters follow it as
     it shrinks.  Each outer round grows X backwards from the targets
     through live slots, over integer state rows compiled once per call.
-    States the graph reads as absorbing must be targets: each then starts
-    in X or keeps no action, so their rows are left out.
+    A target enters X whenever its observation keeps a slot, so its own
+    row is never read and is not compiled.
     """
     model, first, acts = graph.model, graph.first, graph.acts
+    targets = frozenset(targets)
     names = model.observations
     obs_of = [j for j, o in enumerate(names) if graph.domain[j]
               for _ in model.states_with_obs(o)]
@@ -202,13 +205,13 @@ def _buchi_obs(graph: ObsGraph, targets: Iterable[str],
     sid = {s: i for i, s in enumerate(states)}
     rev: list[list[tuple[int, int]]] = [[] for _ in states]
     for i, s in enumerate(states):
-        if s not in graph.absorbing:
+        if s not in targets:
             j = obs_of[i]
             for k in range(first[j], first[j + 1]):
                 for t in model.supp(s, acts[k]):
                     if t in sid:
                         rev[sid[t]].append((k, i))
-    goals = [sid[s] for s in frozenset(targets) if s in sid]
+    goals = [sid[s] for s in targets if s in sid]
     inside = bytearray(graph.domain)
     live, count = graph.counters(inside)
     ranks: dict[str, int] = {}
@@ -339,11 +342,8 @@ def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
         for a in action_support[e]:
             for o in pomdp.observations:
                 q = bo.memsel.get((e, a, o))
-                if q is None or q not in plays:
-                    continue
-                nxt = tuple(sorted(plays[q]))
-                if nxt:
-                    update_support[(e, o, a)] = nxt
+                if q is not None:
+                    update_support[(e, o, a)] = tuple(sorted(plays[q]))
     table = SupportStrategy(
         element_memories, action_support, update_support, element_memories[0],
         {e: bo.elements[e] for e in element_memories})
@@ -362,17 +362,17 @@ def _verify(pomdp: Pomdp, objective: Objective, mode: WinningMode,
 
 
 def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
-                            root: str | None = None,
                             budget: int = DEFAULT_STATE_BUDGET) -> Decision:
     """Decide finite-memory almost-sure winning for co-Buchi priorities {1,2}.
 
     Pipeline: belief-observation rewrite; almost-sure safety restriction
     (the losing sink must be avoidable surely); almost-sure reachability
-    of the certified-recurrence states.  On yes the witness is rebuilt on
-    the input model and chain-verified before returning.
+    of the certified-recurrence states, which is Buchi on them since they
+    are closed.  On yes the witness is rebuilt on the input model and
+    chain-verified before returning.
     """
     stats: dict = {}
-    bo = almost_cobuchi_red(pomdp, priority, root=root, budget=budget)
+    bo = almost_cobuchi_red(pomdp, priority, budget=budget)
     stats["states_constructed"] = len(bo.states)
     mode = WinningMode.ALMOST_SURE
     # ObsCover of every state but the losing sink
@@ -383,17 +383,16 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     if bo.init_obs not in y_safe:
         stats["failed_stage"] = "safety"
         return Decision(False, mode, diagnostics=stats)
-    # Reachability of wpr inside the safe part, wpr made absorbing.
+    # Reachability of the closed set wpr inside the safe part: Buchi on it.
     wpr = bo.certified_recurrent()
-    w2, reach_plays, _ = _buchi_obs(obs_graph(bo, safe_plays, wpr), wpr,
-                                    stats)
+    w2, reach_plays, _ = _buchi_obs(obs_graph(bo, safe_plays), wpr, stats)
     stats["winning_observations"] = w2
     if bo.init_obs not in w2:
         stats["failed_stage"] = "reachability"
         return Decision(False, mode, diagnostics=stats)
 
     plays = {o: reach_plays.get(o, acts) for o, acts in safe_plays.items()
-             if o not in (bo.init_obs, bo.sink_obs)}
+             if o != bo.init_obs}
     first = sorted(reach_plays[bo.init_obs])
     table = _witness_from_plays(pomdp, bo, plays, first)
     witness = _verify(pomdp, Objective.parity(dict(priority)), mode, table)
@@ -474,8 +473,7 @@ def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
             continue
         stats["winning_root"] = t
         stats["winning_observations"] = z
-        plays = {o: acts for o, acts in kept.items()
-                 if o not in (bo.init_obs, bo.sink_obs)}
+        plays = {o: acts for o, acts in kept.items() if o != bo.init_obs}
         first = sorted(kept[bo.init_obs])
         tail = _witness_from_plays(pomdp, bo, plays, first)
         witness = _verify(pomdp, objective, mode,
@@ -491,7 +489,7 @@ def solve_parity_fm(pomdp: Pomdp, objective: Objective,
     """Decide finite-memory winning for any parity-expressible objective.
 
     Reach/safe/Buchi/co-Buchi objectives are first expressed as parity
-    (rewriting targets absorbing where that is sound).  Priorities
+    (``objective_as_parity``).  Priorities
     already in co-Buchi shape {1,2} (almost-sure) or Buchi shape {0,1}
     (positive) run their pipeline directly.  Other almost-sure parity
     runs through the co-Buchi rewrite chain, positive parity through

@@ -80,7 +80,8 @@ class SupportStrategy:
     entry means empty support.  Tuples are name-sorted.  ``elements``
     optionally annotates memories with MemoryElements.  ``to_strategy``
     realizes the table with uniform weights, the one place weights are
-    made; any other weighting wins exactly the same qualitative objectives.
+    made, and hands the table itself to the strategy as its ``supports``;
+    any other weighting wins exactly the same qualitative objectives.
     """
 
     memories: tuple[str, ...]
@@ -94,13 +95,15 @@ class SupportStrategy:
         return self
 
     def to_strategy(self) -> "FiniteMemoryStrategy":
-        return FiniteMemoryStrategy(
+        strategy = FiniteMemoryStrategy(
             memories=self.memories,
             action_select={m: uniform(acts)
                            for m, acts in self.action_support.items()},
             memory_update={key: uniform(ms)
                            for key, ms in self.update_support.items()},
             initial_memory=self.initial, elements=self.elements)
+        strategy.supports = self
+        return strategy
 
 
 @dataclass
@@ -113,7 +116,8 @@ class FiniteMemoryStrategy:
     behaviour (they can only concern situations the strategy never faces).
     ``elements`` optionally annotates memories with MemoryElements.
     Strategies are not mutated after construction: ``supports`` is derived
-    from the weights once, on first use.
+    from the weights once, on first use, unless ``SupportStrategy`` made
+    the weights from it.
     """
 
     memories: tuple[str, ...]

@@ -141,8 +141,11 @@ def without_an_action(pomdp, rng):
 
 def assert_commitment_invariant(bo):
     """The beliefobs module docstring's co-Buchi commitment invariant and
-    its consequences: every branch offers a move, and the certified
-    states are the committed ones with table {{2}} and priority 2."""
+    its consequences: every branch offers a move, the certified states are
+    the committed ones with table {{2}} and priority 2, and they are
+    closed: every allowed action of one leads, through every offered
+    element move, to certified states.  Returns the certified states and
+    the element moves the closure check followed."""
     good = frozenset({frozenset({2})})
     certified = set()
     for ename, elem in bo.elements.items():
@@ -156,24 +159,36 @@ def assert_commitment_invariant(bo):
             and bo.priority[f"A~{s}~{ename}"] == 2)
     assert all(bo.moves[q] for q in bo.memsel.values())
     assert bo.certified_recurrent() == certified
-    return len(certified)
+    followed = 0
+    for name in certified:
+        for a in bo.available[bo.obs_map[name]]:
+            row = bo.succ[(name, a)]
+            if row == (bo.sink_state,):
+                continue
+            for m in row:
+                offered = bo.moves[bo.obs_map[m]]
+                assert {f"A~{bo.msel[m]}~{e}" for e in offered} <= certified
+                followed += len(offered)
+    return len(certified), followed
 
 
 def test_cobuchi_rewrites_keep_the_commitment_invariant(ex1):
     rng = random.Random(7003)
-    certified = restricted = 0
+    certified = followed = restricted = 0
     for i in range(300):
         pomdp = random_pomdp(rng)
         if i % 2:
             pomdp = without_an_action(pomdp, rng)
             restricted += 1
         prio = {s: rng.choice((1, 2)) for s in pomdp.states}
-        certified += assert_commitment_invariant(almost_cobuchi_red(pomdp, prio))
-    assert certified > 1000 and restricted == 150
+        counts = assert_commitment_invariant(almost_cobuchi_red(pomdp, prio))
+        certified += counts[0]
+        followed += counts[1]
+    assert certified > 1000 and followed > 1000 and restricted == 150
     red = almost_parity_to_cobuchi(*objective_as_parity(*ex1))
     prio = {s: 2 if s in red.objective.targets else 1 for s in red.pomdp.states}
     assert assert_commitment_invariant(
-        almost_cobuchi_red(red.pomdp, prio)) == 15513
+        almost_cobuchi_red(red.pomdp, prio)) == (15513, 248048)
 
 
 def test_rewrite_objective_matches_priorities(ex1_rewrite):

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from pomparity import (ContractError, Objective, Pomdp, StructuralError,
-                       WinningMode, build_product_chain, dump_chain,
-                       enumerate_strategies, evaluate_qualitative, memory_bound,
-                       oracle_decide, stationary_strategy)
+from pomparity import (ContractError, FiniteMemoryStrategy, Objective, Pomdp,
+                       StructuralError, WinningMode, build_product_chain,
+                       dump_chain, enumerate_strategies, evaluate_qualitative,
+                       memory_bound, oracle_decide, stationary_strategy)
 from pomparity.cli import cli_main
 from pomparity.modelio import fixture_text
 from conftest import chain_wins, random_parity, random_pomdp
@@ -201,7 +201,9 @@ def test_support_strategies_chain_like_their_uniform_realizations():
                              max_obs=2)
         for cand in enumerate_strategies(pomdp, 2):
             direct = build_product_chain(pomdp, cand)
-            weighted = build_product_chain(pomdp, cand.to_strategy())
+            # the table derived from the weights, not the one handed over
+            weighted = build_product_chain(
+                pomdp, FiniteMemoryStrategy.supports.func(cand.to_strategy()))
             assert direct.nodes == weighted.nodes
             assert direct.succ == weighted.succ
             assert direct.bottom_sccs() == weighted.bottom_sccs()

@@ -92,7 +92,9 @@ def support_tables(draw):
 @settings(max_examples=100, derandomize=True)
 @given(support_tables())
 def test_weighting_a_table_gives_the_table_back(table):
-    assert table.to_strategy().supports == table
+    weighted = table.to_strategy()
+    assert weighted.supports is table
+    assert FiniteMemoryStrategy.supports.func(weighted) == table
 
 
 def test_uniform_refuses_empty_input():
