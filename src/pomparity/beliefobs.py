@@ -37,17 +37,25 @@ The co-Buchi commitment invariant: every class table of an element
 contains {2}, and every committed belief state has table {{2}} and
 priority 2.  Only the root and the commit option commit, both with {{2}}
 and priority 2; caps (the explore tables) intersect tables that all
-contain {2}; ``action_allowed`` lets a committed belief state reach only
-priority-2 states, so a forced state can always commit.  Hence every
-branch offers an element move, and only disallowed actions enter the
-losing sink.  The certified-recurrent states (the committed belief
-states) are closed: every allowed action of one leads, through every
-offered element move, to certified-recurrent states.  Such a state's
-successors t are forced, a forced t (priority 2, by ``action_allowed``)
-is offered only the commit option, and t lies in its branch's new
-belief, so every offered element holds t as a committed belief state.
-A play that avoids the sink thus stays among these states once it
-reaches them: reaching them is visiting them infinitely often.
+contain {2}; an action is allowed only if every state a committed belief
+state reaches under it has priority 2, so a forced state can always
+commit.  Hence every branch offers an element move, and only disallowed
+actions enter the losing sink.  The certified-recurrent states (the
+committed belief states) are closed: every allowed action of one leads,
+through every offered element move, to certified-recurrent states.  Such
+a state's successors t are forced, a forced t (priority 2, as the action
+is allowed) is offered only the commit option, and t lies in its
+branch's new belief, so every offered element holds t as a committed
+belief state.  A play that avoids the sink thus stays among these states
+once it reaches them: reaching them is visiting them infinitely often.
+
+The sink can always be avoided surely from the initial observation, if
+every observation allows an action (as ``model.validate`` requires).  An
+element with no committed belief state forces nothing, so it allows every
+action, and every branch offers the all-explore move, to an element that
+again has no committed state.  The initial observation offers such an
+element, so the safety fixpoint keeps it: a co-Buchi "no" always fails
+at the reachability stage.
 
 In Buchi mode the downstream analyses target raw priority-0 states and
 never read certificates, and a committed element's continuations are
@@ -112,18 +120,6 @@ def _priority_table(pomdp: Pomdp, priority: Mapping[str, int],
     return table
 
 
-def action_allowed(element: MemoryElement, action: str, pomdp: Pomdp,
-                   priority: Mapping[str, int]) -> bool:
-    """May ``action`` be played without breaking a certified recurrence?
-
-    A committed belief state claims the play is inside a recurrent class
-    of priority 2 (the commitment invariant), so the action is allowed
-    only if every successor of such a state has priority 2.
-    """
-    return all(priority[t] == 2 for s in element.belief & element.brec
-               for t in pomdp.supp(s, action))
-
-
 def _initial_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                       root: str) -> tuple[ElementKey, ...]:
     """Element moves available before the first action, knowing the root.
@@ -144,42 +140,44 @@ def _initial_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
 
 
 def _element_moves(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
-                   element: MemoryElement, action: str,
-                   limit: int | None = None
-                   ) -> tuple[tuple, Callable[[frozenset[str]],
-                                              tuple[ElementKey, ...]]]:
+                   element: MemoryElement, action: str, limit: int
+                   ) -> tuple[()] | tuple[tuple, Callable[
+                       [frozenset[str]], tuple[ElementKey, ...]]]:
     """The generated element moves after ``action`` from ``element``.
 
-    Returns a signature and a function from the new belief of one branch
-    observation to that branch's moves; what the observation does not
-    change is computed once, here.  The moves depend only on the signature
-    (the forced commitments and cap tables; empty in Buchi mode) and the
-    new belief.  Only ``element.srec`` and the committed belief states
-    ``element.belief & element.brec`` are read.  Buchi mode yields the
-    single belief-support successor under maximal tables.  In co-Buchi
-    mode, out-of-belief components are canonical (forced commitments, cap
-    tables); each new belief state contributes an explore and/or commit
-    option, and the options multiply out.  By the commitment invariant
-    every state has an option, so every branch has a move.  ``limit``
-    bounds the moves one branch may multiply out to.  Moves are element
-    keys, which cost no canonical element to build.
+    Returns ``()`` if the action is disallowed: if under it a committed
+    belief state, which certifies a priority-2 recurrence, reaches a state
+    of another priority.  Otherwise returns a signature and a function
+    from the new belief of one branch observation to that branch's moves;
+    what the observation does not change is computed once, here.  The
+    moves depend only on the signature (the forced commitments and cap
+    tables; empty in Buchi mode) and the new belief.  Only
+    ``element.srec`` and the committed belief states ``element.belief &
+    element.brec`` are read.  Buchi mode yields the single belief-support
+    successor under maximal tables.  In co-Buchi mode, out-of-belief
+    components are canonical (forced commitments, cap tables); each new
+    belief state contributes an explore and/or commit option, and the
+    options multiply out.  By the commitment invariant every state has an
+    option, so every branch has a move.  ``limit`` bounds the moves one
+    branch may multiply out to.  Moves are element keys, which cost no
+    canonical element to build.
     """
     top = _TOP[mode]
     if mode == BUCHI_MODE:
         maximal = (top,) * len(pomdp.states)
         return (), lambda new_belief: ((new_belief, frozenset(), maximal),)
 
+    forced = {t for s in element.belief & element.brec
+              for t in pomdp.supp(s, action)}
+    if any(priority[t] != 2 for t in forced):
+        return ()
     caps: dict[str, frozenset[frozenset[int]]] = {}
-    forced: set[str] = set()
     for s in pomdp.states:
         if action not in pomdp.available_at(pomdp.obs_map[s]):
             continue
         ls = element.srec_of(s)
-        committed = s in element.brec and s in element.belief
         for t in pomdp.supp(s, action):
             caps[t] = caps.get(t, top) & ls
-            if committed:
-                forced.add(t)
     base_tables = [caps.get(t, top) for t in pomdp.states]
 
     def moves(new_belief: frozenset[str]) -> tuple[ElementKey, ...]:
@@ -196,7 +194,7 @@ def _element_moves(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                 options.append((True, _GOOD2))
             per_state.append((t, i, options))
             combinations *= len(options)
-        if limit is not None and combinations > limit:
+        if combinations > limit:
             raise ResourceLimitError(
                 f"one memory-selection branch multiplies out to {combinations} "
                 f"element moves, past the {limit}-state budget")
@@ -443,7 +441,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     memsel: dict[tuple[str, str, str], str] = {}
     moves: dict[str, tuple[str, ...]] = {}
     msel: dict[str, str] = {}
-    # (action, srec, committed belief states) -> _element_moves' result
+    # (action, srec, committed belief states) -> allowed _element_moves result
     cap_memo: dict[tuple, tuple] = {}
     # (signature, new belief) -> one branch's offered names, shared
     branch_memo: dict[tuple, tuple[tuple[str, ...], frozenset[str]]] = {}
@@ -491,22 +489,21 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                       key=pomdp.action_index.__getitem__)
         available[ename] = frozenset(acts)
         for a in acts:
-            if not action_allowed(elem, a, pomdp, prio):
+            cap_key = (a, elem.srec, elem.belief & elem.brec)
+            found = (cap_memo.get(cap_key)
+                     or _element_moves(pomdp, prio, mode, elem, a, budget))
+            if not found:
                 for s in elem.belief:
                     succ[(_act_state(s, ename), a)] = to_sink
                 continue
+            cap_memo[cap_key] = found
+            signature, moves_to = found
             reached = sorted(
                 {t for s in elem.belief for t in pomdp.supp(s, a)},
                 key=pomdp.state_index.__getitem__)
             split: dict[str, list[str]] = {}
             for t in reached:
                 split.setdefault(pomdp.obs_map[t], []).append(t)
-            cap_key = (a, elem.srec, elem.belief & elem.brec)
-            found = cap_memo.get(cap_key)
-            if found is None:
-                found = cap_memo[cap_key] = _element_moves(
-                    pomdp, prio, mode, elem, a, limit=budget)
-            signature, moves_to = found
             mname_of: dict[str, str] = {}
             for o in sorted(split, key=pomdp.obs_index.__getitem__):
                 qname = f"q{len(memsel)}"
@@ -549,16 +546,14 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
 
 
 def almost_cobuchi_red(pomdp: Pomdp, priority: Mapping[str, int],
-                       root: str | None = None,
                        budget: int = DEFAULT_STATE_BUDGET) -> BeliefObsPomdp:
     """Belief-observation rewrite for almost-sure co-Buchi (priorities {1,2}).
 
-    ``root`` defaults to the model's initial state; passing another state
-    analyses the model as if started there with the controller knowing it.
-    Construction is a forward closure from the initial element moves and
-    aborts with a resource error beyond ``budget`` constructed states.
+    Rooted at the model's initial state.  Construction is a forward
+    closure from the initial element moves and aborts with a resource
+    error beyond ``budget`` constructed states.
     """
-    return _materialize(pomdp, priority, COBUCHI_MODE, root, budget)
+    return _materialize(pomdp, priority, COBUCHI_MODE, None, budget)
 
 
 def positive_buchi_red(pomdp: Pomdp, priority: Mapping[str, int],
@@ -568,9 +563,11 @@ def positive_buchi_red(pomdp: Pomdp, priority: Mapping[str, int],
 
     Same skeleton as ``almost_cobuchi_red``, but elements are plain belief
     supports under maximal class tables: the Buchi analyses target raw
-    priority-0 states and read no certificates.  Used re-rooted: positive
-    Buchi winning holds iff some state reachable from the initial state
-    admits an almost-sure win from there.
+    priority-0 states and read no certificates.  ``root`` defaults to the
+    model's initial state; passing another state analyses the model as if
+    started there with the controller knowing it.  Used re-rooted:
+    positive Buchi winning holds iff some state reachable from the
+    initial state admits an almost-sure win from there.
     """
     return _materialize(pomdp, priority, BUCHI_MODE, root, budget)
 

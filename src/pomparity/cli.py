@@ -9,11 +9,9 @@ info (validation plus statistics).
 Exit codes: 0 for yes/success, 1 for a no or inconclusive verdict,
 2 for malformed inputs or exhausted resources.
 
-Every path validates the model first.  One validation rule is reduced
-to a warning: a reduced model's initial state may share its observation
-with its sibling copies, which is harmless because the initial
-observation is never consumed, and aborting would make the reduce
-output unsolvable.  All other violations abort.
+Every subcommand but info loads a model one way: it validates the model
+and its objective, and any problem aborts.  info prints the problems
+instead.  The output of reduce validates like any other model.
 """
 
 from __future__ import annotations
@@ -38,8 +36,6 @@ from .reductions import (ReductionOutput, almost_parity_to_cobuchi,
 from .solve import DEFAULT_STATE_BUDGET, solve_parity_fm
 from .strategy import memory_bound, project_strategy
 
-_WAIVED_MARK = "must label only the initial state"
-
 _MODES = {"almost": WinningMode.ALMOST_SURE, "positive": WinningMode.POSITIVE}
 
 _REDUCTIONS = {
@@ -63,20 +59,15 @@ def _read(load, path: str):
         raise CliError(f"{path}: {exc}") from None
 
 
-def _load_model(path: str, need_objective: bool) -> tuple[Pomdp, Objective | None]:
+def _load_model(path: str) -> tuple[Pomdp, Objective]:
+    """A valid model and its valid objective; any problem aborts."""
     pomdp, objective = _read(load_model_file, path)
     problems = validate(pomdp)
-    hard = [p for p in problems if _WAIVED_MARK not in p]
-    for p in problems:
-        if _WAIVED_MARK in p:
-            print(f"warning: {path}: {p}", file=sys.stderr)
-    if hard:
-        raise CliError("\n".join(f"{path}: {p}" for p in hard))
-    if objective is not None:
-        obj_problems = validate_objective(pomdp, objective)
-        if obj_problems:
-            raise CliError("\n".join(f"{path}: {p}" for p in obj_problems))
-    if need_objective and objective is None:
+    if not problems and objective is not None:
+        problems = validate_objective(pomdp, objective)
+    if problems:
+        raise CliError("\n".join(f"{path}: {p}" for p in problems))
+    if objective is None:
         raise CliError(f"{path}: the model file declares no objective")
     return pomdp, objective
 
@@ -94,7 +85,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    pomdp, objective = _load_model(args.model, need_objective=True)
+    pomdp, objective = _load_model(args.model)
     mode = _MODES[args.mode]
     started = time.perf_counter()
     try:
@@ -123,7 +114,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    pomdp, objective = _load_model(args.model, need_objective=True)
+    pomdp, objective = _load_model(args.model)
     strategy = _read(load_strategy_file, args.strategy)
     mode = _MODES[args.mode]
     base, evaluable = evaluable_objective(pomdp, objective)
@@ -139,7 +130,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    pomdp, objective = _load_model(args.model, need_objective=True)
+    pomdp, objective = _load_model(args.model)
     strategy = _read(load_strategy_file, args.strategy)
     base, evaluable = evaluable_objective(pomdp, objective)
     try:
@@ -157,7 +148,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    pomdp, objective = _load_model(args.model, need_objective=True)
+    pomdp, objective = _load_model(args.model)
     if objective.kind == MULLER:
         raise CliError("reduce does not handle Muller objectives")
     base, parity = objective_as_parity(pomdp, objective)
@@ -187,7 +178,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    pomdp, objective = _load_model(args.model, need_objective=True)
+    pomdp, objective = _load_model(args.model)
     mode = _MODES[args.mode]
     started = time.perf_counter()
     result = oracle_decide(pomdp, objective, mode, args.memory_bound,
@@ -220,8 +211,7 @@ def _cmd_info(args) -> int:
                   objective="none" if objective is None else objective.kind))
     if objective is not None and not problems:
         print(_record(sufficient_memory=memory_bound(pomdp, objective)))
-    hard = [p for p in problems if _WAIVED_MARK not in p]
-    return 2 if hard else 0
+    return 2 if problems else 0
 
 
 @functools.cache

@@ -297,9 +297,11 @@ def validate(pomdp: Pomdp) -> list[str]:
     """Structural validation; returns a report naming each offender.
 
     An empty list means the model satisfies every invariant: unique names,
-    total observation labelling, non-empty observation classes, a singleton
-    initial observation class, non-empty available-action sets, and an exact
+    total observation labelling, non-empty observation classes, a declared
+    initial state, non-empty available-action sets, and an exact
     probability distribution for every available (state, action) pair.
+    Other states may share the initial observation: the analyses start at
+    the initial state itself, not at its observation class.
     """
     problems: list[str] = []
     for kind, names in (("state", pomdp.states), ("action", pomdp.actions),
@@ -330,14 +332,6 @@ def validate(pomdp: Pomdp) -> list[str]:
 
     if pomdp.initial_state not in states:
         problems.append(f"initial state {pomdp.initial_state!r} is not a declared state")
-    else:
-        o0 = pomdp.obs_map.get(pomdp.initial_state)
-        if o0 in observations:
-            cls = [s for s in pomdp.states if pomdp.obs_map.get(s) == o0]
-            if len(cls) != 1:
-                problems.append(
-                    f"initial observation {o0!r} must label only the initial "
-                    f"state but labels {', '.join(cls)}")
 
     for o, acts in pomdp.available.items():
         if o not in observations:

@@ -31,7 +31,8 @@ losing sink stays unreachable), and asks there for almost-sure
 reachability of the states whose element certifies a won recurrence.
 Those states are closed under every allowed action (the ``beliefobs``
 commitment invariant), so it asks it as plain Buchi on them and copies
-no model.
+no model.  The safe part always holds the initial observation (also
+proved in ``beliefobs``), so a "no" always fails at reachability.
 ``solve_positive_buchi_fm`` reduces positive winning to almost-sure
 winning from some reachable state: a strategy wins with positive
 probability exactly when it can, after some finite prefix, win almost
@@ -380,9 +381,6 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     y_safe, safe_plays, _ = _safe_obs(obs_graph(bo, bo.available), safe_obs,
                                       stats)
     stats["safe_observations"] = y_safe
-    if bo.init_obs not in y_safe:
-        stats["failed_stage"] = "safety"
-        return Decision(False, mode, diagnostics=stats)
     # Reachability of the closed set wpr inside the safe part: Buchi on it.
     wpr = bo.certified_recurrent()
     w2, reach_plays, _ = _buchi_obs(obs_graph(bo, safe_plays), wpr, stats)

@@ -1,6 +1,7 @@
 """Belief-observation rewriting: construction invariants and the predicate."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
@@ -12,6 +13,8 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        is_belief_observation, objective_as_parity,
                        positive_buchi_red, validate)
 from pomparity import beliefobs
+from pomparity.beliefobs import obs_graph
+from pomparity.solve import _safe_obs
 from pomparity.strategy import MemoryElement
 from conftest import random_belief_obs_pomdp, random_pomdp
 
@@ -21,6 +24,15 @@ def ex1_rewrite(request):
     pomdp, objective = request.getfixturevalue("ex1")
     base, parity = objective_as_parity(pomdp, objective)
     return base, parity.priority_map, almost_cobuchi_red(base, parity.priority_map)
+
+
+@pytest.fixture(scope="module")
+def reduced_ex1_rewrite(request):
+    """``ex1`` reduced to co-Buchi, its priorities, and their rewrite."""
+    red = almost_parity_to_cobuchi(
+        *objective_as_parity(*request.getfixturevalue("ex1")))
+    prio = {s: 2 if s in red.objective.targets else 1 for s in red.pomdp.states}
+    return red.pomdp, prio, almost_cobuchi_red(red.pomdp, prio)
 
 
 def test_ex1_is_belief_observation(ex1):
@@ -172,23 +184,66 @@ def assert_commitment_invariant(bo):
     return len(certified), followed
 
 
-def test_cobuchi_rewrites_keep_the_commitment_invariant(ex1):
-    rng = random.Random(7003)
-    certified = followed = restricted = 0
-    for i in range(300):
+def seeded_cobuchi_rewrites(seed, count):
+    """(model, priorities, rewrite) for ``count`` random co-Buchi models;
+    every other model has one action made unavailable at one observation."""
+    rng = random.Random(seed)
+    for i in range(count):
         pomdp = random_pomdp(rng)
         if i % 2:
             pomdp = without_an_action(pomdp, rng)
-            restricted += 1
         prio = {s: rng.choice((1, 2)) for s in pomdp.states}
-        counts = assert_commitment_invariant(almost_cobuchi_red(pomdp, prio))
+        yield pomdp, prio, almost_cobuchi_red(pomdp, prio)
+
+
+def test_cobuchi_rewrites_keep_the_commitment_invariant(reduced_ex1_rewrite):
+    certified = followed = 0
+    for _, _, bo in seeded_cobuchi_rewrites(7003, 300):
+        counts = assert_commitment_invariant(bo)
         certified += counts[0]
         followed += counts[1]
-    assert certified > 1000 and followed > 1000 and restricted == 150
-    red = almost_parity_to_cobuchi(*objective_as_parity(*ex1))
-    prio = {s: 2 if s in red.objective.targets else 1 for s in red.pomdp.states}
-    assert assert_commitment_invariant(
-        almost_cobuchi_red(red.pomdp, prio)) == (15513, 248048)
+    assert certified > 1000 and followed > 1000
+    assert assert_commitment_invariant(reduced_ex1_rewrite[2]) == (15513, 248048)
+
+
+def reference_allowed(elem, action, pomdp, prio):
+    """The co-Buchi allowance from its definition: no committed belief
+    state reaches a state of priority other than 2 under the action."""
+    return all(prio[t] == 2 for s in elem.belief & elem.brec
+               for t in pomdp.supp(s, action))
+
+
+def test_actions_are_allowed_by_the_reference_predicate(reduced_ex1_rewrite):
+    """An (element, action) has memory-selection branches exactly when the
+    reference predicate allows it; otherwise its rows are the sink row."""
+    counts = Counter()
+    rewrites = [*seeded_cobuchi_rewrites(7004, 150), reduced_ex1_rewrite]
+    for pomdp, prio, bo in rewrites:
+        branched = {(e, a) for e, a, _ in bo.memsel}
+        for ename, elem in bo.elements.items():
+            for a in bo.available[ename]:
+                allowed = reference_allowed(elem, a, pomdp, prio)
+                assert ((ename, a) in branched) == allowed
+                rows = {bo.succ[(f"A~{s}~{ename}", a)] for s in elem.belief}
+                assert (rows == {(bo.sink_state,)}) == (not allowed)
+                counts[allowed] += 1
+    assert counts[True] > 4000 and counts[False] > 4000
+
+
+def test_the_safety_stage_keeps_the_initial_observation(reduced_ex1_rewrite):
+    """The beliefobs docstring's claim: the safe part of a co-Buchi rewrite
+    holds its initial observation and every element without a committed
+    belief state."""
+    checked = 0
+    for _, _, bo in [*seeded_cobuchi_rewrites(7005, 300), reduced_ex1_rewrite]:
+        y, _, _ = _safe_obs(obs_graph(bo, bo.available),
+                            set(bo.observations) - {bo.sink_obs})
+        assert bo.init_obs in y
+        for ename, elem in bo.elements.items():
+            if not elem.belief & elem.brec:
+                assert ename in y
+                checked += 1
+    assert checked > 1000
 
 
 def test_rewrite_objective_matches_priorities(ex1_rewrite):
@@ -360,8 +415,11 @@ def test_shared_branch_moves_are_the_enumerated_ones(ex1, monkeypatch):
     element_moves = beliefobs._element_moves
     enumerated = []
 
-    def counting(*args, **kwargs):
-        signature, moves = element_moves(*args, **kwargs)
+    def counting(*args):
+        found = element_moves(*args)
+        if not found:
+            return found
+        signature, moves = found
 
         def counted(new_belief):
             enumerated.append(new_belief)
@@ -389,7 +447,8 @@ def test_shared_branch_moves_are_the_enumerated_ones(ex1, monkeypatch):
         name_of = {elem: name for name, elem in bo.elements.items()}
         for (ename, a, o), q in bo.memsel.items():
             elem = bo.elements[ename]
-            _, moves = element_moves(model, prio, mode, elem, a)
+            _, moves = element_moves(model, prio, mode, elem, a,
+                                     beliefobs.DEFAULT_STATE_BUDGET)
             fresh = tuple(name_of[MemoryElement.make(
                               belief, brec, dict(zip(model.states, tables)))]
                           for belief, brec, tables in moves(

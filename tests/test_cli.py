@@ -301,16 +301,34 @@ def test_reduce_composes_with_solve(tmp_path, capsys):
     code, _, _ = run(capsys, "reduce", model, "--to", "cobuchi", "-o", out_path)
     assert code == 0
 
-    # the reduced initial observation now labels one state per copy, which
-    # the loader waives with a warning instead of refusing
+    # the reduced initial observation labels one state per copy, and the
+    # output still validates: it loads like any other model
     code, out, err = run(capsys, "solve", "--mode", "almost", out_path)
     assert code == 0
     assert fields(out.strip())["verdict"] == "yes"
-    assert "warning:" in err and "must label only the initial state" in err
+    assert "warning:" not in err
 
     witness = str(tmp_path / "red.witness.strat")
     code, _, _ = run(capsys, "verify", out_path, witness, "--mode", "almost")
     assert code == 0
+
+
+def test_every_reduce_output_passes_info(tmp_path, capsys):
+    """``info`` on each ``reduce`` output of both fixtures reports no
+    problem, exits 0 and prints the sufficient memory."""
+    for fixture in ("ex1", "ex2"):
+        model = tmp_path / f"{fixture}.pomdp"
+        model.write_text(fixture_text(fixture), encoding="utf-8")
+        for target in ("buchi", "three", "cobuchi"):
+            out_path = str(tmp_path / f"{fixture}.{target}.pomdp")
+            code, _, _ = run(capsys, "reduce", str(model), "--to", target,
+                             "-o", out_path)
+            assert code == 0
+            code, out, _ = run(capsys, "info", out_path)
+            assert code == 0, (fixture, target, out)
+            assert not any(line.startswith("problem:")
+                           for line in out.splitlines())
+            assert "sufficient_memory=" in out
 
 
 def test_oracle_bound_one_fails_and_bound_two_succeeds(tmp_path, capsys):

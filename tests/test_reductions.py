@@ -245,3 +245,24 @@ def test_reduced_signature_strategies_transfer_back():
             back = restricted_to(pomdp, sigma_red)
             assert (chain_wins(out.pomdp, out.objective, mode, sigma_red)
                     == chain_wins(pomdp, obj, mode, back))
+
+
+def test_every_reduction_output_validates(ex1, ex2):
+    """The copies of the initial state share its observation, and the
+    outputs validate: ``validate`` asks nothing of the initial observation."""
+    rng = random.Random(21)
+    models = [as_parity(ex1), as_parity(ex2)]
+    for _ in range(150):
+        pomdp = random_pomdp(rng, max_states=5)
+        models.append((pomdp, random_parity(rng, pomdp, top=4)))
+    shared = 0
+    for pomdp, parity in models:
+        three = parity_to_three(pomdp, parity)
+        outputs = (positive_parity_to_buchi(pomdp, parity), three,
+                   three_to_cobuchi(three.pomdp, three.objective),
+                   almost_parity_to_cobuchi(pomdp, parity))
+        for out in outputs:
+            assert validate(out.pomdp) == []
+            init = out.pomdp.obs_map[out.pomdp.initial_state]
+            shared += len(out.pomdp.states_with_obs(init)) > 1
+    assert shared >= 300

@@ -14,7 +14,7 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        almost_safe, apre, make_absorbing, obs_cover,
                        objective_as_parity, oracle_decide, positive_buchi_red,
                        pre, solve_parity_fm, solve_positive_buchi_fm,
-                       solve_almost_cobuchi_fm, uniform)
+                       solve_almost_cobuchi_fm, uniform, validate)
 from pomparity import solve
 from pomparity.beliefobs import obs_graph
 from pomparity.solve import _buchi_obs, _safe_obs
@@ -506,3 +506,37 @@ def test_solver_never_contradicts_the_bounded_search():
                 assert d.winning
             if d.winning:
                 assert chain_wins(pomdp, objective, mode, d.witness)
+
+
+def sharing_the_initial_observation(rng, pomdp):
+    """The model with its initial state relabelled by the observation of a
+    random other state (its own observation then labels nothing and goes)."""
+    o = pomdp.obs_map[rng.choice(pomdp.states[1:])]
+    obs_map = {**pomdp.obs_map, pomdp.initial_state: o}
+    shared = Pomdp(pomdp.states, pomdp.actions,
+                   tuple(x for x in pomdp.observations
+                         if x in obs_map.values()),
+                   obs_map, pomdp.transitions, pomdp.initial_state)
+    assert validate(shared) == []
+    return shared
+
+
+def test_a_shared_initial_observation_keeps_verdicts():
+    """Why ``validate`` lets other states share the initial observation:
+    the chain starts at (s0, m0), the rewrites at the belief {s0}, so no
+    pipeline reads the initial state's class.  On such models every
+    oracle "yes" is a solver "yes", and every solver witness wins."""
+    rng = random.Random(12)
+    verdicts = Counter()
+    for _ in range(80):
+        pomdp = sharing_the_initial_observation(rng, random_pomdp(rng))
+        objective = random_parity(rng, pomdp, top=3)
+        for mode in (ALMOST, POSITIVE):
+            d = solve_parity_fm(pomdp, objective, mode)
+            r = oracle_decide(pomdp, objective, mode, 2, budget=3000)
+            if r.verdict == "yes":
+                assert d.winning
+            if d.winning:
+                assert chain_wins(pomdp, objective, mode, d.witness)
+            verdicts[d.verdict, r.verdict] += 1
+    assert verdicts["yes", "yes"] >= 60 and verdicts["no", "no"] >= 30
