@@ -8,6 +8,9 @@ whose observations reveal exactly the element, and whose extra actions
 pick the next element.  On the result the belief always equals the
 observation class (``is_belief_observation``), so memoryless strategies
 suffice and the observation-set fixpoints of the solve module decide it.
+The construction reads the model's supports only through its integer
+table ``Pomdp.index_supports``: elements are keyed by state index, an
+unavailable action is an empty row, and every order is index order.
 
 Two variants share the skeleton:
 
@@ -99,100 +102,98 @@ def _all_subsets(values: tuple[int, ...]) -> frozenset[frozenset[int]]:
 _TOP = {mode: _all_subsets(prios) for mode, prios in _PRIORITY_SETS.items()}
 _GOOD2 = frozenset({frozenset({2})})
 
-# (belief, committed set, class tables in model state order): one element,
-# cheap to hash before the name-sorted ``MemoryElement`` is built
-ElementKey = tuple[frozenset[str], frozenset[str],
+# (belief, committed set, class tables) over state indices: the belief
+# ascending, the tables in index order; one element, cheap to hash before
+# the name-sorted ``MemoryElement`` is built
+ElementKey = tuple[tuple[int, ...], frozenset[int],
                    tuple[frozenset[frozenset[int]], ...]]
 
 
 def _priority_table(pomdp: Pomdp, priority: Mapping[str, int],
-                    allowed: tuple[int, ...]) -> dict[str, int]:
-    table = dict(priority)
-    missing = [s for s in pomdp.states if s not in table]
+                    allowed: tuple[int, ...]) -> list[int]:
+    """The priorities by state index, each checked to lie in ``allowed``."""
+    missing = [s for s in pomdp.states if s not in priority]
     if missing:
         raise ContractError(
             "priority map misses states: " + ", ".join(missing))
-    bad = sorted(s for s in pomdp.states if table[s] not in allowed)
+    bad = sorted(s for s in pomdp.states if priority[s] not in allowed)
     if bad:
         raise ContractError(
             f"priorities must lie in {set(allowed)}; offending states: "
             + ", ".join(bad))
-    return table
+    return [priority[s] for s in pomdp.states]
 
 
-def _initial_elements(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
-                      root: str) -> tuple[ElementKey, ...]:
+def _initial_elements(prio: Sequence[int], mode: str,
+                      root: int) -> tuple[ElementKey, ...]:
     """Element moves available before the first action, knowing the root.
 
     Co-Buchi elements must certify that only {2}-recurrences are reachable
     from the root; commitment is offered when the root's own priority fits.
     Buchi mode starts from the single maximal-table element.
     """
-    belief = frozenset({root})
-    tables = [_TOP[mode]] * len(pomdp.states)
+    belief = (root,)
+    tables = [_TOP[mode]] * len(prio)
     if mode == BUCHI_MODE:
         return ((belief, frozenset(), tuple(tables)),)
-    tables[pomdp.state_index[root]] = _GOOD2
+    tables[root] = _GOOD2
     out = [(belief, frozenset(), tuple(tables))]
-    if priority[root] == 2:
-        out.append((belief, belief, tuple(tables)))
+    if prio[root] == 2:
+        out.append((belief, frozenset(belief), tuple(tables)))
     return tuple(out)
 
 
-def _element_moves(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
-                   element: MemoryElement, action: str, limit: int
+def _element_moves(rows: Sequence[Sequence[tuple[int, ...]]],
+                   prio: Sequence[int], mode: str, action: int,
+                   tables: tuple[frozenset[frozenset[int]], ...],
+                   committed: frozenset[int], limit: int
                    ) -> tuple[()] | tuple[tuple, Callable[
-                       [frozenset[str]], tuple[ElementKey, ...]]]:
-    """The generated element moves after ``action`` from ``element``.
+                       [tuple[int, ...]], tuple[ElementKey, ...]]]:
+    """The generated element moves after ``action`` from an element.
 
-    Returns ``()`` if the action is disallowed: if under it a committed
-    belief state, which certifies a priority-2 recurrence, reaches a state
-    of another priority.  Otherwise returns a signature and a function
-    from the new belief of one branch observation to that branch's moves;
-    what the observation does not change is computed once, here.  The
-    moves depend only on the signature (the forced commitments and cap
-    tables; empty in Buchi mode) and the new belief.  Only
-    ``element.srec`` and the committed belief states ``element.belief &
-    element.brec`` are read.  Buchi mode yields the single belief-support
-    successor under maximal tables.  In co-Buchi mode, out-of-belief
-    components are canonical (forced commitments, cap tables); each new
-    belief state contributes an explore and/or commit option, and the
-    options multiply out.  By the commitment invariant every state has an
-    option, so every branch has a move.  ``limit`` bounds the moves one
-    branch may multiply out to.  Moves are element keys, which cost no
-    canonical element to build.
+    ``rows`` and ``prio`` are the model's successor rows and priorities by
+    index; the element enters only through its class ``tables`` and its
+    committed belief states.  Returns ``()`` if the action is disallowed:
+    if under it a committed belief state, which certifies a priority-2
+    recurrence, reaches a state of another priority.  Otherwise returns a
+    signature and a function from the new belief of one branch observation
+    to that branch's moves; what the observation does not change is
+    computed once, here.  The moves depend only on the signature (the
+    forced commitments and cap tables; empty in Buchi mode) and the new
+    belief.  Buchi mode yields the single belief-support successor under
+    maximal tables.  In co-Buchi mode, out-of-belief components are
+    canonical (forced commitments, cap tables); each new belief state
+    contributes an explore and/or commit option, and the options multiply
+    out.  By the commitment invariant every state has an option, so every
+    branch has a move.  ``limit`` bounds the moves one branch may multiply
+    out to.  Moves are element keys, which cost no canonical element to
+    build.
     """
     top = _TOP[mode]
     if mode == BUCHI_MODE:
-        maximal = (top,) * len(pomdp.states)
+        maximal = (top,) * len(rows)
         return (), lambda new_belief: ((new_belief, frozenset(), maximal),)
 
-    forced = {t for s in element.belief & element.brec
-              for t in pomdp.supp(s, action)}
-    if any(priority[t] != 2 for t in forced):
+    forced = frozenset(t for s in committed for t in rows[s][action])
+    if any(prio[t] != 2 for t in forced):
         return ()
-    caps: dict[str, frozenset[frozenset[int]]] = {}
-    for s in pomdp.states:
-        if action not in pomdp.available_at(pomdp.obs_map[s]):
-            continue
-        ls = element.srec_of(s)
-        for t in pomdp.supp(s, action):
-            caps[t] = caps.get(t, top) & ls
-    base_tables = [caps.get(t, top) for t in pomdp.states]
+    caps = [top] * len(rows)
+    for row, table in zip(rows, tables):
+        for t in row[action]:
+            caps[t] &= table
+    caps = tuple(caps)
 
-    def moves(new_belief: frozenset[str]) -> tuple[ElementKey, ...]:
-        base_brec = forced - new_belief
-        per_state: list[tuple[str, int, list[tuple[bool, frozenset]]]] = []
+    def moves(new_belief: tuple[int, ...]) -> tuple[ElementKey, ...]:
+        base_brec = forced.difference(new_belief)
+        per_state: list[list[tuple[bool, frozenset]]] = []
         combinations = 1
-        for i in sorted(map(pomdp.state_index.__getitem__, new_belief)):
-            t = pomdp.states[i]
-            cap = caps[t]
+        for t in new_belief:
             options: list[tuple[bool, frozenset]] = []
             if t not in forced:
-                options.append((False, cap))
-            if priority[t] == 2:
+                options.append((False, caps[t]))
+            if prio[t] == 2:
                 options.append((True, _GOOD2))
-            per_state.append((t, i, options))
+            per_state.append(options)
             combinations *= len(options)
         if combinations > limit:
             raise ResourceLimitError(
@@ -200,17 +201,17 @@ def _element_moves(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                 f"element moves, past the {limit}-state budget")
 
         out: list[ElementKey] = []
-        for combo in itertools.product(*(opts for _, _, opts in per_state)):
+        for combo in itertools.product(*per_state):
             brec = set(base_brec)
-            tables = list(base_tables)
-            for (t, i, _), (committed, table) in zip(per_state, combo):
-                if committed:
+            new_tables = list(caps)
+            for t, (commit, table) in zip(new_belief, combo):
+                if commit:
                     brec.add(t)
-                tables[i] = table
-            out.append((new_belief, frozenset(brec), tuple(tables)))
+                new_tables[t] = table
+            out.append((new_belief, frozenset(brec), tuple(new_tables)))
         return tuple(out)
 
-    return (frozenset(forced), tuple(base_tables)), moves
+    return (forced, caps), moves
 
 
 @dataclass
@@ -301,37 +302,42 @@ def _act_state(s: str, ename: str) -> str:
 
 @dataclass
 class ObsGraph:
-    """Which observations each allowed (observation, action) can lead to.
+    """Which observations each available (observation, action) can lead to.
 
     The one form the solve fixpoints read, over integer ids: observation
-    j is ``model.observations[j]``, and ``domain[j]`` is 1 where it has an
-    entry in the allowed actions.  Observation j owns the action slots
-    ``first[j]`` to ``first[j + 1] - 1``; slot k plays ``acts[k]`` at
-    observation ``owner[k]``.  ``pred[j]`` lists, once each, the slots
-    that can lead to observation j, as a C int array: on a large rewrite
-    the slot ids would otherwise be one Python int object each.
+    j is ``model.observations[j]``, and owns the action slots ``first[j]``
+    to ``first[j + 1] - 1``, one per available action; slot k plays
+    ``acts[k]`` at observation ``owner[k]``.  ``pred[j]`` lists, once
+    each, the slots that can lead to observation j, as a C int array: on
+    a large rewrite the slot ids would otherwise be one Python int object
+    each.
 
     A fixpoint keeps, for the observations inside its current set, the
     live slots (every successor inside) and their count per observation:
-    ``counters`` makes them, ``kill`` updates them as observations leave
-    the set, and ``kept`` reads the set and its live actions off them.
+    ``counters`` makes them for the set it starts from, ``kill`` updates
+    them as observations leave the set, and ``kept`` reads the set and
+    its live actions off them.  A dead slot never revives.
     """
 
     model: Pomdp | BeliefObsPomdp
-    domain: bytearray
     first: list[int]
     acts: list[str]
     owner: list[int]
     pred: list[array]
 
-    def counters(self, inside: bytearray) -> tuple[bytearray, list[int]]:
-        """The live slots of the observations inside, and their counts."""
-        first = self.first
+    def counters(self, start: Iterable[str],
+                 ) -> tuple[bytearray, bytearray, list[int]]:
+        """The observations inside ``start``, their live slots, and the
+        live slots' counts."""
+        model, first = self.model, self.first
+        inside = bytearray(len(model.observations))
+        for o in start:
+            inside[model.obs_index[o]] = 1
         live = bytearray(map(inside.__getitem__, self.owner))
         count = [here * (first[j + 1] - first[j])
                  for j, here in enumerate(inside)]
         self.kill(live, count, [j for j, here in enumerate(inside) if not here])
-        return live, count
+        return inside, live, count
 
     def kill(self, live: bytearray, count: list[int],
              removed: Iterable[int]) -> list[int]:
@@ -362,9 +368,8 @@ class ObsGraph:
         return frozenset(plays), plays
 
 
-def obs_graph(model: Pomdp | BeliefObsPomdp,
-              allowed: Mapping[str, frozenset[str]]) -> ObsGraph:
-    """The observation graph of ``allowed`` on a model.
+def obs_graph(model: Pomdp | BeliefObsPomdp) -> ObsGraph:
+    """The observation graph of a model's available actions.
 
     A ``Pomdp`` is compiled by walking the supports of every state.  A
     rewrite is read from its construction records without a walk: an
@@ -375,7 +380,7 @@ def obs_graph(model: Pomdp | BeliefObsPomdp,
     """
     index, obs_map = model.obs_index, model.obs_map
     n = len(model.observations)
-    graph = ObsGraph(model, bytearray(n), [0] * (n + 1), [], [],
+    graph = ObsGraph(model, [0] * (n + 1), [], [],
                      [array("i") for _ in range(n)])
     acts, owner, pred = graph.acts, graph.owner, graph.pred
     records = isinstance(model, BeliefObsPomdp)
@@ -386,10 +391,7 @@ def obs_graph(model: Pomdp | BeliefObsPomdp,
             branches.setdefault((ename, a), []).append(index[q])
     for j, o in enumerate(model.observations):
         graph.first[j] = base = len(acts)
-        if o not in allowed:
-            continue
-        graph.domain[j] = 1
-        acts.extend(allowed[o])
+        acts.extend(model.available[o])
         owner.extend([j] * (len(acts) - base))
         members = model.states_with_obs(o)
         if not records:
@@ -404,10 +406,9 @@ def obs_graph(model: Pomdp | BeliefObsPomdp,
                         else ()):
                     pred[i].append(k)
         else:
-            avail, moves = model.available[o], o != model.sink_obs
-            for k, a in enumerate(allowed[o], base):
-                if a in avail:
-                    pred[index[a] if moves else sink].append(k)
+            moves = o != model.sink_obs
+            for k in range(base, len(acts)):
+                pred[index[acts[k]] if moves else sink].append(k)
     graph.first[n] = len(acts)
     return graph
 
@@ -421,8 +422,10 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         root = pomdp.initial_state
     if root not in pomdp.state_index:
         raise StructuralError(f"unknown root state {root!r}")
+    names, action_names = pomdp.states, pomdp.actions
+    obs_of, rows = pomdp.index_supports
 
-    taken_actions = set(pomdp.actions)
+    taken_actions = set(action_names)
 
     elem_name: dict[ElementKey, str] = {}
     elements: dict[str, MemoryElement] = {}
@@ -441,10 +444,12 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     memsel: dict[tuple[str, str, str], str] = {}
     moves: dict[str, tuple[str, ...]] = {}
     msel: dict[str, str] = {}
-    # (action, srec, committed belief states) -> allowed _element_moves result
+    # (action, tables, committed belief states) -> allowed _element_moves
     cap_memo: dict[tuple, tuple] = {}
     # (signature, new belief) -> one branch's offered names, shared
     branch_memo: dict[tuple, tuple[tuple[str, ...], frozenset[str]]] = {}
+    # (name, key, action-selection states); walked in order as it grows
+    frontier: list[tuple[str, ElementKey, list[str]]] = []
 
     def guard_budget() -> None:
         if len(states) > budget:
@@ -458,76 +463,70 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         if known is not None:
             return known
         belief, brec, tables = key
-        elem = MemoryElement.make(belief, brec, dict(zip(pomdp.states, tables)))
         ename = fresh_name(f"m{len(elem_name)}", taken_actions)
         elem_name[key] = ename
-        elements[ename] = elem
+        elements[ename] = MemoryElement.make(
+            [names[i] for i in belief], [names[i] for i in brec],
+            dict(zip(names, tables)))
         observations.append(ename)
-        for s in sorted(elem.belief, key=pomdp.state_index.__getitem__):
-            name = _act_state(s, ename)
+        acted = [_act_state(names[i], ename) for i in belief]
+        for i, name in zip(belief, acted):
             states.append(name)
             obs_map[name] = ename
-            priority_out[name] = prio[s]
+            priority_out[name] = prio[i]
         guard_budget()
-        frontier.append(ename)
+        frontier.append((ename, key, acted))
         return ename
 
-    frontier: list[str] = []
-    initial = _initial_elements(pomdp, prio, mode, root)
+    initial = _initial_elements(prio, mode, pomdp.state_index[root])
     initial_moves = tuple(add_element(e) for e in initial)
     available[init_obs] = frozenset(initial_moves)
     for ename in initial_moves:
         succ[(init_state, ename)] = (_act_state(root, ename),)
 
-    cursor = 0
-    while cursor < len(frontier):
-        ename = frontier[cursor]
-        cursor += 1
-        elem = elements[ename]
-        model_obs = pomdp.obs_map[next(iter(elem.belief))]
-        acts = sorted(pomdp.available_at(model_obs),
-                      key=pomdp.action_index.__getitem__)
-        available[ename] = frozenset(acts)
+    for ename, (belief, brec, tables), acted in frontier:
+        committed = brec.intersection(belief)
+        acts = [a for a, row in enumerate(rows[belief[0]]) if row]
+        available[ename] = frozenset(map(action_names.__getitem__, acts))
         for a in acts:
-            cap_key = (a, elem.srec, elem.belief & elem.brec)
+            aname = action_names[a]
+            cap_key = (a, tables, committed)
             found = (cap_memo.get(cap_key)
-                     or _element_moves(pomdp, prio, mode, elem, a, budget))
+                     or _element_moves(rows, prio, mode, a, tables, committed,
+                                       budget))
             if not found:
-                for s in elem.belief:
-                    succ[(_act_state(s, ename), a)] = to_sink
+                for name in acted:
+                    succ[(name, aname)] = to_sink
                 continue
             cap_memo[cap_key] = found
             signature, moves_to = found
-            reached = sorted(
-                {t for s in elem.belief for t in pomdp.supp(s, a)},
-                key=pomdp.state_index.__getitem__)
-            split: dict[str, list[str]] = {}
-            for t in reached:
-                split.setdefault(pomdp.obs_map[t], []).append(t)
-            mname_of: dict[str, str] = {}
-            for o in sorted(split, key=pomdp.obs_index.__getitem__):
+            split: dict[int, list[int]] = {}
+            for t in sorted({t for s in belief for t in rows[s][a]}):
+                split.setdefault(obs_of[t], []).append(t)
+            mname_of: dict[int, str] = {}
+            for o in sorted(split):
                 qname = f"q{len(memsel)}"
-                memsel[(ename, a, o)] = qname
+                memsel[(ename, aname, pomdp.observations[o])] = qname
                 observations.append(qname)
-                new_belief = frozenset(split[o])
+                new_belief = tuple(split[o])
                 branch = (signature, new_belief)
                 offered = branch_memo.get(branch)
                 if offered is None:
-                    names = tuple(map(add_element, moves_to(new_belief)))
-                    offered = branch_memo[branch] = (names, frozenset(names))
+                    made = tuple(map(add_element, moves_to(new_belief)))
+                    offered = branch_memo[branch] = (made, frozenset(made))
                 moves[qname], available[qname] = offered
-                for t in split[o]:
-                    mname = mname_of[t] = f"M~{t}~{qname}"
+                for t in new_belief:
+                    mname = mname_of[t] = f"M~{names[t]}~{qname}"
                     states.append(mname)
                     obs_map[mname] = qname
                     priority_out[mname] = prio[t]
-                    msel[mname] = t
+                    msel[mname] = names[t]
                 guard_budget()
-            for s in elem.belief:
-                succ[(_act_state(s, ename), a)] = tuple(
-                    map(mname_of.__getitem__, pomdp.supp(s, a)))
+            for s, name in zip(belief, acted):
+                succ[(name, aname)] = tuple(map(mname_of.__getitem__,
+                                                rows[s][a]))
 
-    all_actions = tuple(pomdp.actions) + tuple(elements)
+    all_actions = action_names + tuple(elements)
     for a in all_actions:
         succ[(sink_state, a)] = to_sink
     available[sink_obs] = frozenset(all_actions)
@@ -572,23 +571,18 @@ def positive_buchi_red(pomdp: Pomdp, priority: Mapping[str, int],
     return _materialize(pomdp, priority, BUCHI_MODE, root, budget)
 
 
-def is_belief_observation(pomdp: Pomdp, depth: int = 10 ** 6) -> bool:
+def is_belief_observation(pomdp: Pomdp) -> bool:
     """Does the belief always equal the full observation class?
 
-    Explores beliefs breadth-first from the initial state, memoizing, for
-    up to ``depth`` layers; once the belief set saturates before the bound
-    the answer is exact, otherwise it covers all plays of length ``depth``.
+    Explores beliefs breadth-first from the initial state, memoizing every
+    belief seen, until no new belief appears: the answer is exact.
     """
-    if depth < 1:
-        raise ContractError("exploration depth must be at least 1")
     start = frozenset({pomdp.initial_state})
     if set(pomdp.states_with_obs(pomdp.obs_map[pomdp.initial_state])) != start:
         return False
     seen = {start}
     layer = [start]
-    for _ in range(depth):
-        if not layer:
-            return True
+    while layer:
         nxt: list[frozenset[str]] = []
         for belief in layer:
             here = pomdp.obs_map[next(iter(belief))]

@@ -7,7 +7,7 @@ into a simpler objective), oracle (bounded brute-force search), and
 info (validation plus statistics).
 
 Exit codes: 0 for yes/success, 1 for a no or inconclusive verdict,
-2 for malformed inputs or exhausted resources.
+2 for malformed inputs, an unwritable output or exhausted resources.
 
 Every subcommand but info loads a model one way: it validates the model
 and its objective, and any problem aborts.  info prints the problems
@@ -76,10 +76,15 @@ def _record(**fields) -> str:
     return " ".join(f"{k}={v}" for k, v in fields.items())
 
 
-def _write_text(path: str, text: str) -> None:
+def _save_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
+def _write(save, path: str, content) -> None:
+    """``save(path, content)``, with write errors worded as CLI errors."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        save(path, content)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -107,7 +112,7 @@ def _cmd_solve(args) -> int:
             if base.endswith(".pomdp"):
                 base = base[:-len(".pomdp")]
             witness_path = base + ".witness.strat"
-        save_strategy_file(witness_path, decision.witness)
+        _write(save_strategy_file, witness_path, decision.witness)
         print(f"witness: {witness_path}", file=sys.stderr)
         return 0
     return 1
@@ -142,7 +147,7 @@ def _cmd_project(args) -> int:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        _write_text(args.output, text)
+        _write(_save_text, args.output, text)
         print(_record(memories=len(projected.memories), output=args.output))
     return 0
 
@@ -165,13 +170,13 @@ def _cmd_reduce(args) -> int:
     if args.output is None:
         sys.stdout.write(text)
         if args.origins is not None:
-            _write_text(args.origins, origins_text)
+            _write(_save_text, args.origins, origins_text)
     else:
-        _write_text(args.output, text)
+        _write(_save_text, args.output, text)
         origins_path = args.origins
         if origins_path is None:
             origins_path = args.output + ".origins"
-        _write_text(origins_path, origins_text)
+        _write(_save_text, origins_path, origins_text)
         print(_record(states=len(red.pomdp.states), output=args.output,
                       origins=origins_path))
     return 0
@@ -191,7 +196,7 @@ def _cmd_oracle(args) -> int:
                   wall_time_s=f"{wall:.3f}"))
     if result.verdict == "yes":
         if args.witness is not None:
-            save_strategy_file(args.witness, result.witness)
+            _write(save_strategy_file, args.witness, result.witness)
             print(f"witness: {args.witness}", file=sys.stderr)
         return 0
     return 1

@@ -15,20 +15,21 @@ strategies suffice):
 * ``almost_reach`` -- Buchi after making the targets absorbing.
 
 All of them are worklist attractors over per-observation counts of live
-action slots, on one integer observation graph (``beliefobs.ObsGraph``)
-read from a rewrite's construction records or walked over a ``Pomdp``'s
-supports.  They return their set, the actions they keep per observation
-(the play table of their strategy), and the removal rank of every other
-observation: the round in which the round-by-round iteration removes it,
-so each fixpoint takes max rank + 1 rounds (``fixpoint_iterations`` sums
-the safety and outer Buchi rounds).  Safety is one pass; the Buchi
-fixpoint keeps its outer rounds, updates its counters as Z shrinks, and
-grows X over integer state rows compiled once per call.
+action slots, on one integer observation graph per model
+(``beliefobs.ObsGraph``), read from a rewrite's construction records or
+walked over a ``Pomdp``'s supports, from the set they start at.  They
+return their set, the actions they keep per observation (the play table of
+their strategy), and the removal rank of every other observation: the
+round in which the round-by-round iteration removes it, so each fixpoint
+takes max rank + 1 rounds (``fixpoint_iterations`` sums the safety and
+outer Buchi rounds).  Safety is one pass; the Buchi fixpoint keeps its
+outer rounds, updates its counters as Z shrinks, and grows X over integer
+state rows compiled once per call.
 
 ``solve_almost_cobuchi_fm`` rewrites a {1,2}-priority POMDP with the
 belief-observation construction, computes its almost-surely safe part (the
-losing sink stays unreachable), and asks there for almost-sure
-reachability of the states whose element certifies a won recurrence.
+losing sink stays unreachable), and asks there, on the same graph, for
+almost-sure reachability of the states certifying a won recurrence.
 Those states are closed under every allowed action (the ``beliefobs``
 commitment invariant), so it asks it as plain Buchi on them and copies
 no model.  The safe part always holds the initial observation (also
@@ -150,18 +151,15 @@ def _safe_obs(graph: ObsGraph, start: Iterable[str],
     slot: the round in which the round-by-round iteration removes it, so
     that iteration takes max rank + 1 rounds (``safety_iterations``).
     """
-    model = graph.model
-    inside = bytearray(len(model.observations))
-    for o in start:
-        inside[model.obs_index[o]] = 1
-    live, count = graph.counters(inside)
+    names = graph.model.observations
+    inside, live, count = graph.counters(start)
     ranks: dict[str, int] = {}
     rounds = 1
     layer = [j for j, here in enumerate(inside) if here and not count[j]]
     while layer:
         for j in layer:
             inside[j] = 0
-            ranks[model.observations[j]] = rounds
+            ranks[names[j]] = rounds
         layer = graph.kill(live, count, layer)
         rounds += 1
     if stats is not None:
@@ -178,30 +176,31 @@ def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
     set, repeatedly drop observations with no covering-preserving action.
     The companion strategy plays every preserving action uniformly.
     """
-    graph = obs_graph(pomdp, pomdp.available)
-    y, plays, _ = _safe_obs(graph, obs_cover(safe_states, pomdp), stats)
+    y, plays, _ = _safe_obs(obs_graph(pomdp), obs_cover(safe_states, pomdp),
+                            stats)
     return y, (_obs_strategy(pomdp, plays).to_strategy() if y else None)
 
 
-def _buchi_obs(graph: ObsGraph, targets: Iterable[str],
+def _buchi_obs(graph: ObsGraph, start: Iterable[str], targets: Iterable[str],
                stats: dict | None = None,
                ) -> tuple[frozenset[str], dict[str, frozenset[str]],
                           dict[str, int]]:
     """Fixpoint core of ``almost_buchi``: the set, its kept actions, and
     the outer round that removes each observation.
 
-    Z starts at the graph's domain, and the live counters follow it as
-    it shrinks.  Each outer round grows X backwards from the targets
-    through live slots, over integer state rows compiled once per call.
-    A target enters X whenever its observation keeps a slot, so its own
-    row is never read and is not compiled.
+    Z starts at ``start``, and the live counters follow it as it shrinks.
+    Each outer round grows X backwards from the targets through live
+    slots, over integer state rows compiled once per call for live slots
+    (a dead slot never revives).  A target enters X whenever its
+    observation keeps a slot, so its own row is never read or compiled.
     """
     model, first, acts = graph.model, graph.first, graph.acts
     targets = frozenset(targets)
     names = model.observations
-    obs_of = [j for j, o in enumerate(names) if graph.domain[j]
+    inside, live, count = graph.counters(start)
+    obs_of = [j for j, o in enumerate(names) if inside[j]
               for _ in model.states_with_obs(o)]
-    states = [s for j, o in enumerate(names) if graph.domain[j]
+    states = [s for j, o in enumerate(names) if inside[j]
               for s in model.states_with_obs(o)]
     sid = {s: i for i, s in enumerate(states)}
     rev: list[list[tuple[int, int]]] = [[] for _ in states]
@@ -209,12 +208,10 @@ def _buchi_obs(graph: ObsGraph, targets: Iterable[str],
         if s not in targets:
             j = obs_of[i]
             for k in range(first[j], first[j + 1]):
-                for t in model.supp(s, acts[k]):
-                    if t in sid:
+                if live[k]:
+                    for t in model.supp(s, acts[k]):
                         rev[sid[t]].append((k, i))
     goals = [sid[s] for s in targets if s in sid]
-    inside = bytearray(graph.domain)
-    live, count = graph.counters(inside)
     ranks: dict[str, int] = {}
     outer = inner = 0
     while True:
@@ -258,8 +255,8 @@ def almost_buchi(pomdp: Pomdp, targets: Iterable[str],
     never risks leaving Z.  The companion strategy plays allow(o, Z*)
     uniformly; its recurrent classes all intersect the targets.
     """
-    graph = obs_graph(pomdp, pomdp.available)
-    z, plays, _ = _buchi_obs(graph, targets, stats)
+    z, plays, _ = _buchi_obs(obs_graph(pomdp), pomdp.observations, targets,
+                             stats)
     return z, (_obs_strategy(pomdp, plays).to_strategy() if z else None)
 
 
@@ -326,15 +323,15 @@ def _merge_initial(table: SupportStrategy,
 
 
 def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
-                        plays: Mapping[str, Iterable[str]],
-                        first_moves: Iterable[str]) -> SupportStrategy:
+                        plays: Mapping[str, Iterable[str]]) -> SupportStrategy:
     """Back-translate an observation play table on the rewrite into a strategy.
 
     Memories are the element observations in the table's domain; the
     action choice replays the table, and the memory update at (element,
     model observation, action) replays the table at the corresponding
-    intermediate observation.  The initial randomization over element
-    moves is merged into a single auxiliary memory.
+    intermediate observation.  The table's element moves at the initial
+    observation, a randomization, are merged into a single auxiliary
+    memory.
     """
     element_memories = tuple(e for e in bo.elements if e in plays)
     action_support = {e: tuple(sorted(plays[e])) for e in element_memories}
@@ -348,7 +345,7 @@ def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
     table = SupportStrategy(
         element_memories, action_support, update_support, element_memories[0],
         {e: bo.elements[e] for e in element_memories})
-    return _merge_initial(table, first_moves)
+    return _merge_initial(table, sorted(plays[bo.init_obs]))
 
 
 def _verify(pomdp: Pomdp, objective: Objective, mode: WinningMode,
@@ -378,21 +375,20 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     mode = WinningMode.ALMOST_SURE
     # ObsCover of every state but the losing sink
     safe_obs = set(bo.observations) - {bo.sink_obs}
-    y_safe, safe_plays, _ = _safe_obs(obs_graph(bo, bo.available), safe_obs,
-                                      stats)
+    graph = obs_graph(bo)
+    y_safe, safe_plays, _ = _safe_obs(graph, safe_obs, stats)
     stats["safe_observations"] = y_safe
-    # Reachability of the closed set wpr inside the safe part: Buchi on it.
+    # Reachability of the closed set wpr inside the safe part: Buchi on it,
+    # from the safe part, whose live slots are the safe plays.
     wpr = bo.certified_recurrent()
-    w2, reach_plays, _ = _buchi_obs(obs_graph(bo, safe_plays), wpr, stats)
+    w2, reach_plays, _ = _buchi_obs(graph, y_safe, wpr, stats)
     stats["winning_observations"] = w2
     if bo.init_obs not in w2:
         stats["failed_stage"] = "reachability"
         return Decision(False, mode, diagnostics=stats)
 
-    plays = {o: reach_plays.get(o, acts) for o, acts in safe_plays.items()
-             if o != bo.init_obs}
-    first = sorted(reach_plays[bo.init_obs])
-    table = _witness_from_plays(pomdp, bo, plays, first)
+    plays = {o: reach_plays.get(o, acts) for o, acts in safe_plays.items()}
+    table = _witness_from_plays(pomdp, bo, plays)
     witness = _verify(pomdp, Objective.parity(dict(priority)), mode, table)
     return Decision(True, mode, witness=witness, diagnostics=stats)
 
@@ -466,14 +462,13 @@ def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
                                      f"for earlier roots of {budget}") from None
         stats["states_constructed"] += len(bo.states)
         targets = frozenset(s for s in bo.states if bo.priority[s] == 0)
-        z, kept, _ = _buchi_obs(obs_graph(bo, bo.available), targets, stats)
+        z, kept, _ = _buchi_obs(obs_graph(bo), bo.observations, targets,
+                                stats)
         if bo.init_obs not in z:
             continue
         stats["winning_root"] = t
         stats["winning_observations"] = z
-        plays = {o: acts for o, acts in kept.items() if o != bo.init_obs}
-        first = sorted(kept[bo.init_obs])
-        tail = _witness_from_plays(pomdp, bo, plays, first)
+        tail = _witness_from_plays(pomdp, bo, kept)
         witness = _verify(pomdp, objective, mode,
                           _prefix_then(pomdp, paths[t], tail))
         return Decision(True, mode, witness=witness, diagnostics=stats)

@@ -65,9 +65,6 @@ class MemoryElement:
     def srec_map(self) -> dict[str, frozenset[frozenset[int]]]:
         return dict(self.srec)
 
-    def srec_of(self, state: str) -> frozenset[frozenset[int]]:
-        return self.srec_map[state]
-
 
 @dataclass
 class SupportStrategy:
@@ -148,18 +145,18 @@ class FiniteMemoryStrategy:
         return self.supports.action_support.get(memory, ())
 
 
-def stationary_strategy(pomdp: Pomdp, support: Iterable[str],
-                        name: str = "m") -> FiniteMemoryStrategy:
+def stationary_strategy(pomdp: Pomdp,
+                        support: Iterable[str]) -> FiniteMemoryStrategy:
     """Single-memory strategy playing uniformly over a fixed action set."""
     support = tuple(sorted(support))
     unknown = sorted(set(support) - set(pomdp.actions))
     if unknown:
         raise StructuralError(f"unknown actions: {', '.join(unknown)}")
     return SupportStrategy(
-        memories=(name,), action_support={name: support},
-        update_support={(name, o, a): (name,)
+        memories=("m",), action_support={"m": support},
+        update_support={("m", o, a): ("m",)
                         for o in pomdp.observations for a in support},
-        initial=name).to_strategy()
+        initial="m").to_strategy()
 
 
 # -- projection graph --

@@ -63,11 +63,6 @@ def test_partial_class_belief_is_detected():
     assert not is_belief_observation(pomdp)
 
 
-def test_depth_must_be_positive(ex1):
-    with pytest.raises(ContractError):
-        is_belief_observation(ex1[0], depth=0)
-
-
 def test_generated_instances_hold_the_property():
     rng = random.Random(7000)
     for _ in range(25):
@@ -135,7 +130,7 @@ def test_rewrite_certificates_claim_only_priority_two(ex1_rewrite):
         elem = bo.elements[ename]
         (s,) = [s for s in elem.belief if f"A~{s}~{ename}" == name]
         assert s in elem.brec
-        assert elem.srec_of(s) == frozenset({frozenset({2})})
+        assert elem.srec_map[s] == frozenset({frozenset({2})})
 
 
 def without_an_action(pomdp, rng):
@@ -163,11 +158,11 @@ def assert_commitment_invariant(bo):
     for ename, elem in bo.elements.items():
         assert all(frozenset({2}) in table for table in elem.srec_map.values())
         for s in elem.belief & elem.brec:
-            assert elem.srec_of(s) == good
+            assert elem.srec_map[s] == good
             assert bo.priority[f"A~{s}~{ename}"] == 2
         certified.update(
             f"A~{s}~{ename}" for s in elem.belief
-            if s in elem.brec and elem.srec_of(s) == good
+            if s in elem.brec and elem.srec_map[s] == good
             and bo.priority[f"A~{s}~{ename}"] == 2)
     assert all(bo.moves[q] for q in bo.memsel.values())
     assert bo.certified_recurrent() == certified
@@ -236,7 +231,7 @@ def test_the_safety_stage_keeps_the_initial_observation(reduced_ex1_rewrite):
     belief state."""
     checked = 0
     for _, _, bo in [*seeded_cobuchi_rewrites(7005, 300), reduced_ex1_rewrite]:
-        y, _, _ = _safe_obs(obs_graph(bo, bo.available),
+        y, _, _ = _safe_obs(obs_graph(bo),
                             set(bo.observations) - {bo.sink_obs})
         assert bo.init_obs in y
         for ename, elem in bo.elements.items():
@@ -325,9 +320,9 @@ def memory_action_allowed(candidate: MemoryElement,
     for s in pomdp.states:
         if action not in pomdp.available_at(pomdp.obs_map[s]):
             continue
-        ls = previous.srec_of(s)
+        ls = previous.srec_map[s]
         for t in pomdp.supp(s, action):
-            if not candidate.srec_of(t) <= ls:
+            if not candidate.srec_map[t] <= ls:
                 return False
     return True
 
@@ -445,13 +440,22 @@ def test_shared_branch_moves_are_the_enumerated_ones(ex1, monkeypatch):
         if i == 0:
             assert len(enumerated) < len(bo.memsel) == 3454
         name_of = {elem: name for name, elem in bo.elements.items()}
+        names, index = model.states, model.state_index
+        rows = model.index_supports[1]
+        by_index = [prio[s] for s in names]
         for (ename, a, o), q in bo.memsel.items():
             elem = bo.elements[ename]
-            _, moves = element_moves(model, prio, mode, elem, a,
-                                     beliefobs.DEFAULT_STATE_BUDGET)
+            _, moves = element_moves(
+                rows, by_index, mode, model.action_index[a],
+                tuple(elem.srec_map[s] for s in names),
+                frozenset(map(index.__getitem__, elem.belief & elem.brec)),
+                beliefobs.DEFAULT_STATE_BUDGET)
+            new_belief = tuple(sorted(map(
+                index.__getitem__, belief_update(model, elem.belief, a, o))))
             fresh = tuple(name_of[MemoryElement.make(
-                              belief, brec, dict(zip(model.states, tables)))]
-                          for belief, brec, tables in moves(
-                              belief_update(model, elem.belief, a, o)))
+                              [names[i] for i in belief],
+                              [names[i] for i in brec],
+                              dict(zip(names, tables)))]
+                          for belief, brec, tables in moves(new_belief))
             assert bo.moves[q] == fresh
             assert bo.available[q] == frozenset(fresh)

@@ -632,6 +632,11 @@ def test_positive_witness_ignores_successor_listing_order(tmp_path, capsys):
     assert witnesses[0] == witnesses[1]
 
 
+PINNED_REDUCED_EX1 = (
+    "verdict=yes mode=almost states_constructed=57158 fixpoint_iterations=7",
+    "b533108209abe714bc1c69c90b6203b93cc8a8661cbe2125f6364deeff54b32c")
+
+
 def test_reduced_ex1_solve_matches_the_recorded_bytes(tmp_path, capsys):
     """The 57,158-state co-Buchi construction of ``ex1`` reduced to co-Buchi."""
     model = write_ex1(tmp_path)
@@ -642,11 +647,9 @@ def test_reduced_ex1_solve_matches_the_recorded_bytes(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--mode", "almost", reduced,
                        "--witness", str(witness))
     assert code == 0
-    assert re.sub(r" wall_time_s=\S+", "", out.strip()) == (
-        "verdict=yes mode=almost states_constructed=57158 "
-        "fixpoint_iterations=7")
-    assert hashlib.sha256(witness.read_bytes()).hexdigest() == (
-        "b533108209abe714bc1c69c90b6203b93cc8a8661cbe2125f6364deeff54b32c")
+    record, digest = PINNED_REDUCED_EX1
+    assert re.sub(r" wall_time_s=\S+", "", out.strip()) == record
+    assert hashlib.sha256(witness.read_bytes()).hexdigest() == digest
 
 
 # Recorded ``oracle`` outputs: exit code, stdout record without its wall
@@ -756,19 +759,65 @@ def test_oracle_outputs_match_the_recorded_bytes(
         assert hashlib.sha256(witness.read_bytes()).hexdigest() == digest
 
 
-def test_package_runs_as_a_module(tmp_path):
-    """``python -m pomparity`` from a source checkout is the CLI."""
-    model = write_ex1(tmp_path)
-    witness = tmp_path / "w.strat"
+def run_module(tmp_path, *argv, hash_seed=None):
+    """``python -m pomparity`` on ``argv`` from a source checkout."""
     src = str(Path(pomparity.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "pomparity", "solve", "--mode", "almost",
-         model, "--witness", str(witness)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
+    return subprocess.run([sys.executable, "-m", "pomparity", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_package_runs_as_a_module(tmp_path):
+    """``python -m pomparity`` from a source checkout is the CLI."""
+    model = write_ex1(tmp_path)
+    witness = tmp_path / "w.strat"
+    done = run_module(tmp_path, "solve", "--mode", "almost", model,
+                      "--witness", str(witness))
     assert done.returncode == 0, done.stderr
     record, digest = PINNED_OUTPUTS[("ex1", "almost")]
     assert re.sub(r" wall_time_s=\S+", "", done.stdout.strip()) == record
     assert hashlib.sha256(witness.read_bytes()).hexdigest() == digest
+
+
+def test_solve_outputs_do_not_depend_on_the_hash_seed(tmp_path, capsys):
+    """The recorded solve outputs under two string-hash seeds: no order of
+    a set or dict of names reaches a verdict, a count or a witness byte."""
+    cases = []
+    for (name, mode), pinned in sorted(PINNED_OUTPUTS.items()):
+        model = tmp_path / f"{name}.pomdp"
+        model.write_text(fixture_text(name), encoding="utf-8")
+        cases.append((str(model), mode, pinned))
+    reduced = str(tmp_path / "ex1.cobuchi.pomdp")
+    code, _, _ = run(capsys, "reduce", cases[0][0], "--to", "cobuchi",
+                     "-o", reduced)
+    assert code == 0
+    cases.append((reduced, "almost", PINNED_REDUCED_EX1))
+    witness = tmp_path / "w.strat"
+    for seed in ("0", "1"):
+        for model, mode, (record, digest) in cases:
+            done = run_module(tmp_path, "solve", "--mode", mode, model,
+                              "--witness", str(witness), hash_seed=seed)
+            assert done.returncode == 0, done.stderr
+            assert re.sub(r" wall_time_s=\S+", "", done.stdout.strip()) == \
+                record, (seed, model, mode)
+            assert hashlib.sha256(witness.read_bytes()).hexdigest() == \
+                digest, (seed, model, mode)
+
+
+def test_unwritable_outputs_exit_two(tmp_path, capsys):
+    """An output path that cannot be written is an error naming the path,
+    with exit 2, not a traceback whose exit 1 reads as "no"."""
+    model = write_ex1(tmp_path)
+    ghost = str(tmp_path / "missing" / "out")
+    for argv in (["solve", "--mode", "almost", model, "--witness", ghost],
+                 ["oracle", model, "--mode", "almost", "--memory-bound", "2",
+                  "--witness", ghost],
+                 ["reduce", model, "--to", "buchi", "-o", ghost]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith(f"error: cannot write {ghost}:"), err

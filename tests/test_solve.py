@@ -216,14 +216,15 @@ def assert_kept_moves_stay_kept(pomdp, plays):
 
 
 def assert_buchi_inside_matches(model, plays, targets, closed):
-    """Buchi on the targets inside a safe part, over the graph of its kept
-    actions, against the reference on the model restricted to them.  For
+    """Buchi on the targets inside a safe part, on the model's graph from
+    the safe part, against the reference on the model restricted to its
+    kept actions: the live slots at the start are those actions.  For
     closed targets, as in the co-Buchi pipeline's reach stage, the copy
     has them absorbing: Buchi is reaching them.  The witness table the
     pipeline assembles keeps the attractor invariant."""
     inside = frozenset(s for s in targets if model.obs_map[s] in plays)
     stats = {}
-    w, kept, ranks = _buchi_obs(obs_graph(model, plays), inside, stats)
+    w, kept, ranks = _buchi_obs(obs_graph(model), plays, inside, stats)
     copy = restrict_to(model, plays)
     assert (w, kept, stats["buchi_outer_iterations"],
             stats["buchi_inner_steps"], ranks) == \
@@ -238,7 +239,7 @@ def assert_reach_stage_matches(bo):
     """The co-Buchi pipeline's reach stage, Buchi on the certified states
     inside the safe part read from the rewrite's records, against reaching
     them; returns whether the safe part is non-empty."""
-    y, plays, _ = _safe_obs(obs_graph(bo, bo.available),
+    y, plays, _ = _safe_obs(obs_graph(bo),
                             set(bo.observations) - {bo.sink_obs})
     if y:
         assert_buchi_inside_matches(bo, plays, bo.certified_recurrent(),
@@ -262,7 +263,7 @@ def test_fixpoint_cores_match_the_reference_iteration(ex1):
         buc = positive_buchi_red(base, {s: rng.choice((0, 1))
                                         for s in base.states})
         for pomdp in (base, cob.pomdp, buc.pomdp):
-            graph = obs_graph(pomdp, pomdp.available)
+            graph = obs_graph(pomdp)
             safe = {s for s in pomdp.states if rng.random() < 0.8}
             stats = {}
             y, plays, ranks = _safe_obs(graph, obs_cover(safe, pomdp), stats)
@@ -271,7 +272,8 @@ def test_fixpoint_cores_match_the_reference_iteration(ex1):
             assert_kept_moves_stay_kept(pomdp, plays)
             targets = {s for s in pomdp.states if rng.random() < 0.3}
             stats = {}
-            z, kept, ranks = _buchi_obs(graph, targets, stats)
+            z, kept, ranks = _buchi_obs(graph, pomdp.observations, targets,
+                                        stats)
             assert (z, kept, stats["buchi_outer_iterations"],
                     stats["buchi_inner_steps"], ranks) == \
                 reference_buchi(pomdp, targets)
@@ -297,38 +299,38 @@ def graph_table(graph):
     return table
 
 
-def walked_table(pomdp, allowed):
+def walked_table(pomdp):
     """The same table by a walk over every state's supports."""
     return {(o, a): {pomdp.obs_map[t] for s in pomdp.states_with_obs(o)
                      for t in pomdp.supp(s, a)}
-            for o in pomdp.observations if o in allowed for a in allowed[o]}
+            for o in pomdp.observations for a in pomdp.available_at(o)}
 
 
 def assert_implicit_rows_read_as_stored(bo, rng):
     """The observation graph and the fixpoint cores on the rewrite, whose
     memory-selection rows are implicit, against its playable model."""
     played = bo.pomdp
+    graphs = [obs_graph(model) for model in (bo, played)]
+    assert graph_table(graphs[0]) == graph_table(graphs[1]) == \
+        walked_table(played)
     for _ in range(4):
-        allowed = {o: frozenset(a for a in acts if rng.random() < 0.7)
-                   for o, acts in bo.available.items() if rng.random() < 0.9}
-        graphs = [obs_graph(model, allowed) for model in (bo, played)]
-        assert graph_table(graphs[0]) == graph_table(graphs[1]) == \
-            walked_table(played, allowed)
+        start = {o for o in bo.observations if rng.random() < 0.9}
         safe = {s for s in bo.states
-                if bo.obs_map[s] in allowed and rng.random() < 0.9}
+                if bo.obs_map[s] in start and rng.random() < 0.9}
         targets = {s for s in bo.states if rng.random() < 0.3}
         runs = []
         for graph in graphs:
             stats = {}
             runs.append((_safe_obs(graph, obs_cover(safe, bo), stats),
-                         _buchi_obs(graph, targets, stats), stats))
+                         _buchi_obs(graph, start, targets, stats), stats))
         assert runs[0] == runs[1]
 
 
 def test_move_table_reads_the_implicit_selection_rows(ex1):
     """The graph read from the rewrite's records fills the rows it skips
     walking exactly as the walk over the stored supports of the playable
-    model would, under random allowed actions."""
+    model would, and both fixpoint cores read the two graphs alike from
+    random start sets."""
     rng = random.Random(8006)
     for _ in range(200):
         base = random_pomdp(rng)
@@ -352,8 +354,8 @@ def test_observation_graph_reads_the_construction_records():
         for rewrite, values in ((almost_cobuchi_red, (1, 2)),
                                 (positive_buchi_red, (0, 1))):
             bo = rewrite(base, {s: rng.choice(values) for s in base.states})
-            table = graph_table(obs_graph(bo, bo.available))
-            assert table == walked_table(bo.pomdp, bo.available)
+            table = graph_table(obs_graph(bo))
+            assert table == walked_table(bo.pomdp)
             for e in bo.initial_moves:
                 assert table[(bo.init_obs, e)] == {e}
             assert all(table[(bo.sink_obs, a)] == {bo.sink_obs}
