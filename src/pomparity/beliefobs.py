@@ -103,8 +103,8 @@ _TOP = {mode: _all_subsets(prios) for mode, prios in _PRIORITY_SETS.items()}
 _GOOD2 = frozenset({frozenset({2})})
 
 # (belief, committed set, class tables) over state indices: the belief
-# ascending, the tables in index order; one element, cheap to hash before
-# the name-sorted ``MemoryElement`` is built
+# ascending, the tables in index order; one element as the construction
+# keeps it, its name-sorted ``MemoryElement`` built only on demand
 ElementKey = tuple[tuple[int, ...], frozenset[int],
                    tuple[frozenset[frozenset[int]], ...]]
 
@@ -222,19 +222,22 @@ class BeliefObsPomdp:
     observation to its states; ``supp``, ``states_with_obs`` and
     ``available`` answer from them as the playable model ``pomdp``
     (uniform exact weights, built on first use) would.  Observations named
-    in ``elements`` are memory elements and double as the element-move
-    action names.  ``memsel`` maps (element name, model action, model
-    observation) to the intermediate observation where the next element is
-    chosen, and ``moves`` lists the element names offered there (never
-    empty, by the module's commitment invariant).  ``msel`` maps each
-    state of such an observation to its model state t.  ``succ`` holds no
-    row for a memory-selection state: its row for an offered move e is
-    ``(A~t~e,)``, and ``supp`` answers it from ``msel`` and ``moves``.
-    Branches with equal signatures share one ``moves`` tuple and one
-    ``available`` set, so these objects must never be mutated.  The
-    only stored rows into the sink are those of disallowed actions and the
-    sink's own.  ``priority`` assigns every new state its two-priority
-    value.
+    in ``keys`` are memory elements and double as the element-move action
+    names; ``keys`` maps each to its interned ``ElementKey`` over the
+    indices of the model's ``state_names``.  ``element(name)`` builds one
+    element's name-sorted ``MemoryElement`` on demand, and ``elements``
+    is a view of all of them, built on first use.  ``memsel`` maps
+    (element name, model action, model observation) to the intermediate
+    observation where the next element is chosen, and ``moves`` lists the
+    element names offered there (never empty, by the module's commitment
+    invariant).  ``msel`` maps each state of such an observation to its
+    model state t.  ``succ`` holds no row for a memory-selection state:
+    its row for an offered move e is ``(A~t~e,)``, and ``supp`` answers it
+    from ``msel`` and ``moves``.  Branches with equal signatures share one
+    ``moves`` tuple and one ``available`` set, so these objects must never
+    be mutated.  The only stored rows into the sink are those of
+    disallowed actions and the sink's own.  ``priority`` assigns every new
+    state its two-priority value.
     """
 
     mode: str
@@ -252,7 +255,8 @@ class BeliefObsPomdp:
     init_obs: str
     sink_obs: str
     initial_moves: tuple[str, ...]
-    elements: dict[str, MemoryElement]
+    keys: dict[str, ElementKey]
+    state_names: tuple[str, ...]
     memsel: dict[tuple[str, str, str], str]
     moves: dict[str, tuple[str, ...]] = field(default_factory=dict)
     msel: dict[str, str] = field(default_factory=dict)
@@ -284,6 +288,18 @@ class BeliefObsPomdp:
         return Pomdp(self.states, self.actions, self.observations,
                      self.obs_map, weights, self.init_state, self.available)
 
+    def element(self, name: str) -> MemoryElement:
+        """The memory element observed as ``name``, built from its key."""
+        belief, brec, tables = self.keys[name]
+        names = self.state_names
+        return MemoryElement.make([names[i] for i in belief],
+                                  [names[i] for i in brec],
+                                  dict(zip(names, tables)))
+
+    @cached_property
+    def elements(self) -> dict[str, MemoryElement]:
+        return {name: self.element(name) for name in self.keys}
+
     def certified_recurrent(self) -> frozenset[str]:
         """Action-selection states whose element certifies a won recurrence.
 
@@ -291,9 +307,10 @@ class BeliefObsPomdp:
         states (class table {{2}}, priority 2).  Buchi-mode elements never
         commit, so there the set is empty.
         """
-        return frozenset(_act_state(s, ename)
-                         for ename, elem in self.elements.items()
-                         for s in elem.belief & elem.brec)
+        names = self.state_names
+        return frozenset(_act_state(names[s], ename)
+                         for ename, (belief, brec, _) in self.keys.items()
+                         for s in brec.intersection(belief))
 
 
 def _act_state(s: str, ename: str) -> str:
@@ -399,7 +416,7 @@ def obs_graph(model: Pomdp | BeliefObsPomdp) -> ObsGraph:
                 for i in {index[obs_map[t]] for s in members
                           for t in model.supp(s, acts[k])}:
                     pred[i].append(k)
-        elif o in model.elements:
+        elif o in model.keys:
             for k in range(base, len(acts)):
                 for i in branches.get((o, acts[k])) or (
                         (sink,) if model.succ.get((members[0], acts[k]))
@@ -428,7 +445,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     taken_actions = set(action_names)
 
     elem_name: dict[ElementKey, str] = {}
-    elements: dict[str, MemoryElement] = {}
+    keys: dict[str, ElementKey] = {}
 
     init_state, sink_state = "start", "dead"
     init_obs, sink_obs = "o_start", "o_dead"
@@ -444,7 +461,8 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     memsel: dict[tuple[str, str, str], str] = {}
     moves: dict[str, tuple[str, ...]] = {}
     msel: dict[str, str] = {}
-    # (action, tables, committed belief states) -> allowed _element_moves
+    # (action, tables, committed belief states) -> _element_moves, () if
+    # the action is disallowed
     cap_memo: dict[tuple, tuple] = {}
     # (signature, new belief) -> one branch's offered names, shared
     branch_memo: dict[tuple, tuple[tuple[str, ...], frozenset[str]]] = {}
@@ -462,13 +480,11 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         known = elem_name.get(key)
         if known is not None:
             return known
-        belief, brec, tables = key
         ename = fresh_name(f"m{len(elem_name)}", taken_actions)
         elem_name[key] = ename
-        elements[ename] = MemoryElement.make(
-            [names[i] for i in belief], [names[i] for i in brec],
-            dict(zip(names, tables)))
+        keys[ename] = key
         observations.append(ename)
+        belief = key[0]
         acted = [_act_state(names[i], ename) for i in belief]
         for i, name in zip(belief, acted):
             states.append(name)
@@ -491,14 +507,14 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         for a in acts:
             aname = action_names[a]
             cap_key = (a, tables, committed)
-            found = (cap_memo.get(cap_key)
-                     or _element_moves(rows, prio, mode, a, tables, committed,
-                                       budget))
+            found = cap_memo.get(cap_key)
+            if found is None:
+                found = cap_memo[cap_key] = _element_moves(
+                    rows, prio, mode, a, tables, committed, budget)
             if not found:
                 for name in acted:
                     succ[(name, aname)] = to_sink
                 continue
-            cap_memo[cap_key] = found
             signature, moves_to = found
             split: dict[int, list[int]] = {}
             for t in sorted({t for s in belief for t in rows[s][a]}):
@@ -526,7 +542,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                 succ[(name, aname)] = tuple(map(mname_of.__getitem__,
                                                 rows[s][a]))
 
-    all_actions = action_names + tuple(elements)
+    all_actions = action_names + tuple(keys)
     for a in all_actions:
         succ[(sink_state, a)] = to_sink
     available[sink_obs] = frozenset(all_actions)
@@ -540,8 +556,8 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         available=available, succ=succ, classes=classes,
         priority=priority_out, root=root, init_state=init_state,
         sink_state=sink_state, init_obs=init_obs, sink_obs=sink_obs,
-        initial_moves=initial_moves, elements=elements, memsel=memsel,
-        moves=moves, msel=msel)
+        initial_moves=initial_moves, keys=keys, state_names=names,
+        memsel=memsel, moves=moves, msel=msel)
 
 
 def almost_cobuchi_red(pomdp: Pomdp, priority: Mapping[str, int],

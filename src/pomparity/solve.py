@@ -331,9 +331,10 @@ def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
     model observation, action) replays the table at the corresponding
     intermediate observation.  The table's element moves at the initial
     observation, a randomization, are merged into a single auxiliary
-    memory.
+    memory.  Only the kept element memories get their ``MemoryElement``
+    annotations built.
     """
-    element_memories = tuple(e for e in bo.elements if e in plays)
+    element_memories = tuple(e for e in bo.keys if e in plays)
     action_support = {e: tuple(sorted(plays[e])) for e in element_memories}
     update_support = {}
     for e in element_memories:
@@ -344,7 +345,7 @@ def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
                     update_support[(e, o, a)] = tuple(sorted(plays[q]))
     table = SupportStrategy(
         element_memories, action_support, update_support, element_memories[0],
-        {e: bo.elements[e] for e in element_memories})
+        {e: bo.element(e) for e in element_memories})
     return _merge_initial(table, sorted(plays[bo.init_obs]))
 
 

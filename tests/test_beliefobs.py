@@ -372,8 +372,10 @@ def test_support_graph_is_its_playable_model(ex1_rewrite):
 
 
 def test_elements_are_interned(ex1, monkeypatch):
-    """One ``MemoryElement.make`` call per distinct element, and no stored
-    row for a memory-selection state and an offered move."""
+    """The construction calls ``MemoryElement.make`` for no element; reading
+    ``elements`` calls it once per distinct element, each equal to a fresh
+    build from its key.  No row is stored for a memory-selection state and
+    an offered move."""
     make = MemoryElement.make
     made = []
 
@@ -394,10 +396,18 @@ def test_elements_are_interned(ex1, monkeypatch):
     for rewrite, model, prio in rewrites:
         made.clear()
         bo = rewrite(model, prio)
-        assert len(made) == len(bo.elements)
-        for elem in bo.elements.values():
+        assert made == []
+        elements = bo.elements
+        assert len(made) == len(elements) == len(bo.keys)
+        assert list(elements) == list(bo.keys)
+        names = model.states
+        for name, elem in elements.items():
+            belief, brec, tables = bo.keys[name]
+            assert elem == make([names[i] for i in belief],
+                                [names[i] for i in brec],
+                                dict(zip(names, tables)))
             assert elem == make(elem.belief, elem.brec, elem.srec_map)
-        assert len(set(bo.elements.values())) == len(bo.elements)
+        assert len(set(elements.values())) == len(elements)
         for qname, offered in bo.moves.items():
             for mname in bo.states_with_obs(qname):
                 assert not any((mname, e) in bo.succ for e in offered)

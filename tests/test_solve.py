@@ -18,6 +18,7 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
 from pomparity import solve
 from pomparity.beliefobs import obs_graph
 from pomparity.solve import _buchi_obs, _safe_obs
+from pomparity.strategy import MemoryElement
 from conftest import (all_memoryless_supports, chain_wins,
                       observation_stationary, random_belief_obs_pomdp,
                       random_mdp, random_parity, random_pomdp)
@@ -386,27 +387,63 @@ def test_solve_fixture_verdicts(ex1, ex2, ex2fix):
                 assert "failed_stage" in d.diagnostics
 
 
-def test_no_pipeline_builds_the_weighted_rewrite(ex1, ex2, monkeypatch):
-    """The pipelines read the rewrite's supports, never ``bo.pomdp``."""
+def capture_rewrites(monkeypatch):
+    """Record every rewrite the solve pipelines build; return the list."""
     built = []
 
     def capture(rewrite):
         def wrapped(*args, **kwargs):
-            bo = rewrite(*args, **kwargs)
-            built.append(bo)
-            return bo
+            built.append(rewrite(*args, **kwargs))
+            return built[-1]
         return wrapped
 
-    monkeypatch.setattr(solve, "almost_cobuchi_red",
-                        capture(solve.almost_cobuchi_red))
-    monkeypatch.setattr(solve, "positive_buchi_red",
-                        capture(solve.positive_buchi_red))
+    for name in ("almost_cobuchi_red", "positive_buchi_red"):
+        monkeypatch.setattr(solve, name, capture(getattr(solve, name)))
+    return built
+
+
+def test_no_pipeline_builds_the_weighted_rewrite(ex1, ex2, monkeypatch):
+    """The pipelines read the rewrite's supports, never ``bo.pomdp``."""
+    built = capture_rewrites(monkeypatch)
     for pomdp, objective in (ex1, ex2):
         for mode in (ALMOST, POSITIVE):
             before = len(built)
             assert solve_parity_fm(pomdp, objective, mode).winning
             assert len(built) > before
     assert all("pomdp" not in bo.__dict__ for bo in built)
+
+
+def test_solves_annotate_only_the_witness_memories(ex1, monkeypatch):
+    """A solve builds the ``MemoryElement`` of an element only for the
+    element memories its witness keeps, once each: on ``ex1`` reduced to
+    co-Buchi at most 285 of the rewrite's 3,256 elements."""
+    make = MemoryElement.make
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(MemoryElement, "make", counting)
+    built = capture_rewrites(monkeypatch)
+    red = almost_parity_to_cobuchi(*objective_as_parity(*ex1))
+    d = solve_parity_fm(red.pomdp, red.objective, ALMOST)
+    assert d.winning and len(built) == 1
+    assert len(made) == len(d.witness.elements) <= 285
+    assert len(built[0].keys) == 3256
+    rng = random.Random(8011)
+    wins = Counter()
+    for _ in range(60):
+        model = random_pomdp(rng)
+        for pipeline, values in ((solve_almost_cobuchi_fm, (1, 2)),
+                                 (solve_positive_buchi_fm, (0, 1))):
+            made.clear()
+            built.clear()
+            d = pipeline(model, {s: rng.choice(values) for s in model.states})
+            assert len(made) == (len(d.witness.elements) if d.winning else 0)
+            assert all("elements" not in bo.__dict__ for bo in built)
+            wins[pipeline, d.winning] += 1
+    assert min(wins.values()) >= 5, wins
 
 
 def test_solve_diagnostics_names(ex1):
