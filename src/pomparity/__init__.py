@@ -23,7 +23,8 @@ from .modelio import (load_fixture, load_model_file, load_strategy_file,
                       save_strategy_file, serialize_model, serialize_strategy)
 from .reductions import (ReductionOutput, almost_parity_to_cobuchi,
                          parity_to_three, positive_parity_to_buchi,
-                         three_to_cobuchi, transfer_strategy)
+                         restrict_strategy, three_to_cobuchi,
+                         transfer_strategy)
 from .beliefobs import (BeliefObsPomdp, almost_cobuchi_red,
                         is_belief_observation, positive_buchi_red)
 from .solve import (DEFAULT_STATE_BUDGET, Decision, allow, almost_buchi,

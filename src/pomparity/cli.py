@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, metavar="N",
                    help="stop after N candidates and report inconclusive")
     p.add_argument("--jobs", type=int, default=1, metavar="J",
-                   help="partition the enumeration across J processes")
+                   help="start J processes, each enumerating the whole "
+                        "candidate stream to evaluate every J-th candidate")
     p.add_argument("--witness", metavar="PATH",
                    help="save the first winning strategy here")
     p.set_defaults(handler=_cmd_oracle)

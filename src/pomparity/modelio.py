@@ -439,8 +439,10 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
                                 initial_memory=initial, elements=elements)
 
 
-def serialize_strategy(strategy: FiniteMemoryStrategy) -> str:
-    """Canonical text form of a strategy, element annotations included."""
+def serialize_strategy(strategy) -> str:
+    """Canonical text form of a strategy, element annotations included;
+    a support table is written with ``to_strategy``'s uniform weights."""
+    strategy = strategy.to_strategy()
     midx = {m: i for i, m in enumerate(strategy.memories)}
     out = [f"memories: {' '.join(strategy.memories)}",
            f"init: {strategy.initial_memory}"]
@@ -488,7 +490,7 @@ def load_strategy_file(path: str | Path) -> FiniteMemoryStrategy:
     return parse_strategy(Path(path).read_text(encoding="utf-8"))
 
 
-def save_strategy_file(path: str | Path, strategy: FiniteMemoryStrategy) -> None:
+def save_strategy_file(path: str | Path, strategy) -> None:
     Path(path).write_text(serialize_strategy(strategy), encoding="utf-8",
                           newline="\n")
 

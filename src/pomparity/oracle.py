@@ -35,7 +35,7 @@ from .chain import _condense, _state_colours, _wins, evaluable_objective
 # because perfbench/spans.py wraps the chain layer as each caller sees it.
 from .chain import build_product_chain, evaluate_qualitative  # noqa: F401
 from .model import ContractError, Objective, Pomdp, WinningMode
-from .strategy import FiniteMemoryStrategy, SupportStrategy, memory_bound
+from .strategy import SupportStrategy, memory_bound
 
 
 @functools.cache
@@ -180,11 +180,12 @@ class OracleResult:
     ``verdict`` is "yes", "no" or "inconclusive" (budget exhausted before
     the stream).  A "no" is definitive only when ``definitive`` is set:
     the searched memory bound reached the sufficient bound for the
-    objective.  ``candidates`` counts enumerated candidates.
+    objective.  ``candidates`` counts enumerated candidates; ``witness``
+    is the winner's support table, as ``enumerate_strategies`` names it.
     """
 
     verdict: str
-    witness: FiniteMemoryStrategy | None
+    witness: SupportStrategy | None
     searched_memories: int
     definitive: bool
     candidates: int
@@ -234,13 +235,14 @@ def oracle_decide(pomdp: Pomdp, objective: Objective, mode: WinningMode,
                   jobs: int = 1) -> OracleResult:
     """Search all support strategies with at most k memories for a winner.
 
-    Returns the first winner in enumeration order as a uniform-weight
-    strategy (already evaluated by the chain module), "no" if the stream
-    is exhausted, or "inconclusive" if the candidate budget ran out
-    first.  ``jobs`` > 1 partitions the stream by stride across
-    processes; the minimal-index winner is still reported, though under
-    a budget the scan frontier may differ slightly from the sequential
-    one.
+    Returns the first winner in enumeration order as a support table
+    (already evaluated by the chain module), "no" if the stream is
+    exhausted, or "inconclusive" if the candidate budget ran out first.
+    With ``jobs`` > 1, each process of a pool started per call enumerates
+    and canonical-checks the whole stream but evaluates only every
+    ``jobs``-th candidate, with a ``jobs``-th of the budget; the
+    minimal-index winner is still reported, though under a budget the
+    scan frontier may differ slightly from the sequential one.
     """
     if k < 1:
         raise ContractError("memory bound must be at least 1")
@@ -251,9 +253,7 @@ def oracle_decide(pomdp: Pomdp, objective: Objective, mode: WinningMode,
     base, evaluable = evaluable_objective(pomdp, objective)
 
     if jobs == 1:
-        found, cand, checked, exhausted = _search_slice(
-            (base, evaluable, mode, k, 0, 1, budget))
-        results = [(found, cand, checked, exhausted)]
+        results = [_search_slice((base, evaluable, mode, k, 0, 1, budget))]
     else:
         share = None if budget is None else -(-budget // jobs)
         args = [(base, evaluable, mode, k, w, jobs, share)
@@ -262,10 +262,10 @@ def oracle_decide(pomdp: Pomdp, objective: Objective, mode: WinningMode,
             results = list(pool.map(_search_slice, args))
 
     checked = sum(r[2] for r in results)
-    winners = [(r[0], r[1]) for r in results if r[0] is not None]
+    winners = [r[:2] for r in results if r[0] is not None]
     if winners:
-        _, cand = min(winners, key=lambda w: w[0])
-        return OracleResult("yes", cand.to_strategy(), k, True, checked)
+        return OracleResult("yes", min(winners, key=lambda w: w[0])[1], k,
+                            True, checked)
     if all(r[3] for r in results):
         return OracleResult("no", None, k,
                             k >= memory_bound(base, evaluable), checked)

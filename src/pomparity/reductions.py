@@ -6,7 +6,8 @@ The derived models keep the original observations on copied states, so a
 strategy (strategies only ever read observations) transfers across with its
 verdict intact; ``transfer_strategy`` completes it with self-updates on the
 fresh singleton observations of the auxiliary states, which is the only part
-of the reduced signature an original-model strategy does not already cover:
+of the reduced signature an original-model strategy does not already cover,
+and ``restrict_strategy`` drops such rows again on the way back:
 
 * ``positive_parity_to_buchi`` -- positive winning for parity becomes
   positive winning for a Buchi objective on an indexed-copy state space.
@@ -36,7 +37,7 @@ from .model import (
     Pomdp,
     fresh_name,
 )
-from .strategy import FiniteMemoryStrategy
+from .strategy import SupportStrategy
 
 HALF = Fraction(1, 2)
 
@@ -71,30 +72,43 @@ class ReductionOutput:
                 if orig is None}
 
 
-def transfer_strategy(output: ReductionOutput, strategy) -> FiniteMemoryStrategy:
+def transfer_strategy(output: ReductionOutput, strategy) -> SupportStrategy:
     """Complete a strategy of the original model for a reduced model.
 
     The reduced model emits every original observation plus fresh singleton
-    observations for its auxiliary states; there the strategy is completed
-    with self-updates (the memory stays put), the completion under which
-    verdicts transfer.  A missing update would instead cut the product-chain
-    edge into the auxiliary state, spuriously turning the leaking class into
-    a recurrent one.  Existing entries are never overwritten, so strategies
-    already speaking the reduced signature pass through unchanged.
+    observations for its auxiliary states; there the strategy's support
+    table is completed with self-updates (the memory stays put), the
+    completion under which verdicts transfer.  A missing update would
+    instead cut the product-chain edge into the auxiliary state, spuriously
+    turning the leaking class into a recurrent one.  Existing entries are
+    never overwritten, so strategies already speaking the reduced signature
+    pass through unchanged.
     """
+    table = strategy.supports
     fresh_obs = sorted(output.pomdp.obs_map[new]
                        for new in output.fresh_states().values())
-    update = dict(strategy.memory_update)
-    for m in strategy.memories:
+    update = dict(table.update_support)
+    for m in table.memories:
         for o in fresh_obs:
-            for a in strategy.action_support(m):
-                update.setdefault((m, o, a), {m: Fraction(1)})
-    return FiniteMemoryStrategy(
-        memories=tuple(strategy.memories),
-        action_select=dict(strategy.action_select),
-        memory_update=update,
-        initial_memory=strategy.initial_memory,
-        elements=dict(getattr(strategy, "elements", {}) or {}))
+            for a in table.action_support.get(m, ()):
+                update.setdefault((m, o, a), (m,))
+    return SupportStrategy(table.memories, table.action_support, update,
+                           table.initial, table.elements)
+
+
+def restrict_strategy(pomdp: Pomdp, strategy) -> SupportStrategy:
+    """Replay a strategy of a reduced model on the model it reduces.
+
+    The inverse of ``transfer_strategy``: it drops the update rows for
+    observations ``pomdp`` lacks (those of auxiliary states), and the
+    element annotations, which describe the reduced state space.
+    """
+    table = strategy.supports
+    keep = set(pomdp.observations)
+    return SupportStrategy(
+        table.memories, table.action_support,
+        {k: ms for k, ms in table.update_support.items() if k[1] in keep},
+        table.initial)
 
 
 def _priority_table(pomdp: Pomdp, objective: Objective) -> dict[str, int]:

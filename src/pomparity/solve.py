@@ -39,14 +39,14 @@ winning from some reachable state: a strategy wins with positive
 probability exactly when it can, after some finite prefix, win almost
 surely from wherever that prefix ends.  ``solve_parity_fm`` routes any
 parity objective through the reductions module into those two pipelines
-and lifts the witness back (the reductions preserve strategies verbatim).
-Witnesses are built and transformed as support tables; each pipeline
-weights its table once, after the chain has checked it.
+and restricts the witness back (the reductions preserve strategies
+verbatim).  Witnesses are built, transformed, checked and returned as
+support tables; weights are made only when one is written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .beliefobs import (
@@ -68,8 +68,9 @@ from .model import (
     make_absorbing,
     objective_as_parity,
 )
-from .reductions import almost_parity_to_cobuchi, positive_parity_to_buchi
-from .strategy import FiniteMemoryStrategy, SupportStrategy
+from .reductions import (almost_parity_to_cobuchi, positive_parity_to_buchi,
+                         restrict_strategy)
+from .strategy import SupportStrategy
 
 
 # -- observation-set operators -------------------------------------------
@@ -169,16 +170,16 @@ def _safe_obs(graph: ObsGraph, start: Iterable[str],
 
 def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
                 stats: dict | None = None,
-                ) -> tuple[frozenset[str], FiniteMemoryStrategy | None]:
+                ) -> tuple[frozenset[str], SupportStrategy | None]:
     """Observations from which staying inside the state set wins surely.
 
     Greatest fixpoint: start from the observations fully covered by the
     set, repeatedly drop observations with no covering-preserving action.
-    The companion strategy plays every preserving action uniformly.
+    The companion strategy plays every preserving action.
     """
     y, plays, _ = _safe_obs(obs_graph(pomdp), obs_cover(safe_states, pomdp),
                             stats)
-    return y, (_obs_strategy(pomdp, plays).to_strategy() if y else None)
+    return y, (_obs_strategy(pomdp, plays) if y else None)
 
 
 def _buchi_obs(graph: ObsGraph, start: Iterable[str], targets: Iterable[str],
@@ -246,23 +247,23 @@ def _buchi_obs(graph: ObsGraph, start: Iterable[str], targets: Iterable[str],
 
 def almost_buchi(pomdp: Pomdp, targets: Iterable[str],
                  stats: dict | None = None,
-                 ) -> tuple[frozenset[str], FiniteMemoryStrategy | None]:
+                 ) -> tuple[frozenset[str], SupportStrategy | None]:
     """Observations from which the targets are hit infinitely often surely.
 
     Nested fixpoint: the outer set Z shrinks to the observations whose
     classes are fully contained in the inner limit X, where X grows from
     the in-Z targets by positive-probability attraction (``apre``) that
-    never risks leaving Z.  The companion strategy plays allow(o, Z*)
-    uniformly; its recurrent classes all intersect the targets.
+    never risks leaving Z.  The companion strategy plays every action of
+    allow(o, Z*); its recurrent classes all intersect the targets.
     """
     z, plays, _ = _buchi_obs(obs_graph(pomdp), pomdp.observations, targets,
                              stats)
-    return z, (_obs_strategy(pomdp, plays).to_strategy() if z else None)
+    return z, (_obs_strategy(pomdp, plays) if z else None)
 
 
 def almost_reach(pomdp: Pomdp, targets: Iterable[str],
                  stats: dict | None = None,
-                 ) -> tuple[frozenset[str], FiniteMemoryStrategy | None]:
+                 ) -> tuple[frozenset[str], SupportStrategy | None]:
     """Observations from which the targets are reached with probability one.
 
     Reaching is the Buchi question on the model with absorbing targets:
@@ -278,15 +279,16 @@ def almost_reach(pomdp: Pomdp, targets: Iterable[str],
 class Decision:
     """Outcome of a solve pipeline.
 
-    ``winning`` answers the decision problem; on yes, ``witness`` is a
-    finite-memory strategy on the input model that has already passed
-    independent chain verification.  ``diagnostics`` carries per-stage
-    observation sets, construction sizes and fixpoint iteration counts.
+    ``winning`` answers the decision problem; on yes, ``witness`` is the
+    support table of a finite-memory strategy on the input model that has
+    already passed independent chain verification; any weighting of it
+    wins.  ``diagnostics`` carries per-stage observation sets,
+    construction sizes and fixpoint iteration counts.
     """
 
     winning: bool
     mode: WinningMode
-    witness: FiniteMemoryStrategy | None = None
+    witness: SupportStrategy | None = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -306,8 +308,7 @@ def _merge_initial(table: SupportStrategy,
     first_moves = tuple(dict.fromkeys(first_moves))
     acts, updates = table.action_support, table.update_support
     if len(first_moves) == 1:
-        return SupportStrategy(table.memories, acts, updates, first_moves[0],
-                               table.elements)
+        return replace(table, initial=first_moves[0])
     name = fresh_name("m_init", set(table.memories))
     played: set[str] = set()
     for m in first_moves:
@@ -350,14 +351,14 @@ def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
 
 
 def _verify(pomdp: Pomdp, objective: Objective, mode: WinningMode,
-            table: SupportStrategy) -> FiniteMemoryStrategy:
-    """Chain-check a witness table, then weight it: the witness returned."""
+            table: SupportStrategy) -> SupportStrategy:
+    """Chain-check a witness table: the witness returned."""
     chain = build_product_chain(pomdp, table)
     if not evaluate_qualitative(chain, objective, mode):
         raise ContractError(
             "internal error: extracted witness failed independent "
             "chain verification; refusing to answer yes")
-    return table.to_strategy()
+    return table
 
 
 def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
@@ -419,7 +420,11 @@ def _prefix_then(pomdp: Pomdp, steps: tuple[tuple[str, str], ...],
 
     The prefix memories count steps; each plays its action surely and
     advances on any observation.  Handing over means the last prefix
-    update targets the strategy's initial memory.
+    update targets the strategy's initial memory on every branch, so a
+    branch off the support path can hand over where that memory plays
+    nothing: a pair with no successor.  The positive witness still
+    verifies, since the path's own branch has positive probability and
+    reaches only good classes, and a stopped pair only adds a bad class.
     """
     if not steps:
         return table
@@ -483,14 +488,13 @@ def solve_parity_fm(pomdp: Pomdp, objective: Objective,
     """Decide finite-memory winning for any parity-expressible objective.
 
     Reach/safe/Buchi/co-Buchi objectives are first expressed as parity
-    (``objective_as_parity``).  Priorities
-    already in co-Buchi shape {1,2} (almost-sure) or Buchi shape {0,1}
-    (positive) run their pipeline directly.  Other almost-sure parity
-    runs through the co-Buchi rewrite chain, positive parity through
-    the Buchi rewrite; both preserve strategies verbatim, so the
-    witness found on the reduced model is replayed (and re-verified) on
-    the input model, dropping only bookkeeping for observations the input
-    model does not have.
+    (``objective_as_parity``).  Priorities already in co-Buchi shape
+    {1,2} (almost-sure) or Buchi shape {0,1} (positive) run their
+    pipeline directly.  Other almost-sure parity runs through the
+    co-Buchi rewrite chain, positive parity through the Buchi rewrite;
+    both preserve strategies verbatim, so the witness found on the
+    reduced model is restricted to the input model
+    (``reductions.restrict_strategy``) and re-verified there.
     """
     if mode not in (WinningMode.ALMOST_SURE, WinningMode.POSITIVE):
         raise ContractError(f"unsupported winning mode {mode!r}")
@@ -502,35 +506,13 @@ def solve_parity_fm(pomdp: Pomdp, objective: Objective,
     if mode is WinningMode.POSITIVE and values <= {0, 1}:
         return solve_positive_buchi_fm(base, parity.priority_map,
                                        budget=budget)
-    if mode is WinningMode.ALMOST_SURE:
-        red = almost_parity_to_cobuchi(base, parity)
-        prio = {s: (2 if s in red.objective.targets else 1)
-                for s in red.pomdp.states}
-        inner = solve_almost_cobuchi_fm(red.pomdp, prio, budget=budget)
-    else:
-        red = positive_parity_to_buchi(base, parity)
-        prio = {s: (0 if s in red.objective.targets else 1)
-                for s in red.pomdp.states}
-        inner = solve_positive_buchi_fm(red.pomdp, prio, budget=budget)
+    red = (almost_parity_to_cobuchi if mode is WinningMode.ALMOST_SURE
+           else positive_parity_to_buchi)(base, parity)
+    # a co-Buchi or Buchi objective, so this runs its pipeline directly
+    inner = solve_parity_fm(red.pomdp, red.objective, mode, budget)
     diagnostics = dict(inner.diagnostics)
     diagnostics["reduced_states"] = len(red.pomdp.states)
     if not inner.winning:
         return Decision(False, mode, diagnostics=diagnostics)
-    witness = _verify(base, parity, mode,
-                      _lift_through(inner.witness.supports, base))
+    witness = _verify(base, parity, mode, restrict_strategy(base, inner.witness))
     return Decision(True, mode, witness=witness, diagnostics=diagnostics)
-
-
-def _lift_through(table: SupportStrategy, pomdp: Pomdp) -> SupportStrategy:
-    """Replay a strategy table from a reduced model on the model it reduces.
-
-    Observations are preserved by the reductions, so only update entries
-    for observations the target model lacks are dropped (they concern
-    auxiliary states that do not exist there).  Element annotations
-    describe the reduced state space and are dropped with them.
-    """
-    keep = set(pomdp.observations)
-    return SupportStrategy(
-        table.memories, table.action_support,
-        {k: ms for k, ms in table.update_support.items() if k[1] in keep},
-        table.initial)

@@ -3,19 +3,20 @@
 A finite-memory strategy is a pair of stochastic maps: action selection
 (memory -> actions) and memory update ((memory, new observation, action) ->
 memories), plus an initial memory.  Qualitative analyses read only its
-support table (``SupportStrategy``): which actions and memories have
-positive weight.  Memories may optionally be annotated with a
+support table (``SupportStrategy``), the one form in which the library
+computes, returns and transforms strategies; weights
+(``FiniteMemoryStrategy``) exist only in files and in callers' strategies.
+Memories may optionally be annotated with a
 ``MemoryElement`` — a triple of a belief, a boolean-recurrence vector and
 a set-recurrence vector — which is how strategies produced by the
 projection and the solver carry their own explanation.
 
 The projection collapses an arbitrary finite-memory strategy onto the
 graph of triples (belief, BoolRec, SetRec): vertices whose recurrence
-summaries agree are merged, and the projected strategy plays uniformly
-over the union of the merged memories' moves.  The resulting strategy has
-boundedly many memories (independent of the original memory count) and
-reaches recurrent classes with exactly the same colour sets from the
-initial situation.
+summaries agree are merged, and the projected strategy plays every move
+of the merged memories.  The resulting strategy has boundedly many
+memories (independent of the original memory count) and reaches recurrent
+classes with exactly the same colour sets from the initial situation.
 """
 
 from __future__ import annotations
@@ -70,15 +71,15 @@ class MemoryElement:
 class SupportStrategy:
     """A finite-memory strategy described only by its supports.
 
-    The one support table the chain and projection read, and the form a
-    strategy has while the program builds it.  ``action_support`` maps a
+    The one support table the chain and projection read, and the form
+    every strategy the library makes has.  ``action_support`` maps a
     memory to the actions it may play and ``update_support`` maps
-    (memory, observation, action) to the memories it may move to; a missing
-    entry means empty support.  Tuples are name-sorted.  ``elements``
-    optionally annotates memories with MemoryElements.  ``to_strategy``
-    realizes the table with uniform weights, the one place weights are
-    made, and hands the table itself to the strategy as its ``supports``;
-    any other weighting wins exactly the same qualitative objectives.
+    (memory, observation, action) to the memories it may move to; a
+    missing entry means empty support.  Tuples are name-sorted.
+    ``elements`` optionally annotates memories with MemoryElements.
+    ``to_strategy`` gives the table uniform weights when it is written,
+    the one place weights are made; any weighting wins exactly the same
+    qualitative objectives.
     """
 
     memories: tuple[str, ...]
@@ -92,29 +93,27 @@ class SupportStrategy:
         return self
 
     def to_strategy(self) -> "FiniteMemoryStrategy":
-        strategy = FiniteMemoryStrategy(
+        return FiniteMemoryStrategy(
             memories=self.memories,
             action_select={m: uniform(acts)
                            for m, acts in self.action_support.items()},
             memory_update={key: uniform(ms)
                            for key, ms in self.update_support.items()},
             initial_memory=self.initial, elements=self.elements)
-        strategy.supports = self
-        return strategy
 
 
 @dataclass
 class FiniteMemoryStrategy:
     """A randomized finite-memory strategy with exact-rational weights.
 
+    What a parsed file or a caller's randomized strategy is.
     ``action_select[m]`` is a distribution over actions, and
     ``memory_update[(m, obs, action)]`` a distribution over next memories.
     Missing entries mean empty support — such branches contribute no
     behaviour (they can only concern situations the strategy never faces).
     ``elements`` optionally annotates memories with MemoryElements.
     Strategies are not mutated after construction: ``supports`` is derived
-    from the weights once, on first use, unless ``SupportStrategy`` made
-    the weights from it.
+    from the weights once, on first use; ``to_strategy`` is the identity.
     """
 
     memories: tuple[str, ...]
@@ -141,13 +140,13 @@ class FiniteMemoryStrategy:
             update_support={k: support(d) for k, d in self.memory_update.items()},
             initial=self.initial_memory, elements=self.elements)
 
-    def action_support(self, memory: str) -> tuple[str, ...]:
-        return self.supports.action_support.get(memory, ())
+    def to_strategy(self) -> "FiniteMemoryStrategy":
+        return self
 
 
 def stationary_strategy(pomdp: Pomdp,
-                        support: Iterable[str]) -> FiniteMemoryStrategy:
-    """Single-memory strategy playing uniformly over a fixed action set."""
+                        support: Iterable[str]) -> SupportStrategy:
+    """Single-memory strategy playing a fixed action set."""
     support = tuple(sorted(support))
     unknown = sorted(set(support) - set(pomdp.actions))
     if unknown:
@@ -156,7 +155,7 @@ def stationary_strategy(pomdp: Pomdp,
         memories=("m",), action_support={"m": support},
         update_support={("m", o, a): ("m",)
                         for o in pomdp.observations for a in support},
-        initial="m").to_strategy()
+        initial="m")
 
 
 # -- projection graph --
@@ -249,13 +248,13 @@ def build_projection_graph(pomdp: Pomdp, strategy,
 
 
 def project_strategy(pomdp: Pomdp, strategy,
-                     colors: Mapping[str, int]) -> FiniteMemoryStrategy:
+                     colors: Mapping[str, int]) -> SupportStrategy:
     """Collapse a strategy onto its projection graph.
 
     The projected strategy's memories are the graph's vertices; it plays
-    uniformly over the actions labelling outgoing edges, and updates
-    uniformly over the successors whose belief matches the received
-    observation.  Memories carry their MemoryElement annotations.
+    the actions labelling outgoing edges, and updates to the successors
+    whose belief matches the received observation.  Memories carry their
+    MemoryElement annotations.
     """
     pg = build_projection_graph(pomdp, strategy, colors)
     names = {v: f"v{i}" for i, v in enumerate(pg.vertices)}
@@ -275,7 +274,7 @@ def project_strategy(pomdp: Pomdp, strategy,
     return SupportStrategy(
         memories=tuple(names.values()), action_support=action_support,
         update_support=update_support, initial=names[pg.initial],
-        elements={nm: v for v, nm in names.items()}).to_strategy()
+        elements={nm: v for v, nm in names.items()})
 
 
 def memory_bound(pomdp: Pomdp, objective: Objective) -> int:

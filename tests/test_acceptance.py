@@ -13,14 +13,15 @@ from itertools import islice
 
 import pytest
 
-from pomparity import (FiniteMemoryStrategy, Objective, WinningMode,
+from pomparity import (Objective, WinningMode,
                        almost_buchi, almost_safe, build_product_chain,
                        build_projection_graph, belief_update,
                        compute_rec_functions, enumerate_strategies,
                        evaluate_qualitative, objective_as_parity,
                        parity_to_three, positive_parity_to_buchi,
-                       project_strategy, solve_parity_fm, stationary_strategy,
-                       three_to_cobuchi, transfer_strategy)
+                       project_strategy, restrict_strategy, solve_parity_fm,
+                       stationary_strategy, three_to_cobuchi,
+                       transfer_strategy)
 from conftest import (all_memoryless_supports, alternating, chain_wins,
                       observation_stationary, random_belief_obs_pomdp,
                       random_mdp, random_parity, random_pomdp, random_strategy)
@@ -141,7 +142,7 @@ def test_criterion_04_projection_preserves_recurrence_and_verdicts(projection_pa
             rec_base = compute_rec_functions(pomdp, sigma, colors)
             rec_proj = compute_rec_functions(pomdp, projected, colors)
             s0 = pomdp.initial_state
-            assert (rec_proj.set_rec[projected.initial_memory][s0]
+            assert (rec_proj.set_rec[projected.initial][s0]
                     == rec_base.set_rec[sigma.initial_memory][s0])
 
             for mode in (ALMOST, POSITIVE):
@@ -170,7 +171,8 @@ def test_criterion_05_projection_graph_invariants(projection_pairs):
                 matching = [m for m in sigma.memories if keys[m] == (v.brec, v.srec)]
                 assert matching, "projection vertex with no originating memory"
                 for a, succs in graph.edges[v].items():
-                    assert any(a in sigma.action_support(m) for m in matching)
+                    assert any(a in sigma.supports.action_support.get(m, ())
+                               for m in matching)
                     for v2 in succs:
                         assert v2.belief
                         o2 = pomdp.obs_map[next(iter(v2.belief))]
@@ -201,16 +203,6 @@ N_REDUCTION_INSTANCES = 100
 FORWARD_CAP = 800      # canonical-prefix sweep size on capped instances
 REVERSE_CAP = 25       # reduced-signature strategies restricted back per step
 N_EXHAUSTIVE = 3       # two-observation instances swept with no cap at all
-
-
-def restricted_to(pomdp, sigma):
-    """Drop update rows for observations the model does not have."""
-    keep = set(pomdp.observations)
-    return FiniteMemoryStrategy(
-        memories=sigma.memories, action_select=sigma.action_select,
-        memory_update={k: d for k, d in sigma.memory_update.items()
-                       if k[1] in keep},
-        initial_memory=sigma.initial_memory)
 
 
 def test_criterion_06_reduction_verdict_transfer():
@@ -267,7 +259,7 @@ def test_criterion_06_reduction_verdict_transfer():
                     up = evaluate_qualitative(
                         build_product_chain(out.pomdp, sigma), reduced_obj, mode)
                     down = evaluate_qualitative(
-                        build_product_chain(base, restricted_to(base, sigma)),
+                        build_product_chain(base, restrict_strategy(base, sigma)),
                         base_obj, mode)
                     assert up == down
         assert exhaustive_left == 0, "never saw a two-observation instance"

@@ -809,6 +809,90 @@ def test_solve_outputs_do_not_depend_on_the_hash_seed(tmp_path, capsys):
                 digest, (seed, model, mode)
 
 
+# Recorded ``project`` outputs: the sha256 of the projection, on stdout, of
+# each witness that ``PINNED_OUTPUTS`` pins.
+PINNED_PROJECTIONS = {
+    ("ex1", "almost"):
+        "9a50464a3dd9cb02792ec8ccb1d45a63e869df562890cabbb5f432859485f64d",
+    ("ex1", "positive"):
+        "00e2dcf9dcf4c0cf18f30e8331441bbaa107b8ad5ebbb71057e30346512e22dc",
+    ("ex2", "almost"):
+        "e09e13c3e7da782f86a836320b0bc36a2b94f4e472465a004c181e595e531435",
+    ("ex2", "positive"):
+        "aa11e631569e05b899efb4d3b3cf51bfce0883f123fe3375405013966f2c68ec",
+}
+
+# Recorded ``reduce`` outputs: the sha256 of the reduced model, on stdout,
+# and of its origin table.
+PINNED_REDUCTIONS = {
+    ("ex1", "buchi"): (
+        "5fc69702201c2fa2baeb4a4e8cb7e1e850bf722d9971ec317833831e778e5059",
+        "8ccd50447b8804ec1c29577939be7c1e9a3edb6f928ad55dcc5167d13481b193"),
+    ("ex1", "three"): (
+        "67c495e70f5c9fa6fb94863a3fdd48bdb5caf9a65794f87eb7ed5f5a63b93af9",
+        "fb2d3a4c36b6894bbaf4e99570b6747bdc1a4906f21eec1702e7851d1a8ebb0b"),
+    ("ex1", "cobuchi"): (
+        "88602a2d904794ad68cca88d24103932f738ff15cd4a51ff4acdc89a6cdb1551",
+        "05b1e65d871e62372fd352d48bba30143c39549aceb0410452b45d5ab01eaa0a"),
+    ("ex2", "buchi"): (
+        "2291571efab67395f6c02531ac864021f37ba026c270a9d2a2b6952d4ab05ed1",
+        "d16416fa92a222c7f6b3fc4699f398cca09aef381b14e2438a08066bb6836288"),
+    ("ex2", "three"): (
+        "c2367cdc12c526a5d91e4a7a4e14db5dd7a968d4946c18db6ccceee03604c883",
+        "27f459485b2b760ce8684c686d5d43aace7c8173caee8c58dc3d3a21c1cf307e"),
+    ("ex2", "cobuchi"): (
+        "f618bce8e650220e4854fb002a31b97c1a83e698e966b8fdda56530f77a81e49",
+        "ba5d896321a81333f9f9ce9e5cc7cdb47910491dead397283cbb6b2e286e5fc9"),
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def project_and_reduce_digests(tmp_path, cli):
+    """Digests of every pinned projection and reduction, in the pins'
+    shape; ``cli(*argv)`` runs the command line and returns stdout."""
+    projections, reductions = {}, {}
+    origins = tmp_path / "origins.txt"
+    for name in ("ex1", "ex2"):
+        model = tmp_path / f"{name}.pomdp"
+        model.write_text(fixture_text(name), encoding="utf-8")
+        for mode in ("almost", "positive"):
+            witness = tmp_path / f"{name}.{mode}.strat"
+            cli("solve", "--mode", mode, str(model), "--witness", str(witness))
+            projections[(name, mode)] = sha256(
+                cli("project", str(model), str(witness)))
+        for to in ("buchi", "three", "cobuchi"):
+            text = cli("reduce", str(model), "--to", to,
+                       "--origins", str(origins))
+            reductions[(name, to)] = (
+                sha256(text),
+                hashlib.sha256(origins.read_bytes()).hexdigest())
+    return projections, reductions
+
+
+def test_project_and_reduce_outputs_match_the_recorded_bytes(tmp_path, capsys):
+    def cli(*argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        return out
+
+    assert project_and_reduce_digests(tmp_path, cli) == (
+        PINNED_PROJECTIONS, PINNED_REDUCTIONS)
+
+
+def test_project_and_reduce_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    for seed in ("0", "1"):
+        def cli(*argv):
+            done = run_module(tmp_path, *argv, hash_seed=seed)
+            assert done.returncode == 0, (seed, argv, done.stderr)
+            return done.stdout
+
+        assert project_and_reduce_digests(tmp_path, cli) == (
+            PINNED_PROJECTIONS, PINNED_REDUCTIONS), seed
+
+
 def test_unwritable_outputs_exit_two(tmp_path, capsys):
     """An output path that cannot be written is an error naming the path,
     with exit 2, not a traceback whose exit 1 reads as "no"."""

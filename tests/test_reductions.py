@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from pomparity import (ContractError, FiniteMemoryStrategy, Objective, Pomdp,
-                       WinningMode, almost_parity_to_cobuchi,
-                       objective_as_parity, parity_to_three,
-                       positive_parity_to_buchi, stationary_strategy,
+from pomparity import (ContractError, Objective, Pomdp, WinningMode,
+                       almost_parity_to_cobuchi, objective_as_parity,
+                       parity_to_three, positive_parity_to_buchi,
+                       restrict_strategy, stationary_strategy,
                        three_to_cobuchi, transfer_strategy, validate)
 from pomparity.reductions import ROLE_INITIAL, ROLE_SINK
 from conftest import (alternating, chain_wins, random_parity, random_pomdp,
@@ -27,16 +27,6 @@ def reduced_wins(out, mode, sigma):
     """Run an original-model strategy on a reduced model, completed there."""
     return chain_wins(out.pomdp, out.objective, mode,
                       transfer_strategy(out, sigma))
-
-
-def restricted_to(pomdp, sigma):
-    """Drop update rows for observations the model does not have."""
-    keep = set(pomdp.observations)
-    return FiniteMemoryStrategy(
-        memories=sigma.memories, action_select=sigma.action_select,
-        memory_update={k: d for k, d in sigma.memory_update.items()
-                       if k[1] in keep},
-        initial_memory=sigma.initial_memory)
 
 
 def check_copy_bookkeeping(pomdp, out, n_copies):
@@ -179,19 +169,22 @@ def test_transfer_completion_only_touches_fresh_observations(ex1):
     base, parity = as_parity(ex1)
     out = positive_parity_to_buchi(base, parity)
     sigma = alternating(base)
+    table = sigma.supports
     done = transfer_strategy(out, sigma)
-    assert done.memories == sigma.memories
-    assert done.action_select == sigma.action_select
-    extra = set(done.memory_update) - set(sigma.memory_update)
+    assert done.memories == table.memories
+    assert done.action_support == table.action_support
+    extra = set(done.update_support) - set(table.update_support)
     fresh = {out.pomdp.obs_map[s] for s in out.fresh_states().values()}
     assert extra
     assert {o for _, o, _ in extra} <= fresh
     # completed rows keep the memory in place
     for key in extra:
-        assert done.memory_update[key] == {key[0]: Fraction(1)}
+        assert done.update_support[key] == (key[0],)
     # idempotent on strategies already speaking the reduced signature
     again = transfer_strategy(out, done)
-    assert again.memory_update == done.memory_update
+    assert again == done
+    # and restricting to the base model takes the completion back out
+    assert restrict_strategy(base, done) == table
 
 
 def test_positive_verdicts_transfer_on_random_models():
@@ -242,7 +235,7 @@ def test_reduced_signature_strategies_transfer_back():
         for out, mode, obj in ((buchi, POSITIVE, objective),
                                (cob, ALMOST, objective)):
             sigma_red = random_strategy(rng, out.pomdp)
-            back = restricted_to(pomdp, sigma_red)
+            back = restrict_strategy(pomdp, sigma_red)
             assert (chain_wins(out.pomdp, out.objective, mode, sigma_red)
                     == chain_wins(pomdp, obj, mode, back))
 

@@ -13,7 +13,8 @@ from pomparity import (ContractError, ExactnessError, FiniteMemoryStrategy,
                        build_product_chain, build_projection_graph,
                        compute_rec_functions, evaluate_qualitative,
                        memory_bound, objective_as_parity, parse_model,
-                       parse_strategy, project_strategy, uniform)
+                       parse_strategy, project_strategy, serialize_strategy,
+                       uniform)
 from conftest import (alternating, chain_wins, random_parity, random_pomdp,
                       random_strategy)
 
@@ -93,8 +94,9 @@ def support_tables(draw):
 @given(support_tables())
 def test_weighting_a_table_gives_the_table_back(table):
     weighted = table.to_strategy()
-    assert weighted.supports is table
+    assert weighted.supports == table
     assert FiniteMemoryStrategy.supports.func(weighted) == table
+    assert serialize_strategy(table) == serialize_strategy(weighted)
 
 
 def test_uniform_refuses_empty_input():
@@ -125,7 +127,8 @@ def test_projection_edges_use_supported_actions_and_belief_updates():
                         if keys[m] == (v.brec, v.srec)]
             assert matching, "vertex with no originating memory"
             for a, succs in pg.edges[v].items():
-                assert any(a in sigma.action_support(m) for m in matching)
+                assert any(a in sigma.supports.action_support.get(m, ())
+                           for m in matching)
                 for v2 in succs:
                     assert v2.belief
                     o2 = pomdp.obs_map[next(iter(v2.belief))]
@@ -142,7 +145,7 @@ def test_projected_strategy_preserves_initial_recurrence_sets():
         rec_base = compute_rec_functions(pomdp, sigma, colors)
         rec_proj = compute_rec_functions(pomdp, projected, colors)
         s0 = pomdp.initial_state
-        assert (rec_proj.set_rec[projected.initial_memory][s0]
+        assert (rec_proj.set_rec[projected.initial][s0]
                 == rec_base.set_rec[sigma.initial_memory][s0])
 
 
