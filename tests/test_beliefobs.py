@@ -1,8 +1,14 @@
 """Belief-observation rewriting: construction invariants and the predicate."""
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable
 
 import pytest
@@ -14,6 +20,7 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        positive_buchi_red, validate)
 from pomparity import beliefobs
 from pomparity.beliefobs import obs_graph
+from pomparity.modelio import load_fixture, serialize_model
 from pomparity.solve import _safe_obs
 from pomparity.strategy import MemoryElement
 from conftest import random_belief_obs_pomdp, random_pomdp
@@ -369,6 +376,119 @@ def test_support_graph_is_its_playable_model(ex1_rewrite):
             prio = {s: rng.choice(values) for s in base.states}
             assert_supports_are_the_playable_model(rewrite(base, prio))
     assert_supports_are_the_playable_model(ex1_rewrite[2])
+
+
+def pinned_rewrite_cases():
+    """(case, rewrite, model, priorities): ``ex1`` and ``ex2`` under their
+    co-Buchi objectives and the Buchi objective on the same targets, and
+    six seeded random models under both rewrites."""
+    for name in ("ex1", "ex2"):
+        pomdp, objective = load_fixture(name)
+        targets = objective.targets
+        yield (name, almost_cobuchi_red, pomdp,
+               {s: 2 if s in targets else 1 for s in pomdp.states})
+        yield (name, positive_buchi_red, pomdp,
+               {s: 0 if s in targets else 1 for s in pomdp.states})
+    rng = random.Random(8013)
+    for i in range(6):
+        model = random_pomdp(rng)
+        for rewrite, values in ((almost_cobuchi_red, (1, 2)),
+                                (positive_buchi_red, (0, 1))):
+            yield (f"random{i}", rewrite, model,
+                   {s: rng.choice(values) for s in model.states})
+
+
+def rewrite_digests():
+    """[case, rewrite, sha256 of the serialized playable rewrite, number
+    and sha256 of the sorted names of its certified-recurrent states, one
+    a line] per pinned case.  Certified states given as ids are named by
+    ``bo.pomdp.states``."""
+    out = []
+    for case, rewrite, model, prio in pinned_rewrite_cases():
+        bo = rewrite(model, prio)
+        names = bo.pomdp.states
+        certified = sorted(s if isinstance(s, str) else names[s]
+                           for s in bo.certified_recurrent())
+        out.append([case, rewrite.__name__,
+                    sha256(serialize_model(bo.pomdp)),
+                    len(certified), sha256("\n".join(certified))])
+    return out
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# Recorded by ``rewrite_digests``.
+PINNED_REWRITES = [
+    ["ex1", "almost_cobuchi_red",
+     "e3fbf1121a370963838cf9ab20484c8d44c6744953c8e5031cb84bc5c483f11c",
+     32, "7b52d38e0896db5c722228e759724d4bfb8c3da3cee4c6d8cc1934f889a5849e"],
+    ["ex1", "positive_buchi_red",
+     "10c6a5b3c530faa3587bda6c361e73c62fa1eb8bf73b53db97292d306e5ee0ea",
+     0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    ["ex2", "almost_cobuchi_red",
+     "170889d9103c739998e6228c0a2eaef031c1830d5dbcedc736a84a05f3bcfdf5",
+     384, "176341edf38971835e76f798ed6062acf4c2fd4551b454508bb12719da553749"],
+    ["ex2", "positive_buchi_red",
+     "fe9d2337148e7c844a28d00770af36ae81bf141275ba89d3fe191234359c54c3",
+     0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    ["random0", "almost_cobuchi_red",
+     "704f831b45323dbcfb280531f0ef77acf4146cad4e610e15a22ff950dfe4ce7f",
+     6, "18e1d86243b51600acfc86ee18c88695857e49279033cf0b3a5c5cb118cd1797"],
+    ["random0", "positive_buchi_red",
+     "96b00745958ba46f09b32b37da3fbe0b2417e9edd54f4574f2d3cbc6c1e4591e",
+     0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    ["random1", "almost_cobuchi_red",
+     "fd9b8ce06357eccd18b8a0443b6681faa6de93810874ad32713e6878d5260369",
+     11, "f001f97caf5ebec17c53dda16e80ff3e157de1d29e3079c2617ee105ecad36df"],
+    ["random1", "positive_buchi_red",
+     "6222bc9fa9374a71d261457ae3605e0db51ecbda8d0f977bac080e02d6e91d52",
+     0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    ["random2", "almost_cobuchi_red",
+     "21e78a649de26bda9c0c2c0a6cd4879021da650e2651a098ecec3c49ddf49c9b",
+     13, "eeae1d9233370887990ae50fa8d9ad92f76ea1214bc04d06f815594d10577f3f"],
+    ["random2", "positive_buchi_red",
+     "d436f1f39b87f2d23048e3352aa10ee542c89b2ae010597f7c0d3239d3e1ee37",
+     0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    ["random3", "almost_cobuchi_red",
+     "3467c975e934a5d2075c4d358aa47b3df34e29d60dd2f07d7ac49ee8becc0f24",
+     5, "2d953022543e6bc77a578f679c80be4a75e83e3140ebddf0bdcf0c94c488212c"],
+    ["random3", "positive_buchi_red",
+     "3fd3f02505eb42fcbb1d33f247c0c568ce1741327ec50a1912d76361b6e2aa03",
+     0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    ["random4", "almost_cobuchi_red",
+     "24a14c51be15e9e21f1c1dd173fbc9a9c1031f0e3d2f1b9e306f483bdea3ae2d",
+     11, "f001f97caf5ebec17c53dda16e80ff3e157de1d29e3079c2617ee105ecad36df"],
+    ["random4", "positive_buchi_red",
+     "ba985563851626ac5f087d6b177cfd39f9e06972962a32f74680976bacfd5399",
+     0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    ["random5", "almost_cobuchi_red",
+     "34136ff8fdbf87755c53368448dceb3e2d701b39457290d8abd8679c8449e523",
+     0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    ["random5", "positive_buchi_red",
+     "02dadf8c3163b0c33dde8464624fc32af38a2983e6aca913d0fab9316fb2305c",
+     0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+]
+
+
+def test_playable_rewrites_match_the_recorded_bytes():
+    """The playable model of each pinned rewrite, serialized, and its
+    certified-recurrent states, in-process and under two string-hash
+    seeds."""
+    assert rewrite_digests() == PINNED_REWRITES
+    here = Path(__file__).resolve().parent
+    src = str(Path(beliefobs.__file__).resolve().parent.parent)
+    script = ("import json, sys; sys.path[:0] = sys.argv[1:]; "
+              "import test_beliefobs; "
+              "print(json.dumps(test_beliefobs.rewrite_digests()))")
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-c", script, str(here), src],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == PINNED_REWRITES, seed
 
 
 def test_elements_are_interned(ex1, monkeypatch):
