@@ -10,7 +10,9 @@ observation class (``is_belief_observation``), so memoryless strategies
 suffice and the observation-set fixpoints of the solve module decide it.
 The construction reads the model's supports only through its integer
 table ``Pomdp.index_supports``: elements are keyed by state index, an
-unavailable action is an empty row, and every order is index order.
+unavailable action is an empty row, and every order is index order.  Its
+own states are integer ids too; only the playable model it can build on
+demand, which the solve path never reads, names them.
 
 Two variants share the skeleton:
 
@@ -71,7 +73,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -101,6 +103,9 @@ def _all_subsets(values: tuple[int, ...]) -> frozenset[frozenset[int]]:
 
 _TOP = {mode: _all_subsets(prios) for mode, prios in _PRIORITY_SETS.items()}
 _GOOD2 = frozenset({frozenset({2})})
+
+# the start and the losing sink, as state ids and as observation ids
+START, DEAD = 0, 1
 
 # (belief, committed set, class tables) over state indices: the belief
 # ascending, the tables in index order; one element as the construction
@@ -218,60 +223,58 @@ def _element_moves(rows: Sequence[Sequence[tuple[int, ...]]],
 class BeliefObsPomdp:
     """A belief-observation POMDP, recorded by its supports, plus bookkeeping.
 
-    ``succ`` maps (state, action) to its successors and ``classes`` an
-    observation to its states; ``supp``, ``states_with_obs`` and
-    ``available`` answer from them as the playable model ``pomdp``
-    (uniform exact weights, built on first use) would.  Observations named
-    in ``keys`` are memory elements and double as the element-move action
-    names; ``keys`` maps each to its interned ``ElementKey`` over the
-    indices of the model's ``state_names``.  ``element(name)`` builds one
-    element's name-sorted ``MemoryElement`` on demand, and ``elements``
-    is a view of all of them, built on first use.  ``memsel`` maps
-    (element name, model action, model observation) to the intermediate
-    observation where the next element is chosen, and ``moves`` lists the
-    element names offered there (never empty, by the module's commitment
-    invariant).  ``msel`` maps each state of such an observation to its
-    model state t.  ``succ`` holds no row for a memory-selection state:
-    its row for an offered move e is ``(A~t~e,)``, and ``supp`` answers it
-    from ``msel`` and ``moves``.  Branches with equal signatures share one
-    ``moves`` tuple and one ``available`` set, so these objects must never
-    be mutated.  The only stored rows into the sink are those of
-    disallowed actions and the sink's own.  ``priority`` assigns every new
-    state its two-priority value.
+    States are ids: ``START``, ``DEAD`` (the losing sink), then one id
+    range ``ranges[j]`` per further observation ``observations[j]``, one
+    state per belief state in belief order; ``origin`` maps each to its
+    model state index.  Observations named in ``keys`` are memory elements
+    and double as the element-move action names; ``keys`` maps each to
+    its interned ``ElementKey`` over the indices of ``state_names``.
+    ``memsel`` maps (element name, model action, model observation) to
+    the intermediate observation of that branch, where ``moves`` lists
+    the element names offered (never empty, by the commitment invariant).
+    ``successors`` reads every row off these records: only allowed
+    element actions store ``rows``; a disallowed (element, action) is
+    recorded once and leads to the sink, as does the sink; a move e leads
+    the start, and the memory-selection state of belief position p, to
+    state p of element e.  ``element(name)``, ``elements`` and the named,
+    playable ``pomdp`` are built on demand.  Branches with equal
+    signatures share one ``moves`` tuple and one ``available`` set, so
+    these objects must never be mutated.
     """
 
     mode: str
-    states: tuple[str, ...]
     actions: tuple[str, ...]
     observations: tuple[str, ...]
-    obs_map: dict[str, str]
     available: dict[str, frozenset[str]]
-    succ: dict[tuple[str, str], tuple[str, ...]]
-    classes: dict[str, list[str]]
-    priority: dict[str, int]
+    ranges: list[range]
+    origin: array
+    rows: dict[tuple[int, str], tuple[int, ...]]
+    disallowed: set[tuple[str, str]]
+    prio: list[int]
     root: str
-    init_state: str
-    sink_state: str
     init_obs: str
     sink_obs: str
     initial_moves: tuple[str, ...]
     keys: dict[str, ElementKey]
     state_names: tuple[str, ...]
     memsel: dict[tuple[str, str, str], str]
-    moves: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    msel: dict[str, str] = field(default_factory=dict)
+    moves: dict[str, tuple[str, ...]]
 
-    def supp(self, state: str, action: str) -> tuple[str, ...]:
-        row = self.succ.get((state, action))
+    def successors(self, i: int, j: int, action: str) -> tuple[int, ...]:
+        """The successor ids of state ``i``, observed as ``observations[j]``,
+        under an action available there."""
+        row = self.rows.get((i, action))
         if row is not None:
             return row
-        t = self.msel.get(state)
-        if t is None or action not in self.available[self.obs_map[state]]:
-            return ()
-        return (_act_state(t, action),)
+        if j == DEAD or (self.observations[j], action) in self.disallowed:
+            return (DEAD,)
+        ranges = self.ranges
+        return (ranges[self.obs_index[action]].start + i - ranges[j].start,)
 
-    def states_with_obs(self, obs: str) -> Sequence[str]:
-        return self.classes.get(obs, ())
+    def priority(self, i: int) -> int:
+        """The two-priority value of state ``i``."""
+        return (self.prio[self.origin[i]] if i > DEAD
+                else 2 if i == START and self.mode == COBUCHI_MODE else 1)
 
     @cached_property
     def obs_index(self) -> dict[str, int]:
@@ -279,14 +282,19 @@ class BeliefObsPomdp:
 
     @cached_property
     def pomdp(self) -> Pomdp:
-        """The playable model: uniform exact weights over every support."""
-        weights = {key: uniform(row) for key, row in self.succ.items()}
-        for q, offered in self.moves.items():
-            for m in self.classes[q]:
-                for e in offered:
-                    weights[(m, e)] = uniform(self.supp(m, e))
-        return Pomdp(self.states, self.actions, self.observations,
-                     self.obs_map, weights, self.init_state, self.available)
+        """The playable model: named states, uniform exact weights."""
+        names, origin, keys = self.state_names, self.origin, self.keys
+        states = ["start", "dead"] + [""] * (len(origin) - 2)
+        spans = list(enumerate(zip(self.observations, self.ranges)))
+        for j, (o, ids) in spans[2:]:
+            for i in ids:
+                states[i] = f"{'A' if o in keys else 'M'}~{names[origin[i]]}~{o}"
+        weights = {(states[i], a): uniform(
+                       [states[t] for t in self.successors(i, j, a)])
+                   for j, (o, ids) in spans for i in ids for a in self.available[o]}
+        return Pomdp(states, self.actions, self.observations,
+                     {states[i]: o for _, (o, ids) in spans for i in ids},
+                     weights, states[START], self.available)
 
     def element(self, name: str) -> MemoryElement:
         """The memory element observed as ``name``, built from its key."""
@@ -300,21 +308,17 @@ class BeliefObsPomdp:
     def elements(self) -> dict[str, MemoryElement]:
         return {name: self.element(name) for name in self.keys}
 
-    def certified_recurrent(self) -> frozenset[str]:
+    def certified_recurrent(self) -> frozenset[int]:
         """Action-selection states whose element certifies a won recurrence.
 
         By the commitment invariant these are exactly the committed belief
         states (class table {{2}}, priority 2).  Buchi-mode elements never
         commit, so there the set is empty.
         """
-        names = self.state_names
-        return frozenset(_act_state(names[s], ename)
+        ranges, index = self.ranges, self.obs_index
+        return frozenset(ranges[index[ename]].start + p
                          for ename, (belief, brec, _) in self.keys.items()
-                         for s in brec.intersection(belief))
-
-
-def _act_state(s: str, ename: str) -> str:
-    return f"A~{s}~{ename}"
+                         for p, s in enumerate(belief) if s in brec)
 
 
 @dataclass
@@ -327,7 +331,8 @@ class ObsGraph:
     ``acts[k]`` at observation ``owner[k]``.  ``pred[j]`` lists, once
     each, the slots that can lead to observation j, as a C int array: on
     a large rewrite the slot ids would otherwise be one Python int object
-    each.
+    each.  ``members[j]`` lists observation j's state ids (a ``Pomdp``'s
+    state indices), and ``row(i, k)`` state i's successors under slot k.
 
     A fixpoint keeps, for the observations inside its current set, the
     live slots (every successor inside) and their count per observation:
@@ -341,6 +346,8 @@ class ObsGraph:
     acts: list[str]
     owner: list[int]
     pred: list[array]
+    members: Sequence[Sequence[int]]
+    row: Callable[[int, int], Sequence[int]]
 
     def counters(self, start: Iterable[str],
                  ) -> tuple[bytearray, bytearray, list[int]]:
@@ -388,46 +395,48 @@ class ObsGraph:
 def obs_graph(model: Pomdp | BeliefObsPomdp) -> ObsGraph:
     """The observation graph of a model's available actions.
 
-    A ``Pomdp`` is compiled by walking the supports of every state.  A
-    rewrite is read from its construction records without a walk: an
-    element's action leads to the observations ``memsel`` lists for it, or
-    to the sink when its rows are the stored sink rows; at the initial and
-    memory-selection observations a move e leads to observation e; the
-    sink leads to itself.
+    A ``Pomdp`` is compiled from ``Pomdp.index_supports`` by walking the
+    rows of every state.  A rewrite is read from its construction records
+    without a walk: an element's action leads to the observations
+    ``memsel`` lists for it, or to the sink if it is disallowed; at the
+    initial and memory-selection observations a move e leads to
+    observation e; the sink leads to itself.
     """
-    index, obs_map = model.obs_index, model.obs_map
+    index = model.obs_index
     n = len(model.observations)
-    graph = ObsGraph(model, [0] * (n + 1), [], [],
-                     [array("i") for _ in range(n)])
-    acts, owner, pred = graph.acts, graph.owner, graph.pred
+    acts: list[str] = []
+    owner: list[int] = []
+    pred = [array("i") for _ in range(n)]
+    first = [0] * (n + 1)
     records = isinstance(model, BeliefObsPomdp)
     if records:
-        sink = index[model.sink_obs]
-        branches: dict[tuple[str, str], list[int]] = {}
+        members, successors = model.ranges, model.successors
+        row = lambda i, k: successors(i, owner[k], acts[k])
+        branches: dict[tuple[str, str], Sequence[int]] = {}
         for (ename, a, _), q in model.memsel.items():
             branches.setdefault((ename, a), []).append(index[q])
+        branches.update(dict.fromkeys(model.disallowed, (DEAD,)))
+    else:
+        (obs_of, table), sidx = model.index_supports, model.state_index
+        members = [[sidx[s] for s in model.states_with_obs(o)]
+                   for o in model.observations]
+        row = lambda i, k: table[i][model.action_index[acts[k]]]
     for j, o in enumerate(model.observations):
-        graph.first[j] = base = len(acts)
+        first[j] = base = len(acts)
         acts.extend(model.available[o])
         owner.extend([j] * (len(acts) - base))
-        members = model.states_with_obs(o)
         if not records:
             for k in range(base, len(acts)):
-                for i in {index[obs_map[t]] for s in members
-                          for t in model.supp(s, acts[k])}:
-                    pred[i].append(k)
-        elif o in model.keys:
-            for k in range(base, len(acts)):
-                for i in branches.get((o, acts[k])) or (
-                        (sink,) if model.succ.get((members[0], acts[k]))
-                        else ()):
+                for i in {obs_of[t] for s in members[j] for t in row(s, k)}:
                     pred[i].append(k)
         else:
-            moves = o != model.sink_obs
+            element = o in model.keys
             for k in range(base, len(acts)):
-                pred[index[acts[k]] if moves else sink].append(k)
-    graph.first[n] = len(acts)
-    return graph
+                for i in (branches.get((o, acts[k]), ()) if element
+                          else (DEAD if j == DEAD else index[acts[k]],)):
+                    pred[i].append(k)
+    first[n] = len(acts)
+    return ObsGraph(model, first, acts, owner, pred, members, row)
 
 
 def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
@@ -439,7 +448,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         root = pomdp.initial_state
     if root not in pomdp.state_index:
         raise StructuralError(f"unknown root state {root!r}")
-    names, action_names = pomdp.states, pomdp.actions
+    action_names = pomdp.actions
     obs_of, rows = pomdp.index_supports
 
     taken_actions = set(action_names)
@@ -447,36 +456,37 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     elem_name: dict[ElementKey, str] = {}
     keys: dict[str, ElementKey] = {}
 
-    init_state, sink_state = "start", "dead"
     init_obs, sink_obs = "o_start", "o_dead"
-    to_sink = (sink_state,)
-
-    states: list[str] = [init_state, sink_state]
     observations: list[str] = [init_obs, sink_obs]
-    obs_map: dict[str, str] = {init_state: init_obs, sink_state: sink_obs}
-    succ: dict[tuple[str, str], tuple[str, ...]] = {}
+    # observation -> its state ids; state id -> its model state index
+    spans = {init_obs: range(START, START + 1), sink_obs: range(DEAD, DEAD + 1)}
+    origin = array("i", [-1, -1])
+    succ: dict[tuple[int, str], tuple[int, ...]] = {}
+    disallowed: set[tuple[str, str]] = set()
     available: dict[str, frozenset[str]] = {}
-    priority_out: dict[str, int] = {
-        init_state: 2 if mode == COBUCHI_MODE else 1, sink_state: 1}
     memsel: dict[tuple[str, str, str], str] = {}
     moves: dict[str, tuple[str, ...]] = {}
-    msel: dict[str, str] = {}
     # (action, tables, committed belief states) -> _element_moves, () if
     # the action is disallowed
     cap_memo: dict[tuple, tuple] = {}
     # (signature, new belief) -> one branch's offered names, shared
     branch_memo: dict[tuple, tuple[tuple[str, ...], frozenset[str]]] = {}
-    # (name, key, action-selection states); walked in order as it grows
-    frontier: list[tuple[str, ElementKey, list[str]]] = []
+    # (name, key, first state id); walked in order as it grows
+    frontier: list[tuple[str, ElementKey, int]] = []
 
-    def guard_budget() -> None:
-        if len(states) > budget:
+    def add_states(obs: str, belief: tuple[int, ...]) -> int:
+        """Number an observation's states, one per belief state; the first."""
+        base = len(origin)
+        origin.extend(belief)
+        spans[obs] = range(base, len(origin))
+        if len(origin) > budget:
             raise ResourceLimitError(
                 f"belief-observation construction exceeded its {budget}-state "
-                f"budget ({len(states)} states constructed)")
+                f"budget ({len(origin)} states constructed)")
+        return base
 
     def add_element(key: ElementKey) -> str:
-        """Intern an element; register its action-selection states, queue it."""
+        """Intern an element; number its action-selection states, queue it."""
         known = elem_name.get(key)
         if known is not None:
             return known
@@ -484,23 +494,14 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         elem_name[key] = ename
         keys[ename] = key
         observations.append(ename)
-        belief = key[0]
-        acted = [_act_state(names[i], ename) for i in belief]
-        for i, name in zip(belief, acted):
-            states.append(name)
-            obs_map[name] = ename
-            priority_out[name] = prio[i]
-        guard_budget()
-        frontier.append((ename, key, acted))
+        frontier.append((ename, key, add_states(ename, key[0])))
         return ename
 
     initial = _initial_elements(prio, mode, pomdp.state_index[root])
     initial_moves = tuple(add_element(e) for e in initial)
     available[init_obs] = frozenset(initial_moves)
-    for ename in initial_moves:
-        succ[(init_state, ename)] = (_act_state(root, ename),)
 
-    for ename, (belief, brec, tables), acted in frontier:
+    for ename, (belief, brec, tables), base in frontier:
         committed = brec.intersection(belief)
         acts = [a for a, row in enumerate(rows[belief[0]]) if row]
         available[ename] = frozenset(map(action_names.__getitem__, acts))
@@ -512,14 +513,13 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                 found = cap_memo[cap_key] = _element_moves(
                     rows, prio, mode, a, tables, committed, budget)
             if not found:
-                for name in acted:
-                    succ[(name, aname)] = to_sink
+                disallowed.add((ename, aname))
                 continue
             signature, moves_to = found
             split: dict[int, list[int]] = {}
             for t in sorted({t for s in belief for t in rows[s][a]}):
                 split.setdefault(obs_of[t], []).append(t)
-            mname_of: dict[int, str] = {}
+            selecting: dict[int, int] = {}  # model state -> its M state id
             for o in sorted(split):
                 qname = f"q{len(memsel)}"
                 memsel[(ename, aname, pomdp.observations[o])] = qname
@@ -531,33 +531,21 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                     made = tuple(map(add_element, moves_to(new_belief)))
                     offered = branch_memo[branch] = (made, frozenset(made))
                 moves[qname], available[qname] = offered
-                for t in new_belief:
-                    mname = mname_of[t] = f"M~{names[t]}~{qname}"
-                    states.append(mname)
-                    obs_map[mname] = qname
-                    priority_out[mname] = prio[t]
-                    msel[mname] = names[t]
-                guard_budget()
-            for s, name in zip(belief, acted):
-                succ[(name, aname)] = tuple(map(mname_of.__getitem__,
-                                                rows[s][a]))
+                selecting.update(zip(new_belief, itertools.count(
+                    add_states(qname, new_belief))))
+            for i, s in enumerate(belief, base):
+                succ[(i, aname)] = tuple(map(selecting.__getitem__,
+                                             rows[s][a]))
 
     all_actions = action_names + tuple(keys)
-    for a in all_actions:
-        succ[(sink_state, a)] = to_sink
     available[sink_obs] = frozenset(all_actions)
-    classes: dict[str, list[str]] = {}
-    for s in states:
-        classes.setdefault(obs_map[s], []).append(s)
 
     return BeliefObsPomdp(
-        mode=mode, states=tuple(states), actions=all_actions,
-        observations=tuple(observations), obs_map=obs_map,
-        available=available, succ=succ, classes=classes,
-        priority=priority_out, root=root, init_state=init_state,
-        sink_state=sink_state, init_obs=init_obs, sink_obs=sink_obs,
-        initial_moves=initial_moves, keys=keys, state_names=names,
-        memsel=memsel, moves=moves, msel=msel)
+        mode=mode, actions=all_actions, observations=tuple(observations),
+        available=available, ranges=list(map(spans.__getitem__, observations)),
+        origin=origin, rows=succ, disallowed=disallowed, prio=prio, root=root,
+        init_obs=init_obs, sink_obs=sink_obs, initial_moves=initial_moves,
+        keys=keys, state_names=pomdp.states, memsel=memsel, moves=moves)
 
 
 def almost_cobuchi_red(pomdp: Pomdp, priority: Mapping[str, int],

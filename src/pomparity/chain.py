@@ -20,8 +20,8 @@ memory indices, so integer order is (state index, memory index) order.
 Each call compiles the strategy's table against the model's
 ``Pomdp.index_supports`` into one successor function on those integers,
 and one Tarjan condensation walks the pairs as it first reaches them.
-Names appear only in ``ProductChain.nodes``, ``succ`` and
-``bottom_sccs()``, in ``dump_chain`` and in the result of
+Names are made only on reading ``ProductChain.initial``, ``nodes``,
+``succ`` or ``bottom_sccs()``, in ``dump_chain`` and in the result of
 ``full_product_graph``.  The evaluation rules are written once, over pair
 ids (``_wins``): ``evaluate_qualitative`` applies them to a built chain,
 and the oracle to the chains it walks for its unnamed candidates.
@@ -30,6 +30,7 @@ and the oracle to the chains it walks for its unnamed candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -175,23 +176,42 @@ def _condense(successors: Callable[[int], tuple[int, ...]],
     return graph, comps, comp_of, is_bottom
 
 
+def _namer(pomdp: Pomdp, memories: Sequence[str]) -> Callable[[int], Node]:
+    """The (state, memory) name of each pair id ``s * |M| + m``."""
+    states, n_mem = pomdp.states, len(memories)
+    return lambda n: (states[n // n_mem], memories[n % n_mem])
+
+
 @dataclass
 class ProductChain:
     """Support digraph of the product chain, restricted to the reachable part.
 
-    ``nodes`` lists every (state, memory) pair reachable from the initial
-    pair, sorted by (state index, memory index); ``succ`` maps each node to
-    its deduplicated, equally-sorted successor tuple.  The same graph over
-    pair ids, and its recurrent classes, are kept for evaluation.
+    Kept over pair ids: ``_graph`` maps each pair reached from ``_initial``
+    to its sorted successors, ``_bottoms`` lists the recurrent classes.
+    ``initial``, ``nodes`` (sorted by (state index, memory index)) and
+    ``succ`` (each node's equally sorted successors) name them on reading.
     """
 
     pomdp: Pomdp
     memories: tuple[str, ...]
-    initial: Node
-    nodes: tuple[Node, ...]
-    succ: dict[Node, tuple[Node, ...]]
+    _initial: int = field(repr=False)
     _graph: Graph = field(repr=False)
     _bottoms: list[list[int]] = field(repr=False)
+
+    @cached_property
+    def initial(self) -> Node:
+        return _namer(self.pomdp, self.memories)(self._initial)
+
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        name = _namer(self.pomdp, self.memories)
+        return tuple([name(n) for n in sorted(self._graph)])
+
+    @cached_property
+    def succ(self) -> dict[Node, tuple[Node, ...]]:
+        name = _namer(self.pomdp, self.memories)
+        return {name(n): tuple([name(t) for t in ts])
+                for n, ts in self._graph.items()}
 
     def bottom_sccs(self) -> tuple[tuple[Node, ...], ...]:
         """Recurrent classes: bottom SCCs of the reachable support digraph.
@@ -199,10 +219,8 @@ class ProductChain:
         Deterministic order: classes sorted by their least node in
         (state index, memory index) order, members likewise sorted.
         """
-        states, memories = self.pomdp.states, self.memories
-        n_mem = len(memories)
-        return tuple([tuple([(states[n // n_mem], memories[n % n_mem])
-                             for n in comp]) for comp in self._bottoms])
+        name = _namer(self.pomdp, self.memories)
+        return tuple([tuple([name(n) for n in comp]) for comp in self._bottoms])
 
 
 def build_product_chain(pomdp: Pomdp, strategy) -> ProductChain:
@@ -210,12 +228,8 @@ def build_product_chain(pomdp: Pomdp, strategy) -> ProductChain:
     table = strategy.supports
     initial, successors = _compile(pomdp, table)
     graph, comps, _, is_bottom = _condense(successors, (initial,))
-    name = [(s, m) for s in pomdp.states for m in table.memories].__getitem__
     return ProductChain(
-        pomdp=pomdp, memories=table.memories, initial=name(initial),
-        nodes=tuple([name(n) for n in sorted(graph)]),
-        succ={name(n): tuple([name(t) for t in ts]) for n, ts in graph.items()},
-        _graph=graph,
+        pomdp=pomdp, memories=table.memories, _initial=initial, _graph=graph,
         _bottoms=sorted(sorted(comp) for comp in compress(comps, is_bottom)))
 
 
@@ -224,7 +238,7 @@ def full_product_graph(pomdp: Pomdp, strategy) -> dict[Node, tuple[Node, ...]]:
     table = strategy.supports
     _, successors = _compile(pomdp, table)
     graph = _condense(successors, range(len(pomdp.states) * len(table.memories)))[0]
-    name = [(s, m) for s in pomdp.states for m in table.memories].__getitem__
+    name = _namer(pomdp, table.memories)
     return {name(n): tuple([name(t) for t in ts])
             for n, ts in sorted(graph.items())}
 

@@ -53,7 +53,7 @@ def _check_name(token: str, what: str, line_no: int) -> str:
     return token
 
 
-def _parse_weight(token: str, line_no: int, line: str,
+def _parse_weight(token: str, line_no: int, column: int,
                   weights: dict[str, Fraction]) -> Fraction:
     """The weight a token spells, parsed once per document into ``weights``."""
     w = weights.get(token)
@@ -62,9 +62,8 @@ def _parse_weight(token: str, line_no: int, line: str,
     try:
         w = weights[token] = Fraction(token)
     except (ValueError, ZeroDivisionError):
-        col = line.find(token) + 1
         raise ParseError(f"invalid weight {token!r}", line=line_no,
-                         column=col if col > 0 else None) from None
+                         column=column) from None
     return w
 
 
@@ -73,13 +72,15 @@ def _parse_weighted(payload: str, line_no: int, line: str, what: str,
     """Parse ``name w, name w, ...`` and insist the weights sum to one."""
     dist: dict[str, Fraction] = {}
     total = Fraction(0)
+    column = len(line) - len(payload) + 1  # the payload ends the line
     for part in payload.split(","):
         tokens = part.split()
         if len(tokens) != 2:
             raise ParseError(f"expected '<{what}> <weight>' pairs, got {part.strip()!r}",
                              line=line_no)
         name = _check_name(tokens[0], what, line_no)
-        w = _parse_weight(tokens[1], line_no, line, weights)
+        w = _parse_weight(tokens[1], line_no, column + part.rindex(tokens[1]),
+                          weights)
         if name in dist:
             raise ParseError(f"duplicate {what} {name!r} in one distribution",
                              line=line_no)
@@ -87,6 +88,7 @@ def _parse_weighted(payload: str, line_no: int, line: str, what: str,
             raise ParseError(f"non-positive weight for {what} {name!r}", line=line_no)
         dist[name] = w
         total += w
+        column += len(part) + 1
     if total != 1:
         raise ExactnessError(
             f"line {line_no}: weights sum to {total}, not 1")

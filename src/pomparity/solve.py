@@ -23,8 +23,8 @@ their strategy), and the removal rank of every other observation: the
 round in which the round-by-round iteration removes it, so each fixpoint
 takes max rank + 1 rounds (``fixpoint_iterations`` sums the safety and
 outer Buchi rounds).  Safety is one pass; the Buchi fixpoint keeps its
-outer rounds, updates its counters as Z shrinks, and grows X over integer
-state rows compiled once per call.
+outer rounds, updates its counters as Z shrinks, and grows X over the
+graph's integer state rows, reversed once per call.
 
 ``solve_almost_cobuchi_fm`` rewrites a {1,2}-priority POMDP with the
 belief-observation construction, computes its almost-surely safe part (the
@@ -111,8 +111,7 @@ def apre(y_obs: Iterable[str], x_states: Iterable[str],
     return frozenset(out)
 
 
-def obs_cover(states: Iterable[str],
-              pomdp: Pomdp | BeliefObsPomdp) -> frozenset[str]:
+def obs_cover(states: Iterable[str], pomdp: Pomdp) -> frozenset[str]:
     """Observations whose entire class lies inside the state set."""
     states = frozenset(states)
     return frozenset(o for o in pomdp.observations
@@ -182,7 +181,7 @@ def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
     return y, (_obs_strategy(pomdp, plays) if y else None)
 
 
-def _buchi_obs(graph: ObsGraph, start: Iterable[str], targets: Iterable[str],
+def _buchi_obs(graph: ObsGraph, start: Iterable[str], targets: frozenset[int],
                stats: dict | None = None,
                ) -> tuple[frozenset[str], dict[str, frozenset[str]],
                           dict[str, int]]:
@@ -190,48 +189,41 @@ def _buchi_obs(graph: ObsGraph, start: Iterable[str], targets: Iterable[str],
     the outer round that removes each observation.
 
     Z starts at ``start``, and the live counters follow it as it shrinks.
-    Each outer round grows X backwards from the targets through live
-    slots, over integer state rows compiled once per call for live slots
-    (a dead slot never revives).  A target enters X whenever its
-    observation keeps a slot, so its own row is never read or compiled.
+    Each outer round grows X backwards from the ``targets`` (state ids)
+    through live slots, over the graph's integer rows, reversed once per
+    call for live slots (a dead slot never revives).  A target enters X
+    whenever its observation keeps a slot, so its own row is never read.
     """
-    model, first, acts = graph.model, graph.first, graph.acts
-    targets = frozenset(targets)
-    names = model.observations
+    first, members, row = graph.first, graph.members, graph.row
+    names = graph.model.observations
     inside, live, count = graph.counters(start)
-    obs_of = [j for j, o in enumerate(names) if inside[j]
-              for _ in model.states_with_obs(o)]
-    states = [s for j, o in enumerate(names) if inside[j]
-              for s in model.states_with_obs(o)]
-    sid = {s: i for i, s in enumerate(states)}
-    rev: list[list[tuple[int, int]]] = [[] for _ in states]
-    for i, s in enumerate(states):
-        if s not in targets:
-            j = obs_of[i]
-            for k in range(first[j], first[j + 1]):
-                if live[k]:
-                    for t in model.supp(s, acts[k]):
-                        rev[sid[t]].append((k, i))
-    goals = [sid[s] for s in targets if s in sid]
+    here = [j for j, got in enumerate(inside) if got]
+    goals = [(j, i) for j in here for i in members[j] if i in targets]
+    rev: dict[int, list[tuple[int, int]]] = {}
+    for j in here:
+        slots = [k for k in range(first[j], first[j + 1]) if live[k]]
+        for i in members[j]:
+            if i not in targets:
+                for k in slots:
+                    for t in row(i, k):
+                        rev.setdefault(t, []).append((k, i))
     ranks: dict[str, int] = {}
     outer = inner = 0
     while True:
         outer += 1
-        x = bytearray(len(states))
-        frontier = [i for i in goals if count[obs_of[i]]]
-        for i in frontier:
-            x[i] = 1
+        frontier = [i for j, i in goals if count[j]]
+        x = set(frontier)
         while frontier:
             inner += 1
             nxt = []
             for u in frontier:
-                for k, i in rev[u]:
-                    if live[k] and not x[i]:
-                        x[i] = 1
+                for k, i in rev.get(u, ()):
+                    if live[k] and i not in x:
+                        x.add(i)
                         nxt.append(i)
             frontier = nxt
-        removed = {obs_of[i] for i, got in enumerate(x)
-                   if not got and inside[obs_of[i]]}
+        removed = [j for j in here if inside[j]
+                   and not all(map(x.__contains__, members[j]))]
         if not removed:
             break
         for j in removed:
@@ -256,8 +248,10 @@ def almost_buchi(pomdp: Pomdp, targets: Iterable[str],
     never risks leaving Z.  The companion strategy plays every action of
     allow(o, Z*); its recurrent classes all intersect the targets.
     """
-    z, plays, _ = _buchi_obs(obs_graph(pomdp), pomdp.observations, targets,
-                             stats)
+    index = pomdp.state_index
+    z, plays, _ = _buchi_obs(obs_graph(pomdp), pomdp.observations,
+                             frozenset(index[s] for s in targets
+                                       if s in index), stats)
     return z, (_obs_strategy(pomdp, plays) if z else None)
 
 
@@ -373,7 +367,7 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     """
     stats: dict = {}
     bo = almost_cobuchi_red(pomdp, priority, budget=budget)
-    stats["states_constructed"] = len(bo.states)
+    stats["states_constructed"] = len(bo.origin)
     mode = WinningMode.ALMOST_SURE
     # ObsCover of every state but the losing sink
     safe_obs = set(bo.observations) - {bo.sink_obs}
@@ -466,8 +460,9 @@ def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
         except ResourceLimitError as exc:
             raise ResourceLimitError(f"root {t!r}: {exc}, after {built} states "
                                      f"for earlier roots of {budget}") from None
-        stats["states_constructed"] += len(bo.states)
-        targets = frozenset(s for s in bo.states if bo.priority[s] == 0)
+        stats["states_constructed"] += len(bo.origin)
+        targets = frozenset(i for i in range(len(bo.origin))
+                            if bo.priority(i) == 0)
         z, kept, _ = _buchi_obs(obs_graph(bo), bo.observations, targets,
                                 stats)
         if bo.init_obs not in z:

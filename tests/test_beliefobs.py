@@ -91,16 +91,16 @@ def test_rewrite_observations_reveal_elements(ex1_rewrite):
         members = [s for s in bo.pomdp.states if bo.pomdp.obs_map[s] == name]
         assert sorted(members) == sorted(f"A~{s}~{name}" for s in elem.belief)
         for s in elem.belief:
-            assert bo.priority[f"A~{s}~{name}"] == prio[s]
+            assert bo.priority(bo.pomdp.state_index[f"A~{s}~{name}"]) == prio[s]
 
 
 def test_rewrite_initial_moves(ex1_rewrite):
     base, prio, bo = ex1_rewrite
-    assert bo.pomdp.initial_state == bo.init_state
+    assert bo.pomdp.initial_state == "start"
     assert bo.pomdp.available_at(bo.init_obs) == frozenset(bo.initial_moves)
     for name in bo.initial_moves:
         assert bo.elements[name].belief == frozenset({bo.root})
-        row = bo.pomdp.dist(bo.init_state, name)
+        row = bo.pomdp.dist("start", name)
         assert row == {f"A~{bo.root}~{name}": Fraction(1)}
     # the root observes alone, so no commitment is offered at priority 1
     assert len(bo.initial_moves) == 1
@@ -121,7 +121,7 @@ def test_rewrite_memory_selection_states(ex1_rewrite):
         assert sorted(members) == sorted(f"M~{t}~{qname}" for t in new_belief)
         for t in new_belief:
             mname = f"M~{t}~{qname}"
-            assert bo.priority[mname] == prio[t]
+            assert bo.priority(bo.pomdp.state_index[mname]) == prio[t]
             for e2name in offered:
                 assert (bo.pomdp.dist(mname, e2name)
                         == {f"A~{t}~{e2name}": Fraction(1)})
@@ -131,9 +131,10 @@ def test_rewrite_certificates_claim_only_priority_two(ex1_rewrite):
     _, _, bo = ex1_rewrite
     certified = bo.certified_recurrent()
     assert certified
-    for name in certified:
-        assert bo.priority[name] == 2
-        ename = bo.obs_map[name]
+    for i in certified:
+        assert bo.priority(i) == 2
+        name = bo.pomdp.states[i]
+        ename = bo.pomdp.obs_map[name]
         elem = bo.elements[ename]
         (s,) = [s for s in elem.belief if f"A~{s}~{ename}" == name]
         assert s in elem.brec
@@ -153,6 +154,15 @@ def without_an_action(pomdp, rng):
     return model
 
 
+def act_state(bo, s, ename):
+    """The id of model state ``s``'s action-selection state in element
+    ``ename``: its position in the element's belief, from the element's
+    first state id."""
+    belief = bo.keys[ename][0]
+    return (bo.ranges[bo.obs_index[ename]].start
+            + belief.index(bo.state_names.index(s)))
+
+
 def assert_commitment_invariant(bo):
     """The beliefobs module docstring's co-Buchi commitment invariant and
     its consequences: every branch offers a move, the certified states are
@@ -166,22 +176,23 @@ def assert_commitment_invariant(bo):
         assert all(frozenset({2}) in table for table in elem.srec_map.values())
         for s in elem.belief & elem.brec:
             assert elem.srec_map[s] == good
-            assert bo.priority[f"A~{s}~{ename}"] == 2
+            assert bo.priority(act_state(bo, s, ename)) == 2
         certified.update(
-            f"A~{s}~{ename}" for s in elem.belief
+            act_state(bo, s, ename) for s in elem.belief
             if s in elem.brec and elem.srec_map[s] == good
-            and bo.priority[f"A~{s}~{ename}"] == 2)
+            and bo.priority(act_state(bo, s, ename)) == 2)
     assert all(bo.moves[q] for q in bo.memsel.values())
     assert bo.certified_recurrent() == certified
+    observed = {i: o for o, ids in zip(bo.observations, bo.ranges) for i in ids}
     followed = 0
-    for name in certified:
-        for a in bo.available[bo.obs_map[name]]:
-            row = bo.succ[(name, a)]
-            if row == (bo.sink_state,):
+    for i in certified:
+        for a in bo.available[observed[i]]:
+            if (observed[i], a) in bo.disallowed:
                 continue
-            for m in row:
-                offered = bo.moves[bo.obs_map[m]]
-                assert {f"A~{bo.msel[m]}~{e}" for e in offered} <= certified
+            for m in bo.rows[(i, a)]:
+                offered = bo.moves[observed[m]]
+                t = bo.state_names[bo.origin[m]]
+                assert {act_state(bo, t, e) for e in offered} <= certified
                 followed += len(offered)
     return len(certified), followed
 
@@ -216,18 +227,23 @@ def reference_allowed(elem, action, pomdp, prio):
 
 
 def test_actions_are_allowed_by_the_reference_predicate(reduced_ex1_rewrite):
-    """An (element, action) has memory-selection branches exactly when the
-    reference predicate allows it; otherwise its rows are the sink row."""
+    """An (element, action) has memory-selection branches and stored rows
+    exactly when the reference predicate allows it; otherwise it is
+    recorded disallowed, once, and its rows read as the sink row."""
     counts = Counter()
     rewrites = [*seeded_cobuchi_rewrites(7004, 150), reduced_ex1_rewrite]
     for pomdp, prio, bo in rewrites:
         branched = {(e, a) for e, a, _ in bo.memsel}
         for ename, elem in bo.elements.items():
+            j = bo.obs_index[ename]
             for a in bo.available[ename]:
                 allowed = reference_allowed(elem, a, pomdp, prio)
                 assert ((ename, a) in branched) == allowed
-                rows = {bo.succ[(f"A~{s}~{ename}", a)] for s in elem.belief}
-                assert (rows == {(bo.sink_state,)}) == (not allowed)
+                assert ((ename, a) in bo.disallowed) == (not allowed)
+                for i in bo.ranges[j]:
+                    assert ((i, a) in bo.rows) == allowed
+                    assert (bo.successors(i, j, a) == (beliefobs.DEAD,)) == \
+                        (not allowed)
                 counts[allowed] += 1
     assert counts[True] > 4000 and counts[False] > 4000
 
@@ -250,7 +266,7 @@ def test_the_safety_stage_keeps_the_initial_observation(reduced_ex1_rewrite):
 
 def test_rewrite_objective_matches_priorities(ex1_rewrite):
     _, _, bo = ex1_rewrite
-    assert bo.priority[bo.sink_state] == 1
+    assert bo.priority(bo.pomdp.state_index["dead"]) == 1
 
 
 def test_buchi_rewrite_carries_no_certificates(ex2fix):
@@ -358,12 +374,16 @@ def test_every_generated_move_passes_memory_action_allowed():
 
 def assert_supports_are_the_playable_model(bo):
     played = bo.pomdp
-    assert bo.states == played.states
-    for s, a in played.transitions:
-        assert bo.supp(s, a) == played.supp(s, a)
-    for o in played.observations:
-        assert tuple(bo.states_with_obs(o)) == played.states_with_obs(o)
+    names = played.states
+    assert len(bo.origin) == len(names)
+    for j, o in enumerate(played.observations):
+        ids = bo.ranges[j]
+        assert tuple(names[i] for i in ids) == played.states_with_obs(o)
         assert bo.available[o] == played.available_at(o)
+        for i in ids:
+            for a in bo.available[o]:
+                assert tuple(names[t] for t in bo.successors(i, j, a)) == \
+                    played.supp(names[i], a)
 
 
 def test_support_graph_is_its_playable_model(ex1_rewrite):
@@ -529,8 +549,8 @@ def test_elements_are_interned(ex1, monkeypatch):
             assert elem == make(elem.belief, elem.brec, elem.srec_map)
         assert len(set(elements.values())) == len(elements)
         for qname, offered in bo.moves.items():
-            for mname in bo.states_with_obs(qname):
-                assert not any((mname, e) in bo.succ for e in offered)
+            for i in bo.ranges[bo.obs_index[qname]]:
+                assert not any((i, e) in bo.rows for e in offered)
 
 
 def test_shared_branch_moves_are_the_enumerated_ones(ex1, monkeypatch):

@@ -91,6 +91,18 @@ def test_weight_errors_name_the_later_line_that_repeats_a_token():
     assert (err.value.line, err.value.column) == (4, 20)
 
 
+def test_invalid_weight_errors_point_at_the_weight():
+    """The column of an invalid weight is that of the weight token, also
+    when a name earlier on its line is spelled the same."""
+    doc = MINI.replace("trans: s0 a -> s1 1", "trans: s a -> abc abc")
+    with pytest.raises(ParseError) as err:
+        parse_model(doc)
+    assert (err.value.line, err.value.column) == (7, 19)
+    with pytest.raises(ParseError) as err:
+        parse_strategy("memories: m\ninit: m\nact: m -> x x\n")
+    assert (err.value.line, err.value.column) == (3, 13)
+
+
 def test_empty_states_section_errors_at_the_header():
     doc = MINI.replace("states: s0 s1", "states:")
     with pytest.raises(ParseError) as err:

@@ -1,6 +1,9 @@
 """Fixpoint operators and the solve pipelines, cross-checked independently."""
 
+import gc
+import inspect
 import random
+import types
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -15,8 +18,8 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        objective_as_parity, oracle_decide, positive_buchi_red,
                        pre, solve_parity_fm, solve_positive_buchi_fm,
                        solve_almost_cobuchi_fm, uniform, validate)
-from pomparity import solve
-from pomparity.beliefobs import obs_graph
+from pomparity import beliefobs, solve
+from pomparity.beliefobs import BeliefObsPomdp, obs_graph
 from pomparity.solve import _buchi_obs, _safe_obs
 from pomparity.strategy import MemoryElement
 from conftest import (all_memoryless_supports, chain_wins,
@@ -192,45 +195,70 @@ def reference_buchi(pomdp, targets):
     return z, {o: allow(o, z, pomdp) for o in z}, outer, inner, removed
 
 
+def supports_by_id(model):
+    """The states of a ``Pomdp`` or a rewrite by id: the ids of each
+    observation, the observation of each id, and ``succ(i, a)``, the
+    successor ids of state i under an action available at it.  A model's
+    ids are its state indices, read through its names; a rewrite's are
+    read from its records."""
+    if isinstance(model, Pomdp):
+        index = model.state_index
+        members = {o: [index[s] for s in model.states_with_obs(o)]
+                   for o in model.observations}
+
+        def succ(i, a):
+            return [index[t] for t in model.supp(model.states[i], a)]
+    else:
+        members = dict(zip(model.observations, model.ranges))
+
+        def succ(i, a):
+            return model.successors(i, model.obs_index[observed[i]], a)
+    observed = {i: o for o, ids in members.items() for i in ids}
+    return members, observed, succ
+
+
 def restrict_to(model, plays):
     """The sub-POMDP on the observations of a play table, actions cut to
     the table's, uniform over the model's supports (a ``Pomdp`` or a
-    rewrite)."""
-    keep_states = tuple(s for s in model.states if model.obs_map[s] in plays)
-    return Pomdp(states=keep_states, actions=model.actions,
+    rewrite); its states are named by their ids."""
+    members, observed, succ = supports_by_id(model)
+    keep = sorted(i for o in plays for i in members[o])
+    return Pomdp(states=tuple(map(str, keep)), actions=model.actions,
                  observations=tuple(plays),
-                 obs_map={s: model.obs_map[s] for s in keep_states},
-                 transitions={(s, a): uniform(model.supp(s, a))
-                              for s in keep_states
-                              for a in plays[model.obs_map[s]]},
-                 initial_state=keep_states[0], available=dict(plays))
+                 obs_map={str(i): observed[i] for i in keep},
+                 transitions={(str(i), a): uniform(map(str, succ(i, a)))
+                              for i in keep for a in plays[observed[i]]},
+                 initial_state=str(keep[0]), available=dict(plays))
 
 
-def assert_kept_moves_stay_kept(pomdp, plays):
+def assert_kept_moves_stay_kept(model, plays):
     """The attractor invariant the witness builder relies on: every kept
     observation keeps a move, and its kept moves lead to kept
     observations."""
+    members, observed, succ = supports_by_id(model)
     for o, acts in plays.items():
         assert acts, o
-        assert all(pomdp.obs_map[t] in plays for a in acts
-                   for s in pomdp.states_with_obs(o) for t in pomdp.supp(s, a))
+        assert all(observed[t] in plays for a in acts
+                   for i in members[o] for t in succ(i, a))
 
 
 def assert_buchi_inside_matches(model, plays, targets, closed):
-    """Buchi on the targets inside a safe part, on the model's graph from
-    the safe part, against the reference on the model restricted to its
-    kept actions: the live slots at the start are those actions.  For
-    closed targets, as in the co-Buchi pipeline's reach stage, the copy
-    has them absorbing: Buchi is reaching them.  The witness table the
-    pipeline assembles keeps the attractor invariant."""
-    inside = frozenset(s for s in targets if model.obs_map[s] in plays)
+    """Buchi on the targets (state ids) inside a safe part, on the model's
+    graph from the safe part, against the reference on the model
+    restricted to its kept actions: the live slots at the start are those
+    actions.  For closed targets, as in the co-Buchi pipeline's reach
+    stage, the copy has them absorbing: Buchi is reaching them.  The
+    witness table the pipeline assembles keeps the attractor invariant."""
+    members, _, _ = supports_by_id(model)
+    inside = frozenset(i for o in plays for i in members[o] if i in targets)
     stats = {}
     w, kept, ranks = _buchi_obs(obs_graph(model), plays, inside, stats)
     copy = restrict_to(model, plays)
+    named = frozenset(map(str, inside))
     assert (w, kept, stats["buchi_outer_iterations"],
             stats["buchi_inner_steps"], ranks) == \
-        reference_buchi(make_absorbing(copy, inside) if closed else copy,
-                        inside)
+        reference_buchi(make_absorbing(copy, named) if closed else copy,
+                        named)
     assert_kept_moves_stay_kept(model, kept)
     assert_kept_moves_stay_kept(model, {o: kept.get(o, acts)
                                         for o, acts in plays.items()})
@@ -272,16 +300,15 @@ def test_fixpoint_cores_match_the_reference_iteration(ex1):
                 reference_safe(pomdp, safe)
             assert_kept_moves_stay_kept(pomdp, plays)
             targets = {s for s in pomdp.states if rng.random() < 0.3}
+            ids = frozenset(map(pomdp.state_index.__getitem__, targets))
             stats = {}
-            z, kept, ranks = _buchi_obs(graph, pomdp.observations, targets,
-                                        stats)
+            z, kept, ranks = _buchi_obs(graph, pomdp.observations, ids, stats)
             assert (z, kept, stats["buchi_outer_iterations"],
                     stats["buchi_inner_steps"], ranks) == \
                 reference_buchi(pomdp, targets)
             assert_kept_moves_stay_kept(pomdp, kept)
             if y:
-                assert_buchi_inside_matches(pomdp, plays, targets,
-                                            closed=False)
+                assert_buchi_inside_matches(pomdp, plays, ids, closed=False)
         reach_stages += assert_reach_stage_matches(cob)
     assert reach_stages >= 100
     red = almost_parity_to_cobuchi(*objective_as_parity(*ex1))
@@ -316,13 +343,13 @@ def assert_implicit_rows_read_as_stored(bo, rng):
         walked_table(played)
     for _ in range(4):
         start = {o for o in bo.observations if rng.random() < 0.9}
-        safe = {s for s in bo.states
-                if bo.obs_map[s] in start and rng.random() < 0.9}
-        targets = {s for s in bo.states if rng.random() < 0.3}
+        safe = {s for s in played.states
+                if played.obs_map[s] in start and rng.random() < 0.9}
+        targets = {i for i in range(len(played.states)) if rng.random() < 0.3}
         runs = []
         for graph in graphs:
             stats = {}
-            runs.append((_safe_obs(graph, obs_cover(safe, bo), stats),
+            runs.append((_safe_obs(graph, obs_cover(safe, played), stats),
                          _buchi_obs(graph, start, targets, stats), stats))
         assert runs[0] == runs[1]
 
@@ -402,15 +429,50 @@ def capture_rewrites(monkeypatch):
     return built
 
 
+def held_strings(*roots):
+    """Every string reachable from the roots through object references,
+    not through modules or classes."""
+    seen, stack, found = set(), list(roots), set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, str):
+            found.add(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
 def test_no_pipeline_builds_the_weighted_rewrite(ex1, ex2, monkeypatch):
-    """The pipelines read the rewrite's supports, never ``bo.pomdp``."""
+    """The pipelines read the rewrite's integer records, never
+    ``bo.pomdp``, and no ``A~``/``M~`` state name is built: ``bo.pomdp``
+    is the only code that spells one, and nothing a solve keeps holds
+    one.  On ``ex1``, ``ex2`` and ``ex1`` reduced to co-Buchi, in both
+    modes."""
+    def spelling(source):
+        return [line for line in source.splitlines() if "~{" in line]
+
+    assert [line for module in (beliefobs, solve)
+            for line in spelling(inspect.getsource(module))] == \
+        spelling(inspect.getsource(BeliefObsPomdp.pomdp.func))
+
+    def refused(bo):
+        raise AssertionError("the playable rewrite was built")
+
+    monkeypatch.setattr(BeliefObsPomdp, "pomdp", property(refused))
     built = capture_rewrites(monkeypatch)
-    for pomdp, objective in (ex1, ex2):
+    red = almost_parity_to_cobuchi(*objective_as_parity(*ex1))
+    for pomdp, objective in (ex1, ex2, (red.pomdp, red.objective)):
         for mode in (ALMOST, POSITIVE):
             before = len(built)
-            assert solve_parity_fm(pomdp, objective, mode).winning
+            decision = solve_parity_fm(pomdp, objective, mode)
+            assert decision.winning
             assert len(built) > before
-    assert all("pomdp" not in bo.__dict__ for bo in built)
+            assert not any(s.startswith(("A~", "M~"))
+                           for s in held_strings(decision, *built[before:]))
+    assert 57158 in {len(bo.origin) for bo in built}
 
 
 def test_solves_annotate_only_the_witness_memories(ex1, monkeypatch):
