@@ -21,10 +21,11 @@ Each call compiles the strategy's table against the model's
 ``Pomdp.index_supports`` into one successor function on those integers,
 and one Tarjan condensation walks the pairs as it first reaches them.
 Names are made only on reading ``ProductChain.initial``, ``nodes``,
-``succ`` or ``bottom_sccs()``, in ``dump_chain`` and in the result of
-``full_product_graph``.  The evaluation rules are written once, over pair
-ids (``_wins``): ``evaluate_qualitative`` applies them to a built chain,
-and the oracle to the chains it walks for its unnamed candidates.
+``succ``, ``bottom_sccs()`` or ``RecFunctions.set_rec``/``bool_rec``, in
+``dump_chain`` and in ``full_product_graph``'s result; the projection
+reads recurrence summaries over pair ids.  The evaluation rules are
+written once, over pair ids (``_wins``): ``evaluate_qualitative`` applies
+them to a built chain, and the oracle to the chains it walks.
 """
 
 from __future__ import annotations
@@ -323,30 +324,48 @@ def evaluate_qualitative(chain: ProductChain, objective: Objective,
 
 @dataclass
 class RecFunctions:
-    """SetRec / BoolRec tables over the full product graph.
+    """SetRec / BoolRec over the full product graph, kept over pair ids.
 
-    ``set_rec[m][s]`` is the set of colour sets of recurrent classes
-    reachable from (s, m); ``bool_rec[m][s]`` is 1 iff (s, m) itself lies in
-    a recurrent class.  BoolRec = 1 forces SetRec to be the singleton of the
-    colour set of the class containing (s, m).  A class that is a single
-    pair with no successor, where the strategy stops, counts with the empty
-    colour set, so a stopped memory never shares a summary with a live one.
+    ``comp_of[s * |M| + m]`` is the component of the pair (s, m),
+    ``reach[c]`` the colour sets of the recurrent classes reachable from
+    c, and ``bottom[c]`` whether c is one (a single pair with no successor,
+    where the strategy stops, counts with the empty colour set, so a
+    stopped memory never shares a summary with a live one).  ``set_rec``
+    and ``bool_rec`` (1 iff the pair is recurrent, which forces SetRec to
+    its class's colour set alone) name them per memory and state on
+    first reading.
     """
 
-    set_rec: dict[str, dict[str, frozenset[frozenset[int]]]]
-    bool_rec: dict[str, dict[str, int]]
+    pomdp: Pomdp
+    memories: tuple[str, ...]
+    comp_of: dict[int, int] = field(repr=False)
+    reach: list[frozenset[frozenset[int]]] = field(repr=False)
+    bottom: list[bool] = field(repr=False)
+
+    def _by_pair(self, value: Sequence) -> dict:  # memory -> state -> value
+        n_mem, states = len(self.memories), self.pomdp.states
+        return {m: {s: value[self.comp_of[si * n_mem + mi]]
+                    for si, s in enumerate(states)}
+                for mi, m in enumerate(self.memories)}
+
+    @cached_property
+    def set_rec(self) -> dict[str, dict[str, frozenset[frozenset[int]]]]:
+        return self._by_pair(self.reach)
+
+    @cached_property
+    def bool_rec(self) -> dict[str, dict[str, int]]:
+        return self._by_pair([int(b) for b in self.bottom])
 
 
 def compute_rec_functions(pomdp: Pomdp, strategy,
                           colors: Mapping[str, int]) -> RecFunctions:
-    """Tabulate SetRec and BoolRec for every pair (s, m) of S x M."""
+    """Condense every pair (s, m) of S x M and summarise each component."""
     table = strategy.supports
     n_mem = len(table.memories)
     _, successors = _compile(pomdp, table)
     graph, comps, comp_of, is_bottom = _condense(
         successors, range(len(pomdp.states) * n_mem))
-    missing = sorted(set(pomdp.states) - set(colors))
-    if missing:
+    if missing := sorted(set(pomdp.states) - set(colors)):
         raise StructuralError(f"no colour for states: {', '.join(missing)}")
     colour = [colors[s] for s in pomdp.states]
     # components arrive successors-first, so one pass suffices
@@ -362,13 +381,8 @@ def compute_rec_functions(pomdp: Pomdp, strategy,
                 if tc != ci:
                     got |= reach[tc]
         reach.append(frozenset(got))
-
-    def by_pair(value):  # memory -> state -> value of the pair's component
-        return {m: {s: value(comp_of[si * n_mem + mi])
-                    for si, s in enumerate(pomdp.states)}
-                for mi, m in enumerate(table.memories)}
-    return RecFunctions(set_rec=by_pair(reach.__getitem__),
-                        bool_rec=by_pair(lambda ci: int(is_bottom[ci])))
+    return RecFunctions(pomdp=pomdp, memories=table.memories, comp_of=comp_of,
+                        reach=reach, bottom=is_bottom)
 
 
 def dump_chain(chain: ProductChain) -> str:

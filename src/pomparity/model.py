@@ -392,12 +392,9 @@ def belief_update(pomdp: Pomdp, belief: Iterable[str], action: str,
     observation, and the action is available there.  The result may be
     empty (the observation had probability zero from this belief).
     """
-    belief = frozenset(belief)
+    belief = known_states(pomdp, belief, "belief contains")
     if not belief:
         raise ContractError("belief update from an empty belief")
-    unknown = sorted(s for s in belief if s not in pomdp.state_index)
-    if unknown:
-        raise StructuralError(f"belief contains unknown states: {', '.join(unknown)}")
     obs_here = {pomdp.obs_map[s] for s in belief}
     if len(obs_here) != 1:
         raise ContractError(
@@ -413,12 +410,19 @@ def belief_update(pomdp: Pomdp, belief: Iterable[str], action: str,
     return frozenset(t for t in union if pomdp.obs_map[t] == obs)
 
 
+def known_states(pomdp: Pomdp, states: Iterable[str],
+                 what: str) -> frozenset[str]:
+    """The states as a set; a ``StructuralError`` names, after ``what``,
+    those the model lacks."""
+    states = frozenset(states)
+    if unknown := sorted(states.difference(pomdp.state_index)):
+        raise StructuralError(f"{what} unknown states: {', '.join(unknown)}")
+    return states
+
+
 def make_absorbing(pomdp: Pomdp, targets: Iterable[str]) -> Pomdp:
     """Rewrite every target state to loop back to itself under all actions."""
-    targets = frozenset(targets)
-    unknown = sorted(targets - set(pomdp.states))
-    if unknown:
-        raise StructuralError(f"cannot absorb unknown states: {', '.join(unknown)}")
+    targets = known_states(pomdp, targets, "cannot absorb")
     new_transitions = dict(pomdp.transitions)
     for s in pomdp.states:
         if s not in targets:
@@ -444,10 +448,7 @@ def objective_as_parity(pomdp: Pomdp, objective: Objective) -> tuple[Pomdp, Obje
             "Muller objectives have no parity conversion in this package")
     if objective.kind not in _TARGET_KINDS:
         raise ContractError(f"unknown objective kind {objective.kind!r}")
-    targets = objective.targets
-    unknown = sorted(targets - set(pomdp.states))
-    if unknown:
-        raise StructuralError(f"objective targets unknown states: {', '.join(unknown)}")
+    targets = known_states(pomdp, objective.targets, "objective targets")
     if objective.kind == BUCHI:
         return pomdp, Objective.parity(
             {s: (0 if s in targets else 1) for s in pomdp.states})

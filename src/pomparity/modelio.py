@@ -41,7 +41,7 @@ from pathlib import Path
 
 from .model import (BUCHI, COBUCHI, PARITY, REACH, SAFE, ExactnessError,
                     Objective, ParseError, Pomdp)
-from .strategy import FiniteMemoryStrategy, MemoryElement
+from .strategy import FiniteMemoryStrategy, MemoryElement, SupportStrategy
 
 _NAME_RE = re.compile(r"^[^\s:,#]+$")
 _TARGET_KINDS = {REACH, SAFE, BUCHI, COBUCHI}
@@ -54,7 +54,7 @@ def _check_name(token: str, what: str, line_no: int) -> str:
 
 
 def _parse_weight(token: str, line_no: int, column: int,
-                  weights: dict[str, Fraction]) -> Fraction:
+                  weights: dict) -> Fraction:
     """The weight a token spells, parsed once per document into ``weights``."""
     w = weights.get(token)
     if w is not None:
@@ -68,9 +68,18 @@ def _parse_weight(token: str, line_no: int, column: int,
 
 
 def _parse_weighted(payload: str, line_no: int, line: str, what: str,
-                    weights: dict[str, Fraction]) -> dict[str, Fraction]:
-    """Parse ``name w, name w, ...`` and insist the weights sum to one."""
-    dist: dict[str, Fraction] = {}
+                    weights: dict) -> dict[str, Fraction]:
+    """Parse ``name w, name w, ...`` and insist the weights sum to one.
+
+    Memoized in ``weights`` under (what, payload): every check reads the
+    payload alone, so an invalid one raises, with its line and column, on
+    the first line that spells it; only valid ones are kept, and each row
+    gets its own copy.
+    """
+    dist = weights.get((what, payload))
+    if dist is not None:
+        return dict(dist)
+    dist = {}
     total = Fraction(0)
     column = len(line) - len(payload) + 1  # the payload ends the line
     for part in payload.split(","):
@@ -92,7 +101,8 @@ def _parse_weighted(payload: str, line_no: int, line: str, what: str,
     if total != 1:
         raise ExactnessError(
             f"line {line_no}: weights sum to {total}, not 1")
-    return dist
+    weights[(what, payload)] = dist
+    return dict(dist)
 
 
 def _lines(text: str):
@@ -122,7 +132,7 @@ def parse_model(text: str) -> tuple[Pomdp, Objective | None]:
     declared_max: int | None = None
     priorities: dict[str, int] = {}
     obj_line = 0
-    weights: dict[str, Fraction] = {}
+    weights: dict = {}  # weight tokens and weighted payloads, parsed once
 
     for line_no, keyword, payload, line in _lines(text):
         if keyword in ("states", "actions", "observations"):
@@ -343,7 +353,7 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
     beliefs: dict[str, frozenset[str]] = {}
     brecs: dict[str, frozenset[str]] = {}
     srecs: dict[str, dict[str, frozenset[frozenset[int]]]] = {}
-    weights: dict[str, Fraction] = {}
+    weights: dict = {}  # weight tokens and weighted payloads, parsed once
 
     for line_no, keyword, payload, line in _lines(text):
         if keyword == "memories":
@@ -443,20 +453,27 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
 
 def serialize_strategy(strategy) -> str:
     """Canonical text form of a strategy, element annotations included;
-    a support table is written with ``to_strategy``'s uniform weights."""
-    strategy = strategy.to_strategy()
+    a support table is written with the uniform weights ``to_strategy``
+    gives it (``1``, or ``1/k`` for each of k), without making them."""
+    if isinstance(strategy, SupportStrategy):
+        row = lambda xs: dict.fromkeys(xs, "1" if len(xs) == 1 else f"1/{len(xs)}")
+        acts = {m: row(xs) for m, xs in strategy.action_support.items()}
+        updates = {k: row(xs) for k, xs in strategy.update_support.items()}
+        initial = strategy.initial
+    else:
+        acts, updates = strategy.action_select, strategy.memory_update
+        initial = strategy.initial_memory
     midx = {m: i for i, m in enumerate(strategy.memories)}
-    out = [f"memories: {' '.join(strategy.memories)}",
-           f"init: {strategy.initial_memory}"]
+    out = [f"memories: {' '.join(strategy.memories)}", f"init: {initial}"]
     for m in strategy.memories:
-        dist = strategy.action_select.get(m)
+        dist = acts.get(m)
         if not dist:
             continue
         parts = ", ".join(f"{a} {dist[a]}" for a in sorted(dist))
         out.append(f"act: {m} -> {parts}")
-    for (m, o, a) in sorted(strategy.memory_update,
+    for (m, o, a) in sorted(updates,
                             key=lambda k: (midx.get(k[0], len(midx)), k[1], k[2])):
-        dist = strategy.memory_update[(m, o, a)]
+        dist = updates[(m, o, a)]
         if not dist:
             continue
         parts = ", ".join(f"{m2} {dist[m2]}"

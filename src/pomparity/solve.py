@@ -65,6 +65,7 @@ from .model import (
     ResourceLimitError,
     WinningMode,
     fresh_name,
+    known_states,
     make_absorbing,
     objective_as_parity,
 )
@@ -174,10 +175,11 @@ def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
 
     Greatest fixpoint: start from the observations fully covered by the
     set, repeatedly drop observations with no covering-preserving action.
-    The companion strategy plays every preserving action.
+    The companion strategy plays every preserving action.  A state the
+    model lacks is a ``StructuralError``.
     """
-    y, plays, _ = _safe_obs(obs_graph(pomdp), obs_cover(safe_states, pomdp),
-                            stats)
+    safe = known_states(pomdp, safe_states, "safe set names")
+    y, plays, _ = _safe_obs(obs_graph(pomdp), obs_cover(safe, pomdp), stats)
     return y, (_obs_strategy(pomdp, plays) if y else None)
 
 
@@ -246,12 +248,12 @@ def almost_buchi(pomdp: Pomdp, targets: Iterable[str],
     classes are fully contained in the inner limit X, where X grows from
     the in-Z targets by positive-probability attraction (``apre``) that
     never risks leaving Z.  The companion strategy plays every action of
-    allow(o, Z*); its recurrent classes all intersect the targets.
+    allow(o, Z*); its recurrent classes all intersect the targets.  A
+    target the model lacks is a ``StructuralError``.
     """
-    index = pomdp.state_index
-    z, plays, _ = _buchi_obs(obs_graph(pomdp), pomdp.observations,
-                             frozenset(index[s] for s in targets
-                                       if s in index), stats)
+    targets = known_states(pomdp, targets, "targets name")
+    z, plays, _ = _buchi_obs(obs_graph(pomdp), pomdp.observations, frozenset(
+        map(pomdp.state_index.__getitem__, targets)), stats)
     return z, (_obs_strategy(pomdp, plays) if z else None)
 
 

@@ -77,9 +77,8 @@ class SupportStrategy:
     (memory, observation, action) to the memories it may move to; a
     missing entry means empty support.  Tuples are name-sorted.
     ``elements`` optionally annotates memories with MemoryElements.
-    ``to_strategy`` gives the table uniform weights when it is written,
-    the one place weights are made; any weighting wins exactly the same
-    qualitative objectives.
+    ``to_strategy`` gives it uniform weights, the ones a written table
+    carries; any weighting wins exactly the same qualitative objectives.
     """
 
     memories: tuple[str, ...]
@@ -113,7 +112,7 @@ class FiniteMemoryStrategy:
     behaviour (they can only concern situations the strategy never faces).
     ``elements`` optionally annotates memories with MemoryElements.
     Strategies are not mutated after construction: ``supports`` is derived
-    from the weights once, on first use; ``to_strategy`` is the identity.
+    from the weights once, on first use.
     """
 
     memories: tuple[str, ...]
@@ -132,16 +131,13 @@ class FiniteMemoryStrategy:
     @cached_property
     def supports(self) -> SupportStrategy:
         """Positive-weight entries of both maps, name-sorted; every key kept."""
-        def support(dist):
-            return tuple(sorted(x for x, w in dist.items() if w > 0))
+        def support(dist):  # a Fraction's sign is its numerator's
+            return tuple(sorted([x for x, w in dist.items() if w.numerator > 0]))
         return SupportStrategy(
             memories=self.memories,
             action_support={m: support(d) for m, d in self.action_select.items()},
             update_support={k: support(d) for k, d in self.memory_update.items()},
             initial=self.initial_memory, elements=self.elements)
-
-    def to_strategy(self) -> "FiniteMemoryStrategy":
-        return self
 
 
 def stationary_strategy(pomdp: Pomdp,
@@ -177,74 +173,69 @@ class ProjectionGraph:
     edges: dict[MemoryElement, dict[str, tuple[MemoryElement, ...]]]
 
 
-def element_sort_key(pomdp: Pomdp, element: MemoryElement):
-    """Total, deterministic order on elements (belief, brec, srec encoding)."""
-    sidx = pomdp.state_index
-    belief = tuple(sorted(sidx[s] for s in element.belief))
-    brec = tuple(sorted(sidx[s] for s in element.brec))
-    srec = tuple((s, tuple(sorted(tuple(sorted(z)) for z in zs)))
-                 for s, zs in element.srec)
-    return (belief, brec, srec)
-
-
 def build_projection_graph(pomdp: Pomdp, strategy,
                            colors: Mapping[str, int]) -> ProjectionGraph:
     """Build the projection graph of a strategy, lazily from the start vertex.
 
     Memories whose (BoolRec, SetRec) summaries coincide are merged: a
     vertex's outgoing edges are contributed by every matching memory.  A
-    vertex's belief image under an action, split by observation, is
-    computed once, and each successor element is built once.
+    summary (per state index, the bottom flag and reach set of the pair's
+    component) is interned as an id k, and a vertex is (belief, k), the
+    belief a sorted tuple of state indices.  ``after[k][a][o]`` unions,
+    once, the summary ids that the memories of summary k playing a update
+    to on (o, a).  From (B, k) such a memory's a-edges lead to (B_o, k')
+    for each part B_o of B's a-image (``Pomdp.index_supports``, empty if a
+    is unavailable) and each k' its (o, a) row reaches.  The image does
+    not depend on the memory, nor its rows on B, so the union of their
+    edges is the image crossed with ``after[k][a]``, which reads each row
+    once instead of at every vertex.  Sort keys are made once per summary.
     """
     rec = compute_rec_functions(pomdp, strategy, colors)
     table = strategy.supports
-    keys: dict[str, tuple] = {}
-    reps: dict[tuple, list[str]] = {}
-    for m in table.memories:
-        brec = frozenset(s for s in pomdp.states if rec.bool_rec[m][s])
-        srec = tuple(sorted((s, rec.set_rec[m][s]) for s in pomdp.states))
-        key = (brec, srec)
-        keys[m] = key
-        reps.setdefault(key, []).append(m)
-    built: dict[tuple[frozenset[str], tuple], MemoryElement] = {}
-    frontier: list[MemoryElement] = []
-
-    def vertex(belief: frozenset[str], key: tuple) -> MemoryElement:
-        v = built.get((belief, key))
-        if v is None:
-            v = built[(belief, key)] = MemoryElement(belief, *key)
-            frontier.append(v)
-        return v
-
-    sort_key = lambda v: element_sort_key(pomdp, v)
-    obs_map = pomdp.obs_map
-    initial = vertex(frozenset({pomdp.initial_state}), keys[table.initial])
-    edges: dict[MemoryElement, dict[str, tuple[MemoryElement, ...]]] = {}
+    states, n_mem = pomdp.states, len(table.memories)
+    summaries: dict[tuple, int] = {}
+    sid = {m: summaries.setdefault(tuple([(rec.bottom[c], rec.reach[c]) for c in map(
+        rec.comp_of.__getitem__, range(mi, len(states) * n_mem, n_mem))]),
+        len(summaries)) for mi, m in enumerate(table.memories)}
+    after: list[dict[int, dict[int, set[int]]]] = [{} for _ in summaries]
+    for (m, o, a), targets in table.update_support.items():
+        if targets and a in table.action_support.get(m, ()):
+            after[sid[m]].setdefault(pomdp.action_index[a], {}).setdefault(
+                pomdp.obs_index[o], set()).update(map(sid.__getitem__, targets))
+    obs, moves = pomdp.index_supports
+    start = ((pomdp.state_index[pomdp.initial_state],), sid[table.initial])
+    graph, frontier = {start: {}}, [start]  # vertex -> action -> successors
     while frontier:
         v = frontier.pop()
-        out: dict[str, set[MemoryElement]] = {}
-        split: dict[str, dict[str, frozenset[str]]] = {}
-        avail = pomdp.available_at(obs_map[next(iter(v.belief))])
-        for m in reps[(v.brec, v.srec)]:
-            for a in table.action_support.get(m, ()):
-                if a not in avail:
-                    continue
-                by_obs = split.get(a)
-                if by_obs is None:
-                    groups: dict[str, set[str]] = {}
-                    for s in v.belief:
-                        for t in pomdp.supp(s, a):
-                            groups.setdefault(obs_map[t], set()).add(t)
-                    by_obs = split[a] = {o: frozenset(ts)
-                                         for o, ts in groups.items()}
-                for o, succ_belief in by_obs.items():
-                    for m2 in table.update_support.get((m, o, a), ()):
-                        out.setdefault(a, set()).add(vertex(succ_belief, keys[m2]))
-        edges[v] = {a: tuple(sorted(vs, key=sort_key))
-                    for a, vs in sorted(out.items())}
-    vertices = tuple(sorted(built.values(), key=sort_key))
-    return ProjectionGraph(pomdp=pomdp, initial=initial, vertices=vertices,
-                           edges=edges)
+        for a, by_obs in after[v[1]].items():
+            image: dict[int, set[int]] = {}
+            for s in v[0]:
+                for t in moves[s][a]:
+                    image.setdefault(obs[t], set()).add(t)
+            succ = {(tuple(sorted(image[o])), k)
+                    for o in image.keys() & by_obs for k in by_obs[o]}
+            if succ:
+                graph[v][a] = succ
+                for w in succ.difference(graph):
+                    graph[w] = {}
+                    frontier.append(w)
+    by_name = sorted(range(len(states)), key=states.__getitem__)
+    sort_key, parts = [], []  # by summary id
+    for summary in summaries:
+        brec = tuple([si for si, (bottom, _) in enumerate(summary) if bottom])
+        sort_key.append((brec, [sorted(map(sorted, summary[si][1]))
+                                for si in by_name]))
+        parts.append((frozenset([states[si] for si in brec]),
+                      tuple([(states[si], summary[si][1]) for si in by_name])))
+    key = lambda v: (v[0], sort_key[v[1]])
+    element = {v: MemoryElement(frozenset([states[s] for s in v[0]]), *parts[v[1]])
+               for v in sorted(graph, key=key)}
+    names = pomdp.actions
+    edges = {e: {names[a]: tuple([element[w] for w in sorted(graph[v][a], key=key)])
+                 for a in sorted(graph[v], key=names.__getitem__)}
+             for v, e in element.items()}
+    return ProjectionGraph(pomdp=pomdp, initial=element[start],
+                           vertices=tuple(element.values()), edges=edges)
 
 
 def project_strategy(pomdp: Pomdp, strategy,
@@ -258,23 +249,18 @@ def project_strategy(pomdp: Pomdp, strategy,
     """
     pg = build_projection_graph(pomdp, strategy, colors)
     names = {v: f"v{i}" for i, v in enumerate(pg.vertices)}
-    action_support: dict[str, tuple[str, ...]] = {}
-    update_support: dict[tuple[str, str, str], tuple[str, ...]] = {}
-    for v, nm in names.items():
-        per_action = pg.edges.get(v, {})
-        if per_action:
-            action_support[nm] = tuple(sorted(per_action))
-        for a, succs in per_action.items():
-            by_obs: dict[str, list[str]] = {}
+    action_support = {names[v]: tuple(sorted(out))
+                      for v, out in pg.edges.items() if out}
+    update_support: dict[tuple[str, str, str], list[str]] = {}
+    for v, out in pg.edges.items():
+        for a, succs in out.items():
             for v2 in succs:
                 o = pomdp.obs_map[next(iter(v2.belief))]
-                by_obs.setdefault(o, []).append(names[v2])
-            for o, targets in by_obs.items():
-                update_support[(nm, o, a)] = tuple(sorted(targets))
+                update_support.setdefault((names[v], o, a), []).append(names[v2])
     return SupportStrategy(
         memories=tuple(names.values()), action_support=action_support,
-        update_support=update_support, initial=names[pg.initial],
-        elements={nm: v for v, nm in names.items()})
+        update_support={k: tuple(sorted(ms)) for k, ms in update_support.items()},
+        initial=names[pg.initial], elements={nm: v for v, nm in names.items()})
 
 
 def memory_bound(pomdp: Pomdp, objective: Objective) -> int:

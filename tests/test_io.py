@@ -91,6 +91,29 @@ def test_weight_errors_name_the_later_line_that_repeats_a_token():
     assert (err.value.line, err.value.column) == (4, 20)
 
 
+def test_a_repeated_row_is_parsed_once_into_rows_of_their_own():
+    """Rows that repeat a payload share its one parse, never a dict; a
+    repeated invalid payload is reported at its first line and column."""
+    pomdp, _ = parse_model(MINI)
+    assert pomdp.transitions[("s0", "a")] is not pomdp.transitions[("s1", "a")]
+    text = ("memories: m n\ninit: m\nact: m -> a 1/2, b 1/2\n"
+            "act: n -> a 1/2, b 1/2\nupdate: m o a -> n 1\n"
+            "update: m o b -> n 1\nupdate: n o a -> n 1\n")
+    sigma = parse_strategy(text)
+    rows = [*sigma.action_select.values(), *sigma.memory_update.values()]
+    assert len({id(row) for row in rows}) == len(rows) == 5
+    assert sigma.action_select["m"] == sigma.action_select["n"]
+    for bad, error, where in (("a 1/2, b 1/0", ParseError, (3, 20)),
+                              ("a 1/2, a 1/2", ParseError, (3, None)),
+                              ("a 1/2, b 1/3", ExactnessError, None)):
+        with pytest.raises(error) as err:
+            parse_strategy(text.replace("a 1/2, b 1/2", bad))
+        if where is None:
+            assert str(err.value).startswith("line 3:")
+        else:
+            assert (err.value.line, err.value.column) == where
+
+
 def test_invalid_weight_errors_point_at_the_weight():
     """The column of an invalid weight is that of the weight token, also
     when a name earlier on its line is spelled the same."""

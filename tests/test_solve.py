@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
-                       UnsupportedConversionError, WinningMode, allow,
+                       StructuralError, UnsupportedConversionError, WinningMode, allow,
                        almost_buchi, almost_cobuchi_red,
                        almost_parity_to_cobuchi, almost_reach,
                        almost_safe, apre, make_absorbing, obs_cover,
@@ -108,6 +108,14 @@ def test_almost_reach_on_the_tiny_model():
     # the companion strategy lives on the absorbed model; re-check the
     # verdict on the original model through the reach conversion
     assert chain_wins(pomdp, Objective.reach({"g"}), ALMOST, sigma)
+
+
+def test_the_fixpoint_wrappers_refuse_states_the_model_lacks(ex1):
+    """A misspelt target is an error, not a losing "no"."""
+    pomdp, _ = ex1
+    for fixpoint in (almost_safe, almost_buchi, almost_reach):
+        with pytest.raises(StructuralError, match="unknown states: nope$"):
+            fixpoint(pomdp, {"X", "nope"})
 
 
 # -- fixpoints against memoryless-support enumeration --

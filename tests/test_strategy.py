@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pomparity import (ContractError, ExactnessError, FiniteMemoryStrategy,
-                       MemoryElement, Objective, SupportStrategy,
-                       WinningMode, belief_update,
+                       MemoryElement, Objective, ProjectionGraph,
+                       SupportStrategy, WinningMode, belief_update,
                        build_product_chain, build_projection_graph,
                        compute_rec_functions, evaluate_qualitative,
-                       memory_bound, objective_as_parity, parse_model,
-                       parse_strategy, project_strategy, serialize_strategy,
-                       uniform)
+                       memory_bound, objective_as_parity, objective_colors,
+                       parse_model, parse_strategy, project_strategy,
+                       serialize_strategy, solve_parity_fm, uniform)
 from conftest import (alternating, chain_wins, random_parity, random_pomdp,
                       random_strategy)
 
@@ -102,6 +102,121 @@ def test_weighting_a_table_gives_the_table_back(table):
 def test_uniform_refuses_empty_input():
     with pytest.raises(ContractError):
         uniform([])
+
+
+def element_sort_key(pomdp, element):
+    """Total, deterministic order on elements (belief, brec, srec encoding)."""
+    sidx = pomdp.state_index
+    belief = tuple(sorted(sidx[s] for s in element.belief))
+    brec = tuple(sorted(sidx[s] for s in element.brec))
+    srec = tuple((s, tuple(sorted(tuple(sorted(z)) for z in zs)))
+                 for s, zs in element.srec)
+    return (belief, brec, srec)
+
+
+def reference_projection_graph(pomdp, strategy, colors):
+    """The projection graph at name level: every vertex re-runs the
+    update rows of each memory merged into it."""
+    rec = compute_rec_functions(pomdp, strategy, colors)
+    table = strategy.supports
+    keys: dict[str, tuple] = {}
+    reps: dict[tuple, list[str]] = {}
+    for m in table.memories:
+        brec = frozenset(s for s in pomdp.states if rec.bool_rec[m][s])
+        srec = tuple(sorted((s, rec.set_rec[m][s]) for s in pomdp.states))
+        key = (brec, srec)
+        keys[m] = key
+        reps.setdefault(key, []).append(m)
+    built: dict[tuple[frozenset[str], tuple], MemoryElement] = {}
+    frontier: list[MemoryElement] = []
+
+    def vertex(belief: frozenset[str], key: tuple) -> MemoryElement:
+        v = built.get((belief, key))
+        if v is None:
+            v = built[(belief, key)] = MemoryElement(belief, *key)
+            frontier.append(v)
+        return v
+
+    sort_key = lambda v: element_sort_key(pomdp, v)
+    obs_map = pomdp.obs_map
+    initial = vertex(frozenset({pomdp.initial_state}), keys[table.initial])
+    edges: dict[MemoryElement, dict[str, tuple[MemoryElement, ...]]] = {}
+    while frontier:
+        v = frontier.pop()
+        out: dict[str, set[MemoryElement]] = {}
+        split: dict[str, dict[str, frozenset[str]]] = {}
+        avail = pomdp.available_at(obs_map[next(iter(v.belief))])
+        for m in reps[(v.brec, v.srec)]:
+            for a in table.action_support.get(m, ()):
+                if a not in avail:
+                    continue
+                by_obs = split.get(a)
+                if by_obs is None:
+                    groups: dict[str, set[str]] = {}
+                    for s in v.belief:
+                        for t in pomdp.supp(s, a):
+                            groups.setdefault(obs_map[t], set()).add(t)
+                    by_obs = split[a] = {o: frozenset(ts)
+                                         for o, ts in groups.items()}
+                for o, succ_belief in by_obs.items():
+                    for m2 in table.update_support.get((m, o, a), ()):
+                        out.setdefault(a, set()).add(vertex(succ_belief, keys[m2]))
+        edges[v] = {a: tuple(sorted(vs, key=sort_key))
+                    for a, vs in sorted(out.items())}
+    vertices = tuple(sorted(built.values(), key=sort_key))
+    return ProjectionGraph(pomdp=pomdp, initial=initial, vertices=vertices,
+                           edges=edges)
+
+
+def assert_same_projection(pomdp, strategy, colors) -> bool:
+    """The projection graph equals the name-level one, edge order included;
+    returns whether two or more memories share a summary."""
+    got = build_projection_graph(pomdp, strategy, colors)
+    want = reference_projection_graph(pomdp, strategy, colors)
+    assert got.initial == want.initial
+    assert got.vertices == want.vertices
+    assert ({v: list(out.items()) for v, out in got.edges.items()}
+            == {v: list(out.items()) for v, out in want.edges.items()})
+    keys = summaries(pomdp, strategy, colors)
+    return len(set(keys.values())) < len(keys)
+
+
+def test_the_projection_walk_matches_the_name_level_one():
+    """Seeded models under parity and Muller colours, some with an action
+    unavailable at an observation, strategies total and partial."""
+    rng = random.Random(3008)
+    merged = restricted = 0
+    for i in range(150):
+        pomdp = random_pomdp(rng, max_states=4)
+        if i % 3 == 0:
+            o = rng.choice(pomdp.observations[1:])
+            pomdp = dataclasses.replace(pomdp, available={o: {"a"}})
+            restricted += 1
+        if i % 2:
+            objective = random_parity(rng, pomdp, top=3)
+        else:
+            objective = Objective.muller(
+                {s: rng.randint(0, 2) for s in pomdp.states}, [{0}, {1, 2}])
+        sigma = random_strategy(rng, pomdp, max_memories=4)
+        if i % 4 == 0:
+            sigma = _partial(rng, sigma)
+        merged += assert_same_projection(pomdp, sigma, objective_colors(objective))
+    assert merged >= 60 and restricted == 50
+
+
+def test_the_projection_walk_matches_the_name_level_one_on_witnesses():
+    rng = random.Random(3009)
+    witnesses = merged = 0
+    for _ in range(40):
+        pomdp = random_pomdp(rng, max_states=3)
+        objective = random_parity(rng, pomdp, top=3)
+        for mode in (ALMOST, POSITIVE):
+            decision = solve_parity_fm(pomdp, objective, mode)
+            if decision.witness is not None:
+                witnesses += 1
+                merged += assert_same_projection(
+                    pomdp, decision.witness, objective.priority_map)
+    assert witnesses >= 50 and merged >= 20
 
 
 def test_projection_graph_of_alternating_on_ex1(ex1):

@@ -35,7 +35,8 @@ def test_every_name_the_tracer_replaces_exists():
 def test_the_tracer_counts_every_layer_it_reads(tmp_path, capsys):
     """The counts the tracer reads off results (a rewrite's playable
     ``pomdp``, a chain's ``nodes``, a decision's diagnostics, a projected
-    strategy, an oracle result) on one pass of the commands on ``ex1``."""
+    strategy, an oracle result) on one pass of the commands on ``ex1``;
+    ``project`` reads its summaries through ``compute_rec_functions``."""
     model = tmp_path / "ex1.pomdp"
     model.write_text(fixture_text("ex1"), encoding="utf-8")
     witness = str(tmp_path / "w.strat")
@@ -58,3 +59,5 @@ def test_the_tracer_counts_every_layer_it_reads(tmp_path, capsys):
                    "solve.fixpoint_iterations", "strategy.memories_out",
                    "oracle.candidates"):
         assert counts[metric] > 0, metric
+    spans = tracer.span_counts()
+    assert spans["strategy.project"] >= 1 and spans["chain.rec"] >= 1
