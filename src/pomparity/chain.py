@@ -24,8 +24,10 @@ Names are made only on reading ``ProductChain.initial``, ``nodes``,
 ``succ``, ``bottom_sccs()`` or ``RecFunctions.set_rec``/``bool_rec``, in
 ``dump_chain`` and in ``full_product_graph``'s result; the projection
 reads recurrence summaries over pair ids.  The evaluation rules are
-written once, over pair ids (``_wins``): ``evaluate_qualitative`` applies
-them to a built chain, and the oracle to the chains it walks.
+written once, over the colour sets of the recurrent classes (``_wins``,
+after ``_require_colours`` on the reached states): ``evaluate_qualitative``
+feeds them a built chain's bottom components, and the oracle the bottom
+classes it finds on bit sets.
 """
 
 from __future__ import annotations
@@ -271,52 +273,44 @@ def objective_colors(objective: Objective) -> Mapping[str, int]:
         f"chain evaluation needs a parity or Muller objective, got {objective.kind}")
 
 
-def _class_good(seen: set[int], objective: Objective) -> bool:
-    if objective.kind == PARITY:
-        return min(seen) % 2 == 0
-    return frozenset(seen) in objective.family
-
-
 def _state_colours(pomdp: Pomdp, objective: Objective) -> list[int | None]:
     """The colour of every state, by state index; None where there is none."""
-    colors = objective_colors(objective)
-    return [colors.get(s) for s in pomdp.states]
+    return list(map(objective_colors(objective).get, pomdp.states))
 
 
-def _wins(graph: Graph, bottoms: Iterable[Sequence[int]], n_mem: int,
-          colour: Sequence[int | None], pomdp: Pomdp,
-          objective: Objective, mode: WinningMode) -> bool:
-    """The evaluation rules, on a product chain walked over pair ids.
+def _require_colours(pomdp: Pomdp, colour: Sequence[int | None],
+                     pairs: Iterable[int], n_mem: int) -> None:
+    """Raise ``StructuralError`` naming the uncoloured states of ``pairs``."""
+    if None in colour and (missing := sorted(
+            {pomdp.states[n // n_mem] for n in pairs if colour[n // n_mem] is None})):
+        raise StructuralError(
+            f"objective assigns nothing to states: {', '.join(missing)}")
 
-    ``graph`` maps every reached pair to its successors and ``bottoms``
-    lists the chain's recurrent classes; ``colour`` is ``_state_colours``.
-    A reached state without a colour is a ``StructuralError``; an
-    unreached one is not looked at.  Almost-sure: every recurrent class
-    satisfies the objective (its minimal priority is even / its colour
-    set is accepting).  Positive: at least one does.  A recurrent class
-    that is a single pair with no successor is a play the strategy stops,
-    never a good class.
+
+def _wins(classes: Iterable[frozenset[int] | None], objective: Objective,
+          mode: WinningMode) -> bool:
+    """The evaluation rules, on the colour sets of a chain's recurrent classes
+    (None: a single pair with no successor, a stopped play, never good).
+
+    Almost-sure: every class satisfies the objective (its minimal priority
+    is even / its colour set is accepting).  Positive: at least one does.
+    The caller first checks the reached states' colours (``_require_colours``).
     """
-    if None in colour:
-        missing = sorted({pomdp.states[n // n_mem] for n in graph
-                          if colour[n // n_mem] is None})
-        if missing:
-            raise StructuralError(
-                f"objective assigns nothing to states: {', '.join(missing)}")
-    good = (bool(graph[comp[0]])
-            and _class_good({colour[n // n_mem] for n in comp}, objective)
-            for comp in bottoms)
+    parity = objective.kind == PARITY
+    good = (seen is not None and (min(seen) % 2 == 0 if parity
+                                  else seen in objective.family)
+            for seen in classes)
     return all(good) if mode == WinningMode.ALMOST_SURE else any(good)
 
 
 def evaluate_qualitative(chain: ProductChain, objective: Objective,
                          mode: WinningMode) -> bool:
-    """Does the chained strategy win the objective in the given mode?
-
-    The rules are ``_wins``'s, applied to the chain's reachable part.
-    """
-    return _wins(chain._graph, chain._bottoms, len(chain.memories),
-                 _state_colours(chain.pomdp, objective), chain.pomdp,
+    """Does the chained strategy win the objective in the given mode?"""
+    n_mem, graph = len(chain.memories), chain._graph
+    colour = _state_colours(chain.pomdp, objective)
+    _require_colours(chain.pomdp, colour, graph, n_mem)
+    return _wins((frozenset([colour[n // n_mem] for n in comp])
+                  if graph[comp[0]] else None for comp in chain._bottoms),
                  objective, mode)
 
 

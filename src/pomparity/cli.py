@@ -270,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, metavar="N",
                    help="stop after N candidates and report inconclusive")
     p.add_argument("--jobs", type=int, default=1, metavar="J",
-                   help="start J processes, each enumerating the whole "
-                        "candidate stream to evaluate every J-th candidate")
+                   help="cut the search into J slices, each enumerating "
+                        "the whole candidate stream to evaluate every J-th "
+                        "candidate, run on at most one process per core")
     p.add_argument("--witness", metavar="PATH",
                    help="save the first winning strategy here")
     p.set_defaults(handler=_cmd_oracle)

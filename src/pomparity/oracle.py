@@ -8,10 +8,9 @@ strategies up to a memory bound, evaluate each on its product chain, and
 report the first winner in a fixed deterministic order.
 
 The search never names a candidate.  Each one is a pair of index tables
-(action supports per memory, update supports per key), its product chain
-is walked over pair ids by the chain module's Tarjan pass, and it is
-judged by the same evaluation rules that ``evaluate_qualitative`` applies
-to a named chain.  Only the winner becomes a ``SupportStrategy``;
+(action supports per memory, update supports per key), judged on bit sets
+(``_judge``) by the evaluation rules ``evaluate_qualitative`` applies to a
+named chain.  Only the winner becomes a ``SupportStrategy``;
 ``enumerate_strategies`` names every candidate of the same stream.
 
 The oracle shares nothing with the solve pipelines except the chain
@@ -26,11 +25,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
-from .chain import _condense, _state_colours, _wins, evaluable_objective
+from .chain import _require_colours, _state_colours, _wins, evaluable_objective
 # The search never builds a named chain.  These stay importable from here
 # because perfbench/spans.py wraps the chain layer as each caller sees it.
 from .chain import build_product_chain, evaluate_qualitative  # noqa: F401
@@ -156,21 +156,73 @@ def enumerate_strategies(pomdp: Pomdp, k: int,
 
 
 def _compile_group(pomdp: Pomdp, group: Group) -> list[list[tuple]]:
-    """Per pair id s*j+m, what its successors are made of.
-
-    One (row, pos) per successor state t of an action a that m plays at s:
-    the key at pos is (m, obs(t), a), and row[u] lists the pair ids of t
-    under update support u.  A candidate's successors of a pair are then
-    the union of row[upd_combo[pos]] over its entries.
-    """
+    """Per pair id s*j+m, one (pos, masks) per update key (m, obs(t), a)
+    it reads: masks[u] has bit t*j + m2 for each successor t under the key
+    and memory m2 in update support u, whose bit mask is u + 1."""
     j, acts, key_pos = group
     obs, moves = pomdp.index_supports
-    rows = [tuple([tuple([t * j + m2 for m2 in targets])
-                   for targets in _nonempty_subsets(j)])
-            for t in range(len(obs))]
-    return [[(rows[t], key_pos[(m, obs[t], a)])
-             for a in acts[m] for t in moves[s][a]]
-            for s in range(len(obs)) for m in range(j)]
+    parts = []
+    for s, m in itertools.product(range(len(obs)), range(j)):
+        spots: dict[int, int] = {}  # key position -> its bits t*j
+        for a in acts[m]:
+            for t in moves[s][a]:
+                pos = key_pos[(m, obs[t], a)]
+                spots[pos] = spots.get(pos, 0) | 1 << t * j
+        parts.append([(pos, tuple([u * spot for u in range(1, 1 << j)]))
+                      for pos, spot in spots.items()])
+    return parts
+
+
+def _bottom_classes(nodes: list[int], packed: int, width: int) -> list[int]:
+    """The bottom classes, as bit sets, of a graph on ints below ``width``.
+
+    Row n, bits n*width to n*width + width - 1 of ``packed``, holds the
+    successors of n: for each n in ``nodes``, at least one, all in ``nodes``.
+    Warshall's pass makes each row R(n), the nodes n reaches in one step
+    or more: for each n, one multiplication adds R(n) to every row holding
+    n.  A bottom class C is R(n) for each member n (n reaches only C, and
+    all of it through a successor); an R whose members all have R(n) = R
+    is a bottom class (they reach each other and nothing else).
+    """
+    full = (1 << width) - 1
+    ones = ((1 << width * width) - 1) // full  # bit 0 of every row
+    for n in nodes:
+        packed |= (packed >> n & ones) * (packed >> n * width & full)
+    holders: dict[int, int] = {}  # R -> the nodes n with R(n) = R
+    for n in nodes:
+        reach = packed >> n * width & full
+        holders[reach] = holders.get(reach, 0) | 1 << n
+    return [reach for reach, held in holders.items() if not reach & ~held]
+
+
+def _judge(pomdp: Pomdp, objective: Objective, mode: WinningMode):
+    """Judge a candidate by its group's ``_compile_group``, memory count j
+    and update combination: walked from (s0, m0), it loses if a reached
+    pair has no successor, else ``chain._wins`` judges the colour sets of
+    its ``_bottom_classes`` once ``chain._require_colours`` passes."""
+    s0 = pomdp.state_index[pomdp.initial_state]
+    colour = _state_colours(pomdp, objective)
+    colours = functools.cache(lambda reach, j: frozenset([
+        colour[n // j] for n in range(reach.bit_length()) if reach >> n & 1]))
+
+    def judge(parts, j: int, upd: tuple[int, ...]) -> bool:
+        nodes, seen, packed = [s0 * j], 1 << s0 * j, 0
+        for n in nodes:  # grows as the walk reaches new pairs
+            row = 0
+            for pos, masks in parts[n]:
+                row |= masks[upd[pos]]
+            if not row:
+                return False
+            packed |= row << n * len(parts)
+            new = row & ~seen
+            seen |= new
+            while new:
+                nodes.append((new & -new).bit_length() - 1)
+                new &= new - 1
+        _require_colours(pomdp, colour, nodes, j)
+        return _wins(map(colours, _bottom_classes(nodes, packed, len(parts)),
+                         itertools.repeat(j)), objective, mode)
+    return judge
 
 
 @dataclass
@@ -196,35 +248,19 @@ def _search_slice(args) -> tuple[int | None, SupportStrategy | None, int, bool]:
 
     Returns (absolute index of the winner or None, the winning support
     strategy or None, candidates checked, whether the slice was exhausted
-    rather than stopped by the limit).  Candidates stay index tables; a
-    winner must be playable (every reached pair has a successor) and win
-    by ``chain._wins``.  Only the winner is named.
+    rather than stopped by the limit).  Only the winner is named.
     """
     pomdp, objective, mode, k, start, stride, limit = args
-    s0 = pomdp.state_index[pomdp.initial_state]
-    colour = _state_colours(pomdp, objective)
+    judge = _judge(pomdp, objective, mode)
     stream = itertools.islice(_candidate_tables(pomdp, k), start, None, stride)
-    group = parts = upd = None
-
-    def successors(node: int) -> tuple[int, ...]:
-        # of the current candidate: its group's ``parts``, its ``upd``
-        out: set[int] = set()
-        for row, pos in parts[node]:
-            out.update(row[upd[pos]])
-        return tuple(out)
-
-    checked = 0
+    group, parts, checked = None, None, 0
     for offset, (cand_group, upd) in enumerate(stream):
         if limit is not None and checked >= limit:
             return None, None, checked, False
         checked += 1
         if cand_group is not group:
             group, parts = cand_group, _compile_group(pomdp, cand_group)
-        j = group[0]
-        graph, comps, _, is_bottom = _condense(successors, (s0 * j,))
-        if all(graph.values()) and _wins(
-                graph, itertools.compress(comps, is_bottom), j, colour,
-                pomdp, objective, mode):
+        if judge(parts, group[0], upd):
             return (start + offset * stride, _named(pomdp, group, upd),
                     checked, True)
     return None, None, checked, True
@@ -238,11 +274,11 @@ def oracle_decide(pomdp: Pomdp, objective: Objective, mode: WinningMode,
     Returns the first winner in enumeration order as a support table
     (already evaluated by the chain module), "no" if the stream is
     exhausted, or "inconclusive" if the candidate budget ran out first.
-    With ``jobs`` > 1, each process of a pool started per call enumerates
-    and canonical-checks the whole stream but evaluates only every
-    ``jobs``-th candidate, with a ``jobs``-th of the budget; the
-    minimal-index winner is still reported, though under a budget the
-    scan frontier may differ slightly from the sequential one.
+    With ``jobs`` > 1, ``jobs`` slices each enumerate and canonical-check
+    the whole stream but evaluate only every ``jobs``-th candidate, with a
+    ``jobs``-th of the budget, on a per-call pool of at most one process
+    per core; the minimal-index winner is still reported, though under a
+    budget the scan frontier may differ slightly from the sequential one.
     """
     if k < 1:
         raise ContractError("memory bound must be at least 1")
@@ -256,9 +292,8 @@ def oracle_decide(pomdp: Pomdp, objective: Objective, mode: WinningMode,
         results = [_search_slice((base, evaluable, mode, k, 0, 1, budget))]
     else:
         share = None if budget is None else -(-budget // jobs)
-        args = [(base, evaluable, mode, k, w, jobs, share)
-                for w in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        args = [(base, evaluable, mode, k, w, jobs, share) for w in range(jobs)]
+        with ProcessPoolExecutor(min(jobs, os.cpu_count() or 1)) as pool:
             results = list(pool.map(_search_slice, args))
 
     checked = sum(r[2] for r in results)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pomparity
+from pomparity import cli
 from pomparity.cli import cli_main
 from pomparity.model import Objective
 from pomparity.modelio import (fixture_text, load_model_file, parse_model,
@@ -751,6 +752,61 @@ def test_oracle_outputs_match_the_recorded_bytes(
         argv += ["--budget", str(budget)]
     code, out, _ = run(capsys, *argv)
     expected_code, record, digest = PINNED_ORACLE[(name, mode, k, budget)]
+    assert code == expected_code
+    assert re.sub(r" wall_time_s=\S+", "", out.strip()) == record
+    if digest is None:
+        assert not witness.exists()
+    else:
+        assert hashlib.sha256(witness.read_bytes()).hexdigest() == digest
+
+
+# More recorded ``oracle`` outputs on ``ex1``, in the same form: its own
+# objective at three memories under a budget, and the Muller objective
+# ``MULLER_EX1`` ("ex1-muller").  A model file cannot declare a Muller
+# objective, so the CLI is handed it in place of the file's own.  Under it
+# no two-memory strategy wins almost surely (all 9,804 candidates), nor do
+# the first 10,500 candidates of three memories, 696 of which have three;
+# positively the two-memory search wins at candidate 94.
+MULLER_EX1 = Objective.muller(
+    {"s0": 1, "X": 1, "X'": 1, "Y": 2, "Y'": 1, "Z": 1, "Z'": 0},
+    [{1}, {0, 2}])
+
+PINNED_ORACLE_MORE = {
+    ("ex1", "almost", 3, 2000): (
+        0, "verdict=yes searched_memories=3 definitive=true candidates=94",
+        "7ecd96a3eb5a9acaf159cacaece7f4ba935c22aa80187d421567cf801ba601e0"),
+    ("ex1", "positive", 3, 2000): (
+        0, "verdict=yes searched_memories=3 definitive=true candidates=94",
+        "7ecd96a3eb5a9acaf159cacaece7f4ba935c22aa80187d421567cf801ba601e0"),
+    ("ex1-muller", "almost", 2, None): (
+        1, "verdict=no searched_memories=2 definitive=false candidates=9804",
+        None),
+    ("ex1-muller", "positive", 2, None): (
+        0, "verdict=yes searched_memories=2 definitive=true candidates=94",
+        "7ecd96a3eb5a9acaf159cacaece7f4ba935c22aa80187d421567cf801ba601e0"),
+    ("ex1-muller", "almost", 3, 10500): (
+        1, "verdict=inconclusive searched_memories=3 definitive=false "
+           "candidates=10500",
+        None),
+}
+
+
+@pytest.mark.parametrize("name,mode,k,budget", sorted(
+    PINNED_ORACLE_MORE, key=lambda key: (key[0], key[1], key[2])))
+def test_more_oracle_outputs_match_the_recorded_bytes(
+        tmp_path, capsys, monkeypatch, name, mode, k, budget):
+    model = write_ex1(tmp_path)
+    if name == "ex1-muller":
+        load = cli._load_model
+        monkeypatch.setattr(cli, "_load_model",
+                            lambda path: (load(path)[0], MULLER_EX1))
+    witness = tmp_path / "w.strat"
+    argv = ["oracle", model, "--mode", mode, "--memory-bound", str(k),
+            "--witness", str(witness)]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    code, out, _ = run(capsys, *argv)
+    expected_code, record, digest = PINNED_ORACLE_MORE[(name, mode, k, budget)]
     assert code == expected_code
     assert re.sub(r" wall_time_s=\S+", "", out.strip()) == record
     if digest is None:

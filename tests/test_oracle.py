@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from pomparity import (ContractError, FiniteMemoryStrategy, Objective, Pomdp,
                        StructuralError, WinningMode, build_product_chain,
                        dump_chain, enumerate_strategies, evaluate_qualitative,
                        memory_bound, oracle_decide, stationary_strategy)
+from pomparity import oracle
+from pomparity.chain import _condense
 from pomparity.cli import cli_main
 from pomparity.modelio import fixture_text
 from conftest import chain_wins, random_parity, random_pomdp
@@ -361,3 +364,126 @@ def test_an_unreached_state_needs_no_colour():
         assert (r.verdict, r.candidates) == ("yes", 1)
     lose = Objective.parity({"s0": 0, "s1": 1})
     assert oracle_decide(pomdp, lose, ALMOST, 1).verdict == "no"
+
+
+# -- the bit-set kernel, candidate by candidate --
+
+def outcome(judge):
+    """The verdict of ``judge()``, or the message of its StructuralError."""
+    try:
+        return judge()
+    except StructuralError as err:
+        return str(err)
+
+
+def assert_kernel_matches_the_named_chain(pomdp, objectives, k, limit=None):
+    """Judge each candidate of the stream's first ``limit`` on bit sets and
+    on its named chain, for every objective in both modes.  Returns how
+    many candidates had each memory count, and how many judgements were
+    each (memory count, playable, outcome)."""
+    judges = [(objective, mode, oracle._judge(pomdp, objective, mode))
+              for objective in objectives for mode in (ALMOST, POSITIVE)]
+    group = parts = None
+    memories, seen = collections.Counter(), collections.Counter()
+    for cand_group, upd in itertools.islice(
+            oracle._candidate_tables(pomdp, k), limit):
+        if cand_group is not group:
+            group, parts = cand_group, oracle._compile_group(pomdp, cand_group)
+        memories[group[0]] += 1
+        chain = build_product_chain(pomdp, oracle._named(pomdp, group, upd))
+        playable = all(chain.succ[n] for n in chain.nodes)
+        for objective, mode, judge in judges:
+            got = outcome(lambda: judge(parts, group[0], upd))
+            assert got == outcome(lambda: playable and evaluate_qualitative(
+                chain, objective, mode))
+            seen[group[0], playable, got] += 1
+    return memories, seen
+
+
+def test_kernel_judges_every_candidate_like_the_named_chain():
+    rng = random.Random(9602)
+    models = [drawn_model(rng, 1 + i % 2) for i in range(4)]
+    # both kinds of two-action model: b unavailable at o1, and not
+    assert [p.available["o1"] == {"a"} for p in models[1::2]] == [False, True]
+    seen = collections.Counter()
+    for pomdp in models:
+        objectives = [drawn_objective(rng, pomdp, muller)
+                      for muller in (False, True)]
+        seen += assert_kernel_matches_the_named_chain(pomdp, objectives, 2)[1]
+    # winners and losers with two memories, and unplayable candidates
+    assert min(seen[2, True, True], seen[2, True, False],
+               seen[2, False, False]) >= 100
+
+
+def test_kernel_judges_three_memory_candidates_like_the_named_chain():
+    rng = random.Random(9700)
+    pomdp = drawn_model(rng, 1)
+    objectives = [drawn_objective(rng, pomdp, muller)
+                  for muller in (False, True)]
+    memories, seen = assert_kernel_matches_the_named_chain(
+        pomdp, objectives, 3, limit=1500)
+    assert memories[3] > 1000
+    assert min(seen[3, True, True], seen[3, True, False]) >= 100
+
+
+def test_kernel_raises_the_missing_colour_error_at_the_same_candidates():
+    seen = assert_kernel_matches_the_named_chain(
+        gap_model(), [Objective.parity({"s0": 0, "s2": 0}),
+                      Objective.muller({"s0": 0, "s2": 0}, [{0}])], 2)[1]
+    assert seen[2, True, "objective assigns nothing to states: s1"] > 0
+
+
+def test_bottom_classes_are_the_bottom_components():
+    rng = random.Random(9800)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        succ = [tuple(sorted(rng.sample(range(n), rng.randint(1, min(n, 3)))))
+                for _ in range(n)]
+        packed = sum(sum(1 << t for t in ts) << i * n
+                     for i, ts in enumerate(succ))
+        for roots in ((0,), range(n)):
+            graph, comps, _, is_bottom = _condense(succ.__getitem__, roots)
+            bottoms = oracle._bottom_classes(list(graph), packed, n)
+            assert sorted(bottoms) == sorted(
+                sum(1 << x for x in comp)
+                for comp in itertools.compress(comps, is_bottom))
+
+
+# -- --jobs beyond the core count --
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: maps in this process and records
+    each pool's ``max_workers``."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_beyond_the_core_count_start_one_process_per_core(monkeypatch):
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "started", [])
+    cores = os.cpu_count() or 1
+    jobs = cores + 3
+    # the models of test_parallel_search_matches_the_named_path
+    for seed, budget, verdict in ((9406, None, "yes"),
+                                  (9400, 501, "inconclusive")):
+        rng = random.Random(seed)
+        pomdp = drawn_model(rng, 2)
+        objective = drawn_objective(rng, pomdp, muller=False)
+        assert assert_same_search(pomdp, objective, ALMOST, 2, budget,
+                                  jobs=jobs)[0] == verdict
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+    assert assert_same_search(pomdp, objective, ALMOST, 2, 20, jobs=jobs) == (
+        "inconclusive", 20)
+    assert SerialPool.started == [cores, cores, 1]
