@@ -232,14 +232,14 @@ class BeliefObsPomdp:
     ``memsel`` maps (element name, model action, model observation) to
     the intermediate observation of that branch, where ``moves`` lists
     the element names offered (never empty, by the commitment invariant).
-    ``successors`` reads every row off these records: only allowed
-    element actions store ``rows``; a disallowed (element, action) is
-    recorded once and leads to the sink, as does the sink; a move e leads
-    the start, and the memory-selection state of belief position p, to
-    state p of element e.  ``element(name)``, ``elements`` and the named,
-    playable ``pomdp`` are built on demand.  Branches with equal
-    signatures share one ``moves`` tuple and one ``available`` set, so
-    these objects must never be mutated.
+    ``successors`` reads every row off these records: an allowed (element,
+    action) stores one block in ``rows``, its states' successor ids in
+    belief order; a disallowed one is recorded once and leads to the sink,
+    as does the sink; a move e leads the start, and the memory-selection
+    state of belief position p, to state p of element e.  ``element(name)``,
+    ``elements`` and the named, playable ``pomdp`` are built on demand.
+    Branches with equal signatures share one ``moves`` tuple and one
+    ``available`` set, so these objects must never be mutated.
     """
 
     mode: str
@@ -248,7 +248,7 @@ class BeliefObsPomdp:
     available: dict[str, frozenset[str]]
     ranges: list[range]
     origin: array
-    rows: dict[tuple[int, str], tuple[int, ...]]
+    rows: dict[tuple[str, str], tuple[tuple[int, ...], ...]]
     disallowed: set[tuple[str, str]]
     prio: list[int]
     root: str
@@ -263,12 +263,12 @@ class BeliefObsPomdp:
     def successors(self, i: int, j: int, action: str) -> tuple[int, ...]:
         """The successor ids of state ``i``, observed as ``observations[j]``,
         under an action available there."""
-        row = self.rows.get((i, action))
-        if row is not None:
-            return row
-        if j == DEAD or (self.observations[j], action) in self.disallowed:
+        o, ranges = self.observations[j], self.ranges
+        block = self.rows.get((o, action))
+        if block is not None:
+            return block[i - ranges[j].start]
+        if j == DEAD or (o, action) in self.disallowed:
             return (DEAD,)
-        ranges = self.ranges
         return (ranges[self.obs_index[action]].start + i - ranges[j].start,)
 
     def priority(self, i: int) -> int:
@@ -332,7 +332,13 @@ class ObsGraph:
     each, the slots that can lead to observation j, as a C int array: on
     a large rewrite the slot ids would otherwise be one Python int object
     each.  ``members[j]`` lists observation j's state ids (a ``Pomdp``'s
-    state indices), and ``row(i, k)`` state i's successors under slot k.
+    state indices, a rewrite's range), and ``block(k)`` their successors
+    under slot k, one row per member in that order (a rewrite's stored
+    block where it has one).  ``moving[j]`` marks a rewrite's initial
+    and memory-selection observations, whose slots are its move slots: a
+    move slot naming element e leads state p of its observation to state
+    p of e.  The move slots naming e are exactly ``pred[e]``; no other
+    observation's ``pred`` holds one, and a ``Pomdp`` has none.
 
     A fixpoint keeps, for the observations inside its current set, the
     live slots (every successor inside) and their count per observation:
@@ -347,7 +353,8 @@ class ObsGraph:
     owner: list[int]
     pred: list[array]
     members: Sequence[Sequence[int]]
-    row: Callable[[int, int], Sequence[int]]
+    block: Callable[[int], Sequence[Sequence[int]]]
+    moving: bytearray
 
     def counters(self, start: Iterable[str],
                  ) -> tuple[bytearray, bytearray, list[int]]:
@@ -411,7 +418,9 @@ def obs_graph(model: Pomdp | BeliefObsPomdp) -> ObsGraph:
     records = isinstance(model, BeliefObsPomdp)
     if records:
         members, successors = model.ranges, model.successors
-        row = lambda i, k: successors(i, owner[k], acts[k])
+        block = lambda k: model.rows.get((model.observations[owner[k]],
+                                          acts[k])) or [
+            successors(i, owner[k], acts[k]) for i in members[owner[k]]]
         branches: dict[tuple[str, str], Sequence[int]] = {}
         for (ename, a, _), q in model.memsel.items():
             branches.setdefault((ename, a), []).append(index[q])
@@ -420,14 +429,15 @@ def obs_graph(model: Pomdp | BeliefObsPomdp) -> ObsGraph:
         (obs_of, table), sidx = model.index_supports, model.state_index
         members = [[sidx[s] for s in model.states_with_obs(o)]
                    for o in model.observations]
-        row = lambda i, k: table[i][model.action_index[acts[k]]]
+        block = lambda k: [table[i][model.action_index[acts[k]]]
+                           for i in members[owner[k]]]
     for j, o in enumerate(model.observations):
         first[j] = base = len(acts)
         acts.extend(model.available[o])
         owner.extend([j] * (len(acts) - base))
         if not records:
             for k in range(base, len(acts)):
-                for i in {obs_of[t] for s in members[j] for t in row(s, k)}:
+                for i in {obs_of[t] for row in block(k) for t in row}:
                     pred[i].append(k)
         else:
             element = o in model.keys
@@ -436,7 +446,9 @@ def obs_graph(model: Pomdp | BeliefObsPomdp) -> ObsGraph:
                           else (DEAD if j == DEAD else index[acts[k]],)):
                     pred[i].append(k)
     first[n] = len(acts)
-    return ObsGraph(model, first, acts, owner, pred, members, row)
+    moving = bytearray(records and j != DEAD and o not in model.keys
+                       for j, o in enumerate(model.observations))
+    return ObsGraph(model, first, acts, owner, pred, members, block, moving)
 
 
 def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
@@ -461,7 +473,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     # observation -> its state ids; state id -> its model state index
     spans = {init_obs: range(START, START + 1), sink_obs: range(DEAD, DEAD + 1)}
     origin = array("i", [-1, -1])
-    succ: dict[tuple[int, str], tuple[int, ...]] = {}
+    succ: dict[tuple[str, str], tuple[tuple[int, ...], ...]] = {}
     disallowed: set[tuple[str, str]] = set()
     available: dict[str, frozenset[str]] = {}
     memsel: dict[tuple[str, str, str], str] = {}
@@ -471,8 +483,8 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     cap_memo: dict[tuple, tuple] = {}
     # (signature, new belief) -> one branch's offered names, shared
     branch_memo: dict[tuple, tuple[tuple[str, ...], frozenset[str]]] = {}
-    # (name, key, first state id); walked in order as it grows
-    frontier: list[tuple[str, ElementKey, int]] = []
+    # (name, key); walked in order as it grows
+    frontier: list[tuple[str, ElementKey]] = []
 
     def add_states(obs: str, belief: tuple[int, ...]) -> int:
         """Number an observation's states, one per belief state; the first."""
@@ -494,14 +506,15 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         elem_name[key] = ename
         keys[ename] = key
         observations.append(ename)
-        frontier.append((ename, key, add_states(ename, key[0])))
+        add_states(ename, key[0])
+        frontier.append((ename, key))
         return ename
 
     initial = _initial_elements(prio, mode, pomdp.state_index[root])
     initial_moves = tuple(add_element(e) for e in initial)
     available[init_obs] = frozenset(initial_moves)
 
-    for ename, (belief, brec, tables), base in frontier:
+    for ename, (belief, brec, tables) in frontier:
         committed = brec.intersection(belief)
         acts = [a for a, row in enumerate(rows[belief[0]]) if row]
         available[ename] = frozenset(map(action_names.__getitem__, acts))
@@ -533,9 +546,8 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                 moves[qname], available[qname] = offered
                 selecting.update(zip(new_belief, itertools.count(
                     add_states(qname, new_belief))))
-            for i, s in enumerate(belief, base):
-                succ[(i, aname)] = tuple(map(selecting.__getitem__,
-                                             rows[s][a]))
+            succ[(ename, aname)] = tuple([
+                tuple(map(selecting.__getitem__, rows[s][a])) for s in belief])
 
     all_actions = action_names + tuple(keys)
     available[sink_obs] = frozenset(all_actions)

@@ -23,8 +23,9 @@ their strategy), and the removal rank of every other observation: the
 round in which the round-by-round iteration removes it, so each fixpoint
 takes max rank + 1 rounds (``fixpoint_iterations`` sums the safety and
 outer Buchi rounds).  Safety is one pass; the Buchi fixpoint keeps its
-outer rounds, updates its counters as Z shrinks, and grows X over the
-graph's integer state rows, reversed once per call.
+outer rounds, updates its counters as Z shrinks, and grows X backwards
+over the graph's stored rows, reversed once per call, and over a
+rewrite's element moves, walked by belief position without a reversal.
 
 ``solve_almost_cobuchi_fm`` rewrites a {1,2}-priority POMDP with the
 belief-observation construction, computes its almost-surely safe part (the
@@ -192,37 +193,53 @@ def _buchi_obs(graph: ObsGraph, start: Iterable[str], targets: frozenset[int],
 
     Z starts at ``start``, and the live counters follow it as it shrinks.
     Each outer round grows X backwards from the ``targets`` (state ids)
-    through live slots, over the graph's integer rows, reversed once per
-    call for live slots (a dead slot never revives).  A target enters X
-    whenever its observation keeps a slot, so its own row is never read.
+    through live slots (a dead slot never revives): the blocks of those
+    that are not move slots are reversed once per call, and the move
+    slots, the only ones leading to an element e, are walked by position:
+    when state p of e joins X, so does state p of each live slot's owner
+    in ``pred[e]``.  A target enters X whenever its observation keeps a
+    slot, so its own row is never read.
     """
-    first, members, row = graph.first, graph.members, graph.row
+    first, owner, pred = graph.first, graph.owner, graph.pred
+    members, block, moving = graph.members, graph.block, graph.moving
     names = graph.model.observations
     inside, live, count = graph.counters(start)
     here = [j for j, got in enumerate(inside) if got]
     goals = [(j, i) for j in here for i in members[j] if i in targets]
     rev: dict[int, list[tuple[int, int]]] = {}
     for j in here:
-        slots = [k for k in range(first[j], first[j + 1]) if live[k]]
-        for i in members[j]:
-            if i not in targets:
-                for k in slots:
-                    for t in row(i, k):
-                        rev.setdefault(t, []).append((k, i))
+        if moving[j]:
+            continue
+        for k in range(first[j], first[j + 1]):
+            if live[k]:
+                for i, row in zip(members[j], block(k)):
+                    if i not in targets:
+                        for t in row:
+                            rev.setdefault(t, []).append((k, i))
+    walks = {j: pred[j] for j in here if pred[j] and moving[owner[pred[j][0]]]}
     ranks: dict[str, int] = {}
     outer = inner = 0
     while True:
         outer += 1
-        frontier = [i for j, i in goals if count[j]]
-        x = set(frontier)
+        frontier = [(j, i) for j, i in goals if count[j]]
+        x = {i for _, i in frontier}
         while frontier:
             inner += 1
             nxt = []
-            for u in frontier:
-                for k, i in rev.get(u, ()):
+            for j, u in frontier:
+                steps = walks.get(j)
+                if steps is None:
+                    for k, i in rev.get(u, ()):
+                        if live[k] and i not in x:
+                            x.add(i)
+                            nxt.append((owner[k], i))
+                    continue
+                p = u - members[j][0]
+                for k in steps:
+                    i = members[owner[k]][p]
                     if live[k] and i not in x:
                         x.add(i)
-                        nxt.append(i)
+                        nxt.append((owner[k], i))
             frontier = nxt
         removed = [j for j in here if inside[j]
                    and not all(map(x.__contains__, members[j]))]

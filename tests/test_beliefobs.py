@@ -163,6 +163,15 @@ def act_state(bo, s, ename):
             + belief.index(bo.state_names.index(s)))
 
 
+def block_row(bo, i, o, a):
+    """State ``i``'s stored successors under action ``a``, read from the
+    one block of (element ``o``, ``a``), which has a row per belief state."""
+    ids = bo.ranges[bo.obs_index[o]]
+    block = bo.rows[(o, a)]
+    assert len(block) == len(ids) == len(bo.keys[o][0])
+    return block[i - ids.start]
+
+
 def assert_commitment_invariant(bo):
     """The beliefobs module docstring's co-Buchi commitment invariant and
     its consequences: every branch offers a move, the certified states are
@@ -189,7 +198,7 @@ def assert_commitment_invariant(bo):
         for a in bo.available[observed[i]]:
             if (observed[i], a) in bo.disallowed:
                 continue
-            for m in bo.rows[(i, a)]:
+            for m in block_row(bo, i, observed[i], a):
                 offered = bo.moves[observed[m]]
                 t = bo.state_names[bo.origin[m]]
                 assert {act_state(bo, t, e) for e in offered} <= certified
@@ -227,25 +236,85 @@ def reference_allowed(elem, action, pomdp, prio):
 
 
 def test_actions_are_allowed_by_the_reference_predicate(reduced_ex1_rewrite):
-    """An (element, action) has memory-selection branches and stored rows
-    exactly when the reference predicate allows it; otherwise it is
-    recorded disallowed, once, and its rows read as the sink row."""
+    """An (element, action) has memory-selection branches and one block of
+    stored rows, a row per belief state, exactly when the reference
+    predicate allows it; otherwise it is recorded disallowed, once, has no
+    block, and its rows read as the sink row.  No other observation has a
+    block."""
     counts = Counter()
     rewrites = [*seeded_cobuchi_rewrites(7004, 150), reduced_ex1_rewrite]
     for pomdp, prio, bo in rewrites:
         branched = {(e, a) for e, a, _ in bo.memsel}
+        blocks = set()
         for ename, elem in bo.elements.items():
             j = bo.obs_index[ename]
             for a in bo.available[ename]:
                 allowed = reference_allowed(elem, a, pomdp, prio)
                 assert ((ename, a) in branched) == allowed
                 assert ((ename, a) in bo.disallowed) == (not allowed)
+                assert ((ename, a) in bo.rows) == allowed
+                if allowed:
+                    blocks.add((ename, a))
+                    assert len(bo.rows[(ename, a)]) == len(elem.belief)
                 for i in bo.ranges[j]:
-                    assert ((i, a) in bo.rows) == allowed
                     assert (bo.successors(i, j, a) == (beliefobs.DEAD,)) == \
                         (not allowed)
                 counts[allowed] += 1
+        assert set(bo.rows) == blocks
     assert counts[True] > 4000 and counts[False] > 4000
+
+
+def assert_blocks_match_the_model(pomdp, bo):
+    """Each block from its definition: row p of the block of (element e,
+    action a) lists, in ``index_supports`` row order, one entry for each
+    successor t of belief state p, the state of t's branch
+    ``memsel[(e, a, obs(t))]`` at t's position in that branch's belief,
+    the belief update of e's belief.  Returns the number of blocks and of
+    their rows, which the old layout stored one per (state, action)."""
+    obs_of, rows = pomdp.index_supports
+    names, index = pomdp.states, pomdp.state_index
+    per_state = 0
+    for e, (belief, _, _) in bo.keys.items():
+        j = bo.obs_index[e]
+        for a in bo.available[e]:
+            if (e, a) in bo.disallowed:
+                continue
+            per_state += len(bo.ranges[j])
+            block = bo.rows[(e, a)]
+            assert len(block) == len(belief)
+            for s, row in zip(belief, block):
+                want = []
+                for t in rows[s][pomdp.action_index[a]]:
+                    o = pomdp.observations[obs_of[t]]
+                    branch = sorted(map(index.__getitem__, belief_update(
+                        pomdp, [names[b] for b in belief], a, o)))
+                    ids = bo.ranges[bo.obs_index[bo.memsel[(e, a, o)]]]
+                    assert list(bo.origin[ids.start:ids.stop]) == branch
+                    want.append(ids[branch.index(t)])
+                assert row == tuple(want)
+    assert sum(map(len, bo.rows.values())) == per_state
+    return len(bo.rows), per_state
+
+
+def test_blocks_are_the_branch_states_of_each_successor(reduced_ex1_rewrite):
+    """Seeded rewrites in both modes and reduced ``ex1``: every stored row
+    read off its block is the definition's, and the blocks hold exactly
+    the rows the old layout stored one per (state, action)."""
+    rng = random.Random(7006)
+    blocks = Counter()
+    for i in range(300):
+        pomdp = random_pomdp(rng)
+        if i % 2:
+            pomdp = without_an_action(pomdp, rng)
+        for rewrite, values in ((almost_cobuchi_red, (1, 2)),
+                                (positive_buchi_red, (0, 1))):
+            bo = rewrite(pomdp, {s: rng.choice(values) for s in pomdp.states})
+            count, rows = assert_blocks_match_the_model(pomdp, bo)
+            blocks[bo.mode] += count
+            blocks["rows above blocks"] += rows - count
+    assert min(blocks.values()) > 1500
+    pomdp, _, bo = reduced_ex1_rewrite
+    assert assert_blocks_match_the_model(pomdp, bo) == (1926, 18734)
 
 
 def test_the_safety_stage_keeps_the_initial_observation(reduced_ex1_rewrite):
@@ -514,8 +583,9 @@ def test_playable_rewrites_match_the_recorded_bytes():
 def test_elements_are_interned(ex1, monkeypatch):
     """The construction calls ``MemoryElement.make`` for no element; reading
     ``elements`` calls it once per distinct element, each equal to a fresh
-    build from its key.  No row is stored for a memory-selection state and
-    an offered move."""
+    build from its key.  No block is stored for a memory-selection
+    observation and an offered move, nor for any observation but an
+    element."""
     make = MemoryElement.make
     made = []
 
@@ -549,8 +619,8 @@ def test_elements_are_interned(ex1, monkeypatch):
             assert elem == make(elem.belief, elem.brec, elem.srec_map)
         assert len(set(elements.values())) == len(elements)
         for qname, offered in bo.moves.items():
-            for i in bo.ranges[bo.obs_index[qname]]:
-                assert not any((i, e) in bo.rows for e in offered)
+            assert not any((qname, e) in bo.rows for e in offered)
+        assert all(o in bo.keys for o, _ in bo.rows)
 
 
 def test_shared_branch_moves_are_the_enumerated_ones(ex1, monkeypatch):

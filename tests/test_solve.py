@@ -379,6 +379,60 @@ def test_move_table_reads_the_implicit_selection_rows(ex1):
         almost_cobuchi_red(base, parity.priority_map), rng)
 
 
+def assert_pipeline_run_reads_as_stored(bo):
+    """The Buchi core as a pipeline calls it, on the rewrite's graph, whose
+    move slots it walks by position, against the graph of the playable
+    model, whose rows it reverses: in co-Buchi mode the reach stage, from
+    the safety stage's kept plays to the certified states; in Buchi mode
+    the root run, from all observations to the priority-0 states.  Same
+    set, kept actions, ranks, and outer and inner counts.  Returns the
+    run."""
+    graph, played = obs_graph(bo), obs_graph(bo.pomdp)
+    assert [j for j, moved in enumerate(graph.moving) if moved] == [
+        j for j, o in enumerate(bo.observations)
+        if o not in bo.keys and j != beliefobs.DEAD]
+    assert not any(played.moving)
+    if bo.mode == beliefobs.COBUCHI_MODE:
+        start, _, _ = _safe_obs(graph, set(bo.observations) - {bo.sink_obs})
+        targets = bo.certified_recurrent()
+    else:
+        start = bo.observations
+        targets = frozenset(i for i in range(len(bo.origin))
+                            if bo.priority(i) == 0)
+    runs = []
+    for g in (graph, played):
+        stats = {}
+        runs.append((_buchi_obs(g, start, targets, stats), stats))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def test_pipeline_buchi_runs_read_the_move_slots_as_stored(ex1):
+    """The co-Buchi reach stage and the Buchi-mode root runs of seeded
+    rewrites and of ``ex1``, walked on the rewrite's graph and reversed on
+    its playable model's, agree; the draws include won and lost runs,
+    runs that remove observations, and runs of several inner steps."""
+    rng = random.Random(8010)
+    seen = Counter()
+    runs = []
+    for _ in range(150):
+        base = random_pomdp(rng)
+        runs.append(assert_pipeline_run_reads_as_stored(almost_cobuchi_red(
+            base, {s: rng.choice((1, 2)) for s in base.states})))
+        prio = {s: rng.choice((0, 1)) for s in base.states}
+        runs.append(assert_pipeline_run_reads_as_stored(positive_buchi_red(
+            base, prio, root=rng.choice(base.states))))
+    base, parity = objective_as_parity(*ex1)
+    runs.append(assert_pipeline_run_reads_as_stored(
+        almost_cobuchi_red(base, parity.priority_map)))
+    for (z, _, ranks), stats in runs:
+        seen["won"] += "o_start" in z
+        seen["lost"] += "o_start" not in z
+        seen["removed"] += bool(ranks)
+        seen["inner steps"] += stats["buchi_inner_steps"] > 3
+    assert min(seen.values()) >= 30, seen
+
+
 def test_observation_graph_reads_the_construction_records():
     """On the full rewrite, the graph read from the records equals a walk
     over every state's supports.  The draws cover disallowed actions
