@@ -19,7 +19,9 @@ Internally a pair (s, m) is the integer ``s * |M| + m`` over state and
 memory indices, so integer order is (state index, memory index) order.
 Each call compiles the strategy's table against the model's
 ``Pomdp.index_supports`` into one successor function on those integers,
-and one Tarjan condensation walks the pairs as it first reaches them.
+and one iterative Tarjan condensation walks the pairs as it first
+reaches them, keeping its per-pair tables (visit index, low link,
+component) in arrays indexed by pair id, for chains of every size.
 Names are made only on reading ``ProductChain.initial``, ``nodes``,
 ``succ``, ``bottom_sccs()`` or ``RecFunctions.set_rec``/``bool_rec``, in
 ``dump_chain`` and in ``full_product_graph``'s result; the projection
@@ -84,12 +86,17 @@ def validate_strategy(pomdp: Pomdp, strategy) -> list[str]:
     return problems
 
 
-def _compile(pomdp: Pomdp, table) -> tuple[int, Callable[[int], tuple[int, ...]]]:
-    """The initial pair id and the successor function of the product chain.
+def _compile(pomdp: Pomdp, table
+             ) -> tuple[int, Callable[[int], tuple[int, ...]], int]:
+    """The initial pair id, the successor function of the product chain
+    and the number of pair ids, |S| * |M|.
 
-    Every name in the support table is looked up here; a failed lookup
-    raises ``StructuralError`` worded by ``validate_strategy``.  Actions
-    the strategy selects but that are unavailable at the current
+    Every name in the support table is looked up here, each distinct
+    target row once; a failed lookup raises ``StructuralError`` worded by
+    ``validate_strategy``.  Only a (memory, action) that the table has
+    update keys for gets a lane, its target memories by observation
+    index; ``plays[m]`` pairs each action memory m selects with its lane.
+    Actions the strategy selects but that are unavailable at the current
     observation contribute no edges (they cannot be played there; this
     only matters for junk pairs of the full product graph).
     """
@@ -99,17 +106,25 @@ def _compile(pomdp: Pomdp, table) -> tuple[int, Callable[[int], tuple[int, ...]]
     mem = {m: i for i, m in enumerate(table.memories)}
     aidx, oidx = pomdp.action_index, pomdp.obs_index
     s0 = pomdp.state_index[pomdp.initial_state]
-    acts: list[tuple[int, ...]] = [()] * n_mem
-    update: list[tuple[int, ...]] = [()] * (n_mem * n_obs * n_act)
+    lanes: list[list[tuple[int, ...]] | None] = [None] * (n_mem * n_act)
+    plays: list[list[tuple[int, list[tuple[int, ...]]]]] = [[]] * n_mem
+    ids: dict[tuple[str, ...], tuple[int, ...]] = {}  # per distinct row
     try:
         if len(mem) != n_mem:  # duplicate memory names
             raise KeyError(table.memories)
         initial = s0 * n_mem + mem[table.initial]
-        for m, names in table.action_support.items():
-            acts[mem[m]] = tuple([aidx[a] for a in names])
         for (m, o, a), targets in table.update_support.items():
-            update[(mem[m] * n_obs + oidx[o]) * n_act + aidx[a]] = tuple([
-                mem[t] for t in targets])
+            row = ids.get(targets)
+            if row is None:
+                row = ids[targets] = tuple([mem[t] for t in targets])
+            lane = lanes[key := mem[m] * n_act + aidx[a]]
+            if lane is None:
+                lane = lanes[key] = [()] * n_obs
+            lane[oidx[o]] = row
+        for m, names in table.action_support.items():
+            mi = mem[m]
+            plays[mi] = [(a, lane) for a in map(aidx.__getitem__, names)
+                         if (lane := lanes[mi * n_act + a]) is not None]
     except KeyError:
         raise StructuralError(
             "; ".join(validate_strategy(pomdp, table))) from None
@@ -118,64 +133,67 @@ def _compile(pomdp: Pomdp, table) -> tuple[int, Callable[[int], tuple[int, ...]]
         s, m = divmod(node, n_mem)
         row = moves[s]
         out: set[int] = set()
-        for a in acts[m]:
+        for a, lane in plays[m]:
             for t in row[a]:
                 base = t * n_mem
-                for m2 in update[(m * n_obs + obs[t]) * n_act + a]:
+                for m2 in lane[obs[t]]:
                     out.add(base + m2)
         return tuple(sorted(out))
 
-    return initial, successors
+    return initial, successors, len(obs) * n_mem
 
 
-def _condense(successors: Callable[[int], tuple[int, ...]],
-              roots: Iterable[int]) -> tuple[Graph, list[tuple[int, ...]],
-                                             dict[int, int], list[bool]]:
+def _condense(successors: Callable[[int], tuple[int, ...]], roots: Iterable[int],
+              size: int) -> tuple[Graph, list[tuple[int, ...]], list[int], list[bool]]:
     """Walk the pairs reachable from ``roots`` and condense them.
 
-    One iterative Tarjan pass, which calls ``successors`` once per pair
-    as it first reaches it.  Returns the successor map of every pair
-    reached; the components, successors first; each pair's component
-    index; and which components are bottom (recurrent classes).
+    One iterative Tarjan pass over pair ids below ``size``, which calls
+    ``successors`` once per pair as it first reaches it; the per-pair
+    tables are arrays indexed by pair id, -1 where unset.  Returns the
+    successor map of every pair reached; the components, successors
+    first; each pair's component index (-1 if unreached); and which
+    components are bottom (recurrent classes).
     """
     graph: Graph = {}
-    index: dict[int, int] = {}
-    low: dict[int, int] = {-1: -1}
-    comp_of: dict[int, int] = {}
+    index, low, comp_of = [-1] * size, [-1] * size, [-1] * size
     comps: list[tuple[int, ...]] = []
     is_bottom: list[bool] = []
     stack: list[int] = []
-    work = [(-1, iter(roots))]  # -1: a virtual pair whose successors are the roots
-    while work:
-        node, children = work[-1]
-        for child in children:
-            if child not in index:
-                index[child] = low[child] = len(index)
-                stack.append(child)
-                graph[child] = nxt = successors(child)
-                work.append((child, iter(nxt)))
-                break
-            if child not in comp_of and index[child] < low[node]:
-                low[node] = index[child]  # child is still on the stack
-        else:
-            work.pop()
-            if not work:
-                break
-            parent = work[-1][0]
-            if low[node] < low[parent]:
-                low[parent] = low[node]
-            if low[node] == index[node]:
-                ci = len(comps)
-                comp = []
-                while True:
-                    n = stack.pop()
-                    comp_of[n] = ci
-                    comp.append(n)
-                    if n == node:
-                        break
-                inside = set(comp)
-                comps.append(tuple(comp))
-                is_bottom.append(all(inside.issuperset(graph[n]) for n in comp))
+    for root in roots:
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = len(graph)
+        stack.append(root)
+        graph[root] = nxt = successors(root)
+        work = [(root, iter(nxt))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if index[child] < 0:
+                    index[child] = low[child] = len(graph)
+                    stack.append(child)
+                    graph[child] = nxt = successors(child)
+                    work.append((child, iter(nxt)))
+                    break
+                if comp_of[child] < 0 and index[child] < low[node]:
+                    low[node] = index[child]  # child is still on the stack
+            else:
+                work.pop()
+                if work and low[node] < low[parent := work[-1][0]]:
+                    low[parent] = low[node]
+                if low[node] == index[node]:
+                    ci = len(comps)
+                    comp = []
+                    while True:
+                        n = stack.pop()
+                        comp_of[n] = ci
+                        comp.append(n)
+                        if n == node:
+                            break
+                    comps.append(tuple(comp))
+                    is_bottom.append(
+                        all([comp_of[t] == ci for n in comp for t in graph[n]])
+                        if comp[1:] else graph[node] in ((), (node,)))
     return graph, comps, comp_of, is_bottom
 
 
@@ -216,6 +234,11 @@ class ProductChain:
         return {name(n): tuple([name(t) for t in ts])
                 for n, ts in self._graph.items()}
 
+    @property
+    def counts(self) -> tuple[int, int]:
+        """The number of reached pairs and of recurrent classes, unnamed."""
+        return len(self._graph), len(self._bottoms)
+
     def bottom_sccs(self) -> tuple[tuple[Node, ...], ...]:
         """Recurrent classes: bottom SCCs of the reachable support digraph.
 
@@ -229,8 +252,8 @@ class ProductChain:
 def build_product_chain(pomdp: Pomdp, strategy) -> ProductChain:
     """Build the part of the product chain reachable from (s0, m0)."""
     table = strategy.supports
-    initial, successors = _compile(pomdp, table)
-    graph, comps, _, is_bottom = _condense(successors, (initial,))
+    initial, successors, size = _compile(pomdp, table)
+    graph, comps, _, is_bottom = _condense(successors, (initial,), size)
     return ProductChain(
         pomdp=pomdp, memories=table.memories, _initial=initial, _graph=graph,
         _bottoms=sorted(sorted(comp) for comp in compress(comps, is_bottom)))
@@ -239,11 +262,10 @@ def build_product_chain(pomdp: Pomdp, strategy) -> ProductChain:
 def full_product_graph(pomdp: Pomdp, strategy) -> dict[Node, tuple[Node, ...]]:
     """Successor map over all of S x M, not just the reachable part."""
     table = strategy.supports
-    _, successors = _compile(pomdp, table)
-    graph = _condense(successors, range(len(pomdp.states) * len(table.memories)))[0]
+    _, successors, size = _compile(pomdp, table)
     name = _namer(pomdp, table.memories)
-    return {name(n): tuple([name(t) for t in ts])
-            for n, ts in sorted(graph.items())}
+    return {name(n): tuple([name(t) for t in successors(n)])
+            for n in range(size)}
 
 
 # -- qualitative evaluation --
@@ -320,19 +342,20 @@ def evaluate_qualitative(chain: ProductChain, objective: Objective,
 class RecFunctions:
     """SetRec / BoolRec over the full product graph, kept over pair ids.
 
-    ``comp_of[s * |M| + m]`` is the component of the pair (s, m),
-    ``reach[c]`` the colour sets of the recurrent classes reachable from
-    c, and ``bottom[c]`` whether c is one (a single pair with no successor,
-    where the strategy stops, counts with the empty colour set, so a
-    stopped memory never shares a summary with a live one).  ``set_rec``
-    and ``bool_rec`` (1 iff the pair is recurrent, which forces SetRec to
-    its class's colour set alone) name them per memory and state on
-    first reading.
+    ``comp_of`` is the condensation's component array by pair id:
+    ``comp_of[s * |M| + m]`` is the component of the pair (s, m), and
+    every pair of S x M has one.  ``reach[c]`` holds the colour sets of
+    the recurrent classes reachable from c, and ``bottom[c]`` whether c
+    is one (a single pair with no successor, where the strategy stops,
+    counts with the empty colour set, so a stopped memory never shares a
+    summary with a live one).  ``set_rec`` and ``bool_rec`` (1 iff the
+    pair is recurrent, which forces SetRec to its class's colour set
+    alone) name them per memory and state on first reading.
     """
 
     pomdp: Pomdp
     memories: tuple[str, ...]
-    comp_of: dict[int, int] = field(repr=False)
+    comp_of: list[int] = field(repr=False)
     reach: list[frozenset[frozenset[int]]] = field(repr=False)
     bottom: list[bool] = field(repr=False)
 
@@ -353,15 +376,15 @@ class RecFunctions:
 
 def compute_rec_functions(pomdp: Pomdp, strategy,
                           colors: Mapping[str, int]) -> RecFunctions:
-    """Condense every pair (s, m) of S x M and summarise each component."""
+    """Condense every pair (s, m) of S x M, once the table's names and
+    the colours are checked, and summarise each component."""
     table = strategy.supports
     n_mem = len(table.memories)
-    _, successors = _compile(pomdp, table)
-    graph, comps, comp_of, is_bottom = _condense(
-        successors, range(len(pomdp.states) * n_mem))
+    _, successors, size = _compile(pomdp, table)
     if missing := sorted(set(pomdp.states) - set(colors)):
         raise StructuralError(f"no colour for states: {', '.join(missing)}")
     colour = [colors[s] for s in pomdp.states]
+    graph, comps, comp_of, is_bottom = _condense(successors, range(size), size)
     # components arrive successors-first, so one pass suffices
     reach: list[frozenset[frozenset[int]]] = []
     for ci, comp in enumerate(comps):

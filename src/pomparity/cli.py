@@ -128,9 +128,9 @@ def _cmd_verify(args) -> int:
     except StructuralError as exc:
         raise CliError(f"{args.strategy}: {exc}") from None
     winning = evaluate_qualitative(chain, evaluable, mode)
+    nodes, bottom_sccs = chain.counts
     print(_record(verdict="yes" if winning else "no", mode=args.mode,
-                  nodes=len(chain.nodes),
-                  bottom_sccs=len(chain.bottom_sccs())))
+                  nodes=nodes, bottom_sccs=bottom_sccs))
     return 0 if winning else 1
 
 

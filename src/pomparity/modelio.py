@@ -35,6 +35,7 @@ Strategy documents::
 from __future__ import annotations
 
 import importlib.resources
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -68,19 +69,20 @@ def _parse_weight(token: str, line_no: int, column: int,
 
 
 def _parse_weighted(payload: str, line_no: int, line: str, what: str,
-                    weights: dict) -> dict[str, Fraction]:
+                    weights: dict) -> tuple[dict[str, Fraction], tuple[str, ...]]:
     """Parse ``name w, name w, ...`` and insist the weights sum to one.
 
-    Memoized in ``weights`` under (what, payload): every check reads the
-    payload alone, so an invalid one raises, with its line and column, on
-    the first line that spells it; only valid ones are kept, and each row
-    gets its own copy.
+    Returns the row and its support, the names in sorted order (every
+    weight is positive).  Memoized in ``weights`` under (what, payload):
+    every check reads the payload alone, so an invalid one raises, with
+    its line and column, on the first line that spells it; only valid
+    ones are kept, each row gets its own copy, and rows that spell the
+    same payload share one support tuple.
     """
-    dist = weights.get((what, payload))
-    if dist is not None:
-        return dict(dist)
+    memo = weights.get((what, payload))
+    if memo is not None:
+        return dict(memo[0]), memo[1]
     dist = {}
-    total = Fraction(0)
     column = len(line) - len(payload) + 1  # the payload ends the line
     for part in payload.split(","):
         tokens = part.split()
@@ -93,26 +95,26 @@ def _parse_weighted(payload: str, line_no: int, line: str, what: str,
         if name in dist:
             raise ParseError(f"duplicate {what} {name!r} in one distribution",
                              line=line_no)
-        if w <= 0:
+        if w.numerator <= 0:  # a Fraction's sign is its numerator's
             raise ParseError(f"non-positive weight for {what} {name!r}", line=line_no)
         dist[name] = w
-        total += w
         column += len(part) + 1
-    if total != 1:
+    lcm = math.lcm(*[w.denominator for w in dist.values()])  # exact, in ints
+    if sum([w.numerator * (lcm // w.denominator) for w in dist.values()]) != lcm:
         raise ExactnessError(
-            f"line {line_no}: weights sum to {total}, not 1")
-    weights[(what, payload)] = dist
-    return dict(dist)
+            f"line {line_no}: weights sum to {sum(dist.values())}, not 1")
+    weights[(what, payload)] = memo = dist, tuple(sorted(dist))
+    return dict(dist), memo[1]
 
 
 def _lines(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.partition("#")[0].rstrip()
+        if not line:
             continue
-        if ":" not in line:
+        keyword, colon, payload = line.partition(":")
+        if not colon:
             raise ParseError(f"expected '<keyword>: ...', got {line.strip()!r}", line=i)
-        keyword, payload = line.split(":", 1)
         yield i, keyword.strip(), payload.strip(), line
 
 
@@ -190,7 +192,7 @@ def parse_model(text: str) -> tuple[Pomdp, Objective | None]:
                 raise ParseError(f"duplicate transition line for {s!r}/{a!r}",
                                  line=line_no)
             transitions[(s, a)] = _parse_weighted(rest, line_no, line, "state",
-                                                     weights)
+                                                     weights)[0]
         elif keyword == "objective":
             if objective_kind is not None:
                 raise ParseError("duplicate objective line", line=line_no)
@@ -346,10 +348,14 @@ def _parse_color_sets(payload: str, line_no: int) -> frozenset[frozenset[int]]:
 
 
 def parse_strategy(text: str) -> FiniteMemoryStrategy:
+    """Parse a strategy document, reading its support table as it goes:
+    each distinct row is checked and its support sorted once."""
     memories: tuple[str, ...] | None = None
     initial: str | None = None
     action_select: dict[str, dict[str, Fraction]] = {}
     memory_update: dict[tuple[str, str, str], dict[str, Fraction]] = {}
+    action_support: dict[str, tuple[str, ...]] = {}
+    update_support: dict[tuple[str, str, str], tuple[str, ...]] = {}
     beliefs: dict[str, frozenset[str]] = {}
     brecs: dict[str, frozenset[str]] = {}
     srecs: dict[str, dict[str, frozenset[frozenset[int]]]] = {}
@@ -374,8 +380,8 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
             m = _check_name(head.strip(), "memory", line_no)
             if m in action_select:
                 raise ParseError(f"duplicate act line for memory {m!r}", line=line_no)
-            action_select[m] = _parse_weighted(rest, line_no, line, "action",
-                                                 weights)
+            action_select[m], action_support[m] = _parse_weighted(
+                rest, line_no, line, "action", weights)
         elif keyword == "update":
             if "->" not in payload:
                 raise ParseError(
@@ -389,8 +395,8 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
             key = (tokens[0], tokens[1], tokens[2])
             if key in memory_update:
                 raise ParseError(f"duplicate update line for {key}", line=line_no)
-            memory_update[key] = _parse_weighted(rest, line_no, line, "memory",
-                                                    weights)
+            memory_update[key], update_support[key] = _parse_weighted(
+                rest, line_no, line, "memory", weights)
         elif keyword in ("belief", "brec"):
             parts = payload.split(":")
             if len(parts) != 2:
@@ -443,27 +449,31 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
     for m in annotated:
         if m not in beliefs:
             raise ParseError(f"memory {m!r} has element lines but no belief")
-        elements[m] = MemoryElement.make(
-            belief=beliefs[m], brec=brecs.get(m, frozenset()),
-            srec=srecs.get(m, {}))
-    return FiniteMemoryStrategy(memories=memories, action_select=action_select,
-                                memory_update=memory_update,
-                                initial_memory=initial, elements=elements)
+        elements[m] = MemoryElement(beliefs[m], brecs.get(m, frozenset()),
+                                    tuple(sorted(srecs.get(m, {}).items())))
+    return FiniteMemoryStrategy.checked(
+        SupportStrategy(memories, action_support, update_support, initial,
+                        elements), action_select, memory_update)
 
 
 def serialize_strategy(strategy) -> str:
     """Canonical text form of a strategy, element annotations included;
     a support table is written with the uniform weights ``to_strategy``
-    gives it (``1``, or ``1/k`` for each of k), without making them."""
-    if isinstance(strategy, SupportStrategy):
-        row = lambda xs: dict.fromkeys(xs, "1" if len(xs) == 1 else f"1/{len(xs)}")
+    gives it (``1``, or ``1/k`` for each of k), without making them, and
+    each of its distinct update rows is rendered once."""
+    table = isinstance(strategy, SupportStrategy)
+    row = lambda xs: dict.fromkeys(xs, "1" if len(xs) == 1 else f"1/{len(xs)}")
+    if table:
         acts = {m: row(xs) for m, xs in strategy.action_support.items()}
-        updates = {k: row(xs) for k, xs in strategy.update_support.items()}
-        initial = strategy.initial
+        updates, initial = strategy.update_support, strategy.initial
     else:
         acts, updates = strategy.action_select, strategy.memory_update
         initial = strategy.initial_memory
     midx = {m: i for i, m in enumerate(strategy.memories)}
+    by_index = lambda x: midx.get(x, len(midx))
+    render = lambda dist: ", ".join([f"{m2} {dist[m2]}"
+                                     for m2 in sorted(dist, key=by_index)])
+    texts: dict[tuple[str, ...], str] = {}
     out = [f"memories: {' '.join(strategy.memories)}", f"init: {initial}"]
     for m in strategy.memories:
         dist = acts.get(m)
@@ -471,13 +481,14 @@ def serialize_strategy(strategy) -> str:
             continue
         parts = ", ".join(f"{a} {dist[a]}" for a in sorted(dist))
         out.append(f"act: {m} -> {parts}")
-    for (m, o, a) in sorted(updates,
-                            key=lambda k: (midx.get(k[0], len(midx)), k[1], k[2])):
+    for (m, o, a) in sorted(updates, key=lambda k: (by_index(k[0]), k[1], k[2])):
         dist = updates[(m, o, a)]
         if not dist:
             continue
-        parts = ", ".join(f"{m2} {dist[m2]}"
-                          for m2 in sorted(dist, key=lambda x: midx.get(x, len(midx))))
+        if not table:
+            parts = render(dist)
+        elif (parts := texts.get(dist)) is None:
+            parts = texts[dist] = render(row(dist))
         out.append(f"update: {m} {o} {a} -> {parts}")
     for m in strategy.memories:
         element = strategy.elements.get(m)

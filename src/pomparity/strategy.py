@@ -92,13 +92,9 @@ class SupportStrategy:
         return self
 
     def to_strategy(self) -> "FiniteMemoryStrategy":
-        return FiniteMemoryStrategy(
-            memories=self.memories,
-            action_select={m: uniform(acts)
-                           for m, acts in self.action_support.items()},
-            memory_update={key: uniform(ms)
-                           for key, ms in self.update_support.items()},
-            initial_memory=self.initial, elements=self.elements)
+        return FiniteMemoryStrategy.checked(
+            self, {m: uniform(acts) for m, acts in self.action_support.items()},
+            {key: uniform(ms) for key, ms in self.update_support.items()})
 
 
 @dataclass
@@ -112,7 +108,7 @@ class FiniteMemoryStrategy:
     behaviour (they can only concern situations the strategy never faces).
     ``elements`` optionally annotates memories with MemoryElements.
     Strategies are not mutated after construction: ``supports`` is derived
-    from the weights once, on first use.
+    from the weights once, on first use, unless ``checked`` was handed it.
     """
 
     memories: tuple[str, ...]
@@ -127,6 +123,21 @@ class FiniteMemoryStrategy:
                               for m, d in self.action_select.items()}
         self.memory_update = {k: exact_dist(d, ("memory update", k))
                               for k, d in self.memory_update.items()}
+
+    @classmethod
+    def checked(cls, table: SupportStrategy,
+                action_select: dict[str, dict[str, Fraction]],
+                memory_update: dict[tuple[str, str, str], dict[str, Fraction]]
+                ) -> "FiniteMemoryStrategy":
+        """The strategy of rows already known to be exact: every weight a
+        positive ``Fraction``, and ``table`` their name-sorted supports, as
+        the parser and ``SupportStrategy.to_strategy`` hand them over.
+        Neither ``exact_dist`` nor the derivation of ``supports`` runs."""
+        sigma = cls.__new__(cls)
+        sigma.memories, sigma.initial_memory = table.memories, table.initial
+        sigma.action_select, sigma.memory_update = action_select, memory_update
+        sigma.elements, sigma.supports = table.elements, table
+        return sigma
 
     @cached_property
     def supports(self) -> SupportStrategy:
@@ -194,9 +205,10 @@ def build_projection_graph(pomdp: Pomdp, strategy,
     table = strategy.supports
     states, n_mem = pomdp.states, len(table.memories)
     summaries: dict[tuple, int] = {}
-    sid = {m: summaries.setdefault(tuple([(rec.bottom[c], rec.reach[c]) for c in map(
-        rec.comp_of.__getitem__, range(mi, len(states) * n_mem, n_mem))]),
-        len(summaries)) for mi, m in enumerate(table.memories)}
+    sid = {m: summaries.setdefault(tuple([(rec.bottom[c], rec.reach[c])
+                                          for c in rec.comp_of[mi::n_mem]]),
+                                   len(summaries))
+           for mi, m in enumerate(table.memories)}
     after: list[dict[int, dict[int, set[int]]]] = [{} for _ in summaries]
     for (m, o, a), targets in table.update_support.items():
         if targets and a in table.action_support.get(m, ()):

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import random
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -13,6 +14,7 @@ from pomparity import (Objective, StructuralError, WinningMode,
                        evaluate_qualitative, full_product_graph,
                        objective_as_parity, stationary_strategy,
                        validate_strategy)
+from pomparity.chain import _condense
 from pomparity.strategy import FiniteMemoryStrategy, uniform
 from conftest import (alternating, chain_wins, random_parity, random_pomdp,
                       random_strategy)
@@ -285,3 +287,67 @@ def test_chain_matches_a_reachability_reference():
         assert rec.set_rec == set_rec
         assert rec.bool_rec == bool_rec
     assert restricted > 20
+
+
+# -- the condensation kernel against a recursive Tarjan --
+
+def _tarjan(succ, roots):
+    """Textbook recursive Tarjan from each root not yet visited, in turn:
+    the components as sets, in the order they complete, and how many
+    roots had already been reached."""
+    index, low, stack, comps = {}, {}, [], []
+    revisited = 0
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for w in succ[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = set()
+            while not comp or v not in comp:
+                comp.add(stack.pop())
+            comps.append(frozenset(comp))
+
+    for r in roots:
+        if r in index:
+            revisited += 1
+        else:
+            visit(r)
+    return comps, revisited
+
+
+def test_condense_matches_a_recursive_tarjan():
+    """Seeded random graphs with self-loops, pairs without successors
+    (stopped plays) and several roots in no particular order, some of
+    them reached from earlier ones."""
+    rng = random.Random(60221)
+    seen = collections.Counter()
+    for i in range(600):
+        size = rng.randint(1, 14)
+        succ = [tuple(sorted(rng.sample(range(size), min(size, rng.choice(
+            (0, 1, 1, 2, 2, 3)))))) for _ in range(size)]
+        roots = ((rng.randrange(size),), range(size),
+                 rng.choices(range(size), k=rng.randint(2, 6)))[i % 3]
+        asked = []
+        graph, comps, comp_of, is_bottom = _condense(
+            lambda n: asked.append(n) or succ[n], roots, size)
+        expected, revisited = _tarjan(succ, roots)
+        reached = set().union(*expected)
+        assert sorted(asked) == sorted(reached)  # once per reached pair
+        assert graph == {n: succ[n] for n in reached}
+        assert [frozenset(comp) for comp in comps] == expected
+        assert comp_of == [next((ci for ci, comp in enumerate(expected)
+                                 if n in comp), -1) for n in range(size)]
+        assert all(comp_of[t] <= comp_of[n] for n in reached for t in succ[n])
+        assert is_bottom == [all(t in comp for n in comp for t in succ[n])
+                             for comp in expected]
+        seen["self-loop"] += any(n in succ[n] for n in reached)
+        seen["stopped"] += any(not succ[n] for n in reached)
+        seen["revisited root"] += revisited > 0 and i % 3 == 2
+        seen["bottom class"] += sum(map(len, compress(comps, is_bottom))) > 1
+    assert min(seen.values()) > 100, seen

@@ -949,6 +949,173 @@ def test_project_and_reduce_outputs_do_not_depend_on_the_hash_seed(tmp_path):
             PINNED_PROJECTIONS, PINNED_REDUCTIONS), seed
 
 
+# Recorded ``verify`` outputs, keyed (model, solve mode, witness or its
+# projection, verify mode): the models of ``PINNED_OUTPUTS``,
+# ``PINNED_RANDOM`` and ``PINNED_REDUCED_EX1``.
+PINNED_VERIFY = {
+    ('ex1', 'almost', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=19 bottom_sccs=2',
+    ('ex1', 'almost', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=19 bottom_sccs=2',
+    ('ex1', 'almost', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=43 bottom_sccs=2',
+    ('ex1', 'almost', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=43 bottom_sccs=2',
+    ('ex1', 'positive', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=13 bottom_sccs=2',
+    ('ex1', 'positive', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=13 bottom_sccs=2',
+    ('ex1', 'positive', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=13 bottom_sccs=2',
+    ('ex1', 'positive', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=13 bottom_sccs=2',
+    ('ex1.cobuchi', 'almost', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=39 bottom_sccs=3',
+    ('ex1.cobuchi', 'almost', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=39 bottom_sccs=3',
+    ('ex1.cobuchi', 'almost', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=1071 bottom_sccs=3',
+    ('ex1.cobuchi', 'almost', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=1071 bottom_sccs=3',
+    ('ex2', 'almost', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=20 bottom_sccs=2',
+    ('ex2', 'almost', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=20 bottom_sccs=2',
+    ('ex2', 'almost', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=92 bottom_sccs=2',
+    ('ex2', 'almost', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=92 bottom_sccs=2',
+    ('ex2', 'positive', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=13 bottom_sccs=2',
+    ('ex2', 'positive', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=13 bottom_sccs=2',
+    ('ex2', 'positive', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=13 bottom_sccs=2',
+    ('ex2', 'positive', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=13 bottom_sccs=2',
+    ('r0', 'almost', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=8 bottom_sccs=1',
+    ('r0', 'almost', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=8 bottom_sccs=1',
+    ('r0', 'almost', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=22 bottom_sccs=3',
+    ('r0', 'almost', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=22 bottom_sccs=3',
+    ('r0', 'positive', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=2 bottom_sccs=1',
+    ('r0', 'positive', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=2 bottom_sccs=1',
+    ('r0', 'positive', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=2 bottom_sccs=1',
+    ('r0', 'positive', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=2 bottom_sccs=1',
+    ('r1', 'almost', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=64 bottom_sccs=1',
+    ('r1', 'almost', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=64 bottom_sccs=1',
+    ('r1', 'almost', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=38 bottom_sccs=1',
+    ('r1', 'almost', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=38 bottom_sccs=1',
+    ('r1', 'positive', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=32 bottom_sccs=1',
+    ('r1', 'positive', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=32 bottom_sccs=1',
+    ('r1', 'positive', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=17 bottom_sccs=1',
+    ('r1', 'positive', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=17 bottom_sccs=1',
+    ('r2', 'almost', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=10 bottom_sccs=1',
+    ('r2', 'almost', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=10 bottom_sccs=1',
+    ('r2', 'almost', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=115 bottom_sccs=1',
+    ('r2', 'almost', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=115 bottom_sccs=1',
+    ('r2', 'positive', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=11 bottom_sccs=1',
+    ('r2', 'positive', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=11 bottom_sccs=1',
+    ('r2', 'positive', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=9 bottom_sccs=1',
+    ('r2', 'positive', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=9 bottom_sccs=1',
+    ('r4', 'almost', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=4 bottom_sccs=1',
+    ('r4', 'almost', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=4 bottom_sccs=1',
+    ('r4', 'almost', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=7 bottom_sccs=1',
+    ('r4', 'almost', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=7 bottom_sccs=1',
+    ('r4', 'positive', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=4 bottom_sccs=1',
+    ('r4', 'positive', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=4 bottom_sccs=1',
+    ('r4', 'positive', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=4 bottom_sccs=1',
+    ('r4', 'positive', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=4 bottom_sccs=1',
+    ('r5', 'almost', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=30 bottom_sccs=1',
+    ('r5', 'almost', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=30 bottom_sccs=1',
+    ('r5', 'almost', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=23 bottom_sccs=1',
+    ('r5', 'almost', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=23 bottom_sccs=1',
+    ('r5', 'positive', 'projection', 'almost'):
+        'verdict=yes mode=almost nodes=31 bottom_sccs=1',
+    ('r5', 'positive', 'projection', 'positive'):
+        'verdict=yes mode=positive nodes=31 bottom_sccs=1',
+    ('r5', 'positive', 'witness', 'almost'):
+        'verdict=yes mode=almost nodes=15 bottom_sccs=1',
+    ('r5', 'positive', 'witness', 'positive'):
+        'verdict=yes mode=positive nodes=15 bottom_sccs=1',
+}
+
+
+def verify_outputs(tmp_path, capsys, models):
+    """``verify`` stdout, in both modes, of the witness that ``solve``
+    writes for each (model, mode) and of that witness's projection."""
+    outputs = {}
+    for name, text, modes in models:
+        model = tmp_path / f"{name}.pomdp"
+        model.write_text(text, encoding="utf-8")
+        for mode in modes:
+            witness = tmp_path / f"{name}.{mode}.strat"
+            projected = tmp_path / f"{name}.{mode}.proj.strat"
+            if run(capsys, "solve", "--mode", mode, str(model),
+                   "--witness", str(witness))[0]:
+                continue
+            assert run(capsys, "project", str(model), str(witness),
+                       "-o", str(projected))[0] == 0
+            for kind, path in (("witness", witness), ("projection", projected)):
+                for check in ("almost", "positive"):
+                    code, out, _ = run(capsys, "verify", str(model), str(path),
+                                       "--mode", check)
+                    assert code == (0 if out.startswith("verdict=yes") else 1)
+                    outputs[(name, mode, kind, check)] = out.strip()
+    return outputs
+
+
+def test_verify_outputs_match_the_recorded_bytes(tmp_path, capsys,
+                                                 random_models):
+    """The pair and recurrent-class counts ``verify`` prints for every
+    witness the solve pins record and for its projection."""
+    reduced = tmp_path / "ex1.cobuchi.pomdp"
+    assert run(capsys, "reduce", write_ex1(tmp_path), "--to", "cobuchi",
+               "-o", str(reduced))[0] == 0
+    models = [(name, fixture_text(name), ("almost", "positive"))
+              for name in ("ex1", "ex2")]
+    models += [(f"r{i}", text, ("almost", "positive"))
+               for i, text in enumerate(random_models)]
+    models.append(("ex1.cobuchi", reduced.read_text(encoding="utf-8"),
+                   ("almost",)))
+    assert verify_outputs(tmp_path, capsys, models) == PINNED_VERIFY
+
+
 def test_unwritable_outputs_exit_two(tmp_path, capsys):
     """An output path that cannot be written is an error naming the path,
     with exit 2, not a traceback whose exit 1 reads as "no"."""

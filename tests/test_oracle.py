@@ -442,7 +442,7 @@ def test_bottom_classes_are_the_bottom_components():
         packed = sum(sum(1 << t for t in ts) << i * n
                      for i, ts in enumerate(succ))
         for roots in ((0,), range(n)):
-            graph, comps, _, is_bottom = _condense(succ.__getitem__, roots)
+            graph, comps, _, is_bottom = _condense(succ.__getitem__, roots, n)
             bottoms = oracle._bottom_classes(list(graph), packed, n)
             assert sorted(bottoms) == sorted(
                 sum(1 << x for x in comp)

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from pomparity import (ContractError, ExactnessError, FiniteMemoryStrategy,
                        MemoryElement, Objective, ProjectionGraph,
-                       SupportStrategy, WinningMode, belief_update,
-                       build_product_chain, build_projection_graph,
+                       StructuralError, SupportStrategy, WinningMode,
+                       belief_update, build_product_chain, build_projection_graph,
                        compute_rec_functions, evaluate_qualitative,
                        memory_bound, objective_as_parity, objective_colors,
                        parse_model, parse_strategy, project_strategy,
@@ -318,6 +318,21 @@ def test_projection_keeps_a_stopped_memory_apart():
     for mode in (ALMOST, POSITIVE):
         assert not chain_wins(pomdp, objective, mode, sigma)
         assert not chain_wins(pomdp, objective, mode, projected)
+
+
+def test_missing_colours_are_named_before_the_condensation(ex1, monkeypatch):
+    """``project_strategy`` names the uncoloured states, and it does so
+    without first condensing S x M."""
+    pomdp, _ = ex1
+    colors = {s: 0 for s in pomdp.states if s not in ("X'", "Y")}
+
+    def condense(*args):
+        raise AssertionError("S x M was condensed before the colours were checked")
+
+    monkeypatch.setattr("pomparity.chain._condense", condense)
+    with pytest.raises(StructuralError) as err:
+        project_strategy(pomdp, alternating(pomdp), colors)
+    assert str(err.value) == "no colour for states: X', Y"
 
 
 def _partial(rng, strategy):
