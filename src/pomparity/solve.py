@@ -2,8 +2,8 @@
 
 The pipelines answer whether a finite-memory strategy can win a parity
 objective almost-surely or with positive probability, and on yes extract a
-witness strategy that is independently re-verified on the input model via
-the chain module before the answer is returned.
+witness strategy that is verified once, via the chain module, on the model
+the caller gave, before the answer is returned.
 
 The workhorses are observation-set fixpoints on belief-observation POMDPs
 (where the belief always equals the observation class, so memoryless
@@ -39,10 +39,10 @@ proved in ``beliefobs``), so a "no" always fails at reachability.
 winning from some reachable state: a strategy wins with positive
 probability exactly when it can, after some finite prefix, win almost
 surely from wherever that prefix ends.  ``solve_parity_fm`` routes any
-parity objective through the reductions module into those two pipelines
-and restricts the witness back (the reductions preserve strategies
-verbatim).  Witnesses are built, transformed, checked and returned as
-support tables; weights are made only when one is written.
+parity objective through the reductions module into their cores and
+restricts the witness back (the reductions preserve strategies verbatim).
+A witness is a support table, weighted only when written, checked once on
+the caller's model and annotated with elements only on the direct route.
 """
 
 from __future__ import annotations
@@ -293,10 +293,11 @@ class Decision:
     """Outcome of a solve pipeline.
 
     ``winning`` answers the decision problem; on yes, ``witness`` is the
-    support table of a finite-memory strategy on the input model that has
-    already passed independent chain verification; any weighting of it
-    wins.  ``diagnostics`` carries per-stage observation sets,
-    construction sizes and fixpoint iteration counts.
+    support table of a finite-memory strategy on the input model, checked
+    once there by independent chain verification and annotated with
+    elements only on the direct route; any weighting of it wins.
+    ``diagnostics`` carries per-stage observation sets, construction sizes
+    and fixpoint iteration counts.
     """
 
     winning: bool
@@ -333,7 +334,7 @@ def _merge_initial(table: SupportStrategy,
     return SupportStrategy(
         table.memories + (name,), {**acts, name: tuple(sorted(played))},
         {**updates, **{k: tuple(sorted(ms)) for k, ms in unions.items()}},
-        name, table.elements)
+        name)
 
 
 def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
@@ -345,8 +346,8 @@ def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
     model observation, action) replays the table at the corresponding
     intermediate observation.  The table's element moves at the initial
     observation, a randomization, are merged into a single auxiliary
-    memory.  Only the kept element memories get their ``MemoryElement``
-    annotations built.
+    memory.  The table is bare: ``_finish`` annotates it, on the direct
+    route only, and checks it.
     """
     element_memories = tuple(e for e in bo.keys if e in plays)
     action_support = {e: tuple(sorted(plays[e])) for e in element_memories}
@@ -357,9 +358,8 @@ def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
                 q = bo.memsel.get((e, a, o))
                 if q is not None:
                     update_support[(e, o, a)] = tuple(sorted(plays[q]))
-    table = SupportStrategy(
-        element_memories, action_support, update_support, element_memories[0],
-        {e: bo.element(e) for e in element_memories})
+    table = SupportStrategy(element_memories, action_support, update_support,
+                            element_memories[0])
     return _merge_initial(table, sorted(plays[bo.init_obs]))
 
 
@@ -374,6 +374,18 @@ def _verify(pomdp: Pomdp, objective: Objective, mode: WinningMode,
     return table
 
 
+def _finish(pomdp: Pomdp, objective: Objective, decision: Decision,
+            bo: BeliefObsPomdp | None) -> Decision:
+    """Annotate (from ``bo``) or restrict a core's witness; check it once."""
+    table = decision.witness
+    if table is not None:
+        table = (restrict_strategy(pomdp, table) if bo is None else replace(
+            table, elements={m: bo.element(m) for m in table.memories
+                             if m in bo.keys}))
+        decision.witness = _verify(pomdp, objective, decision.mode, table)
+    return decision
+
+
 def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
                             budget: int = DEFAULT_STATE_BUDGET) -> Decision:
     """Decide finite-memory almost-sure winning for co-Buchi priorities {1,2}.
@@ -384,6 +396,13 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     are closed.  On yes the witness is rebuilt on the input model and
     chain-verified before returning.
     """
+    return _finish(pomdp, Objective.parity(dict(priority)),
+                   *_almost_cobuchi(pomdp, priority, budget))
+
+
+def _almost_cobuchi(pomdp: Pomdp, priority: Mapping[str, int], budget: int
+                    ) -> tuple[Decision, BeliefObsPomdp]:
+    """``solve_almost_cobuchi_fm`` unchecked, bare, and its rewrite."""
     stats: dict = {}
     bo = almost_cobuchi_red(pomdp, priority, budget=budget)
     stats["states_constructed"] = len(bo.origin)
@@ -400,12 +419,11 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     stats["winning_observations"] = w2
     if bo.init_obs not in w2:
         stats["failed_stage"] = "reachability"
-        return Decision(False, mode, diagnostics=stats)
+        return Decision(False, mode, diagnostics=stats), bo
 
     plays = {o: reach_plays.get(o, acts) for o, acts in safe_plays.items()}
-    table = _witness_from_plays(pomdp, bo, plays)
-    witness = _verify(pomdp, Objective.parity(dict(priority)), mode, table)
-    return Decision(True, mode, witness=witness, diagnostics=stats)
+    return Decision(True, mode, _witness_from_plays(pomdp, bo, plays),
+                    stats), bo
 
 
 def _support_paths(pomdp: Pomdp) -> dict[str, tuple[tuple[str, str], ...]]:
@@ -451,7 +469,7 @@ def _prefix_then(pomdp: Pomdp, steps: tuple[tuple[str, str], ...],
         for o in pomdp.observations:
             update_support[(names[i], o, a)] = (nxt,)
     return SupportStrategy(tuple(names) + table.memories, action_support,
-                           update_support, names[0], table.elements)
+                           update_support, names[0])
 
 
 def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
@@ -467,9 +485,15 @@ def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     almost-sure Buchi fixpoint.  ``budget`` bounds the states constructed
     over all roots together.
     """
+    return _finish(pomdp, Objective.parity(dict(priority)),
+                   *_positive_buchi(pomdp, priority, budget))
+
+
+def _positive_buchi(pomdp: Pomdp, priority: Mapping[str, int], budget: int
+                    ) -> tuple[Decision, BeliefObsPomdp | None]:
+    """``solve_positive_buchi_fm`` unchecked, bare, and its rewrite."""
     stats: dict = {"states_constructed": 0, "roots_tried": 0}
     mode = WinningMode.POSITIVE
-    objective = Objective.parity(dict(priority))
     paths = _support_paths(pomdp)
     for t in (s for s in pomdp.states if s in paths):
         stats["roots_tried"] += 1
@@ -488,12 +512,10 @@ def solve_positive_buchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
             continue
         stats["winning_root"] = t
         stats["winning_observations"] = z
-        tail = _witness_from_plays(pomdp, bo, kept)
-        witness = _verify(pomdp, objective, mode,
-                          _prefix_then(pomdp, paths[t], tail))
-        return Decision(True, mode, witness=witness, diagnostics=stats)
+        return Decision(True, mode, _prefix_then(
+            pomdp, paths[t], _witness_from_plays(pomdp, bo, kept)), stats), bo
     stats["failed_stage"] = "no almost-sure root"
-    return Decision(False, mode, diagnostics=stats)
+    return Decision(False, mode, diagnostics=stats), None
 
 
 def solve_parity_fm(pomdp: Pomdp, objective: Objective,
@@ -505,28 +527,21 @@ def solve_parity_fm(pomdp: Pomdp, objective: Objective,
     (``objective_as_parity``).  Priorities already in co-Buchi shape
     {1,2} (almost-sure) or Buchi shape {0,1} (positive) run their
     pipeline directly.  Other almost-sure parity runs through the
-    co-Buchi rewrite chain, positive parity through the Buchi rewrite;
-    both preserve strategies verbatim, so the witness found on the
-    reduced model is restricted to the input model
-    (``reductions.restrict_strategy``) and re-verified there.
+    co-Buchi rewrite chain, positive parity through the Buchi rewrite,
+    into the matching core; both preserve strategies verbatim, so the bare
+    witness of the reduced model is restricted to the input model
+    (``reductions.restrict_strategy``) and verified once, there.
     """
     if mode not in (WinningMode.ALMOST_SURE, WinningMode.POSITIVE):
         raise ContractError(f"unsupported winning mode {mode!r}")
+    almost = mode is WinningMode.ALMOST_SURE
+    core = _almost_cobuchi if almost else _positive_buchi
     base, parity = objective_as_parity(pomdp, objective)
-    values = set(parity.priority_map.values())
-    if mode is WinningMode.ALMOST_SURE and values <= {1, 2}:
-        return solve_almost_cobuchi_fm(base, parity.priority_map,
-                                       budget=budget)
-    if mode is WinningMode.POSITIVE and values <= {0, 1}:
-        return solve_positive_buchi_fm(base, parity.priority_map,
-                                       budget=budget)
-    red = (almost_parity_to_cobuchi if mode is WinningMode.ALMOST_SURE
+    if set(parity.priority_map.values()) <= ({1, 2} if almost else {0, 1}):
+        return _finish(base, parity, *core(base, parity.priority_map, budget))
+    red = (almost_parity_to_cobuchi if almost
            else positive_parity_to_buchi)(base, parity)
-    # a co-Buchi or Buchi objective, so this runs its pipeline directly
-    inner = solve_parity_fm(red.pomdp, red.objective, mode, budget)
-    diagnostics = dict(inner.diagnostics)
-    diagnostics["reduced_states"] = len(red.pomdp.states)
-    if not inner.winning:
-        return Decision(False, mode, diagnostics=diagnostics)
-    witness = _verify(base, parity, mode, restrict_strategy(base, inner.witness))
-    return Decision(True, mode, witness=witness, diagnostics=diagnostics)
+    model, shaped = objective_as_parity(red.pomdp, red.objective)
+    decision, _ = core(model, shaped.priority_map, budget)
+    decision.diagnostics["reduced_states"] = len(red.pomdp.states)
+    return _finish(base, parity, decision, None)

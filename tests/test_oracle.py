@@ -7,11 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pomparity import (ContractError, FiniteMemoryStrategy, Objective, Pomdp,
                        StructuralError, WinningMode, build_product_chain,
                        dump_chain, enumerate_strategies, evaluate_qualitative,
-                       memory_bound, oracle_decide, stationary_strategy)
+                       make_absorbing, memory_bound, oracle_decide,
+                       project_strategy, solve_parity_fm, stationary_strategy)
 from pomparity import oracle
 from pomparity.chain import _condense
 from pomparity.cli import cli_main
@@ -237,6 +239,30 @@ def drawn_model(rng: random.Random, n_actions: int) -> Pomdp:
     return Pomdp(states=states, actions=actions, observations=("o0", "o1"),
                  obs_map=obs_map, transitions=transitions,
                  initial_state="s0", available=available)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 2))
+def test_the_solver_backs_every_two_memory_winner(rng, n_actions):
+    """The differential net under the solver's single witness check: every
+    oracle "yes" at k <= 2 is a solver "yes", and every solver witness,
+    and its projection, wins on the input model.  Priorities 0..3 run
+    both the direct and the reduced routes; without the traps (states
+    made absorbing) no drawn model of this set gives the modes different
+    verdicts, with them a few do."""
+    pomdp = drawn_model(rng, n_actions)
+    pomdp = make_absorbing(pomdp, [s for s in pomdp.states[1:]
+                                   if rng.random() < 0.3])
+    objective = Objective.parity({s: rng.randint(0, 3) for s in pomdp.states})
+    for mode in (ALMOST, POSITIVE):
+        d = solve_parity_fm(pomdp, objective, mode)
+        if oracle_decide(pomdp, objective, mode, 2).verdict == "yes":
+            assert d.winning
+        if d.winning:
+            assert chain_wins(pomdp, objective, mode, d.witness)
+            projected = project_strategy(pomdp, d.witness,
+                                         objective.priority_map)
+            assert chain_wins(pomdp, objective, mode, projected)
 
 
 def drawn_objective(rng: random.Random, pomdp: Pomdp, muller: bool) -> Objective:

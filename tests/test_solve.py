@@ -20,6 +20,8 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        solve_almost_cobuchi_fm, uniform, validate)
 from pomparity import beliefobs, solve
 from pomparity.beliefobs import BeliefObsPomdp, obs_graph
+from pomparity.cli import cli_main
+from pomparity.modelio import fixture_text
 from pomparity.solve import _buchi_obs, _safe_obs
 from pomparity.strategy import MemoryElement
 from conftest import (all_memoryless_supports, chain_wins,
@@ -537,18 +539,31 @@ def test_no_pipeline_builds_the_weighted_rewrite(ex1, ex2, monkeypatch):
     assert 57158 in {len(bo.origin) for bo in built}
 
 
-def test_solves_annotate_only_the_witness_memories(ex1, monkeypatch):
-    """A solve builds the ``MemoryElement`` of an element only for the
-    element memories its witness keeps, once each: on ``ex1`` reduced to
-    co-Buchi at most 285 of the rewrite's 3,256 elements."""
-    make = MemoryElement.make
-    made = []
+def count_checks(monkeypatch):
+    """Record the model of every chain ``solve`` builds and the arguments
+    of every ``MemoryElement.make``; return both lists."""
+    build, make = solve.build_product_chain, MemoryElement.make
+    chains, made = [], []
 
-    def counting(*args):
+    def building(pomdp, strategy):
+        chains.append(pomdp)
+        return build(pomdp, strategy)
+
+    def making(*args):
         made.append(args)
         return make(*args)
 
-    monkeypatch.setattr(MemoryElement, "make", counting)
+    monkeypatch.setattr(solve, "build_product_chain", building)
+    monkeypatch.setattr(MemoryElement, "make", making)
+    return chains, made
+
+
+def test_solves_annotate_only_the_witness_memories(ex1, monkeypatch):
+    """A solve builds the ``MemoryElement`` of an element only for the
+    element memories its witness keeps, once each: on ``ex1`` reduced to
+    co-Buchi at most 285 of the rewrite's 3,256 elements.  The public
+    pipelines check each "yes" with one chain."""
+    chains, made = count_checks(monkeypatch)
     built = capture_rewrites(monkeypatch)
     red = almost_parity_to_cobuchi(*objective_as_parity(*ex1))
     d = solve_parity_fm(red.pomdp, red.objective, ALMOST)
@@ -563,11 +578,88 @@ def test_solves_annotate_only_the_witness_memories(ex1, monkeypatch):
                                  (solve_positive_buchi_fm, (0, 1))):
             made.clear()
             built.clear()
+            chains.clear()
             d = pipeline(model, {s: rng.choice(values) for s in model.states})
             assert len(made) == (len(d.witness.elements) if d.winning else 0)
+            assert len(chains) == d.winning
+            assert all(c is model for c in chains)
             assert all("elements" not in bo.__dict__ for bo in built)
             wins[pipeline, d.winning] += 1
     assert min(wins.values()) >= 5, wins
+
+
+def test_each_yes_is_chain_checked_once_on_the_input_model(ex1, monkeypatch):
+    """A "yes" builds one chain, on the model the solve was given, and no
+    other; a "no" builds none.  The direct route makes exactly the
+    elements its witness carries; the reduced route (priorities 0..3, or
+    {0,1} and {1,2} in the other mode) makes none and returns a witness
+    without annotations."""
+    chains, made = count_checks(monkeypatch)
+    rng = random.Random(2201)
+    cases = [objective_as_parity(*ex1)]
+    for _ in range(20):
+        model = random_pomdp(rng)
+        cases.append((model, random_parity(rng, model, top=3)))
+        for low in (0, 1):
+            cases.append((model, Objective.parity(
+                {s: rng.randint(low, low + 1) for s in model.states})))
+    routes = Counter()
+    for pomdp, objective in cases:
+        for mode in (ALMOST, POSITIVE):
+            chains.clear()
+            made.clear()
+            d = solve_parity_fm(pomdp, objective, mode)
+            reduced = "reduced_states" in d.diagnostics
+            routes[reduced, mode, d.winning] += 1
+            if not d.winning:
+                assert chains == [] and made == []
+                continue
+            assert len(chains) == 1 and chains[0] is pomdp
+            assert len(made) == len(d.witness.elements)
+            assert bool(made) is not reduced
+    assert min(routes[reduced, mode, True] for reduced in (False, True)
+               for mode in (ALMOST, POSITIVE)) >= 8, routes
+
+
+def test_a_losing_witness_is_refused_on_every_route(tmp_path, capsys,
+                                                   monkeypatch):
+    """The one chain check is a gate: a witness whose initial memory plays
+    nothing, so every play stops at once or after the prefix, is refused
+    with ``ContractError`` on the direct and the reduced route in both
+    modes, and ``pomparity solve`` exits 2 and writes no witness."""
+    pomdp = tiny_mdp()
+    wide = Objective.parity({"g": 0, "c": 2, "b": 1})
+    cases = [(Objective.cobuchi({"g", "c"}), ALMOST, False),
+             (wide, ALMOST, True),
+             (Objective.buchi({"g"}), POSITIVE, False),
+             (wide, POSITIVE, True)]
+    for objective, mode, reduced in cases:
+        d = solve_parity_fm(pomdp, objective, mode)
+        assert d.winning and ("reduced_states" in d.diagnostics) is reduced
+    extract = solve._witness_from_plays
+
+    def idle_start(*args):
+        table = extract(*args)
+        return replace(table, action_support={
+            m: acts for m, acts in table.action_support.items()
+            if m != table.initial})
+
+    monkeypatch.setattr(solve, "_witness_from_plays", idle_start)
+    refused = "failed independent chain verification; refusing to answer yes"
+    for objective, mode, _ in cases:
+        with pytest.raises(ContractError, match=refused):
+            solve_parity_fm(pomdp, objective, mode)
+    with pytest.raises(ContractError, match=refused):
+        solve_almost_cobuchi_fm(pomdp, {"g": 2, "c": 2, "b": 1})
+    with pytest.raises(ContractError, match=refused):
+        solve_positive_buchi_fm(pomdp, {"g": 0, "c": 1, "b": 1})
+    model = tmp_path / "ex1.pomdp"
+    model.write_text(fixture_text("ex1"), encoding="utf-8")
+    for mode in ("almost", "positive"):
+        assert cli_main(["solve", "--mode", mode, str(model)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and refused in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.pomdp"]
 
 
 def test_solve_diagnostics_names(ex1):
