@@ -185,9 +185,11 @@ def _cmd_reduce(args) -> int:
 def _cmd_oracle(args) -> int:
     pomdp, objective = _load_model(args.model)
     mode = _MODES[args.mode]
+    if args.jobs < 1:
+        raise CliError("jobs must be at least 1")
     started = time.perf_counter()
     result = oracle_decide(pomdp, objective, mode, args.memory_bound,
-                           budget=args.budget, jobs=args.jobs)
+                           budget=args.budget)
     wall = time.perf_counter() - started
     print(_record(verdict=result.verdict,
                   searched_memories=result.searched_memories,
@@ -270,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, metavar="N",
                    help="stop after N candidates and report inconclusive")
     p.add_argument("--jobs", type=int, default=1, metavar="J",
-                   help="cut the search into J slices, each enumerating "
-                        "the whole candidate stream to evaluate every J-th "
-                        "candidate, run on at most one process per core")
+                   help="ignored, the search runs in one process; J must "
+                        "be at least 1 (to be removed once perfbench stops "
+                        "passing it)")
     p.add_argument("--witness", metavar="PATH",
                    help="save the first winning strategy here")
     p.set_defaults(handler=_cmd_oracle)

@@ -5,7 +5,8 @@ never on its weights: the product chain's edge structure already decides
 every almost-sure and positive question.  That makes exhaustive search
 feasible on small instances: enumerate all support-level finite-memory
 strategies up to a memory bound, evaluate each on its product chain, and
-report the first winner in a fixed deterministic order.
+report the first winner in a fixed deterministic order.  The search runs
+in the calling process, one candidate at a time.
 
 The search never names a candidate.  Each one is a pair of index tables
 (action supports per memory, update supports per key), judged on bit sets
@@ -25,8 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -232,8 +231,9 @@ class OracleResult:
     ``verdict`` is "yes", "no" or "inconclusive" (budget exhausted before
     the stream).  A "no" is definitive only when ``definitive`` is set:
     the searched memory bound reached the sufficient bound for the
-    objective.  ``candidates`` counts enumerated candidates; ``witness``
-    is the winner's support table, as ``enumerate_strategies`` names it.
+    objective.  ``candidates`` counts judged candidates, never more than
+    the budget; ``witness`` is the winner's support table, as
+    ``enumerate_strategies`` names it.
     """
 
     verdict: str
@@ -243,65 +243,31 @@ class OracleResult:
     candidates: int
 
 
-def _search_slice(args) -> tuple[int | None, SupportStrategy | None, int, bool]:
-    """Scan every stride-th candidate from start; first winner of the slice.
-
-    Returns (absolute index of the winner or None, the winning support
-    strategy or None, candidates checked, whether the slice was exhausted
-    rather than stopped by the limit).  Only the winner is named.
-    """
-    pomdp, objective, mode, k, start, stride, limit = args
-    judge = _judge(pomdp, objective, mode)
-    stream = itertools.islice(_candidate_tables(pomdp, k), start, None, stride)
-    group, parts, checked = None, None, 0
-    for offset, (cand_group, upd) in enumerate(stream):
-        if limit is not None and checked >= limit:
-            return None, None, checked, False
-        checked += 1
-        if cand_group is not group:
-            group, parts = cand_group, _compile_group(pomdp, cand_group)
-        if judge(parts, group[0], upd):
-            return (start + offset * stride, _named(pomdp, group, upd),
-                    checked, True)
-    return None, None, checked, True
-
-
 def oracle_decide(pomdp: Pomdp, objective: Objective, mode: WinningMode,
-                  k: int, budget: int | None = None,
-                  jobs: int = 1) -> OracleResult:
+                  k: int, budget: int | None = None) -> OracleResult:
     """Search all support strategies with at most k memories for a winner.
 
-    Returns the first winner in enumeration order as a support table
-    (already evaluated by the chain module), "no" if the stream is
-    exhausted, or "inconclusive" if the candidate budget ran out first.
-    With ``jobs`` > 1, ``jobs`` slices each enumerate and canonical-check
-    the whole stream but evaluate only every ``jobs``-th candidate, with a
-    ``jobs``-th of the budget, on a per-call pool of at most one process
-    per core; the minimal-index winner is still reported, though under a
-    budget the scan frontier may differ slightly from the sequential one.
+    Judges the candidates one by one in enumeration order and returns the
+    first winner as a support table (already evaluated by the chain
+    module), "no" if the stream is exhausted, or "inconclusive" once
+    ``budget`` candidates are judged without a winner and more remain.
+    Only the winner is named.
     """
     if k < 1:
         raise ContractError("memory bound must be at least 1")
-    if jobs < 1:
-        raise ContractError("jobs must be at least 1")
     if budget is not None and budget < 0:
         raise ContractError("candidate budget must not be negative")
     base, evaluable = evaluable_objective(pomdp, objective)
-
-    if jobs == 1:
-        results = [_search_slice((base, evaluable, mode, k, 0, 1, budget))]
-    else:
-        share = None if budget is None else -(-budget // jobs)
-        args = [(base, evaluable, mode, k, w, jobs, share) for w in range(jobs)]
-        with ProcessPoolExecutor(min(jobs, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(_search_slice, args))
-
-    checked = sum(r[2] for r in results)
-    winners = [r[:2] for r in results if r[0] is not None]
-    if winners:
-        return OracleResult("yes", min(winners, key=lambda w: w[0])[1], k,
-                            True, checked)
-    if all(r[3] for r in results):
-        return OracleResult("no", None, k,
-                            k >= memory_bound(base, evaluable), checked)
-    return OracleResult("inconclusive", None, k, False, checked)
+    judge = _judge(base, evaluable, mode)
+    group, parts, checked = None, None, 0
+    for cand_group, upd in _candidate_tables(base, k):
+        if checked == budget:
+            return OracleResult("inconclusive", None, k, False, checked)
+        checked += 1
+        if cand_group is not group:
+            group, parts = cand_group, _compile_group(base, cand_group)
+        if judge(parts, group[0], upd):
+            return OracleResult("yes", _named(base, group, upd), k, True,
+                                checked)
+    return OracleResult("no", None, k, k >= memory_bound(base, evaluable),
+                        checked)

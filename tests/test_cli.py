@@ -815,17 +815,59 @@ def test_more_oracle_outputs_match_the_recorded_bytes(
         assert hashlib.sha256(witness.read_bytes()).hexdigest() == digest
 
 
-def run_module(tmp_path, *argv, hash_seed=None):
-    """``python -m pomparity`` on ``argv`` from a source checkout."""
+def test_oracle_jobs_leaves_the_search_as_it_is(tmp_path, capsys):
+    """``--jobs J`` is accepted and ignored: every J prints the recorded
+    record and witness, and the budget caps the candidates; J = 0 is
+    refused before any search."""
+    model = write_ex1(tmp_path)
+    argv = ["oracle", model, "--mode", "almost", "--memory-bound", "2"]
+    expected_code, record, digest = PINNED_ORACLE[("ex1", "almost", 2, None)]
+    for jobs in ("1", "2", "5"):
+        witness = tmp_path / f"w{jobs}.strat"
+        code, out, _ = run(capsys, *argv, "--jobs", jobs,
+                           "--witness", str(witness))
+        assert code == expected_code
+        assert re.sub(r" wall_time_s=\S+", "", out.strip()) == record
+        assert hashlib.sha256(witness.read_bytes()).hexdigest() == digest
+
+    code, out, _ = run(capsys, *argv, "--budget", "50", "--jobs", "3")
+    assert code == 1
+    rec = fields(out.strip())
+    assert (rec["verdict"], rec["candidates"]) == ("inconclusive", "50")
+
+    witness = tmp_path / "w0.strat"
+    code, out, err = run(capsys, *argv, "--jobs", "0",
+                         "--witness", str(witness))
+    assert (code, out, err) == (2, "", "error: jobs must be at least 1\n")
+    assert not witness.exists()
+
+
+def checkout_run(tmp_path, *argv, hash_seed=None):
+    """``python *argv`` with this source checkout on the path."""
     src = str(Path(pomparity.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = hash_seed
-    return subprocess.run([sys.executable, "-m", "pomparity", *argv],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def run_module(tmp_path, *argv, hash_seed=None):
+    """``python -m pomparity`` on ``argv`` from a source checkout."""
+    return checkout_run(tmp_path, "-m", "pomparity", *argv,
+                        hash_seed=hash_seed)
+
+
+def test_the_cli_loads_no_process_pool(tmp_path):
+    """Every search runs in the calling process: a fresh interpreter that
+    imports the CLI has loaded neither pool module."""
+    probe = ("import sys, pomparity.cli; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    done = checkout_run(tmp_path, "-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_package_runs_as_a_module(tmp_path):

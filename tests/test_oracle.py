@@ -2,7 +2,6 @@
 
 import collections
 import itertools
-import os
 import random
 from fractions import Fraction
 
@@ -90,8 +89,6 @@ def test_memory_bound_must_be_positive(ex1):
         list(enumerate_strategies(pomdp, 0))
     with pytest.raises(ContractError):
         oracle_decide(pomdp, objective, ALMOST, 0)
-    with pytest.raises(ContractError):
-        oracle_decide(pomdp, objective, ALMOST, 1, jobs=0)
 
 
 def test_ex1_needs_two_memories(ex1):
@@ -107,14 +104,6 @@ def test_ex1_needs_two_memories(ex1):
     assert r2.candidates == 94
     assert len(r2.witness.memories) == 2
     assert chain_wins(pomdp, objective, ALMOST, r2.witness)
-
-
-def test_parallel_search_reports_the_same_winner(ex1):
-    pomdp, objective = ex1
-    lone = oracle_decide(pomdp, objective, ALMOST, 2)
-    pair = oracle_decide(pomdp, objective, ALMOST, 2, jobs=2)
-    assert pair.verdict == "yes"
-    assert pair.witness == lone.witness
 
 
 def test_budget_exhaustion_is_inconclusive(ex1):
@@ -274,39 +263,29 @@ def drawn_objective(rng: random.Random, pomdp: Pomdp, muller: bool) -> Objective
                             family)
 
 
-def named_search(pomdp, objective, mode, k, budget, jobs=1):
+def named_search(pomdp, objective, mode, k, budget):
     """The search as first written, on named candidates.
 
-    Worker w of ``jobs`` scans every jobs-th candidate of the named stream
-    from w, at most its share of the budget, and stops at its first
-    winner: a candidate whose chain, built by name, gives every reached
-    pair a successor and wins.  The least winning index is the winner.
+    Scans the named stream, at most ``budget`` candidates, and stops at
+    its first winner: a candidate whose chain, built by name, gives every
+    reached pair a successor and wins.
     """
-    share = None if budget is None else -(-budget // jobs)
-    winners, checked, exhausted = [], 0, True
-    for w in range(jobs):
-        stream = itertools.islice(enumerate_strategies(pomdp, k), w, None, jobs)
-        for offset, cand in enumerate(stream):
-            if share is not None and offset >= share:
-                exhausted = False
-                break
-            checked += 1
-            chain = build_product_chain(pomdp, cand)
-            if (all(chain.succ[n] for n in chain.nodes)
-                    and evaluate_qualitative(chain, objective, mode)):
-                winners.append((w + offset * jobs, cand))
-                break
-    if winners:
-        return "yes", min(winners, key=lambda w: w[0])[1], checked, True
-    if exhausted:
-        return "no", None, checked, k >= memory_bound(pomdp, objective)
-    return "inconclusive", None, checked, False
+    checked = 0
+    for cand in enumerate_strategies(pomdp, k):
+        if checked == budget:
+            return "inconclusive", None, checked, False
+        checked += 1
+        chain = build_product_chain(pomdp, cand)
+        if (all(chain.succ[n] for n in chain.nodes)
+                and evaluate_qualitative(chain, objective, mode)):
+            return "yes", cand, checked, True
+    return "no", None, checked, k >= memory_bound(pomdp, objective)
 
 
-def assert_same_search(pomdp, objective, mode, k, budget, jobs=1):
+def assert_same_search(pomdp, objective, mode, k, budget):
     verdict, cand, checked, definitive = named_search(
-        pomdp, objective, mode, k, budget, jobs)
-    r = oracle_decide(pomdp, objective, mode, k, budget=budget, jobs=jobs)
+        pomdp, objective, mode, k, budget)
+    r = oracle_decide(pomdp, objective, mode, k, budget=budget)
     assert (r.verdict, r.candidates, r.definitive) == (
         verdict, checked, definitive)
     assert r.witness == cand
@@ -339,17 +318,16 @@ def test_search_matches_the_named_path_over_whole_streams():
             assert_same_search(pomdp, objective, mode, 2, None)
 
 
-def test_parallel_search_matches_the_named_path():
+def test_search_matches_the_named_path_on_pinned_models():
     # seed 9406 draws a model whose first almost-sure winner is candidate 3,
     # seed 9400 one without any two-memory winner
-    for seed, verdict in ((9406, "yes"), (9400, "no")):
+    for seed, outcome in ((9406, ("yes", 3)), (9400, ("no", 9804))):
         rng = random.Random(seed)
         pomdp = drawn_model(rng, 2)
         objective = drawn_objective(rng, pomdp, muller=False)
-        assert assert_same_search(pomdp, objective, ALMOST, 2, None,
-                                  jobs=2)[0] == verdict
-    assert assert_same_search(pomdp, objective, ALMOST, 2, 501, jobs=2) == (
-        "inconclusive", 502)
+        assert assert_same_search(pomdp, objective, ALMOST, 2, None) == outcome
+    assert assert_same_search(pomdp, objective, ALMOST, 2, 501) == (
+        "inconclusive", 501)
 
 
 # -- states the objective does not colour --
@@ -473,43 +451,3 @@ def test_bottom_classes_are_the_bottom_components():
             assert sorted(bottoms) == sorted(
                 sum(1 << x for x in comp)
                 for comp in itertools.compress(comps, is_bottom))
-
-
-# -- --jobs beyond the core count --
-
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: maps in this process and records
-    each pool's ``max_workers``."""
-
-    started: list[int] = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_jobs_beyond_the_core_count_start_one_process_per_core(monkeypatch):
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "started", [])
-    cores = os.cpu_count() or 1
-    jobs = cores + 3
-    # the models of test_parallel_search_matches_the_named_path
-    for seed, budget, verdict in ((9406, None, "yes"),
-                                  (9400, 501, "inconclusive")):
-        rng = random.Random(seed)
-        pomdp = drawn_model(rng, 2)
-        objective = drawn_objective(rng, pomdp, muller=False)
-        assert assert_same_search(pomdp, objective, ALMOST, 2, budget,
-                                  jobs=jobs)[0] == verdict
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
-    assert assert_same_search(pomdp, objective, ALMOST, 2, 20, jobs=jobs) == (
-        "inconclusive", 20)
-    assert SerialPool.started == [cores, cores, 1]
