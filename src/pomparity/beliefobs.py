@@ -11,8 +11,10 @@ suffice and the observation-set fixpoints of the solve module decide it.
 The construction reads the model's supports only through its integer
 table ``Pomdp.index_supports``: elements are keyed by state index, an
 unavailable action is an empty row, and every order is index order.  Its
-own states are integer ids too; only the playable model it can build on
-demand, which the solve path never reads, names them.
+own states are integer ids too, and as it numbers them it writes the
+observation graph the fixpoints read (``ObsGraph``); only the playable
+model it can build on demand, which the solve path never reads, names
+them.
 
 Two variants share the skeleton:
 
@@ -232,14 +234,17 @@ class BeliefObsPomdp:
     ``memsel`` maps (element name, model action, model observation) to
     the intermediate observation of that branch, where ``moves`` lists
     the element names offered (never empty, by the commitment invariant).
-    ``successors`` reads every row off these records: an allowed (element,
-    action) stores one block in ``rows``, its states' successor ids in
-    belief order; a disallowed one is recorded once and leads to the sink,
-    as does the sink; a move e leads the start, and the memory-selection
-    state of belief position p, to state p of element e.  ``element(name)``,
-    ``elements`` and the named, playable ``pomdp`` are built on demand.
-    Branches with equal signatures share one ``moves`` tuple and one
-    ``available`` set, so these objects must never be mutated.
+    ``graph`` is the observation graph the fixpoints read, written while
+    the ids were numbered.  ``successors`` reads every row off these
+    records: an allowed (element, action) has one block in ``rows``, its
+    states' successor ids in belief order, read off the graph and the
+    model's rows ``model_rows`` on demand; a disallowed one is recorded
+    once and leads to the sink, as does the sink; a move e leads the
+    start, and the memory-selection state of belief position p, to state
+    p of element e.  ``element(name)``, ``elements`` and the named,
+    playable ``pomdp`` are built on demand.  Branches with equal
+    signatures share one ``moves`` tuple and one ``available`` set, so
+    these objects must never be mutated.
     """
 
     mode: str
@@ -248,7 +253,7 @@ class BeliefObsPomdp:
     available: dict[str, frozenset[str]]
     ranges: list[range]
     origin: array
-    rows: dict[tuple[str, str], tuple[tuple[int, ...], ...]]
+    model_rows: tuple[tuple[tuple[int, ...], ...], ...]
     disallowed: set[tuple[str, str]]
     prio: list[int]
     root: str
@@ -259,6 +264,7 @@ class BeliefObsPomdp:
     state_names: tuple[str, ...]
     memsel: dict[tuple[str, str, str], str]
     moves: dict[str, tuple[str, ...]]
+    graph: ObsGraph
 
     def successors(self, i: int, j: int, action: str) -> tuple[int, ...]:
         """The successor ids of state ``i``, observed as ``observations[j]``,
@@ -275,6 +281,23 @@ class BeliefObsPomdp:
         """The two-priority value of state ``i``."""
         return (self.prio[self.origin[i]] if i > DEAD
                 else 2 if i == START and self.mode == COBUCHI_MODE else 1)
+
+    @cached_property
+    def rows(self) -> dict[tuple[str, str], tuple[tuple[int, ...], ...]]:
+        """The block of every allowed (element, action), each row in the
+        model's row order: every memory-selection observation is a branch
+        of the one element slot that leads to it."""
+        g, names = self.graph, self.observations
+        index = {a: i for i, a in enumerate(self.actions)}
+        branches: dict[int, dict[int, int]] = {}  # slot -> model state -> id
+        for q, ids in enumerate(self.ranges):
+            if g.moving[q] and q != START:
+                branches.setdefault(g.pred[q][0], {}).update(
+                    zip(self.origin[ids.start:ids.stop], ids))
+        return {(names[g.owner[k]], g.acts[k]): tuple(
+            tuple(map(into.__getitem__, self.model_rows[s][index[g.acts[k]]]))
+            for s in self.keys[names[g.owner[k]]][0])
+            for k, into in branches.items()}
 
     @cached_property
     def obs_index(self) -> dict[str, int]:
@@ -297,12 +320,13 @@ class BeliefObsPomdp:
                      weights, states[START], self.available)
 
     def element(self, name: str) -> MemoryElement:
-        """The memory element observed as ``name``, built from its key."""
+        """The memory element observed as ``name``, built from its key,
+        whose class tables are already frozen."""
         belief, brec, tables = self.keys[name]
         names = self.state_names
-        return MemoryElement.make([names[i] for i in belief],
-                                  [names[i] for i in brec],
-                                  dict(zip(names, tables)))
+        return MemoryElement(frozenset(map(names.__getitem__, belief)),
+                             frozenset(map(names.__getitem__, brec)),
+                             tuple(sorted(zip(names, tables))))
 
     @cached_property
     def elements(self) -> dict[str, MemoryElement]:
@@ -326,59 +350,62 @@ class ObsGraph:
     """Which observations each available (observation, action) can lead to.
 
     The one form the solve fixpoints read, over integer ids: observation
-    j is ``model.observations[j]``, and owns the action slots ``first[j]``
-    to ``first[j + 1] - 1``, one per available action; slot k plays
-    ``acts[k]`` at observation ``owner[k]``.  ``pred[j]`` lists, once
-    each, the slots that can lead to observation j, as a C int array: on
-    a large rewrite the slot ids would otherwise be one Python int object
-    each.  ``members[j]`` lists observation j's state ids (a ``Pomdp``'s
-    state indices, a rewrite's range), and ``block(k)`` their successors
-    under slot k, one row per member in that order (a rewrite's stored
-    block where it has one).  ``moving[j]`` marks a rewrite's initial
+    j is ``observations[j]`` and owns the action slots ``slots[j]``, one
+    per available action; slot k plays ``acts[k]`` at observation
+    ``owner[k]``.  ``pred[j]`` lists, once each, the slots that can lead
+    to observation j (as a C int array where it grows: on a large rewrite
+    the slot ids would otherwise be one Python int object each).
+    ``members[j]`` lists observation j's state ids (a ``Pomdp``'s state
+    indices, a rewrite's range).  ``moving[j]`` marks a rewrite's initial
     and memory-selection observations, whose slots are its move slots: a
     move slot naming element e leads state p of its observation to state
     p of e.  The move slots naming e are exactly ``pred[e]``; no other
-    observation's ``pred`` holds one, and a ``Pomdp`` has none.
+    observation's ``pred`` holds one, and a ``Pomdp`` has none.  Every
+    other edge is reversed once, in flat int arrays: state i of
+    observation j has the entries n from ``back_base[j] + back_at[2 * i]``
+    to ``back_base[j] + back_at[2 * i + 1] - 1``, each saying that state
+    ``members[owner[k]][back[n]]`` can lead to it under slot ``k =
+    back_slot[n]``.  Sources are positions and bounds are relative, so a
+    rewrite copies each branch's entries from one template; its element
+    states, reached only by move slots, have none.
 
-    A fixpoint keeps, for the observations inside its current set, the
-    live slots (every successor inside) and their count per observation:
-    ``counters`` makes them for the set it starts from, ``kill`` updates
-    them as observations leave the set, and ``kept`` reads the set and
-    its live actions off them.  A dead slot never revives.
+    A fixpoint keeps, for the observations inside its current set (a
+    bitmap over observation ids), the live slots (every successor inside)
+    and their count per observation: ``counters`` makes them for the set
+    it starts from, ``kill`` updates them as observations leave the set,
+    and ``kept`` names the set and its live actions.  A dead slot never
+    revives.
     """
 
-    model: Pomdp | BeliefObsPomdp
-    first: list[int]
+    observations: tuple[str, ...]
+    slots: list[range]
     acts: list[str]
     owner: list[int]
-    pred: list[array]
+    pred: list[Sequence[int]]
     members: Sequence[Sequence[int]]
-    block: Callable[[int], Sequence[Sequence[int]]]
     moving: bytearray
+    back: array
+    back_slot: array
+    back_at: array
+    back_base: Sequence[int]
 
-    def counters(self, start: Iterable[str],
-                 ) -> tuple[bytearray, bytearray, list[int]]:
-        """The observations inside ``start``, their live slots, and the
-        live slots' counts."""
-        model, first = self.model, self.first
-        inside = bytearray(len(model.observations))
-        for o in start:
-            inside[model.obs_index[o]] = 1
+    def counters(self, inside: bytearray) -> tuple[bytearray, list[int]]:
+        """The live slots of the observations ``inside`` marks, and the
+        live slots' count per observation."""
         live = bytearray(map(inside.__getitem__, self.owner))
-        count = [here * (first[j + 1] - first[j])
-                 for j, here in enumerate(inside)]
+        count = [here and len(ks) for here, ks in zip(inside, self.slots)]
         self.kill(live, count, [j for j, here in enumerate(inside) if not here])
-        return inside, live, count
+        return live, count
 
     def kill(self, live: bytearray, count: list[int],
              removed: Iterable[int]) -> list[int]:
         """Kill the slots of removed observations and the live slots that
         can lead to them; return the observations that lost their last
         live slot."""
-        first, owner, pred = self.first, self.owner, self.pred
+        slots, owner, pred = self.slots, self.owner, self.pred
         emptied = []
         for j in removed:
-            live[first[j]:first[j + 1]] = bytes(first[j + 1] - first[j])
+            live[slots[j].start:slots[j].stop] = bytes(len(slots[j]))
             count[j] = 0
             for k in pred[j]:
                 if live[k]:
@@ -392,63 +419,61 @@ class ObsGraph:
     def kept(self, inside: bytearray, live: bytearray,
              ) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
         """The observations inside, and the actions of their live slots."""
-        first, acts = self.first, self.acts
-        plays = {o: frozenset(acts[k] for k in range(first[j], first[j + 1])
-                              if live[k])
-                 for j, o in enumerate(self.model.observations) if inside[j]}
+        acts = self.acts
+        plays = {o: frozenset(acts[k] for k in self.slots[j] if live[k])
+                 for j, o in enumerate(self.observations) if inside[j]}
         return frozenset(plays), plays
 
 
-def obs_graph(model: Pomdp | BeliefObsPomdp) -> ObsGraph:
-    """The observation graph of a model's available actions.
-
-    A ``Pomdp`` is compiled from ``Pomdp.index_supports`` by walking the
-    rows of every state.  A rewrite is read from its construction records
-    without a walk: an element's action leads to the observations
-    ``memsel`` lists for it, or to the sink if it is disallowed; at the
-    initial and memory-selection observations a move e leads to
-    observation e; the sink leads to itself.
-    """
-    index = model.obs_index
-    n = len(model.observations)
-    acts: list[str] = []
-    owner: list[int] = []
+def obs_graph(model: Pomdp) -> ObsGraph:
+    """The observation graph of a model's available actions, compiled
+    from ``Pomdp.index_supports`` by walking the rows of every state.  A
+    rewrite's graph is written by its construction (``bo.graph``)."""
+    (obs_of, table), sidx = model.index_supports, model.state_index
+    members = [[sidx[s] for s in model.states_with_obs(o)]
+               for o in model.observations]
+    n, acts, owner, slots = len(members), [], [], []
     pred = [array("i") for _ in range(n)]
-    first = [0] * (n + 1)
-    records = isinstance(model, BeliefObsPomdp)
-    if records:
-        members, successors = model.ranges, model.successors
-        block = lambda k: model.rows.get((model.observations[owner[k]],
-                                          acts[k])) or [
-            successors(i, owner[k], acts[k]) for i in members[owner[k]]]
-        branches: dict[tuple[str, str], Sequence[int]] = {}
-        for (ename, a, _), q in model.memsel.items():
-            branches.setdefault((ename, a), []).append(index[q])
-        branches.update(dict.fromkeys(model.disallowed, (DEAD,)))
-    else:
-        (obs_of, table), sidx = model.index_supports, model.state_index
-        members = [[sidx[s] for s in model.states_with_obs(o)]
-                   for o in model.observations]
-        block = lambda k: [table[i][model.action_index[acts[k]]]
-                           for i in members[owner[k]]]
+    into: list[list[int]] = [[] for _ in model.states]  # (slot, position)s
     for j, o in enumerate(model.observations):
-        first[j] = base = len(acts)
-        acts.extend(model.available[o])
-        owner.extend([j] * (len(acts) - base))
-        if not records:
-            for k in range(base, len(acts)):
-                for i in {obs_of[t] for row in block(k) for t in row}:
-                    pred[i].append(k)
-        else:
-            element = o in model.keys
-            for k in range(base, len(acts)):
-                for i in (branches.get((o, acts[k]), ()) if element
-                          else (DEAD if j == DEAD else index[acts[k]],)):
-                    pred[i].append(k)
-    first[n] = len(acts)
-    moving = bytearray(records and j != DEAD and o not in model.keys
-                       for j, o in enumerate(model.observations))
-    return ObsGraph(model, first, acts, owner, pred, members, block, moving)
+        slots.append(range(len(acts), len(acts) + len(model.available[o])))
+        for k, a in zip(slots[j], model.available[o]):
+            acts.append(a)
+            owner.append(j)
+            col = model.action_index[a]
+            for i in {obs_of[t] for s in members[j] for t in table[s][col]}:
+                pred[i].append(k)
+            for p, s in enumerate(members[j]):
+                for t in table[s][col]:
+                    into[t] += (k, p)
+    edges = array("i", itertools.chain(*into))
+    ends = list(itertools.accumulate(len(pairs) // 2 for pairs in into))
+    return ObsGraph(model.observations, slots, acts, owner, pred, members,
+                    bytearray(n), edges[1::2], edges[::2], array(
+                        "i", itertools.chain(*zip([0] + ends, ends))), [0] * n)
+
+
+def _branches(rows: Sequence[Sequence[tuple[int, ...]]], obs_of: Sequence[int],
+              belief: tuple[int, ...], action: int) -> list[tuple]:
+    """The branches of a belief under an action, by observation index:
+    the observation, the new belief as a tuple and as an array, and per
+    new belief state the positions of the belief states that reach it,
+    concatenated, with the bounds of each state's run."""
+    into: dict[int, list[int]] = {}
+    for p, s in enumerate(belief):
+        for t in rows[s][action]:
+            into.setdefault(t, []).append(p)
+    out = []
+    for o, new in itertools.groupby(sorted(sorted(into), key=obs_of.__getitem__),
+                                    obs_of.__getitem__):
+        new = tuple(new)
+        reach, bounds = array("i"), array("i")
+        for t in new:
+            bounds.append(len(reach))
+            reach.fromlist(into[t])
+            bounds.append(len(reach))
+        out.append((o, new, array("i", new), reach, bounds))
+    return out
 
 
 def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
@@ -465,15 +490,23 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
 
     taken_actions = set(action_names)
 
-    elem_name: dict[ElementKey, str] = {}
+    elem_obs: dict[ElementKey, int] = {}
     keys: dict[str, ElementKey] = {}
 
     init_obs, sink_obs = "o_start", "o_dead"
+    # per observation id its name and state ids, then state id -> its
+    # model state index, then the observation graph, all written as ids
+    # are numbered
     observations: list[str] = [init_obs, sink_obs]
-    # observation -> its state ids; state id -> its model state index
-    spans = {init_obs: range(START, START + 1), sink_obs: range(DEAD, DEAD + 1)}
+    ranges = [range(START, START + 1), range(DEAD, DEAD + 1)]
     origin = array("i", [-1, -1])
-    succ: dict[tuple[str, str], tuple[tuple[int, ...], ...]] = {}
+    slots, acts, owner = [range(0), range(0)], [], []
+    pred: list[Sequence[int]] = [array("i"), array("i")]
+    moving = bytearray([1, 0])
+    back, back_slot, back_at = array("i"), array("i"), array("i", [0] * 4)
+    back_base = array("i", [0, 0])
+    # (slot, belief size) of each disallowed (element, action)
+    dead: list[tuple[int, int]] = []
     disallowed: set[tuple[str, str]] = set()
     available: dict[str, frozenset[str]] = {}
     memsel: dict[tuple[str, str, str], str] = {}
@@ -481,44 +514,79 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     # (action, tables, committed belief states) -> _element_moves, () if
     # the action is disallowed
     cap_memo: dict[tuple, tuple] = {}
-    # (signature, new belief) -> one branch's offered names, shared
-    branch_memo: dict[tuple, tuple[tuple[str, ...], frozenset[str]]] = {}
-    # (name, key); walked in order as it grows
-    frontier: list[tuple[str, ElementKey]] = []
+    # (belief, action) -> _branches
+    split_memo: dict[tuple, list[tuple]] = {}
+    # (signature, new belief) -> one branch's offered names and their
+    # observation ids, shared
+    branch_memo: dict[tuple, tuple[tuple[str, ...], frozenset[str],
+                                   tuple[int, ...]]] = {}
+    # (observation id, key); walked in order as it grows
+    frontier: list[tuple[int, ElementKey]] = []
 
-    def add_states(obs: str, belief: tuple[int, ...]) -> int:
+    def add_obs(name: str, selecting: int, into: Sequence[int]) -> int:
+        """Number an observation; its states and slots come later."""
+        observations.append(name)
+        ranges.append(range(0))
+        slots.append(range(0))
+        pred.append(into)
+        moving.append(selecting)
+        back_base.append(len(back))
+        return len(observations) - 1
+
+    def add_states(j: int, belief: Sequence[int]) -> int:
         """Number an observation's states, one per belief state; the first."""
         base = len(origin)
         origin.extend(belief)
-        spans[obs] = range(base, len(origin))
+        ranges[j] = range(base, len(origin))
         if len(origin) > budget:
             raise ResourceLimitError(
                 f"belief-observation construction exceeded its {budget}-state "
                 f"budget ({len(origin)} states constructed)")
         return base
 
-    def add_element(key: ElementKey) -> str:
-        """Intern an element; number its action-selection states, queue it."""
-        known = elem_name.get(key)
+    def add_slots(j: int, names: Sequence[str],
+                  targets: Sequence[int] = ()) -> int:
+        """Number an observation's action slots, as move slots to the
+        elements ``targets`` if given; the first."""
+        slots[j] = range(len(acts), len(acts) + len(names))
+        acts.extend(names)
+        owner.extend([j] * len(names))
+        for k, e in zip(slots[j], targets):
+            pred[e].append(k)
+        return slots[j].start
+
+    def add_element(key: ElementKey) -> int:
+        """Intern an element; number its action-selection states, which
+        have no reverse entries, and queue it."""
+        known = elem_obs.get(key)
         if known is not None:
             return known
-        ename = fresh_name(f"m{len(elem_name)}", taken_actions)
-        elem_name[key] = ename
+        ename = fresh_name(f"m{len(elem_obs)}", taken_actions)
+        j = elem_obs[key] = add_obs(ename, 0, array("i"))
         keys[ename] = key
-        observations.append(ename)
-        add_states(ename, key[0])
-        frontier.append((ename, key))
-        return ename
+        add_states(j, key[0])
+        back_at.extend(array("i", [0, 0]) * len(key[0]))
+        frontier.append((j, key))
+        return j
 
-    initial = _initial_elements(prio, mode, pomdp.state_index[root])
-    initial_moves = tuple(add_element(e) for e in initial)
+    # model observation index -> its available actions, by index and name
+    playable: dict[int, tuple[list[int], list[str], frozenset[str]]] = {}
+    for o, row in zip(obs_of, rows):
+        here = [a for a, successors in enumerate(row) if successors]
+        names = [action_names[a] for a in here]
+        playable.setdefault(o, (here, names, frozenset(names)))
+
+    initial = tuple(map(add_element, _initial_elements(
+        prio, mode, pomdp.state_index[root])))
+    initial_moves = tuple(map(observations.__getitem__, initial))
     available[init_obs] = frozenset(initial_moves)
+    add_slots(START, initial_moves, initial)
 
-    for ename, (belief, brec, tables) in frontier:
+    for je, (belief, brec, tables) in frontier:
+        ename = observations[je]
         committed = brec.intersection(belief)
-        acts = [a for a, row in enumerate(rows[belief[0]]) if row]
-        available[ename] = frozenset(map(action_names.__getitem__, acts))
-        for a in acts:
+        here, names, available[ename] = playable[obs_of[belief[0]]]
+        for k, a in enumerate(here, add_slots(je, names)):
             aname = action_names[a]
             cap_key = (a, tables, committed)
             found = cap_memo.get(cap_key)
@@ -527,37 +595,52 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                     rows, prio, mode, a, tables, committed, budget)
             if not found:
                 disallowed.add((ename, aname))
+                dead.append((k, len(belief)))
                 continue
             signature, moves_to = found
-            split: dict[int, list[int]] = {}
-            for t in sorted({t for s in belief for t in rows[s][a]}):
-                split.setdefault(obs_of[t], []).append(t)
-            selecting: dict[int, int] = {}  # model state -> its M state id
-            for o in sorted(split):
+            split = split_memo.get((belief, a))
+            if split is None:
+                split = split_memo[(belief, a)] = _branches(
+                    rows, obs_of, belief, a)
+            for o, new_belief, states, reach, bounds in split:
                 qname = f"q{len(memsel)}"
                 memsel[(ename, aname, pomdp.observations[o])] = qname
-                observations.append(qname)
-                new_belief = tuple(split[o])
+                q = add_obs(qname, 1, (k,))
+                back += reach
                 branch = (signature, new_belief)
                 offered = branch_memo.get(branch)
                 if offered is None:
                     made = tuple(map(add_element, moves_to(new_belief)))
-                    offered = branch_memo[branch] = (made, frozenset(made))
-                moves[qname], available[qname] = offered
-                selecting.update(zip(new_belief, itertools.count(
-                    add_states(qname, new_belief))))
-            succ[(ename, aname)] = tuple([
-                tuple(map(selecting.__getitem__, rows[s][a])) for s in belief])
+                    names = tuple(map(observations.__getitem__, made))
+                    offered = branch_memo[branch] = (
+                        names, frozenset(names), made)
+                moves[qname], available[qname], made = offered
+                add_slots(q, moves[qname], made)
+                add_states(q, states)
+                back_at += bounds
+            back_slot += array("i", [k]) * (len(back) - len(back_slot))
 
     all_actions = action_names + tuple(keys)
     available[sink_obs] = frozenset(all_actions)
+    # the sink's reverse entries, known last: the states of disallowed
+    # (element, action)s, and the sink itself under every action
+    sink = add_slots(DEAD, all_actions)
+    back_base[DEAD] = len(back)
+    for k, size in dead + [(k, 1) for k in range(sink, len(acts))]:
+        pred[DEAD].append(k)
+        back.extend(range(size))
+        back_slot += array("i", [k]) * size
+    back_at[2 * DEAD + 1] = len(back) - back_base[DEAD]
 
+    observations = tuple(observations)
     return BeliefObsPomdp(
-        mode=mode, actions=all_actions, observations=tuple(observations),
-        available=available, ranges=list(map(spans.__getitem__, observations)),
-        origin=origin, rows=succ, disallowed=disallowed, prio=prio, root=root,
-        init_obs=init_obs, sink_obs=sink_obs, initial_moves=initial_moves,
-        keys=keys, state_names=pomdp.states, memsel=memsel, moves=moves)
+        mode=mode, actions=all_actions, observations=observations,
+        available=available, ranges=ranges, origin=origin, model_rows=rows,
+        disallowed=disallowed, prio=prio, root=root, init_obs=init_obs,
+        sink_obs=sink_obs, initial_moves=initial_moves, keys=keys,
+        state_names=pomdp.states, memsel=memsel, moves=moves,
+        graph=ObsGraph(observations, slots, acts, owner, pred, ranges,
+                       moving, back, back_slot, back_at, back_base))
 
 
 def almost_cobuchi_red(pomdp: Pomdp, priority: Mapping[str, int],

@@ -16,16 +16,17 @@ strategies suffice):
 
 All of them are worklist attractors over per-observation counts of live
 action slots, on one integer observation graph per model
-(``beliefobs.ObsGraph``), read from a rewrite's construction records or
-walked over a ``Pomdp``'s supports, from the set they start at.  They
-return their set, the actions they keep per observation (the play table of
-their strategy), and the removal rank of every other observation: the
-round in which the round-by-round iteration removes it, so each fixpoint
-takes max rank + 1 rounds (``fixpoint_iterations`` sums the safety and
-outer Buchi rounds).  Safety is one pass; the Buchi fixpoint keeps its
-outer rounds, updates its counters as Z shrinks, and grows X backwards
-over the graph's stored rows, reversed once per call, and over a
-rewrite's element moves, walked by belief position without a reversal.
+(``beliefobs.ObsGraph``): the one a rewrite's construction writes, or
+one walked over a ``Pomdp``'s supports.  They start from a bitmap over
+observation ids and return the bitmap of their set, the bitmap of the
+slots it keeps live (the play table of their strategy), and the removal
+rank of every other observation: the round in which the round-by-round
+iteration removes it, so each fixpoint takes max rank + 1 rounds
+(``fixpoint_iterations`` sums the safety and outer Buchi rounds).
+Safety is one pass; the Buchi fixpoint keeps its outer rounds, updates
+its counters as Z shrinks, and grows X backwards over the graph's
+reverse table and over a rewrite's element moves, walked by belief
+position.  Names are made only for a witness and the diagnostics.
 
 ``solve_almost_cobuchi_fm`` rewrites a {1,2}-priority POMDP with the
 belief-observation construction, computes its almost-surely safe part (the
@@ -47,10 +48,13 @@ the caller's model and annotated with elements only on the direct route.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .beliefobs import (
+    DEAD,
+    START,
     BeliefObsPomdp,
     DEFAULT_STATE_BUDGET,
     ObsGraph,
@@ -140,33 +144,32 @@ def _obs_strategy(pomdp: Pomdp,
                            o0 if o0 in plays else memories[0])
 
 
-def _safe_obs(graph: ObsGraph, start: Iterable[str],
-              stats: dict | None = None,
-              ) -> tuple[frozenset[str], dict[str, frozenset[str]],
-                         dict[str, int]]:
-    """Fixpoint core of ``almost_safe``: the set, its kept actions, and
+def _safe_obs(graph: ObsGraph, start: bytearray, stats: dict | None = None,
+              ) -> tuple[bytearray, bytearray, dict[int, int]]:
+    """Fixpoint core of ``almost_safe``: the set and its live slots, and
     the removal rank of every observation that leaves it.
 
-    One worklist pass from ``start``, ObsCover(F) for the safe states F.
-    An observation with no live slot goes, with rank 1 at the start and
-    otherwise one more than the rank of the removal that killed its last
-    slot: the round in which the round-by-round iteration removes it, so
-    that iteration takes max rank + 1 rounds (``safety_iterations``).
+    One worklist pass from the ``start`` bitmap, ObsCover(F) for the safe
+    states F.  An observation with no live slot goes, with rank 1 at the
+    start and otherwise one more than the rank of the removal that killed
+    its last slot: the round in which the round-by-round iteration
+    removes it, so that iteration takes max rank + 1 rounds
+    (``safety_iterations``).
     """
-    names = graph.model.observations
-    inside, live, count = graph.counters(start)
-    ranks: dict[str, int] = {}
+    inside = bytearray(start)
+    live, count = graph.counters(inside)
+    ranks: dict[int, int] = {}
     rounds = 1
     layer = [j for j, here in enumerate(inside) if here and not count[j]]
     while layer:
         for j in layer:
             inside[j] = 0
-            ranks[names[j]] = rounds
+            ranks[j] = rounds
         layer = graph.kill(live, count, layer)
         rounds += 1
     if stats is not None:
         stats["safety_iterations"] = stats.get("safety_iterations", 0) + rounds
-    return *graph.kept(inside, live), ranks
+    return inside, live, ranks
 
 
 def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
@@ -179,45 +182,38 @@ def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
     The companion strategy plays every preserving action.  A state the
     model lacks is a ``StructuralError``.
     """
-    safe = known_states(pomdp, safe_states, "safe set names")
-    y, plays, _ = _safe_obs(obs_graph(pomdp), obs_cover(safe, pomdp), stats)
+    cover = obs_cover(known_states(pomdp, safe_states, "safe set names"), pomdp)
+    graph = obs_graph(pomdp)
+    y, plays = graph.kept(*_safe_obs(graph, bytearray(
+        o in cover for o in pomdp.observations), stats)[:2])
     return y, (_obs_strategy(pomdp, plays) if y else None)
 
 
-def _buchi_obs(graph: ObsGraph, start: Iterable[str], targets: frozenset[int],
+def _buchi_obs(graph: ObsGraph, start: bytearray, targets: frozenset[int],
                stats: dict | None = None,
-               ) -> tuple[frozenset[str], dict[str, frozenset[str]],
-                          dict[str, int]]:
-    """Fixpoint core of ``almost_buchi``: the set, its kept actions, and
+               ) -> tuple[bytearray, bytearray, dict[int, int]]:
+    """Fixpoint core of ``almost_buchi``: the set and its live slots, and
     the outer round that removes each observation.
 
-    Z starts at ``start``, and the live counters follow it as it shrinks.
-    Each outer round grows X backwards from the ``targets`` (state ids)
-    through live slots (a dead slot never revives): the blocks of those
-    that are not move slots are reversed once per call, and the move
-    slots, the only ones leading to an element e, are walked by position:
-    when state p of e joins X, so does state p of each live slot's owner
-    in ``pred[e]``.  A target enters X whenever its observation keeps a
-    slot, so its own row is never read.
+    Z starts at the ``start`` bitmap, and the live counters follow it as
+    it shrinks.  Each outer round grows X backwards from the ``targets``
+    (state ids) through live slots (a dead slot never revives): over the
+    graph's reverse table, and over the move slots, the only ones leading
+    to an element e, by position: when state p of e joins X, so does
+    state p of each live slot's owner in ``pred[e]``.  A target enters X
+    whenever its observation keeps a slot, and otherwise its slots are
+    all dead, so X never enters it from its own row.
     """
-    first, owner, pred = graph.first, graph.owner, graph.pred
-    members, block, moving = graph.members, graph.block, graph.moving
-    names = graph.model.observations
-    inside, live, count = graph.counters(start)
+    owner, pred, members, moving = (graph.owner, graph.pred, graph.members,
+                                    graph.moving)
+    back, back_slot, back_at, back_base = (graph.back, graph.back_slot,
+                                           graph.back_at, graph.back_base)
+    inside = bytearray(start)
+    live, count = graph.counters(inside)
     here = [j for j, got in enumerate(inside) if got]
     goals = [(j, i) for j in here for i in members[j] if i in targets]
-    rev: dict[int, list[tuple[int, int]]] = {}
-    for j in here:
-        if moving[j]:
-            continue
-        for k in range(first[j], first[j + 1]):
-            if live[k]:
-                for i, row in zip(members[j], block(k)):
-                    if i not in targets:
-                        for t in row:
-                            rev.setdefault(t, []).append((k, i))
     walks = {j: pred[j] for j in here if pred[j] and moving[owner[pred[j][0]]]}
-    ranks: dict[str, int] = {}
+    ranks: dict[int, int] = {}
     outer = inner = 0
     while True:
         outer += 1
@@ -229,10 +225,16 @@ def _buchi_obs(graph: ObsGraph, start: Iterable[str], targets: frozenset[int],
             for j, u in frontier:
                 steps = walks.get(j)
                 if steps is None:
-                    for k, i in rev.get(u, ()):
-                        if live[k] and i not in x:
-                            x.add(i)
-                            nxt.append((owner[k], i))
+                    base = back_base[j]
+                    for n in range(base + back_at[2 * u],
+                                   base + back_at[2 * u + 1]):
+                        k = back_slot[n]
+                        if live[k]:
+                            o = owner[k]
+                            i = members[o][back[n]]
+                            if i not in x:
+                                x.add(i)
+                                nxt.append((o, i))
                     continue
                 p = u - members[j][0]
                 for k in steps:
@@ -247,13 +249,13 @@ def _buchi_obs(graph: ObsGraph, start: Iterable[str], targets: frozenset[int],
             break
         for j in removed:
             inside[j] = 0
-            ranks[names[j]] = outer
+            ranks[j] = outer
         graph.kill(live, count, removed)
     if stats is not None:
         stats["buchi_outer_iterations"] = stats.get(
             "buchi_outer_iterations", 0) + outer
         stats["buchi_inner_steps"] = stats.get("buchi_inner_steps", 0) + inner
-    return *graph.kept(inside, live), ranks
+    return inside, live, ranks
 
 
 def almost_buchi(pomdp: Pomdp, targets: Iterable[str],
@@ -269,8 +271,10 @@ def almost_buchi(pomdp: Pomdp, targets: Iterable[str],
     target the model lacks is a ``StructuralError``.
     """
     targets = known_states(pomdp, targets, "targets name")
-    z, plays, _ = _buchi_obs(obs_graph(pomdp), pomdp.observations, frozenset(
-        map(pomdp.state_index.__getitem__, targets)), stats)
+    graph = obs_graph(pomdp)
+    z, plays = graph.kept(*_buchi_obs(
+        graph, bytearray([1]) * len(pomdp.observations),
+        frozenset(map(pomdp.state_index.__getitem__, targets)), stats)[:2])
     return z, (_obs_strategy(pomdp, plays) if z else None)
 
 
@@ -337,30 +341,48 @@ def _merge_initial(table: SupportStrategy,
         name)
 
 
-def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp,
-                        plays: Mapping[str, Iterable[str]]) -> SupportStrategy:
-    """Back-translate an observation play table on the rewrite into a strategy.
+def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp, inside: bytearray,
+                        live: bytearray) -> SupportStrategy:
+    """Back-translate a play table on the rewrite into a strategy.
 
-    Memories are the element observations in the table's domain; the
-    action choice replays the table, and the memory update at (element,
-    model observation, action) replays the table at the corresponding
-    intermediate observation.  The table's element moves at the initial
-    observation, a randomization, are merged into a single auxiliary
-    memory.  The table is bare: ``_finish`` annotates it, on the direct
-    route only, and checks it.
+    The table is the live slots of the observations ``inside`` marks.
+    Memories are the element observations inside; the action choice
+    replays their slots, and the memory update at (element, model
+    observation, action) replays the slots of the memory-selection
+    observation that the element's slot leads to on that observation.
+    The table's element moves at the initial observation, a
+    randomization, are merged into a single auxiliary memory.  The table
+    is bare: ``_finish`` annotates it, on the direct route only, and
+    checks it.
     """
-    element_memories = tuple(e for e in bo.keys if e in plays)
-    action_support = {e: tuple(sorted(plays[e])) for e in element_memories}
-    update_support = {}
-    for e in element_memories:
-        for a in action_support[e]:
-            for o in pomdp.observations:
-                q = bo.memsel.get((e, a, o))
-                if q is not None:
-                    update_support[(e, o, a)] = tuple(sorted(plays[q]))
-    table = SupportStrategy(element_memories, action_support, update_support,
-                            element_memories[0])
-    return _merge_initial(table, sorted(plays[bo.init_obs]))
+    graph = bo.graph
+    slots, acts, owner, pred = graph.slots, graph.acts, graph.owner, graph.pred
+    names, origin, ranges = bo.observations, bo.origin, bo.ranges
+    # model state index -> the name of its observation
+    observed = list(map(pomdp.observations.__getitem__,
+                        pomdp.index_supports[0]))
+
+    def played(j: int) -> tuple[str, ...]:
+        ks = slots[j]
+        return tuple(sorted(itertools.compress(acts[ks.start:ks.stop],
+                                               live[ks.start:ks.stop])))
+
+    elements: list[int] = []
+    action_support, update_support = {}, {}
+    for j in itertools.compress(range(len(inside)), inside):
+        if not graph.moving[j]:
+            if j != DEAD:
+                elements.append(j)
+                action_support[names[j]] = played(j)
+        elif j != START and live[k := pred[j][0]]:
+            # the branch, on the observation of its states, of a kept
+            # action of an element
+            update_support[(names[owner[k]], observed[origin[ranges[j].start]],
+                            acts[k])] = played(j)
+    memories = tuple(map(names.__getitem__, elements))
+    table = SupportStrategy(memories, action_support, update_support,
+                            memories[0])
+    return _merge_initial(table, played(START))
 
 
 def _verify(pomdp: Pomdp, objective: Objective, mode: WinningMode,
@@ -407,22 +429,27 @@ def _almost_cobuchi(pomdp: Pomdp, priority: Mapping[str, int], budget: int
     bo = almost_cobuchi_red(pomdp, priority, budget=budget)
     stats["states_constructed"] = len(bo.origin)
     mode = WinningMode.ALMOST_SURE
+    graph = bo.graph
     # ObsCover of every state but the losing sink
-    safe_obs = set(bo.observations) - {bo.sink_obs}
-    graph = obs_graph(bo)
-    y_safe, safe_plays, _ = _safe_obs(graph, safe_obs, stats)
-    stats["safe_observations"] = y_safe
+    y_safe, safe_live, _ = _safe_obs(graph, bytearray(
+        j != DEAD for j in range(len(bo.observations))), stats)
+    stats["safe_observations"] = frozenset(
+        itertools.compress(bo.observations, y_safe))
     # Reachability of the closed set wpr inside the safe part: Buchi on it,
     # from the safe part, whose live slots are the safe plays.
     wpr = bo.certified_recurrent()
-    w2, reach_plays, _ = _buchi_obs(graph, y_safe, wpr, stats)
-    stats["winning_observations"] = w2
-    if bo.init_obs not in w2:
+    w2, live, _ = _buchi_obs(graph, y_safe, wpr, stats)
+    stats["winning_observations"] = frozenset(
+        itertools.compress(bo.observations, w2))
+    if not w2[START]:
         stats["failed_stage"] = "reachability"
         return Decision(False, mode, diagnostics=stats), bo
-
-    plays = {o: reach_plays.get(o, acts) for o, acts in safe_plays.items()}
-    return Decision(True, mode, _witness_from_plays(pomdp, bo, plays),
+    # where the reach stage gave an observation up, play its safe slots
+    for j in itertools.compress(range(len(w2)), y_safe):
+        if not w2[j]:
+            ks = graph.slots[j]
+            live[ks.start:ks.stop] = safe_live[ks.start:ks.stop]
+    return Decision(True, mode, _witness_from_plays(pomdp, bo, y_safe, live),
                     stats), bo
 
 
@@ -504,16 +531,18 @@ def _positive_buchi(pomdp: Pomdp, priority: Mapping[str, int], budget: int
             raise ResourceLimitError(f"root {t!r}: {exc}, after {built} states "
                                      f"for earlier roots of {budget}") from None
         stats["states_constructed"] += len(bo.origin)
-        targets = frozenset(i for i in range(len(bo.origin))
-                            if bo.priority(i) == 0)
-        z, kept, _ = _buchi_obs(obs_graph(bo), bo.observations, targets,
-                                stats)
-        if bo.init_obs not in z:
+        zero = {s for s, p in enumerate(bo.prio) if p == 0}
+        targets = frozenset(i for i, s in enumerate(bo.origin) if s in zero)
+        z, live, _ = _buchi_obs(bo.graph, bytearray([1]) * len(
+            bo.observations), targets, stats)
+        if not z[START]:
             continue
         stats["winning_root"] = t
-        stats["winning_observations"] = z
+        stats["winning_observations"] = frozenset(
+            itertools.compress(bo.observations, z))
         return Decision(True, mode, _prefix_then(
-            pomdp, paths[t], _witness_from_plays(pomdp, bo, kept)), stats), bo
+            pomdp, paths[t], _witness_from_plays(pomdp, bo, z, live)),
+            stats), bo
     stats["failed_stage"] = "no almost-sure root"
     return Decision(False, mode, diagnostics=stats), None
 

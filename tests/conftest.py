@@ -197,3 +197,18 @@ def all_memoryless_supports(pomdp: Pomdp):
                         for c in itertools.combinations(acts, r)])
     for combo in itertools.product(*per_obs):
         yield dict(zip(pomdp.observations, combo))
+
+
+# -- the solve fixpoint cores, run from and read back as names --
+
+def run_core(core, graph, start, *args):
+    """A fixpoint core (``solve._safe_obs`` or ``solve._buchi_obs``) run on
+    an observation graph from a set of observation names, its bitmaps
+    read back as names: the set, the actions it keeps per observation,
+    and the removal rank of every observation that leaves it."""
+    start = frozenset(start)
+    names = graph.observations
+    inside, live, ranks = core(graph, bytearray(o in start for o in names),
+                               *args)
+    return (*graph.kept(inside, live),
+            {names[j]: rank for j, rank in ranks.items()})

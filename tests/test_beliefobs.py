@@ -19,11 +19,10 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        is_belief_observation, objective_as_parity,
                        positive_buchi_red, validate)
 from pomparity import beliefobs
-from pomparity.beliefobs import obs_graph
 from pomparity.modelio import load_fixture, serialize_model
 from pomparity.solve import _safe_obs
 from pomparity.strategy import MemoryElement
-from conftest import random_belief_obs_pomdp, random_pomdp
+from conftest import random_belief_obs_pomdp, random_pomdp, run_core
 
 
 @pytest.fixture(scope="module")
@@ -323,8 +322,8 @@ def test_the_safety_stage_keeps_the_initial_observation(reduced_ex1_rewrite):
     belief state."""
     checked = 0
     for _, _, bo in [*seeded_cobuchi_rewrites(7005, 300), reduced_ex1_rewrite]:
-        y, _, _ = _safe_obs(obs_graph(bo),
-                            set(bo.observations) - {bo.sink_obs})
+        y, _, _ = run_core(_safe_obs, bo.graph,
+                           set(bo.observations) - {bo.sink_obs})
         assert bo.init_obs in y
         for ename, elem in bo.elements.items():
             if not elem.belief & elem.brec:
@@ -581,19 +580,18 @@ def test_playable_rewrites_match_the_recorded_bytes():
 
 
 def test_elements_are_interned(ex1, monkeypatch):
-    """The construction calls ``MemoryElement.make`` for no element; reading
-    ``elements`` calls it once per distinct element, each equal to a fresh
-    build from its key.  No block is stored for a memory-selection
-    observation and an offered move, nor for any observation but an
-    element."""
-    make = MemoryElement.make
+    """The construction builds no element; reading ``elements`` builds
+    each distinct element once, equal to a fresh build from its key.  No
+    block is stored for a memory-selection observation and an offered
+    move, nor for any observation but an element."""
+    make, element = MemoryElement.make, beliefobs.BeliefObsPomdp.element
     made = []
 
-    def counting(*args):
-        made.append(args)
-        return make(*args)
+    def counting(bo, name):
+        made.append(name)
+        return element(bo, name)
 
-    monkeypatch.setattr(MemoryElement, "make", counting)
+    monkeypatch.setattr(beliefobs.BeliefObsPomdp, "element", counting)
     base, parity = objective_as_parity(*ex1)
     rewrites = [(almost_cobuchi_red, base, parity.priority_map)]
     rng = random.Random(8007)

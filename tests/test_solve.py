@@ -26,7 +26,7 @@ from pomparity.solve import _buchi_obs, _safe_obs
 from pomparity.strategy import MemoryElement
 from conftest import (all_memoryless_supports, chain_wins,
                       observation_stationary, random_belief_obs_pomdp,
-                      random_mdp, random_parity, random_pomdp)
+                      random_mdp, random_parity, random_pomdp, run_core)
 
 ALMOST = WinningMode.ALMOST_SURE
 POSITIVE = WinningMode.POSITIVE
@@ -262,7 +262,8 @@ def assert_buchi_inside_matches(model, plays, targets, closed):
     members, _, _ = supports_by_id(model)
     inside = frozenset(i for o in plays for i in members[o] if i in targets)
     stats = {}
-    w, kept, ranks = _buchi_obs(obs_graph(model), plays, inside, stats)
+    w, kept, ranks = run_core(_buchi_obs, graph_of(model), plays, inside,
+                              stats)
     copy = restrict_to(model, plays)
     named = frozenset(map(str, inside))
     assert (w, kept, stats["buchi_outer_iterations"],
@@ -278,8 +279,8 @@ def assert_reach_stage_matches(bo):
     """The co-Buchi pipeline's reach stage, Buchi on the certified states
     inside the safe part read from the rewrite's records, against reaching
     them; returns whether the safe part is non-empty."""
-    y, plays, _ = _safe_obs(obs_graph(bo),
-                            set(bo.observations) - {bo.sink_obs})
+    y, plays, _ = run_core(_safe_obs, bo.graph,
+                           set(bo.observations) - {bo.sink_obs})
     if y:
         assert_buchi_inside_matches(bo, plays, bo.certified_recurrent(),
                                     closed=True)
@@ -305,14 +306,16 @@ def test_fixpoint_cores_match_the_reference_iteration(ex1):
             graph = obs_graph(pomdp)
             safe = {s for s in pomdp.states if rng.random() < 0.8}
             stats = {}
-            y, plays, ranks = _safe_obs(graph, obs_cover(safe, pomdp), stats)
+            y, plays, ranks = run_core(_safe_obs, graph,
+                                       obs_cover(safe, pomdp), stats)
             assert (y, plays, stats["safety_iterations"], ranks) == \
                 reference_safe(pomdp, safe)
             assert_kept_moves_stay_kept(pomdp, plays)
             targets = {s for s in pomdp.states if rng.random() < 0.3}
             ids = frozenset(map(pomdp.state_index.__getitem__, targets))
             stats = {}
-            z, kept, ranks = _buchi_obs(graph, pomdp.observations, ids, stats)
+            z, kept, ranks = run_core(_buchi_obs, graph, pomdp.observations,
+                                      ids, stats)
             assert (z, kept, stats["buchi_outer_iterations"],
                     stats["buchi_inner_steps"], ranks) == \
                 reference_buchi(pomdp, targets)
@@ -326,9 +329,15 @@ def test_fixpoint_cores_match_the_reference_iteration(ex1):
     assert assert_reach_stage_matches(almost_cobuchi_red(red.pomdp, prio))
 
 
+def graph_of(model):
+    """The observation graph of a ``Pomdp``, or the one a rewrite's
+    construction wrote."""
+    return model.graph if isinstance(model, BeliefObsPomdp) else obs_graph(model)
+
+
 def graph_table(graph):
     """(observation, action) -> the observations the graph lets it reach."""
-    names = graph.model.observations
+    names = graph.observations
     table = {(names[j], graph.acts[k]): set() for k, j in enumerate(graph.owner)}
     for j, slots in enumerate(graph.pred):
         assert len(set(slots)) == len(slots)
@@ -344,13 +353,49 @@ def walked_table(pomdp):
             for o in pomdp.observations for a in pomdp.available_at(o)}
 
 
+def back_table(graph):
+    """State id -> the (observation, action, source state id) of each of
+    its reverse entries, which list each at most once."""
+    names, members, owner = graph.observations, graph.members, graph.owner
+    table = {}
+    for j, ids in enumerate(members):
+        base = graph.back_base[j]
+        for i in ids:
+            entries = [(graph.back_slot[n], graph.back[n]) for n in range(
+                base + graph.back_at[2 * i], base + graph.back_at[2 * i + 1])]
+            assert len(set(entries)) == len(entries)
+            if entries:
+                table[i] = {(names[owner[k]], graph.acts[k], members[owner[k]][p])
+                            for k, p in entries}
+    return table
+
+
+def reversed_supports(graph, played):
+    """The same table by reversing every state's supports in the playable
+    model, under every slot of the graph but its move slots."""
+    index = played.state_index
+    table = {}
+    for j, o in enumerate(graph.observations):
+        if graph.moving[j]:
+            continue
+        for s in played.states_with_obs(o):
+            for a in played.available_at(o):
+                for t in played.supp(s, a):
+                    table.setdefault(index[t], set()).add((o, a, index[s]))
+    return table
+
+
 def assert_implicit_rows_read_as_stored(bo, rng):
     """The observation graph and the fixpoint cores on the rewrite, whose
-    memory-selection rows are implicit, against its playable model."""
+    memory-selection rows are implicit, against its playable model; the
+    reverse table the construction wrote, and the one compiled from the
+    playable model, reverse its supports."""
     played = bo.pomdp
-    graphs = [obs_graph(model) for model in (bo, played)]
+    graphs = [graph_of(model) for model in (bo, played)]
     assert graph_table(graphs[0]) == graph_table(graphs[1]) == \
         walked_table(played)
+    assert back_table(graphs[0]) == reversed_supports(graphs[0], played)
+    assert back_table(graphs[1]) == reversed_supports(graphs[1], played)
     for _ in range(4):
         start = {o for o in bo.observations if rng.random() < 0.9}
         safe = {s for s in played.states
@@ -359,8 +404,10 @@ def assert_implicit_rows_read_as_stored(bo, rng):
         runs = []
         for graph in graphs:
             stats = {}
-            runs.append((_safe_obs(graph, obs_cover(safe, played), stats),
-                         _buchi_obs(graph, start, targets, stats), stats))
+            runs.append((run_core(_safe_obs, graph, obs_cover(safe, played),
+                                  stats),
+                         run_core(_buchi_obs, graph, start, targets, stats),
+                         stats))
         assert runs[0] == runs[1]
 
 
@@ -389,13 +436,14 @@ def assert_pipeline_run_reads_as_stored(bo):
     the root run, from all observations to the priority-0 states.  Same
     set, kept actions, ranks, and outer and inner counts.  Returns the
     run."""
-    graph, played = obs_graph(bo), obs_graph(bo.pomdp)
+    graph, played = bo.graph, obs_graph(bo.pomdp)
     assert [j for j, moved in enumerate(graph.moving) if moved] == [
         j for j, o in enumerate(bo.observations)
         if o not in bo.keys and j != beliefobs.DEAD]
     assert not any(played.moving)
     if bo.mode == beliefobs.COBUCHI_MODE:
-        start, _, _ = _safe_obs(graph, set(bo.observations) - {bo.sink_obs})
+        start, _, _ = run_core(_safe_obs, graph,
+                               set(bo.observations) - {bo.sink_obs})
         targets = bo.certified_recurrent()
     else:
         start = bo.observations
@@ -404,7 +452,7 @@ def assert_pipeline_run_reads_as_stored(bo):
     runs = []
     for g in (graph, played):
         stats = {}
-        runs.append((_buchi_obs(g, start, targets, stats), stats))
+        runs.append((run_core(_buchi_obs, g, start, targets, stats), stats))
     assert runs[0] == runs[1]
     return runs[0]
 
@@ -435,19 +483,27 @@ def test_pipeline_buchi_runs_read_the_move_slots_as_stored(ex1):
     assert min(seen.values()) >= 30, seen
 
 
-def test_observation_graph_reads_the_construction_records():
-    """On the full rewrite, the graph read from the records equals a walk
-    over every state's supports.  The draws cover disallowed actions
-    (all-sink rows) and the initial and sink observations."""
+def test_observation_graph_reads_the_construction_records(ex1):
+    """On the full rewrite, the graph the construction wrote equals a walk
+    over every state's supports, and its reverse table, over the slots
+    that are not move slots, the reversed supports of the playable model.
+    The draws cover disallowed actions (all-sink rows) and the initial and
+    sink observations; ``ex1`` is checked too."""
     rng = random.Random(8007)
     seen = Counter()
+    base, parity = objective_as_parity(*ex1)
+    bo = almost_cobuchi_red(base, parity.priority_map)
+    assert graph_table(bo.graph) == walked_table(bo.pomdp)
+    assert back_table(bo.graph) == reversed_supports(bo.graph, bo.pomdp)
     for _ in range(200):
         base = random_pomdp(rng)
         for rewrite, values in ((almost_cobuchi_red, (1, 2)),
                                 (positive_buchi_red, (0, 1))):
             bo = rewrite(base, {s: rng.choice(values) for s in base.states})
-            table = graph_table(obs_graph(bo))
+            table = graph_table(bo.graph)
             assert table == walked_table(bo.pomdp)
+            assert back_table(bo.graph) == reversed_supports(bo.graph,
+                                                             bo.pomdp)
             for e in bo.initial_moves:
                 assert table[(bo.init_obs, e)] == {e}
             assert all(table[(bo.sink_obs, a)] == {bo.sink_obs}
@@ -539,22 +595,125 @@ def test_no_pipeline_builds_the_weighted_rewrite(ex1, ex2, monkeypatch):
     assert 57158 in {len(bo.origin) for bo in built}
 
 
+def test_no_solve_reads_the_rewrite_rows_through_its_playable_form(
+        ex1, monkeypatch):
+    """The fixpoints, the witness and its annotation read the graph the
+    construction wrote: with ``BeliefObsPomdp.successors`` and
+    ``BeliefObsPomdp.pomdp`` refusing, every solve still runs, in both
+    modes, on ``ex1`` reduced to co-Buchi and on seeded models."""
+    def refused(*args):
+        raise AssertionError("a solve read the rewrite's playable form")
+
+    monkeypatch.setattr(BeliefObsPomdp, "successors", refused)
+    monkeypatch.setattr(BeliefObsPomdp, "pomdp", property(refused))
+    built = capture_rewrites(monkeypatch)
+    red = almost_parity_to_cobuchi(*objective_as_parity(*ex1))
+    cases = [(red.pomdp, red.objective)]
+    rng = random.Random(2402)
+    for _ in range(20):
+        model = random_pomdp(rng)
+        cases.append((model, random_parity(rng, model, top=3)))
+    verdicts = Counter()
+    for pomdp, objective in cases:
+        for mode in (ALMOST, POSITIVE):
+            verdicts[mode, solve_parity_fm(pomdp, objective, mode).winning] += 1
+    assert min(verdicts.values()) >= 3, verdicts
+    assert 57158 in {len(bo.origin) for bo in built}
+
+
+def test_elements_are_built_straight_from_their_keys(ex1, monkeypatch):
+    """``BeliefObsPomdp.element`` builds the element its interned key
+    names, equal to ``MemoryElement.make`` on the key's names, without
+    calling it: on seeded rewrites in both modes, and on every memory of
+    the ``ex1`` witness."""
+    make = MemoryElement.make
+    monkeypatch.setattr(MemoryElement, "make", None)
+
+    def assert_built_from_keys(bo, names):
+        for name in names:
+            belief, brec, tables = bo.keys[name]
+            states = bo.state_names
+            assert bo.element(name) == make(
+                [states[i] for i in belief], [states[i] for i in brec],
+                dict(zip(states, tables)))
+
+    rng = random.Random(2403)
+    checked = 0
+    for _ in range(40):
+        model = random_pomdp(rng)
+        for rewrite, values in ((almost_cobuchi_red, (1, 2)),
+                                (positive_buchi_red, (0, 1))):
+            bo = rewrite(model, {s: rng.choice(values) for s in model.states})
+            assert_built_from_keys(bo, bo.keys)
+            checked += len(bo.keys)
+    assert checked > 500
+    built = capture_rewrites(monkeypatch)
+    pomdp, objective = ex1
+    d = solve_parity_fm(pomdp, objective, ALMOST)
+    assert d.winning and "reduced_states" not in d.diagnostics
+    bo, = built
+    assert_built_from_keys(bo, d.witness.elements)
+    assert {m: bo.element(m) for m in d.witness.elements} == \
+        d.witness.elements
+
+
+def test_solve_diagnostics_hold_the_fixpoint_sets(ex1, monkeypatch):
+    """The diagnostics' observation sets are the fixpoints' by their
+    definitions, on the rewrite the solve built: in almost-sure mode the
+    safe part, and the observations inside it that reach the certified
+    states surely; in positive mode the winning root's almost-sure Buchi
+    set of the priority-0 states.  On ``ex1`` and seeded models."""
+    built = capture_rewrites(monkeypatch)
+    cases = [ex1]
+    rng = random.Random(2404)
+    for _ in range(20):
+        model = random_pomdp(rng)
+        cases.append((model, random_parity(rng, model, top=3)))
+    seen = Counter()
+    for pomdp, objective in cases:
+        for mode in (ALMOST, POSITIVE):
+            built.clear()
+            d = solve_parity_fm(pomdp, objective, mode)
+            diag, bo = d.diagnostics, built[-1]
+            played = bo.pomdp
+            if mode is ALMOST:
+                safe, plays, _, _ = reference_safe(
+                    played, set(played.states) - {"dead"})
+                assert diag["safe_observations"] == safe
+                members, _, _ = supports_by_id(bo)
+                certified = bo.certified_recurrent()
+                inside = frozenset(str(i) for o in plays for i in members[o]
+                                   if i in certified)
+                assert diag["winning_observations"] == (reference_buchi(
+                    make_absorbing(restrict_to(bo, plays), inside), inside)[0]
+                    if safe else frozenset())
+            elif d.winning:
+                targets = {played.states[i] for i in range(len(bo.origin))
+                           if bo.priority(i) == 0}
+                assert diag["winning_observations"] == \
+                    reference_buchi(played, targets)[0]
+            else:
+                assert "winning_observations" not in diag
+            seen[mode, d.winning] += 1
+    assert min(seen.values()) >= 3, seen
+
+
 def count_checks(monkeypatch):
-    """Record the model of every chain ``solve`` builds and the arguments
-    of every ``MemoryElement.make``; return both lists."""
-    build, make = solve.build_product_chain, MemoryElement.make
+    """Record the model of every chain ``solve`` builds and the name of
+    every element ``BeliefObsPomdp.element`` builds; return both lists."""
+    build, make = solve.build_product_chain, BeliefObsPomdp.element
     chains, made = [], []
 
     def building(pomdp, strategy):
         chains.append(pomdp)
         return build(pomdp, strategy)
 
-    def making(*args):
-        made.append(args)
-        return make(*args)
+    def making(bo, name):
+        made.append(name)
+        return make(bo, name)
 
     monkeypatch.setattr(solve, "build_product_chain", building)
-    monkeypatch.setattr(MemoryElement, "make", making)
+    monkeypatch.setattr(BeliefObsPomdp, "element", making)
     return chains, made
 
 
