@@ -12,9 +12,10 @@ The construction reads the model's supports only through its integer
 table ``Pomdp.index_supports``: elements are keyed by state index, an
 unavailable action is an empty row, and every order is index order.  Its
 own states are integer ids too, and as it numbers them it writes the
-observation graph the fixpoints read (``ObsGraph``); only the playable
-model it can build on demand, which the solve path never reads, names
-them.
+observation graph the fixpoints read (``ObsGraph``), a quotient that
+gives each class of memory-selection branches with equal signature and
+new belief one observation; only the playable model it can build on
+demand, which the solve path never reads, names them.
 
 Two variants share the skeleton:
 
@@ -38,7 +39,8 @@ predicate).  Every summary a real strategy could carry is dominated by a
 generated one, so the reachable winning structure is preserved.  One
 construction enumerates each branch signature (forced commitments, cap
 tables, new belief) once: branches with equal signatures share one move
-tuple and one offered set, so these objects must never be mutated.
+tuple, one offered set and one fixpoint-graph observation, so these
+objects must never be mutated.
 
 The co-Buchi commitment invariant: every class table of an element
 contains {2}, and every committed belief state has table {{2}} and
@@ -235,16 +237,18 @@ class BeliefObsPomdp:
     the intermediate observation of that branch, where ``moves`` lists
     the element names offered (never empty, by the commitment invariant).
     ``graph`` is the observation graph the fixpoints read, written while
-    the ids were numbered.  ``successors`` reads every row off these
-    records: an allowed (element, action) has one block in ``rows``, its
-    states' successor ids in belief order, read off the graph and the
-    model's rows ``model_rows`` on demand; a disallowed one is recorded
-    once and leads to the sink, as does the sink; a move e leads the
-    start, and the memory-selection state of belief position p, to state
-    p of element e.  ``element(name)``, ``elements`` and the named,
-    playable ``pomdp`` are built on demand.  Branches with equal
-    signatures share one ``moves`` tuple and one ``available`` set, so
-    these objects must never be mutated.
+    the ids were numbered, a quotient (``ObsGraph``): its observation c
+    stands for the observations ``stands_for[c]``, a class's branches in
+    ``pred`` order, and otherwise for c's own.  ``successors`` reads every
+    row off these records: an allowed (element, action) has one block in
+    ``rows``, its states' successor ids in belief order, read off the
+    graph and the model's rows ``model_rows`` on demand; a disallowed one
+    is recorded once and leads to the sink, as does the sink under every
+    action; a move e leads the start, and the memory-selection state of
+    belief position p, to state p of element e.  ``element(name)``,
+    ``elements`` and the named, playable ``pomdp`` are built on demand.
+    Branches with equal signatures share one ``moves`` tuple and one
+    ``available`` set, so these objects must never be mutated.
     """
 
     mode: str
@@ -264,6 +268,7 @@ class BeliefObsPomdp:
     state_names: tuple[str, ...]
     memsel: dict[tuple[str, str, str], str]
     moves: dict[str, tuple[str, ...]]
+    stands_for: list[Sequence[int]]
     graph: ObsGraph
 
     def successors(self, i: int, j: int, action: str) -> tuple[int, ...]:
@@ -287,12 +292,13 @@ class BeliefObsPomdp:
         """The block of every allowed (element, action), each row in the
         model's row order: every memory-selection observation is a branch
         of the one element slot that leads to it."""
-        g, names = self.graph, self.observations
+        g, names = self.graph, self.graph.observations
         index = {a: i for i, a in enumerate(self.actions)}
         branches: dict[int, dict[int, int]] = {}  # slot -> model state -> id
-        for q, ids in enumerate(self.ranges):
-            if g.moving[q] and q != START:
-                branches.setdefault(g.pred[q][0], {}).update(
+        for c in itertools.compress(range(len(g.moving)), g.moving):
+            for k, q in zip(g.pred[c], self.stands_for[c]):  # none at START
+                ids = self.ranges[q]
+                branches.setdefault(k, {}).update(
                     zip(self.origin[ids.start:ids.stop], ids))
         return {(names[g.owner[k]], g.acts[k]): tuple(
             tuple(map(into.__getitem__, self.model_rows[s][index[g.acts[k]]]))
@@ -353,21 +359,35 @@ class ObsGraph:
     j is ``observations[j]`` and owns the action slots ``slots[j]``, one
     per available action; slot k plays ``acts[k]`` at observation
     ``owner[k]``.  ``pred[j]`` lists, once each, the slots that can lead
-    to observation j (as a C int array where it grows: on a large rewrite
-    the slot ids would otherwise be one Python int object each).
-    ``members[j]`` lists observation j's state ids (a ``Pomdp``'s state
-    indices, a rewrite's range).  ``moving[j]`` marks a rewrite's initial
-    and memory-selection observations, whose slots are its move slots: a
-    move slot naming element e leads state p of its observation to state
-    p of e.  The move slots naming e are exactly ``pred[e]``; no other
-    observation's ``pred`` holds one, and a ``Pomdp`` has none.  Every
-    other edge is reversed once, in flat int arrays: state i of
-    observation j has the entries n from ``back_base[j] + back_at[2 * i]``
-    to ``back_base[j] + back_at[2 * i + 1] - 1``, each saying that state
-    ``members[owner[k]][back[n]]`` can lead to it under slot ``k =
-    back_slot[n]``.  Sources are positions and bounds are relative, so a
-    rewrite copies each branch's entries from one template; its element
-    states, reached only by move slots, have none.
+    to observation j, as a C int array.  ``members[j]`` lists observation
+    j's state ids (a ``Pomdp``'s state indices, a rewrite's range).
+    ``moving[j]`` marks a rewrite's initial and memory-selection
+    observations, whose slots are its move slots: a move slot naming
+    element e leads state p of its observation to state p of e.  The move
+    slots naming e are exactly ``pred[e]``; no other observation's
+    ``pred`` holds one, and a ``Pomdp`` has none.  Every other edge is
+    reversed in ``into``: ``into[j]`` holds one entry ``(k, (reach,
+    bounds))`` per slot k in ``pred[j]``: state ``members[j][q]`` can be
+    reached under k from ``members[owner[k]][p]`` for each p in
+    ``reach[bounds[2 * q]:bounds[2 * q + 1]]``.  Sources are positions,
+    so a rewrite's branches share their split's template uncopied;
+    elements, reached only by move slots, have no entries.
+
+    A rewrite's graph is a quotient of its playable model.  Each class
+    of memory-selection branches with equal signature and new belief,
+    which the construction gives one offered tuple, is one observation:
+    its states are the new belief (its first branch's ids), its move
+    slots the offered elements, its ``pred`` and ``into`` the element
+    slots of all its branches.  The losing sink, whose every action leads
+    back to it, keeps one self-loop slot.  The quotient is exact.  A move
+    slot leads state p only to state p of the element it names, so
+    whether it is live depends only on that element; a class's branches
+    offer the same elements over the same belief, so they always have the
+    same live slots and, position by position, the same successors.  Both
+    cores thus keep or drop them together, in the same round, and put
+    their states into X in the same inner step: the sets, ranks, round
+    and step counts and live slots, read back per branch, are those of
+    the playable model.
 
     A fixpoint keeps, for the observations inside its current set (a
     bitmap over observation ids), the live slots (every successor inside)
@@ -384,10 +404,7 @@ class ObsGraph:
     pred: list[Sequence[int]]
     members: Sequence[Sequence[int]]
     moving: bytearray
-    back: array
-    back_slot: array
-    back_at: array
-    back_base: Sequence[int]
+    into: list[Sequence[tuple[int, tuple[array, array]]]]
 
     def counters(self, inside: bytearray) -> tuple[bytearray, list[int]]:
         """The live slots of the observations ``inside`` marks, and the
@@ -425,6 +442,18 @@ class ObsGraph:
         return frozenset(plays), plays
 
 
+def _template(into: Mapping[int, list[int]], targets: Iterable[int]
+              ) -> tuple[array, array]:
+    """A reverse template: per target state, in order, the source
+    positions ``into`` it, concatenated, and the bounds of each run."""
+    reach, bounds = array("i"), array("i")
+    for t in targets:
+        bounds.append(len(reach))
+        reach.fromlist(into.get(t, []))
+        bounds.append(len(reach))
+    return reach, bounds
+
+
 def obs_graph(model: Pomdp) -> ObsGraph:
     """The observation graph of a model's available actions, compiled
     from ``Pomdp.index_supports`` by walking the rows of every state.  A
@@ -432,33 +461,30 @@ def obs_graph(model: Pomdp) -> ObsGraph:
     (obs_of, table), sidx = model.index_supports, model.state_index
     members = [[sidx[s] for s in model.states_with_obs(o)]
                for o in model.observations]
-    n, acts, owner, slots = len(members), [], [], []
-    pred = [array("i") for _ in range(n)]
-    into: list[list[int]] = [[] for _ in model.states]  # (slot, position)s
+    acts, owner, slots = [], [], []
+    pred, into = [array("i") for _ in members], [[] for _ in members]
     for j, o in enumerate(model.observations):
         slots.append(range(len(acts), len(acts) + len(model.available[o])))
         for k, a in zip(slots[j], model.available[o]):
             acts.append(a)
             owner.append(j)
             col = model.action_index[a]
-            for i in {obs_of[t] for s in members[j] for t in table[s][col]}:
-                pred[i].append(k)
+            reach: dict[int, list[int]] = {}  # target state -> positions
             for p, s in enumerate(members[j]):
                 for t in table[s][col]:
-                    into[t] += (k, p)
-    edges = array("i", itertools.chain(*into))
-    ends = list(itertools.accumulate(len(pairs) // 2 for pairs in into))
+                    reach.setdefault(t, []).append(p)
+            for i in sorted({obs_of[t] for t in reach}):
+                pred[i].append(k)
+                into[i].append((k, _template(reach, members[i])))
     return ObsGraph(model.observations, slots, acts, owner, pred, members,
-                    bytearray(n), edges[1::2], edges[::2], array(
-                        "i", itertools.chain(*zip([0] + ends, ends))), [0] * n)
+                    bytearray(len(members)), into)
 
 
 def _branches(rows: Sequence[Sequence[tuple[int, ...]]], obs_of: Sequence[int],
               belief: tuple[int, ...], action: int) -> list[tuple]:
     """The branches of a belief under an action, by observation index:
-    the observation, the new belief as a tuple and as an array, and per
-    new belief state the positions of the belief states that reach it,
-    concatenated, with the bounds of each state's run."""
+    the observation, the new belief as a tuple and as an array, and its
+    reverse template over the belief's positions."""
     into: dict[int, list[int]] = {}
     for p, s in enumerate(belief):
         for t in rows[s][action]:
@@ -467,12 +493,7 @@ def _branches(rows: Sequence[Sequence[tuple[int, ...]]], obs_of: Sequence[int],
     for o, new in itertools.groupby(sorted(sorted(into), key=obs_of.__getitem__),
                                     obs_of.__getitem__):
         new = tuple(new)
-        reach, bounds = array("i"), array("i")
-        for t in new:
-            bounds.append(len(reach))
-            reach.fromlist(into[t])
-            bounds.append(len(reach))
-        out.append((o, new, array("i", new), reach, bounds))
+        out.append((o, new, array("i", new), _template(into, new)))
     return out
 
 
@@ -495,16 +516,18 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
 
     init_obs, sink_obs = "o_start", "o_dead"
     # per observation id its name and state ids, then state id -> its
-    # model state index, then the observation graph, all written as ids
-    # are numbered
+    # model state index, written as ids are numbered
     observations: list[str] = [init_obs, sink_obs]
     ranges = [range(START, START + 1), range(DEAD, DEAD + 1)]
     origin = array("i", [-1, -1])
+    # the observation graph, written alongside: per graph observation its
+    # name, the observation ids it stands for, its states, slots, pred and
+    # reverse entries; START and DEAD keep their ids
+    gnames, stands_for = [init_obs, sink_obs], [(START,), (DEAD,)]
+    members, moving = ranges[:], bytearray([1, 0])
     slots, acts, owner = [range(0), range(0)], [], []
     pred: list[Sequence[int]] = [array("i"), array("i")]
-    moving = bytearray([1, 0])
-    back, back_slot, back_at = array("i"), array("i"), array("i", [0] * 4)
-    back_base = array("i", [0, 0])
+    into: list[Sequence[tuple]] = [(), ()]
     # (slot, belief size) of each disallowed (element, action)
     dead: list[tuple[int, int]] = []
     disallowed: set[tuple[str, str]] = set()
@@ -516,25 +539,20 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     cap_memo: dict[tuple, tuple] = {}
     # (belief, action) -> _branches
     split_memo: dict[tuple, list[tuple]] = {}
-    # (signature, new belief) -> one branch's offered names and their
-    # observation ids, shared
-    branch_memo: dict[tuple, tuple[tuple[str, ...], frozenset[str],
-                                   tuple[int, ...]]] = {}
-    # (observation id, key); walked in order as it grows
+    # (signature, new belief) -> the class's graph id, offered names and
+    # their set, shared by its branches
+    branch_memo: dict[tuple, tuple[int, tuple[str, ...], frozenset[str]]] = {}
+    # (graph id, key) of each element; walked in order as it grows
     frontier: list[tuple[int, ElementKey]] = []
 
-    def add_obs(name: str, selecting: int, into: Sequence[int]) -> int:
-        """Number an observation; its states and slots come later."""
+    def add_obs(name: str) -> int:
+        """Number an observation; its states come later."""
         observations.append(name)
         ranges.append(range(0))
-        slots.append(range(0))
-        pred.append(into)
-        moving.append(selecting)
-        back_base.append(len(back))
         return len(observations) - 1
 
-    def add_states(j: int, belief: Sequence[int]) -> int:
-        """Number an observation's states, one per belief state; the first."""
+    def add_states(j: int, belief: Sequence[int]) -> range:
+        """Number an observation's states, one per belief state."""
         base = len(origin)
         origin.extend(belief)
         ranges[j] = range(base, len(origin))
@@ -542,11 +560,23 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
             raise ResourceLimitError(
                 f"belief-observation construction exceeded its {budget}-state "
                 f"budget ({len(origin)} states constructed)")
-        return base
+        return ranges[j]
+
+    def add_node(name: str, stands: Sequence[int], states: range,
+                 selecting: int, back: Sequence[tuple]) -> int:
+        """Number a graph observation; its slots come later."""
+        gnames.append(name)
+        stands_for.append(stands)
+        members.append(states)
+        moving.append(selecting)
+        slots.append(range(0))
+        pred.append(array("i"))
+        into.append(back)
+        return len(gnames) - 1
 
     def add_slots(j: int, names: Sequence[str],
                   targets: Sequence[int] = ()) -> int:
-        """Number an observation's action slots, as move slots to the
+        """Number a graph observation's action slots, as move slots to the
         elements ``targets`` if given; the first."""
         slots[j] = range(len(acts), len(acts) + len(names))
         acts.extend(names)
@@ -557,17 +587,16 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
 
     def add_element(key: ElementKey) -> int:
         """Intern an element; number its action-selection states, which
-        have no reverse entries, and queue it."""
+        have no reverse entries, and queue it; its graph id."""
         known = elem_obs.get(key)
         if known is not None:
             return known
         ename = fresh_name(f"m{len(elem_obs)}", taken_actions)
-        j = elem_obs[key] = add_obs(ename, 0, array("i"))
         keys[ename] = key
-        add_states(j, key[0])
-        back_at.extend(array("i", [0, 0]) * len(key[0]))
-        frontier.append((j, key))
-        return j
+        j = add_obs(ename)
+        e = elem_obs[key] = add_node(ename, (j,), add_states(j, key[0]), 0, ())
+        frontier.append((e, key))
+        return e
 
     # model observation index -> its available actions, by index and name
     playable: dict[int, tuple[list[int], list[str], frozenset[str]]] = {}
@@ -578,12 +607,12 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
 
     initial = tuple(map(add_element, _initial_elements(
         prio, mode, pomdp.state_index[root])))
-    initial_moves = tuple(map(observations.__getitem__, initial))
+    initial_moves = tuple(map(gnames.__getitem__, initial))
     available[init_obs] = frozenset(initial_moves)
     add_slots(START, initial_moves, initial)
 
     for je, (belief, brec, tables) in frontier:
-        ename = observations[je]
+        ename = gnames[je]
         committed = brec.intersection(belief)
         here, names, available[ename] = playable[obs_of[belief[0]]]
         for k, a in enumerate(here, add_slots(je, names)):
@@ -602,45 +631,44 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
             if split is None:
                 split = split_memo[(belief, a)] = _branches(
                     rows, obs_of, belief, a)
-            for o, new_belief, states, reach, bounds in split:
+            for o, new_belief, states, template in split:
                 qname = f"q{len(memsel)}"
                 memsel[(ename, aname, pomdp.observations[o])] = qname
-                q = add_obs(qname, 1, (k,))
-                back += reach
+                q = add_obs(qname)
                 branch = (signature, new_belief)
-                offered = branch_memo.get(branch)
-                if offered is None:
+                cls = branch_memo.get(branch)
+                if cls is None:
                     made = tuple(map(add_element, moves_to(new_belief)))
-                    names = tuple(map(observations.__getitem__, made))
-                    offered = branch_memo[branch] = (
-                        names, frozenset(names), made)
-                moves[qname], available[qname], made = offered
-                add_slots(q, moves[qname], made)
-                add_states(q, states)
-                back_at += bounds
-            back_slot += array("i", [k]) * (len(back) - len(back_slot))
+                    offered = tuple(map(gnames.__getitem__, made))
+                    c = add_node(qname, array("i"), add_states(q, states), 1, [])
+                    add_slots(c, offered, made)
+                    cls = branch_memo[branch] = (c, offered, frozenset(offered))
+                else:
+                    add_states(q, states)
+                c, moves[qname], available[qname] = cls
+                stands_for[c].append(q)
+                pred[c].append(k)
+                into[c].append((k, template))
 
     all_actions = action_names + tuple(keys)
     available[sink_obs] = frozenset(all_actions)
-    # the sink's reverse entries, known last: the states of disallowed
-    # (element, action)s, and the sink itself under every action
-    sink = add_slots(DEAD, all_actions)
-    back_base[DEAD] = len(back)
-    for k, size in dead + [(k, 1) for k in range(sink, len(acts))]:
-        pred[DEAD].append(k)
-        back.extend(range(size))
-        back_slot += array("i", [k]) * size
-    back_at[2 * DEAD + 1] = len(back) - back_base[DEAD]
+    # the sink's entries, known last: the states of disallowed (element,
+    # action)s, and the sink itself under one slot for all its actions
+    templates = {n: (array("i", range(n)), array("i", [0, n]))
+                 for n in {1}.union(size for _, size in dead)}
+    into[DEAD] = [(k, templates[size]) for k, size in
+                  dead + [(add_slots(DEAD, all_actions[:1]), 1)]]
+    pred[DEAD].extend(k for k, _ in into[DEAD])
 
-    observations = tuple(observations)
     return BeliefObsPomdp(
-        mode=mode, actions=all_actions, observations=observations,
+        mode=mode, actions=all_actions, observations=tuple(observations),
         available=available, ranges=ranges, origin=origin, model_rows=rows,
         disallowed=disallowed, prio=prio, root=root, init_obs=init_obs,
         sink_obs=sink_obs, initial_moves=initial_moves, keys=keys,
         state_names=pomdp.states, memsel=memsel, moves=moves,
-        graph=ObsGraph(observations, slots, acts, owner, pred, ranges,
-                       moving, back, back_slot, back_at, back_base))
+        stands_for=stands_for,
+        graph=ObsGraph(tuple(gnames), slots, acts, owner, pred, members,
+                       moving, into))
 
 
 def almost_cobuchi_red(pomdp: Pomdp, priority: Mapping[str, int],

@@ -16,8 +16,9 @@ strategies suffice):
 
 All of them are worklist attractors over per-observation counts of live
 action slots, on one integer observation graph per model
-(``beliefobs.ObsGraph``): the one a rewrite's construction writes, or
-one walked over a ``Pomdp``'s supports.  They start from a bitmap over
+(``beliefobs.ObsGraph``): the quotient a rewrite's construction writes,
+one observation per class of equal memory-selection branches, or one
+walked over a ``Pomdp``'s supports.  They start from a bitmap over
 observation ids and return the bitmap of their set, the bitmap of the
 slots it keeps live (the play table of their strategy), and the removal
 rank of every other observation: the round in which the round-by-round
@@ -25,8 +26,9 @@ iteration removes it, so each fixpoint takes max rank + 1 rounds
 (``fixpoint_iterations`` sums the safety and outer Buchi rounds).
 Safety is one pass; the Buchi fixpoint keeps its outer rounds, updates
 its counters as Z shrinks, and grows X backwards over the graph's
-reverse table and over a rewrite's element moves, walked by belief
-position.  Names are made only for a witness and the diagnostics.
+reverse entries and over a rewrite's element moves, walked by belief
+position.  Names are made only for a witness and the diagnostics, which
+name every branch of a kept class.
 
 ``solve_almost_cobuchi_fm`` rewrites a {1,2}-priority POMDP with the
 belief-observation construction, computes its almost-surely safe part (the
@@ -197,51 +199,46 @@ def _buchi_obs(graph: ObsGraph, start: bytearray, targets: frozenset[int],
 
     Z starts at the ``start`` bitmap, and the live counters follow it as
     it shrinks.  Each outer round grows X backwards from the ``targets``
-    (state ids) through live slots (a dead slot never revives): over the
-    graph's reverse table, and over the move slots, the only ones leading
-    to an element e, by position: when state p of e joins X, so does
-    state p of each live slot's owner in ``pred[e]``.  A target enters X
-    whenever its observation keeps a slot, and otherwise its slots are
-    all dead, so X never enters it from its own row.
+    (state ids) through live slots (a dead slot never revives), as
+    (observation, position) pairs: over the reverse entries, and over the
+    move slots, the only ones leading to an element e: when state p of e
+    joins X, so does state p of each live slot's owner in ``pred[e]``.  A
+    target enters X whenever its observation keeps a slot, and otherwise
+    its slots are all dead, so X never enters it from its own row.
     """
-    owner, pred, members, moving = (graph.owner, graph.pred, graph.members,
-                                    graph.moving)
-    back, back_slot, back_at, back_base = (graph.back, graph.back_slot,
-                                           graph.back_at, graph.back_base)
+    owner, pred, members, moving, into = (graph.owner, graph.pred,
+                                          graph.members, graph.moving, graph.into)
     inside = bytearray(start)
     live, count = graph.counters(inside)
     here = [j for j, got in enumerate(inside) if got]
-    goals = [(j, i) for j in here for i in members[j] if i in targets]
+    goals = [(j, p) for j in here for p, i in enumerate(members[j]) if i in targets]
     walks = {j: pred[j] for j in here if pred[j] and moving[owner[pred[j][0]]]}
     ranks: dict[int, int] = {}
     outer = inner = 0
     while True:
         outer += 1
-        frontier = [(j, i) for j, i in goals if count[j]]
-        x = {i for _, i in frontier}
+        frontier = [(j, p) for j, p in goals if count[j]]
+        x = {members[j][p] for j, p in frontier}
         while frontier:
             inner += 1
             nxt = []
-            for j, u in frontier:
+            for j, q in frontier:
                 steps = walks.get(j)
                 if steps is None:
-                    base = back_base[j]
-                    for n in range(base + back_at[2 * u],
-                                   base + back_at[2 * u + 1]):
-                        k = back_slot[n]
+                    for k, (reach, bounds) in into[j]:
                         if live[k]:
                             o = owner[k]
-                            i = members[o][back[n]]
-                            if i not in x:
-                                x.add(i)
-                                nxt.append((o, i))
+                            for p in reach[bounds[2 * q]:bounds[2 * q + 1]]:
+                                i = members[o][p]
+                                if i not in x:
+                                    x.add(i)
+                                    nxt.append((o, p))
                     continue
-                p = u - members[j][0]
                 for k in steps:
-                    i = members[owner[k]][p]
+                    i = members[owner[k]][q]
                     if live[k] and i not in x:
                         x.add(i)
-                        nxt.append((owner[k], i))
+                        nxt.append((owner[k], q))
             frontier = nxt
         removed = [j for j in here if inside[j]
                    and not all(map(x.__contains__, members[j]))]
@@ -345,44 +342,48 @@ def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp, inside: bytearray,
                         live: bytearray) -> SupportStrategy:
     """Back-translate a play table on the rewrite into a strategy.
 
-    The table is the live slots of the observations ``inside`` marks.
-    Memories are the element observations inside; the action choice
-    replays their slots, and the memory update at (element, model
-    observation, action) replays the slots of the memory-selection
-    observation that the element's slot leads to on that observation.
-    The table's element moves at the initial observation, a
+    The table is the live slots of the graph observations ``inside``
+    marks.  Memories are the element observations inside; the action
+    choice replays their slots, and the memory update at (element, model
+    observation, action) replays the slots of the class that the
+    element's slot leads to on that observation: each live slot in a
+    class's ``pred`` is one branch, on the observation of the class's
+    states.  The table's element moves at the initial observation, a
     randomization, are merged into a single auxiliary memory.  The table
     is bare: ``_finish`` annotates it, on the direct route only, and
     checks it.
     """
-    graph = bo.graph
+    graph, obs_of = bo.graph, pomdp.index_supports[0]
     slots, acts, owner, pred = graph.slots, graph.acts, graph.owner, graph.pred
-    names, origin, ranges = bo.observations, bo.origin, bo.ranges
-    # model state index -> the name of its observation
-    observed = list(map(pomdp.observations.__getitem__,
-                        pomdp.index_supports[0]))
+    names = graph.observations
 
     def played(j: int) -> tuple[str, ...]:
         ks = slots[j]
         return tuple(sorted(itertools.compress(acts[ks.start:ks.stop],
                                                live[ks.start:ks.stop])))
 
-    elements: list[int] = []
+    memories: list[str] = []
     action_support, update_support = {}, {}
     for j in itertools.compress(range(len(inside)), inside):
         if not graph.moving[j]:
             if j != DEAD:
-                elements.append(j)
+                memories.append(names[j])
                 action_support[names[j]] = played(j)
-        elif j != START and live[k := pred[j][0]]:
-            # the branch, on the observation of its states, of a kept
-            # action of an element
-            update_support[(names[owner[k]], observed[origin[ranges[j].start]],
-                            acts[k])] = played(j)
-    memories = tuple(map(names.__getitem__, elements))
-    table = SupportStrategy(memories, action_support, update_support,
+        elif j != START:
+            moves = played(j)
+            o = pomdp.observations[obs_of[bo.origin[graph.members[j][0]]]]
+            for k in pred[j]:
+                if live[k]:
+                    update_support[(names[owner[k]], o, acts[k])] = moves
+    table = SupportStrategy(tuple(memories), action_support, update_support,
                             memories[0])
     return _merge_initial(table, played(START))
+
+
+def _named(bo: BeliefObsPomdp, inside: bytearray) -> frozenset[str]:
+    """The observations that the graph observations ``inside`` marks stand for."""
+    return frozenset(bo.observations[q] for c in itertools.compress(
+        range(len(inside)), inside) for q in bo.stands_for[c])
 
 
 def _verify(pomdp: Pomdp, objective: Objective, mode: WinningMode,
@@ -432,15 +433,13 @@ def _almost_cobuchi(pomdp: Pomdp, priority: Mapping[str, int], budget: int
     graph = bo.graph
     # ObsCover of every state but the losing sink
     y_safe, safe_live, _ = _safe_obs(graph, bytearray(
-        j != DEAD for j in range(len(bo.observations))), stats)
-    stats["safe_observations"] = frozenset(
-        itertools.compress(bo.observations, y_safe))
+        j != DEAD for j in range(len(graph.observations))), stats)
+    stats["safe_observations"] = _named(bo, y_safe)
     # Reachability of the closed set wpr inside the safe part: Buchi on it,
     # from the safe part, whose live slots are the safe plays.
     wpr = bo.certified_recurrent()
     w2, live, _ = _buchi_obs(graph, y_safe, wpr, stats)
-    stats["winning_observations"] = frozenset(
-        itertools.compress(bo.observations, w2))
+    stats["winning_observations"] = _named(bo, w2)
     if not w2[START]:
         stats["failed_stage"] = "reachability"
         return Decision(False, mode, diagnostics=stats), bo
@@ -534,12 +533,11 @@ def _positive_buchi(pomdp: Pomdp, priority: Mapping[str, int], budget: int
         zero = {s for s, p in enumerate(bo.prio) if p == 0}
         targets = frozenset(i for i, s in enumerate(bo.origin) if s in zero)
         z, live, _ = _buchi_obs(bo.graph, bytearray([1]) * len(
-            bo.observations), targets, stats)
+            bo.graph.observations), targets, stats)
         if not z[START]:
             continue
         stats["winning_root"] = t
-        stats["winning_observations"] = frozenset(
-            itertools.compress(bo.observations, z))
+        stats["winning_observations"] = _named(bo, z)
         return Decision(True, mode, _prefix_then(
             pomdp, paths[t], _witness_from_plays(pomdp, bo, z, live)),
             stats), bo

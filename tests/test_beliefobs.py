@@ -381,6 +381,34 @@ def test_rewrite_respects_its_budget(ex1):
         almost_cobuchi_red(base, parity.priority_map, budget=5)
 
 
+def test_the_state_budget_holds_exactly_at_its_boundary(reduced_ex1_rewrite):
+    """A budget of exactly the states a rewrite constructs, memory-selection
+    branches that share their class's graph observation included, builds
+    it; one state less raises, naming that count.  Seeded models in both
+    modes, re-rooted in Buchi mode, and reduced ``ex1``."""
+    rng = random.Random(7010)
+    cases = []
+    for _ in range(40):
+        pomdp = random_pomdp(rng)
+        cases.append((almost_cobuchi_red, pomdp, {
+            s: rng.choice((1, 2)) for s in pomdp.states}, {}))
+        cases.append((positive_buchi_red, pomdp, {
+            s: rng.choice((0, 1)) for s in pomdp.states},
+            {"root": rng.choice(pomdp.states)}))
+    pomdp, prio, bo = reduced_ex1_rewrite
+    cases.append((almost_cobuchi_red, pomdp, prio, {}))
+    shared = 0
+    for rewrite, pomdp, prio, root in cases:
+        built = len(rewrite(pomdp, prio, **root).origin)
+        bo = rewrite(pomdp, prio, budget=built, **root)
+        assert len(bo.origin) == built
+        shared += len(bo.observations) - len(bo.graph.observations)
+        with pytest.raises(ResourceLimitError,
+                           match=rf"\({built} states constructed\)$"):
+            rewrite(pomdp, prio, budget=built - 1, **root)
+    assert shared > 3000
+
+
 def test_random_models_rewrite_cleanly():
     rng = random.Random(7001)
     for _ in range(15):

@@ -262,8 +262,7 @@ def assert_buchi_inside_matches(model, plays, targets, closed):
     members, _, _ = supports_by_id(model)
     inside = frozenset(i for o in plays for i in members[o] if i in targets)
     stats = {}
-    w, kept, ranks = run_core(_buchi_obs, graph_of(model), plays, inside,
-                              stats)
+    w, kept, ranks = run_on(_buchi_obs, model, plays, inside, stats)
     copy = restrict_to(model, plays)
     named = frozenset(map(str, inside))
     assert (w, kept, stats["buchi_outer_iterations"],
@@ -279,8 +278,7 @@ def assert_reach_stage_matches(bo):
     """The co-Buchi pipeline's reach stage, Buchi on the certified states
     inside the safe part read from the rewrite's records, against reaching
     them; returns whether the safe part is non-empty."""
-    y, plays, _ = run_core(_safe_obs, bo.graph,
-                           set(bo.observations) - {bo.sink_obs})
+    y, plays, _ = run_on(_safe_obs, bo, set(bo.observations) - {bo.sink_obs})
     if y:
         assert_buchi_inside_matches(bo, plays, bo.certified_recurrent(),
                                     closed=True)
@@ -329,10 +327,105 @@ def test_fixpoint_cores_match_the_reference_iteration(ex1):
     assert assert_reach_stage_matches(almost_cobuchi_red(red.pomdp, prio))
 
 
-def graph_of(model):
-    """The observation graph of a ``Pomdp``, or the one a rewrite's
-    construction wrote."""
-    return model.graph if isinstance(model, BeliefObsPomdp) else obs_graph(model)
+def stood_for(bo):
+    """Graph observation name -> the names of the rewrite's observations
+    it stands for (``bo.stands_for``), and graph state id -> the state ids
+    it stands for, position by position."""
+    g = bo.graph
+    names = {g.observations[c]: [bo.observations[q] for q in qs]
+             for c, qs in enumerate(bo.stands_for)}
+    ids = {i: [bo.ranges[q][p] for q in qs]
+           for c, qs in enumerate(bo.stands_for)
+           for p, i in enumerate(g.members[c])}
+    return names, ids
+
+
+def unfold(bo):
+    """The class->branch expansion of a rewrite's quotient graph: the
+    graph over the rewrite's own observations that it stands for.  Each
+    member branch of a class gets a copy of the class's move slots, and
+    as its ``pred`` and reverse entries the one element slot of its
+    branch; each element's ``pred`` holds every copy of its move slots;
+    the sink's one slot becomes one slot per action of the sink."""
+    g, n = bo.graph, len(bo.observations)
+    slots, acts, owner, moving = [range(0)] * n, [], [], bytearray(n)
+    pred, into = [[] for _ in range(n)], [[] for _ in range(n)]
+    copies = [[] for _ in g.acts]  # graph slot -> its unfolded slots
+    for c, qs in enumerate(bo.stands_for):
+        ks = g.slots[c] if c != beliefobs.DEAD else \
+            [g.slots[c][0]] * len(bo.actions)
+        for q in qs:
+            moving[q] = g.moving[c]
+            slots[q] = range(len(acts), len(acts) + len(ks))
+            for k, u in zip(ks, slots[q]):
+                acts.append(g.acts[k] if c != beliefobs.DEAD
+                            else bo.actions[u - slots[q].start])
+                owner.append(q)
+                copies[k].append(u)
+    for c, qs in enumerate(bo.stands_for):
+        if g.moving[c] and c != beliefobs.START:
+            for q, k, (k2, template) in zip(qs, g.pred[c], g.into[c]):
+                assert k2 == k
+                (u,) = copies[k]
+                pred[q], into[q] = [u], [(u, template)]
+        else:
+            (q,) = qs
+            pred[q] = [u for k in g.pred[c] for u in copies[k]]
+            into[q] = [(u, template) for k, template in g.into[c]
+                       for u in copies[k]]
+    return beliefobs.ObsGraph(bo.observations, slots, acts, owner, pred,
+                              bo.ranges, moving, into)
+
+
+def unfold_run(bo, run):
+    """A fixpoint run on a rewrite's quotient graph, as ``run_core`` reads
+    it back, read per branch: each class's set membership, kept actions
+    and rank are each of its members', and the sink's one kept slot is
+    every action of the sink."""
+    names, _ = stood_for(bo)
+    inside, plays, ranks = run
+    sink = bo.available[bo.sink_obs]
+    return (frozenset(q for o in inside for q in names[o]),
+            {q: sink if o == bo.sink_obs else acts
+             for o, acts in plays.items() for q in names[o]},
+            {q: rank for o, rank in ranks.items() for q in names[o]})
+
+
+def run_on(core, model, start, *args):
+    """``run_core`` on the graph of a ``Pomdp``, or on a rewrite's quotient
+    graph read back per branch; a rewrite's start set must hold all
+    branches of a class or none."""
+    if isinstance(model, Pomdp):
+        return run_core(core, obs_graph(model), start, *args)
+    names, _ = stood_for(model)
+    assert all(len({q in start for q in qs}) == 1 for qs in names.values())
+    return unfold_run(model, run_core(core, model.graph, start, *args))
+
+
+def assert_classes_group_their_branches(bo):
+    """Every branch lies in one class; every member of a class has the
+    same ``moves`` and the same ``origin`` run, the class's; and a
+    class's ``pred`` is exactly its members' element slots.  Any other
+    graph observation stands for itself."""
+    g = bo.graph
+    slot_of = {(g.observations[g.owner[k]], g.acts[k]): k
+               for k in range(len(g.acts)) if not g.moving[g.owner[k]]}
+    branch_of = {q: (e, a) for (e, a, _), q in bo.memsel.items()}
+    grouped = []
+    for c, qs in enumerate(bo.stands_for):
+        names = [bo.observations[q] for q in qs]
+        if not g.moving[c] or c == beliefobs.START:
+            assert names == [g.observations[c]]
+            assert bo.ranges[qs[0]] == g.members[c]
+            continue
+        grouped += names
+        assert names[0] == g.observations[c]
+        offered = tuple(g.acts[k] for k in g.slots[c])
+        assert {bo.moves[q] for q in names} == {offered}
+        assert {tuple(bo.origin[bo.ranges[q].start:bo.ranges[q].stop])
+                for q in qs} == {tuple(bo.origin[i] for i in g.members[c])}
+        assert list(g.pred[c]) == [slot_of[branch_of[q]] for q in names]
+    assert sorted(grouped) == sorted(bo.memsel.values())
 
 
 def graph_table(graph):
@@ -355,18 +448,21 @@ def walked_table(pomdp):
 
 def back_table(graph):
     """State id -> the (observation, action, source state id) of each of
-    its reverse entries, which list each at most once."""
+    its reverse entries, which list each at most once and, per
+    observation, name exactly the slots of its ``pred`` that are not move
+    slots."""
     names, members, owner = graph.observations, graph.members, graph.owner
     table = {}
-    for j, ids in enumerate(members):
-        base = graph.back_base[j]
-        for i in ids:
-            entries = [(graph.back_slot[n], graph.back[n]) for n in range(
-                base + graph.back_at[2 * i], base + graph.back_at[2 * i + 1])]
-            assert len(set(entries)) == len(entries)
-            if entries:
+    for j, entries in enumerate(graph.into):
+        assert [k for k, _ in entries] == [
+            k for k in graph.pred[j] if not graph.moving[owner[k]]]
+        for q, i in enumerate(members[j]):
+            found = [(k, p) for k, (reach, bounds) in entries
+                     for p in reach[bounds[2 * q]:bounds[2 * q + 1]]]
+            assert len(set(found)) == len(found)
+            if found:
                 table[i] = {(names[owner[k]], graph.acts[k], members[owner[k]][p])
-                            for k, p in entries}
+                            for k, p in found}
     return table
 
 
@@ -387,26 +483,33 @@ def reversed_supports(graph, played):
 
 def assert_implicit_rows_read_as_stored(bo, rng):
     """The observation graph and the fixpoint cores on the rewrite, whose
-    memory-selection rows are implicit, against its playable model; the
-    reverse table the construction wrote, and the one compiled from the
-    playable model, reverse its supports."""
+    memory-selection rows are implicit and whose branches are grouped
+    into classes, against its playable model: the graph unfolded per
+    branch, and the one compiled from the playable model, have the
+    playable model's edges, and their reverse tables reverse its
+    supports.  The cores run from random start sets and targets that
+    hold all branches of a class or none."""
     played = bo.pomdp
-    graphs = [graph_of(model) for model in (bo, played)]
+    assert_classes_group_their_branches(bo)
+    graphs = [unfold(bo), obs_graph(played)]
     assert graph_table(graphs[0]) == graph_table(graphs[1]) == \
         walked_table(played)
     assert back_table(graphs[0]) == reversed_supports(graphs[0], played)
     assert back_table(graphs[1]) == reversed_supports(graphs[1], played)
+    names, ids = stood_for(bo)
     for _ in range(4):
-        start = {o for o in bo.observations if rng.random() < 0.9}
-        safe = {s for s in played.states
-                if played.obs_map[s] in start and rng.random() < 0.9}
-        targets = {i for i in range(len(played.states)) if rng.random() < 0.3}
+        start = {q for o in bo.graph.observations if rng.random() < 0.9
+                 for q in names[o]}
+        safe = {played.states[j] for js in ids.values()
+                if rng.random() < 0.9 for j in js
+                if played.obs_map[played.states[j]] in start}
+        targets = {j for i in ids if rng.random() < 0.3 for j in ids[i]}
         runs = []
-        for graph in graphs:
+        for model in (bo, played):
             stats = {}
-            runs.append((run_core(_safe_obs, graph, obs_cover(safe, played),
-                                  stats),
-                         run_core(_buchi_obs, graph, start, targets, stats),
+            runs.append((run_on(_safe_obs, model, obs_cover(safe, played),
+                                stats),
+                         run_on(_buchi_obs, model, start, targets, stats),
                          stats))
         assert runs[0] == runs[1]
 
@@ -437,22 +540,22 @@ def assert_pipeline_run_reads_as_stored(bo):
     set, kept actions, ranks, and outer and inner counts.  Returns the
     run."""
     graph, played = bo.graph, obs_graph(bo.pomdp)
-    assert [j for j, moved in enumerate(graph.moving) if moved] == [
+    assert [j for j, moved in enumerate(unfold(bo).moving) if moved] == [
         j for j, o in enumerate(bo.observations)
         if o not in bo.keys and j != beliefobs.DEAD]
     assert not any(played.moving)
     if bo.mode == beliefobs.COBUCHI_MODE:
-        start, _, _ = run_core(_safe_obs, graph,
-                               set(bo.observations) - {bo.sink_obs})
+        start, _, _ = run_on(_safe_obs, bo,
+                             set(bo.observations) - {bo.sink_obs})
         targets = bo.certified_recurrent()
     else:
         start = bo.observations
         targets = frozenset(i for i in range(len(bo.origin))
                             if bo.priority(i) == 0)
     runs = []
-    for g in (graph, played):
+    for model in (bo, bo.pomdp):
         stats = {}
-        runs.append((run_core(_buchi_obs, g, start, targets, stats), stats))
+        runs.append((run_on(_buchi_obs, model, start, targets, stats), stats))
     assert runs[0] == runs[1]
     return runs[0]
 
@@ -493,17 +596,19 @@ def test_observation_graph_reads_the_construction_records(ex1):
     seen = Counter()
     base, parity = objective_as_parity(*ex1)
     bo = almost_cobuchi_red(base, parity.priority_map)
-    assert graph_table(bo.graph) == walked_table(bo.pomdp)
-    assert back_table(bo.graph) == reversed_supports(bo.graph, bo.pomdp)
+    assert_classes_group_their_branches(bo)
+    assert graph_table(unfold(bo)) == walked_table(bo.pomdp)
+    assert back_table(unfold(bo)) == reversed_supports(unfold(bo), bo.pomdp)
     for _ in range(200):
         base = random_pomdp(rng)
         for rewrite, values in ((almost_cobuchi_red, (1, 2)),
                                 (positive_buchi_red, (0, 1))):
             bo = rewrite(base, {s: rng.choice(values) for s in base.states})
-            table = graph_table(bo.graph)
+            assert_classes_group_their_branches(bo)
+            graph = unfold(bo)
+            table = graph_table(graph)
             assert table == walked_table(bo.pomdp)
-            assert back_table(bo.graph) == reversed_supports(bo.graph,
-                                                             bo.pomdp)
+            assert back_table(graph) == reversed_supports(graph, bo.pomdp)
             for e in bo.initial_moves:
                 assert table[(bo.init_obs, e)] == {e}
             assert all(table[(bo.sink_obs, a)] == {bo.sink_obs}

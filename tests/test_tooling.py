@@ -7,6 +7,7 @@ break only a traced benchmark run; this test names it here instead.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 from pomparity import oracle
@@ -36,7 +37,9 @@ def test_the_tracer_counts_every_layer_it_reads(tmp_path, capsys):
     """The counts the tracer reads off results (a rewrite's playable
     ``pomdp``, a chain's ``nodes``, a decision's diagnostics, a projected
     strategy, an oracle result) on one pass of the commands on ``ex1``;
-    ``project`` reads its summaries through ``compute_rec_functions``."""
+    ``project`` reads its summaries through ``compute_rec_functions``.
+    The rewrites' states add up to the ``states_constructed=`` the solves
+    print."""
     model = tmp_path / "ex1.pomdp"
     model.write_text(fixture_text("ex1"), encoding="utf-8")
     witness = str(tmp_path / "w.strat")
@@ -52,9 +55,10 @@ def test_the_tracer_counts_every_layer_it_reads(tmp_path, capsys):
             ["oracle", str(model), "--mode", "almost", "--memory-bound", "1"])]
     finally:
         tracer.uninstall()
-    capsys.readouterr()
+    printed = re.findall(r"\bstates_constructed=(\d+)", capsys.readouterr().out)
     assert codes == [0, 0, 0, 0, 1]
     counts = tracer.counts
+    assert counts["beliefobs.states"] == sum(map(int, printed))
     for metric in ("beliefobs.states", "chain.nodes",
                    "solve.fixpoint_iterations", "strategy.memories_out",
                    "oracle.candidates"):
