@@ -19,8 +19,8 @@ from .strategy import (FiniteMemoryStrategy, MemoryElement, ProjectionGraph,
                        SupportStrategy, build_projection_graph, memory_bound,
                        project_strategy, stationary_strategy, uniform)
 from .modelio import (load_fixture, load_model_file, load_strategy_file,
-                      parse_model, parse_strategy, save_model_file,
-                      save_strategy_file, serialize_model, serialize_strategy)
+                      parse_model, parse_strategy, save_strategy_file,
+                      serialize_model, serialize_strategy)
 from .reductions import (ReductionOutput, almost_parity_to_cobuchi,
                          parity_to_three, positive_parity_to_buchi,
                          restrict_strategy, three_to_cobuchi,

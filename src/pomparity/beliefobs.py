@@ -27,12 +27,20 @@ Two variants share the skeleton:
   downstream target is simply the priority-0 states.
 
 Element moves are generated, not enumerated from the astronomically large
-full alphabet.  In co-Buchi mode, out-of-belief components are completed
-canonically (the committed bit exactly on states a committed belief state
-can reach; the class table as the intersection cap inherited from all
-predecessors), and on-belief states choose between an "explore" move
-(uncommitted, maximal cap) and a "commit" move (committed with class set
-{{2}}).  Every generated move is one a play may adopt: committed belief
+full alphabet.  One rule (``_explore_or_commit``) builds every element:
+out-of-belief components are completed canonically (the committed bit
+exactly on the forced states, those a committed belief state can reach;
+the class table as the intersection cap inherited from all
+predecessors), and each new belief state chooses between an "explore"
+move (uncommitted, maximal cap) and, at priority 2, a "commit" move
+(committed with class set {{2}}).  The start is an instance: its new
+belief is the root, nothing is forced, and every cap is maximal except
+the root's, which is {{2}} in co-Buchi mode.  So is Buchi mode: no state
+has priority 2, so nothing commits or is forced, every table stays
+maximal, and each branch gets the single explore move, the plain
+belief-support successor; the signature (no forced states, maximal caps)
+is the same for every action, so branches group by new belief alone.
+Every generated move is one a play may adopt: committed belief
 states reach only committed states, and along every model edge the class
 table only shrinks (the tests check every generated move against this
 predicate).  Every summary a real strategy could carry is dominated by a
@@ -65,12 +73,6 @@ action, and every branch offers the all-explore move, to an element that
 again has no committed state.  The initial observation offers such an
 element, so the safety fixpoint keeps it: a co-Buchi "no" always fails
 at the reachability stage.
-
-In Buchi mode the downstream analyses target raw priority-0 states and
-never read certificates, and a committed element's continuations are
-always mirrored by its uncommitted counterpart, so elements carry no
-commitments at all: the construction is the plain belief-support
-automaton under maximal class tables, one successor element per branch.
 """
 
 from __future__ import annotations
@@ -133,23 +135,53 @@ def _priority_table(pomdp: Pomdp, priority: Mapping[str, int],
     return [priority[s] for s in pomdp.states]
 
 
+def _explore_or_commit(prio: Sequence[int], forced: frozenset[int],
+                       caps: tuple[frozenset[frozenset[int]], ...],
+                       new_belief: tuple[int, ...],
+                       limit: int) -> tuple[ElementKey, ...]:
+    """The one rule that builds element keys: the elements a play may
+    adopt on entering ``new_belief``.  Outside it they keep the ``forced``
+    commitments and the ``caps`` tables; each new belief state t explores
+    (uncommitted, table ``caps[t]``) unless forced, and commits (table
+    {{2}}) at priority 2.  The options multiply out, explore first, to at
+    most ``limit`` moves."""
+    base_brec = forced.difference(new_belief)
+    per_state: list[tuple[bool, ...]] = []  # per state: commit? options
+    combinations = 1
+    for t in new_belief:
+        options = (False,) * (t not in forced) + (True,) * (prio[t] == 2)
+        per_state.append(options)
+        combinations *= len(options)
+    if combinations > limit:
+        raise ResourceLimitError(
+            f"one memory-selection branch multiplies out to {combinations} "
+            f"element moves, past the {limit}-state budget")
+
+    out: list[ElementKey] = []
+    for combo in itertools.product(*per_state):
+        commits = list(itertools.compress(new_belief, combo))
+        if not commits:  # every state explores: the caps as they are
+            out.append((new_belief, base_brec, caps))
+            continue
+        new_tables = list(caps)
+        for t in commits:
+            new_tables[t] = _GOOD2
+        # through a set, which sizes the frozenset to fit (a union would not)
+        out.append((new_belief, frozenset({*base_brec, *commits}),
+                    tuple(new_tables)))
+    return tuple(out)
+
+
 def _initial_elements(prio: Sequence[int], mode: str,
                       root: int) -> tuple[ElementKey, ...]:
-    """Element moves available before the first action, knowing the root.
-
-    Co-Buchi elements must certify that only {2}-recurrences are reachable
-    from the root; commitment is offered when the root's own priority fits.
-    Buchi mode starts from the single maximal-table element.
-    """
-    belief = (root,)
-    tables = [_TOP[mode]] * len(prio)
-    if mode == BUCHI_MODE:
-        return ((belief, frozenset(), tuple(tables)),)
-    tables[root] = _GOOD2
-    out = [(belief, frozenset(), tuple(tables))]
-    if prio[root] == 2:
-        out.append((belief, frozenset(belief), tuple(tables)))
-    return tuple(out)
+    """Element moves available before the first action: the rule's moves
+    into {root}, nothing forced.  Co-Buchi elements certify that only
+    {2}-recurrences are reachable from the root, so its cap is {{2}}; every
+    other cap is maximal.  One state has at most two options."""
+    caps = [_TOP[mode]] * len(prio)
+    if mode == COBUCHI_MODE:
+        caps[root] = _GOOD2
+    return _explore_or_commit(prio, frozenset(), tuple(caps), (root,), 2)
 
 
 def _element_moves(rows: Sequence[Sequence[tuple[int, ...]]],
@@ -165,62 +197,24 @@ def _element_moves(rows: Sequence[Sequence[tuple[int, ...]]],
     committed belief states.  Returns ``()`` if the action is disallowed:
     if under it a committed belief state, which certifies a priority-2
     recurrence, reaches a state of another priority.  Otherwise returns a
-    signature and a function from the new belief of one branch observation
-    to that branch's moves; what the observation does not change is
-    computed once, here.  The moves depend only on the signature (the
-    forced commitments and cap tables; empty in Buchi mode) and the new
-    belief.  Buchi mode yields the single belief-support successor under
-    maximal tables.  In co-Buchi mode, out-of-belief components are
-    canonical (forced commitments, cap tables); each new belief state
-    contributes an explore and/or commit option, and the options multiply
-    out.  By the commitment invariant every state has an option, so every
-    branch has a move.  ``limit`` bounds the moves one branch may multiply
-    out to.  Moves are element keys, which cost no canonical element to
-    build.
+    signature, the forced commitments and the cap tables, and the rule's
+    moves (``_explore_or_commit``) under it as a function of a branch's new
+    belief; what the branch does not change is computed once, here.  Buchi
+    mode is an instance: nothing commits and every table is maximal, so the
+    signature is the same for every action and each branch gets its one
+    belief-support successor.  By the commitment invariant every state has
+    an option, so every branch has a move; ``limit`` bounds their number.
     """
-    top = _TOP[mode]
-    if mode == BUCHI_MODE:
-        maximal = (top,) * len(rows)
-        return (), lambda new_belief: ((new_belief, frozenset(), maximal),)
-
     forced = frozenset(t for s in committed for t in rows[s][action])
     if any(prio[t] != 2 for t in forced):
         return ()
-    caps = [top] * len(rows)
+    caps = [_TOP[mode]] * len(rows)
     for row, table in zip(rows, tables):
         for t in row[action]:
             caps[t] &= table
     caps = tuple(caps)
-
-    def moves(new_belief: tuple[int, ...]) -> tuple[ElementKey, ...]:
-        base_brec = forced.difference(new_belief)
-        per_state: list[list[tuple[bool, frozenset]]] = []
-        combinations = 1
-        for t in new_belief:
-            options: list[tuple[bool, frozenset]] = []
-            if t not in forced:
-                options.append((False, caps[t]))
-            if prio[t] == 2:
-                options.append((True, _GOOD2))
-            per_state.append(options)
-            combinations *= len(options)
-        if combinations > limit:
-            raise ResourceLimitError(
-                f"one memory-selection branch multiplies out to {combinations} "
-                f"element moves, past the {limit}-state budget")
-
-        out: list[ElementKey] = []
-        for combo in itertools.product(*per_state):
-            brec = set(base_brec)
-            new_tables = list(caps)
-            for t, (commit, table) in zip(new_belief, combo):
-                if commit:
-                    brec.add(t)
-                new_tables[t] = table
-            out.append((new_belief, frozenset(brec), tuple(new_tables)))
-        return tuple(out)
-
-    return (forced, caps), moves
+    return (forced, caps), lambda new_belief: _explore_or_commit(
+        prio, forced, caps, new_belief, limit)
 
 
 @dataclass

@@ -510,12 +510,6 @@ def load_model_file(path: str | Path) -> tuple[Pomdp, Objective | None]:
     return parse_model(Path(path).read_text(encoding="utf-8"))
 
 
-def save_model_file(path: str | Path, pomdp: Pomdp,
-                    objective: Objective | None = None) -> None:
-    Path(path).write_text(serialize_model(pomdp, objective), encoding="utf-8",
-                          newline="\n")
-
-
 def load_strategy_file(path: str | Path) -> FiniteMemoryStrategy:
     return parse_strategy(Path(path).read_text(encoding="utf-8"))
 

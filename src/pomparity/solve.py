@@ -343,7 +343,9 @@ def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp, inside: bytearray,
     """Back-translate a play table on the rewrite into a strategy.
 
     The table is the live slots of the graph observations ``inside``
-    marks.  Memories are the element observations inside; the action
+    marks, never the sink: co-Buchi safety starts without it, and it has
+    no target and only itself as successor, so Buchi drops it in round 1.
+    Memories are the element observations inside; the action
     choice replays their slots, and the memory update at (element, model
     observation, action) replays the slots of the class that the
     element's slot leads to on that observation: each live slot in a
@@ -366,9 +368,8 @@ def _witness_from_plays(pomdp: Pomdp, bo: BeliefObsPomdp, inside: bytearray,
     action_support, update_support = {}, {}
     for j in itertools.compress(range(len(inside)), inside):
         if not graph.moving[j]:
-            if j != DEAD:
-                memories.append(names[j])
-                action_support[names[j]] = played(j)
+            memories.append(names[j])
+            action_support[names[j]] = played(j)
         elif j != START:
             moves = played(j)
             o = pomdp.observations[obs_of[bo.origin[graph.members[j][0]]]]
@@ -417,7 +418,11 @@ def solve_almost_cobuchi_fm(pomdp: Pomdp, priority: Mapping[str, int],
     (the losing sink must be avoidable surely); almost-sure reachability
     of the certified-recurrence states, which is Buchi on them since they
     are closed.  On yes the witness is rebuilt on the input model and
-    chain-verified before returning.
+    chain-verified before returning.  The safety stage decides nothing:
+    each observation the reach stage keeps keeps a slot into its set, so
+    run from every observation but the sink it keeps the same set.  The
+    stage shapes only ``fixpoint_iterations``, ``safe_observations`` and
+    the witness's memories.
     """
     return _finish(pomdp, Objective.parity(dict(priority)),
                    *_almost_cobuchi(pomdp, priority, budget))
@@ -452,26 +457,26 @@ def _almost_cobuchi(pomdp: Pomdp, priority: Mapping[str, int], budget: int
                     stats), bo
 
 
-def _support_paths(pomdp: Pomdp) -> dict[str, tuple[tuple[str, str], ...]]:
-    """A shortest (state, action) path to each state reachable through supports.
+def _support_paths(pomdp: Pomdp) -> dict[int, tuple[str, ...]]:
+    """A shortest action path to each state index reachable through supports.
 
-    Breadth-first under available actions, both actions and successors in
+    Breadth-first over ``Pomdp.index_supports``, actions and successors in
     index order, so no path depends on how a distribution lists its states.
     """
-    paths = {pomdp.initial_state: ()}
-    queue = [pomdp.initial_state]
+    rows, actions = pomdp.index_supports[1], pomdp.actions
+    root = pomdp.state_index[pomdp.initial_state]
+    paths = {root: ()}
+    queue = [root]
     for s in queue:
-        for a in sorted(pomdp.available_at(pomdp.obs_map[s]),
-                        key=pomdp.action_index.__getitem__):
-            for t in sorted(pomdp.supp(s, a),
-                            key=pomdp.state_index.__getitem__):
+        for a, successors in enumerate(rows[s]):
+            for t in sorted(successors):
                 if t not in paths:
-                    paths[t] = paths[s] + ((s, a),)
+                    paths[t] = paths[s] + (actions[a],)
                     queue.append(t)
     return paths
 
 
-def _prefix_then(pomdp: Pomdp, steps: tuple[tuple[str, str], ...],
+def _prefix_then(pomdp: Pomdp, steps: tuple[str, ...],
                  table: SupportStrategy) -> SupportStrategy:
     """Play a fixed action sequence, then hand over to a strategy.
 
@@ -489,7 +494,7 @@ def _prefix_then(pomdp: Pomdp, steps: tuple[tuple[str, str], ...],
     names = [fresh_name(f"p{i}", taken) for i in range(len(steps))]
     action_support = dict(table.action_support)
     update_support = dict(table.update_support)
-    for i, (_, a) in enumerate(steps):
+    for i, a in enumerate(steps):
         action_support[names[i]] = (a,)
         nxt = names[i + 1] if i + 1 < len(steps) else table.initial
         for o in pomdp.observations:
@@ -521,13 +526,13 @@ def _positive_buchi(pomdp: Pomdp, priority: Mapping[str, int], budget: int
     stats: dict = {"states_constructed": 0, "roots_tried": 0}
     mode = WinningMode.POSITIVE
     paths = _support_paths(pomdp)
-    for t in (s for s in pomdp.states if s in paths):
+    for t in sorted(paths):
         stats["roots_tried"] += 1
-        built = stats["states_constructed"]
+        built, root = stats["states_constructed"], pomdp.states[t]
         try:
-            bo = positive_buchi_red(pomdp, priority, root=t, budget=budget - built)
+            bo = positive_buchi_red(pomdp, priority, root=root, budget=budget - built)
         except ResourceLimitError as exc:
-            raise ResourceLimitError(f"root {t!r}: {exc}, after {built} states "
+            raise ResourceLimitError(f"root {root!r}: {exc}, after {built} states "
                                      f"for earlier roots of {budget}") from None
         stats["states_constructed"] += len(bo.origin)
         zero = {s for s, p in enumerate(bo.prio) if p == 0}
@@ -536,7 +541,7 @@ def _positive_buchi(pomdp: Pomdp, priority: Mapping[str, int], budget: int
             bo.graph.observations), targets, stats)
         if not z[START]:
             continue
-        stats["winning_root"] = t
+        stats["winning_root"] = root
         stats["winning_observations"] = _named(bo, z)
         return Decision(True, mode, _prefix_then(
             pomdp, paths[t], _witness_from_plays(pomdp, bo, z, live)),

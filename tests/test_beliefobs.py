@@ -20,7 +20,7 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        positive_buchi_red, validate)
 from pomparity import beliefobs
 from pomparity.modelio import load_fixture, serialize_model
-from pomparity.solve import _safe_obs
+from pomparity.solve import _buchi_obs, _safe_obs
 from pomparity.strategy import MemoryElement
 from conftest import random_belief_obs_pomdp, random_pomdp, run_core
 
@@ -330,6 +330,18 @@ def test_the_safety_stage_keeps_the_initial_observation(reduced_ex1_rewrite):
                 assert ename in y
                 checked += 1
     assert checked > 1000
+
+
+def test_the_safety_stage_decides_nothing(reduced_ex1_rewrite):
+    """The ``solve_almost_cobuchi_fm`` docstring's claim: run from every
+    observation but the sink, the reach stage keeps exactly the set it
+    keeps from the safety stage's."""
+    for _, _, bo in [*seeded_cobuchi_rewrites(5, 400), reduced_ex1_rewrite]:
+        graph, wpr = bo.graph, bo.certified_recurrent()
+        every = bytearray(j != beliefobs.DEAD
+                          for j in range(len(graph.observations)))
+        safe, _, _ = _safe_obs(graph, every)
+        assert _buchi_obs(graph, every, wpr)[0] == _buchi_obs(graph, safe, wpr)[0]
 
 
 def test_rewrite_objective_matches_priorities(ex1_rewrite):

@@ -447,6 +447,59 @@ def test_missing_objective_is_an_error_for_solve(tmp_path, capsys):
     assert "declares no objective" in err
 
 
+TWO_STATES = """\
+states: s0 s1
+actions: a
+observations: o0 o1
+obs: s0 : o0
+obs: s1 : o1
+init: s0
+"""
+
+
+@pytest.mark.parametrize("text, problems", [
+    (TWO_STATES + "objective: buchi s1\n",
+     ["missing transition for state 's0', available action 'a'",
+      "missing transition for state 's1', available action 'a'"]),
+    (TWO_STATES + "trans: s0 a -> s1 1\ntrans: s1 a -> s1 1\n"
+     "objective: parity\npriority: s0 -1\npriority: s1 1\n",
+     ["state 's0' has negative priority -1"]),
+])
+def test_an_invalid_model_aborts_naming_each_problem(tmp_path, capsys, text,
+                                                      problems):
+    path = tmp_path / "bad.pomdp"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--mode", "almost", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: " + "".join(f"{path}: {p}\n" for p in problems)
+
+
+def test_reduce_refuses_muller_objectives(tmp_path, capsys, monkeypatch):
+    """No model file spells a Muller objective, so one is loaded directly."""
+    path = tmp_path / "muller.pomdp"
+    path.write_text(TWO_STATES + "trans: s0 a -> s1 1\ntrans: s1 a -> s1 1\n",
+                    encoding="utf-8")
+    pomdp, _ = parse_model(path.read_text(encoding="utf-8"))
+    monkeypatch.setattr(cli, "load_model_file", lambda _: (
+        pomdp, Objective.muller({"s0": 0, "s1": 1}, [[1]])))
+    code, out, err = run(capsys, "reduce", str(path), "--to", "cobuchi")
+    assert (code, out, err) == (
+        2, "", "error: reduce does not handle Muller objectives\n")
+
+
+def test_project_names_the_strategy_file_on_structural_errors(tmp_path, capsys):
+    model = tmp_path / "model.pomdp"
+    model.write_text(TWO_STATES + "trans: s0 a -> s1 1\ntrans: s1 a -> s1 1\n"
+                     "objective: buchi s1\n", encoding="utf-8")
+    strategy = tmp_path / "bogus.strat"
+    strategy.write_text("memories: m\ninit: m\nact: m -> z 1\n"
+                        "update: m o1 z -> m 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "project", str(model), str(strategy))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {strategy}: memory 'm' selects unknown action 'z'; "
+                   "memory update of 'm' on unknown action 'z'\n")
+
+
 def test_outputs_are_byte_deterministic(tmp_path, capsys):
     model = write_ex1(tmp_path)
     first = tmp_path / "w1.strat"

@@ -215,6 +215,81 @@ def test_strategy_unknown_memory_reference_is_rejected():
     assert "q" in str(err.value)
 
 
+@pytest.mark.parametrize("doc, message, line", [
+    (MINI + "init: s1\n", "duplicate init line (line 9)", 9),
+    (MINI + "available: o1\n",
+     "expected 'available: <observation> : <actions>' (line 9)", 9),
+    (MINI + "available: o1 : a\navailable: o1 : a\n",
+     "duplicate available line for 'o1' (line 10)", 10),
+    (MINI + "available: o1 :\n", "empty available set for 'o1' (line 9)", 9),
+    (MINI + "trans: s1 a s1 1\n",
+     "expected 'trans: <state> <action> -> ...' (line 9)", 9),
+    (MINI + "objective: buchi s1\nobjective: buchi s1\n",
+     "duplicate objective line (line 10)", 10),
+    (MINI + "objective:\n", "empty objective line (line 9)", 9),
+    (MINI + "objective: reach\n",
+     "reach objective needs target states (line 9)", 9),
+    (MINI + "objective: parity 3 4\n",
+     "expected 'objective: parity [max]' (line 9)", 9),
+    (MINI + "objective: parity x\n", "invalid declared maximum 'x' (line 9)", 9),
+    (MINI + "objective: muller\n", "unknown objective kind 'muller' (line 9)", 9),
+    (MINI + "priority: s0\n", "expected 'priority: <state> <int>' (line 9)", 9),
+    (MINI + "priority: s0 x\n", "invalid priority 'x' (line 9)", 9),
+    (MINI + "priority: s0 1\npriority: s0 2\n",
+     "duplicate priority for state 's0' (line 10)", 10),
+    (MINI.replace("states: s0 s1\n", ""), "missing states section", None),
+    (MINI.replace("init: s0\n", ""), "missing init line", None),
+    (MINI + "available: o9 : a\n",
+     "available line for unknown observation 'o9'", None),
+    (MINI + "available: o1 : b\n",
+     "available line for 'o1' names unknown action 'b'", None),
+    (MINI + "trans: s9 a -> s1 1\n", "transition from unknown state 's9'", None),
+    (MINI.replace("init: s0", "init: s9"), "initial state 's9' is not declared",
+     None),
+    (MINI + "objective: parity\npriority: s0 1\npriority: s1 1\npriority: s9 1\n",
+     "priority for unknown state 's9'", None),
+    (MINI + "objective: parity\npriority: s0 1\n",
+     "missing priority for states: s1", None),
+    (MINI + "priority: s0 1\n", "priority lines without 'objective: parity'",
+     None),
+])
+def test_model_parse_errors_name_their_line(doc, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_model(doc)
+    assert (str(err.value), err.value.line, err.value.column) == (message, line, None)
+
+
+STRAT = "memories: m\ninit: m\nact: m -> a 1\nupdate: m o1 a -> m 1\n"
+
+
+@pytest.mark.parametrize("doc, message, line", [
+    (STRAT + "belief: m : s0\nsrec: m : s0 : 2\n",
+     "expected {...} colour sets, got '2' (line 6)", 6),
+    (STRAT + "belief: m : s0\nsrec: m : s0 : {x}\n",
+     "invalid colour in '{x}' (line 6)", 6),
+    (STRAT + "belief: m\n", "expected 'belief: <memory> : <states>' (line 5)", 5),
+    (STRAT + "belief: m : s0\nbelief: m : s0\n",
+     "duplicate belief line for memory 'm' (line 6)", 6),
+    (STRAT + "srec: m : s0\n",
+     "expected 'srec: <memory> : <state> : <sets>' (line 5)", 5),
+    (STRAT + "srec: m : s0 : {2}\nsrec: m : s0 : {2}\n",
+     "duplicate srec line for ('m', 's0') (line 6)", 6),
+    ("init: m\n", "missing memories section", None),
+    ("memories: m\n", "missing init line", None),
+    ("memories: m\ninit: n\n", "initial memory 'n' is not declared", None),
+    (STRAT + "act: n -> a 1\n", "act line for unknown memory 'n'", None),
+    (STRAT + "update: n o1 a -> m 1\n", "update line for unknown memory 'n'",
+     None),
+    (STRAT + "belief: n : s0\n", "belief line for unknown memory 'n'", None),
+    (STRAT + "brec: m : s0\n", "memory 'm' has element lines but no belief",
+     None),
+])
+def test_strategy_parse_errors_name_their_line(doc, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_strategy(doc)
+    assert (str(err.value), err.value.line, err.value.column) == (message, line, None)
+
+
 def test_strategy_float_free_guarantee():
     sigma = FiniteMemoryStrategy(
         memories=("m",), action_select={"m": uniform(["a", "b", "c"])},

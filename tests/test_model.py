@@ -75,6 +75,65 @@ def test_objective_validation_catches_unknown_targets(ex1):
     assert validate_objective(pomdp, good) == []
 
 
+ONE = Fraction(1)
+ROWS = {("s0", "a"): {"s1": ONE}, ("s1", "a"): {"s1": ONE}}
+
+
+@pytest.mark.parametrize("change, report", [
+    (dict(states=()),
+     ["no states declared", "observation map mentions unknown state 's0'",
+      "observation map mentions unknown state 's1'",
+      "observation 'o0' labels no state", "observation 'o1' labels no state",
+      "initial state 's0' is not a declared state",
+      "transition from unknown state 's0'", "transition from unknown state 's1'"]),
+    (dict(obs_map={"s0": "o0"}),
+     ["state 's1' has no observation", "observation 'o1' labels no state"]),
+    (dict(obs_map={"s0": "o0", "s1": "o9"}),
+     ["state 's1' is mapped to unknown observation 'o9'",
+      "observation 'o1' labels no state"]),
+    (dict(obs_map={"s0": "o0", "s1": "o1", "s9": "o1"}),
+     ["observation map mentions unknown state 's9'"]),
+    (dict(observations=("o0", "o1", "o2")), ["observation 'o2' labels no state"]),
+    (dict(initial_state="s9"), ["initial state 's9' is not a declared state"]),
+    (dict(available={"o9": frozenset({"a"})}),
+     ["available-action entry for unknown observation 'o9'"]),
+    (dict(available={"o1": frozenset({"a", "b"})}),
+     ["available-action entry for 'o1' names unknown action 'b'"]),
+    (dict(transitions={**ROWS, ("s9", "a"): {"s1": ONE}}),
+     ["transition from unknown state 's9'"]),
+    (dict(transitions={**ROWS, ("s0", "b"): {"s1": ONE}}),
+     ["transition from 's0' uses unknown action 'b'"]),
+    (dict(transitions={**ROWS, ("s0", "a"): {"s9": ONE}}),
+     ["transition 's0'/'a' targets unknown state 's9'"]),
+    (dict(transitions={**ROWS, ("s0", "a"): {"s1": ONE, "s0": Fraction(0)}}),
+     ["transition 's0'/'a' -> 's0' has non-positive weight 0"]),
+    (dict(transitions={("s0", "a"): {"s1": ONE}}),
+     ["missing transition for state 's1', available action 'a'"]),
+])
+def test_validation_names_each_structural_problem(change, report):
+    assert validate(tiny(**change)) == report
+
+
+@pytest.mark.parametrize("objective, report", [
+    (Objective.buchi(()), ["objective has an empty target set"]),
+    (Objective.parity({"s0": 1}), ["state 's1' has no priority"]),
+    (Objective.parity({"s0": 1, "s1": 1, "s9": 1}),
+     ["priority assigned to unknown state 's9'"]),
+    (Objective.parity({"s0": -1, "s1": 1}),
+     ["state 's0' has negative priority -1"]),
+    (Objective.parity({"s0": 3, "s1": 1}, declared_max=2),
+     ["state 's0' has priority above the declared maximum 2"]),
+    (Objective.muller({"s0": 0}, [[0]]), ["state 's1' has no color"]),
+    (Objective.muller({"s0": 0, "s1": 0, "s9": 1}, [[0]]),
+     ["color assigned to unknown state 's9'"]),
+    (Objective.muller({"s0": 0, "s1": 0}, [[0, 5]]),
+     ["accepting set uses undeclared color 5"]),
+    (Objective("frob"), ["unknown objective kind 'frob'"]),
+])
+def test_objective_validation_names_each_problem(objective, report):
+    assert validate_objective(tiny(), objective) == report
+
+
 # -- belief updates --
 
 def test_belief_update_keeps_full_class_on_ex1(ex1):
