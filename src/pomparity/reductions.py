@@ -17,18 +17,21 @@ and ``restrict_strategy`` drops such rows again on the way back:
   almost-sure co-Buchi.
 * ``almost_parity_to_cobuchi`` -- composition of the previous two.
 
-The copy index ``i`` tracks a "claimed" even priority 2i: whenever a state
-of priority worse (numerically smaller) than the claim is visited, half of
-the probability mass abandons the claim (dropping to copy i-1 or to a sink),
-so surviving forever in copy i forces the claim to be eventually honest.
-Fresh auxiliary states always get fresh singleton observations; halved
-weights stay exact rationals.
+All three rewrites are one claim-copy construction (``_copies``).  Copy i
+of the state space claims a priority (2i; 1 for the single copy of
+``three_to_cobuchi``) and copies every available row, observed as the
+original state.  A state of priority worse (numerically smaller) than its
+copy's claim keeps only half of each row there; the other half abandons
+the claim, to a sink or one copy down, so surviving forever in copy i
+forces the claim to be eventually honest.  Fresh auxiliary states always
+get fresh singleton observations; halved weights stay exact rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Mapping
 
 from .model import (
     ContractError,
@@ -123,16 +126,37 @@ def _priority_table(pomdp: Pomdp, objective: Objective) -> dict[str, int]:
     return table
 
 
+def _copies(pomdp: Pomdp, prio: dict[str, int], claims: list[int],
+            name: dict[tuple[str, int], str],
+            leak: Callable[[Mapping[str, Fraction], int], dict[str, Fraction]]):
+    """Copy i of state s, ``name[s, i]``, claims ``claims[i]`` (module
+    docstring); ``leak(dist, i)`` is where a halved row's other half goes.
+    Returns the copies' origins, observation map and rows."""
+    origin: dict[str, tuple[str | None, int | str]] = {
+        new: key for key, new in name.items()}
+    obs_map = {new: pomdp.obs_map[s] for new, (s, _) in origin.items()}
+    transitions: dict[tuple[str, str], dict[str, Fraction]] = {}
+    for s in pomdp.states:
+        for a in pomdp.available_at(pomdp.obs_map[s]):
+            dist = pomdp.dist(s, a)
+            for i, claim in enumerate(claims):
+                if prio[s] >= claim:
+                    row = {name[t, i]: w for t, w in dist.items()}
+                else:
+                    row = {name[t, i]: w * HALF for t, w in dist.items()}
+                    row.update(leak(dist, i))
+                transitions[(name[s, i], a)] = row
+    return origin, obs_map, transitions
+
+
 def positive_parity_to_buchi(pomdp: Pomdp, objective: Objective) -> ReductionOutput:
     """Rewrite positive-parity winning as positive-Buchi winning.
 
-    Builds copies indexed by i in {0..d} where 2d bounds the priority range
-    (an unused top priority is added implicitly when the range tops out at
-    an odd number; unused priorities never change the winners).  A fresh
-    initial state scatters uniformly over the copies of the original initial
-    successors; inside copy i, states of priority < 2i leak half their mass
-    to a rejecting sink.  The Buchi target is every copy state whose
-    priority equals its copy's claim 2i.
+    Copies ``s@i`` for i in {0..d} claim 2i and leak to a rejecting sink;
+    2d bounds the priority range, rounded up to even (unused priorities
+    never change the winners).  A fresh initial state scatters uniformly
+    over the copies of the original initial successors.  The Buchi target
+    is every copy state whose priority equals its copy's claim.
 
     A finite-memory strategy is positive winning on the input iff the same
     strategy (same memories, same updates) is positive winning on the
@@ -151,11 +175,11 @@ def positive_parity_to_buchi(pomdp: Pomdp, objective: Objective) -> ReductionOut
     init_obs = fresh_name("o_init", obs_taken)
     sink_obs = fresh_name("o_sink", obs_taken)
 
-    states = (init,) + tuple(copy_name[(s, i)]
-                             for s in pomdp.states for i in copies) + (sink,)
+    origin, obs_map, transitions = _copies(
+        pomdp, prio, [2 * i for i in copies], copy_name,
+        lambda dist, i: {sink: HALF})
+    states = (init,) + tuple(origin) + (sink,)
     observations = pomdp.observations + (init_obs, sink_obs)
-    obs_map = {copy_name[(s, i)]: pomdp.obs_map[s]
-               for s in pomdp.states for i in copies}
     obs_map[init] = init_obs
     obs_map[sink] = sink_obs
 
@@ -164,23 +188,12 @@ def positive_parity_to_buchi(pomdp: Pomdp, objective: Objective) -> ReductionOut
     available[init_obs] = init_avail
 
     share = Fraction(1, d + 1)
-    transitions: dict[tuple[str, str], dict[str, Fraction]] = {}
     for a in init_avail:
         row: dict[str, Fraction] = {}
         for t, w in pomdp.dist(pomdp.initial_state, a).items():
             for i in copies:
                 row[copy_name[(t, i)]] = w * share
         transitions[(init, a)] = row
-    for s in pomdp.states:
-        for a in pomdp.available_at(pomdp.obs_map[s]):
-            dist = pomdp.dist(s, a)
-            for i in copies:
-                if prio[s] >= 2 * i:
-                    row = {copy_name[(t, i)]: w for t, w in dist.items()}
-                else:
-                    row = {copy_name[(t, i)]: w * HALF for t, w in dist.items()}
-                    row[sink] = HALF
-                transitions[(copy_name[(s, i)], a)] = row
     for a in pomdp.actions:
         transitions[(sink, a)] = {sink: Fraction(1)}
 
@@ -191,21 +204,16 @@ def positive_parity_to_buchi(pomdp: Pomdp, objective: Objective) -> ReductionOut
     targets = frozenset(copy_name[(s, i)]
                         for s in pomdp.states for i in copies
                         if prio[s] == 2 * i)
-    origin: dict[str, tuple[str | None, int | str]] = {
-        init: (None, ROLE_INITIAL), sink: (None, ROLE_SINK)}
-    for (s, i), new in copy_name.items():
-        origin[new] = (s, i)
+    origin = {init: (None, ROLE_INITIAL), sink: (None, ROLE_SINK), **origin}
     return ReductionOutput(reduced, Objective.buchi(targets), origin)
 
 
 def parity_to_three(pomdp: Pomdp, objective: Objective) -> ReductionOutput:
     """Rewrite almost-sure parity into almost-sure parity over {0,1,2}.
 
-    Copies indexed by i in {0..d} with 2d+1 bounding the priority range;
-    play starts in the top copy.  Inside copy i, states of priority < 2i
-    leak half their mass one copy down, so a run settles in the copy of its
-    actual limit claim.  Copy-i states of priority exactly 2i map to new
-    priority 0, those of priority 2i+1 to priority 1, everything else to 2.
+    Copies ``s@i`` for i in {0..d}, 2d+1 bounding the priority range, claim
+    2i and leak one copy down; play starts in the top copy.  Copy-i states
+    of priority 2i get priority 0, those of 2i+1 priority 1, all else 2.
 
     A finite-memory strategy is almost-sure winning on the input iff the
     same strategy is almost-sure winning on the output.
@@ -215,24 +223,12 @@ def parity_to_three(pomdp: Pomdp, objective: Objective) -> ReductionOutput:
     copies = range(d + 1)
 
     copy_name = {(s, i): f"{s}@{i}" for s in pomdp.states for i in copies}
-    states = tuple(copy_name[(s, i)] for s in pomdp.states for i in copies)
-    obs_map = {copy_name[(s, i)]: pomdp.obs_map[s]
-               for s in pomdp.states for i in copies}
+    origin, obs_map, transitions = _copies(
+        pomdp, prio, [2 * i for i in copies], copy_name,
+        lambda dist, i: {copy_name[(t, i - 1)]: w * HALF
+                         for t, w in dist.items()})
 
-    transitions: dict[tuple[str, str], dict[str, Fraction]] = {}
-    for s in pomdp.states:
-        for a in pomdp.available_at(pomdp.obs_map[s]):
-            dist = pomdp.dist(s, a)
-            for i in copies:
-                if prio[s] >= 2 * i:
-                    row = {copy_name[(t, i)]: w for t, w in dist.items()}
-                else:
-                    row = {copy_name[(t, i)]: w * HALF for t, w in dist.items()}
-                    for t, w in dist.items():
-                        row[copy_name[(t, i - 1)]] = w * HALF
-                transitions[(copy_name[(s, i)], a)] = row
-
-    reduced = Pomdp(states=states, actions=pomdp.actions,
+    reduced = Pomdp(states=tuple(origin), actions=pomdp.actions,
                     observations=pomdp.observations, obs_map=obs_map,
                     transitions=transitions,
                     initial_state=copy_name[(pomdp.initial_state, d)],
@@ -245,21 +241,17 @@ def parity_to_three(pomdp: Pomdp, objective: Objective) -> ReductionOutput:
             return 1
         return 2
 
-    priorities = {copy_name[(s, i)]: squeeze(s, i)
-                  for s in pomdp.states for i in copies}
-    origin: dict[str, tuple[str | None, int | str]] = {
-        new: (s, i) for (s, i), new in copy_name.items()}
+    priorities = {new: squeeze(s, i) for new, (s, i) in origin.items()}
     return ReductionOutput(reduced, Objective.parity(priorities), origin)
 
 
 def three_to_cobuchi(pomdp: Pomdp, objective: Objective) -> ReductionOutput:
     """Rewrite almost-sure parity over {0,1,2} into almost-sure co-Buchi.
 
-    Priority-0 states leak half their mass to a fresh absorbing sink that
-    counts as allowed, and then drop to the allowed set themselves; the
-    co-Buchi allowed set is everything except the priority-1 states.  Seeing
-    priority 0 infinitely often thus forces falling into the (winning) sink,
-    and runs that avoid priority 0 keep their verdict unchanged.
+    The single copy keeps the state names and claims 1, so priority-0
+    states leak to a fresh absorbing sink, which is allowed: seeing
+    priority 0 infinitely often means falling into it.  The co-Buchi
+    allowed set is everything except the priority-1 states.
 
     A finite-memory strategy is almost-sure winning on the input iff the
     same strategy is almost-sure winning on the output.
@@ -273,21 +265,12 @@ def three_to_cobuchi(pomdp: Pomdp, objective: Objective) -> ReductionOutput:
 
     sink = fresh_name("sink", set(pomdp.states))
     sink_obs = fresh_name("o_sink", set(pomdp.observations))
+    origin, obs_map, transitions = _copies(
+        pomdp, prio, [1], {(s, 0): s for s in pomdp.states},
+        lambda dist, i: {sink: HALF})
     states = pomdp.states + (sink,)
     observations = pomdp.observations + (sink_obs,)
-    obs_map = dict(pomdp.obs_map)
     obs_map[sink] = sink_obs
-
-    transitions: dict[tuple[str, str], dict[str, Fraction]] = {}
-    for s in pomdp.states:
-        for a in pomdp.available_at(pomdp.obs_map[s]):
-            dist = pomdp.dist(s, a)
-            if prio[s] == 0:
-                row = {t: w * HALF for t, w in dist.items()}
-                row[sink] = HALF
-            else:
-                row = dict(dist)
-            transitions[(s, a)] = row
     for a in pomdp.actions:
         transitions[(sink, a)] = {sink: Fraction(1)}
 
@@ -296,8 +279,6 @@ def three_to_cobuchi(pomdp: Pomdp, objective: Objective) -> ReductionOutput:
                     transitions=transitions, initial_state=pomdp.initial_state,
                     available=dict(pomdp.available))
     allowed = frozenset(s for s in pomdp.states if prio[s] != 1) | {sink}
-    origin: dict[str, tuple[str | None, int | str]] = {
-        s: (s, 0) for s in pomdp.states}
     origin[sink] = (None, ROLE_SINK)
     return ReductionOutput(reduced, Objective.cobuchi(allowed), origin)
 

@@ -14,7 +14,7 @@ import pytest
 import pomparity
 from pomparity import cli
 from pomparity.cli import cli_main
-from pomparity.model import Objective
+from pomparity.model import Objective, objective_as_parity
 from pomparity.modelio import (fixture_text, load_model_file, parse_model,
                                parse_strategy, save_strategy_file,
                                serialize_model)
@@ -293,6 +293,27 @@ def test_reduce_stdout_mode(tmp_path, capsys):
                      "--origins", str(origins))
     assert code == 0
     assert origins.exists()
+
+
+def test_reduce_reads_a_declared_parity_maximum(tmp_path, capsys):
+    """``objective: parity N`` in a model file sets the copy count that
+    ``reduce`` uses: ex1's priorities top out at 2, which gives two copies
+    on every route, and declaring 4 gives three."""
+    pomdp, parity = objective_as_parity(*parse_model(fixture_text("ex1")))
+    text = serialize_model(pomdp, Objective.parity(parity.priority_map,
+                                                   declared_max=4))
+    assert "\nobjective: parity 4\n" in text
+    model = tmp_path / "ex1.parity4.pomdp"
+    model.write_text(text, encoding="utf-8")
+    _, declared = parse_model(text)
+    n = len(pomdp.states)
+    for to, states in (("buchi", 3 * n + 2), ("three", 3 * n),
+                       ("cobuchi", 3 * n + 1)):
+        code, out, _ = run(capsys, "reduce", str(model), "--to", to)
+        assert code == 0
+        red = cli._REDUCTIONS[to](pomdp, declared)
+        assert out == serialize_model(red.pomdp, red.objective)
+        assert len(red.pomdp.states) == states, to
 
 
 def test_reduce_composes_with_solve(tmp_path, capsys):
@@ -933,6 +954,22 @@ def test_package_runs_as_a_module(tmp_path):
     record, digest = PINNED_OUTPUTS[("ex1", "almost")]
     assert re.sub(r" wall_time_s=\S+", "", done.stdout.strip()) == record
     assert hashlib.sha256(witness.read_bytes()).hexdigest() == digest
+
+
+def test_the_module_entry_point_is_cli_main(tmp_path, capsys):
+    """``python -m pomparity`` exits with ``cli_main``'s code and prints its
+    output: a valid model (0), a missing one (2, on stderr only) and one
+    with a problem (2)."""
+    bad = tmp_path / "bad.pomdp"
+    bad.write_text(fixture_text("ex1").replace("init: s0", "init: ghost"),
+                   encoding="utf-8")
+    cases = ((write_ex1(tmp_path), 0), (str(tmp_path / "ghost.pomdp"), 2),
+             (str(bad), 2))
+    for path, code in cases:
+        done = run_module(tmp_path, "info", path)
+        assert (done.returncode, done.stdout, done.stderr) == \
+            run(capsys, "info", path)
+        assert done.returncode == code
 
 
 def test_solve_outputs_do_not_depend_on_the_hash_seed(tmp_path, capsys):

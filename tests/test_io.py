@@ -1,16 +1,17 @@
 """Text formats: parsing, serialization, round-trip stability."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pomparity import (ExactnessError, FiniteMemoryStrategy, Objective,
-                       ParseError, load_fixture, parse_model, parse_strategy,
-                       serialize_model, serialize_strategy,
-                       stationary_strategy, uniform)
+                       ParseError, load_fixture, objective_as_parity,
+                       parse_model, parse_strategy, serialize_model,
+                       serialize_strategy, stationary_strategy, uniform)
 from pomparity.modelio import fixture_text
-from conftest import alternating
+from conftest import alternating, random_parity, random_pomdp
 
 
 MINI = """\
@@ -174,6 +175,26 @@ def test_parity_objective_round_trips():
     text = serialize_model(pomdp, objective)
     _, obj2 = parse_model(text)
     assert obj2 == objective
+
+
+def test_a_declared_parity_maximum_round_trips(ex1, ex2):
+    """A declared maximum above the used one is written as
+    ``objective: parity N`` and read back as the same objective."""
+    rng = random.Random(12)
+    models = [objective_as_parity(*ex1), objective_as_parity(*ex2)]
+    for _ in range(20):
+        pomdp = random_pomdp(rng)
+        models.append((pomdp, random_parity(rng, pomdp, top=3)))
+    for pomdp, parity in models:
+        used = max(parity.priority_map.values())
+        for top in (used + 1, used + 2):
+            declared = Objective.parity(parity.priority_map, declared_max=top)
+            text = serialize_model(pomdp, declared)
+            assert f"\nobjective: parity {top}\n" in text
+            again, objective = parse_model(text)
+            assert again == pomdp and objective == declared
+            assert objective.max_priority == top
+            assert serialize_model(again, objective) == text
 
 
 # -- strategies --

@@ -5,10 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from pomparity import (ExactnessError, Objective, Pomdp,
-                       UnsupportedConversionError, belief_update,
-                       make_absorbing, objective_as_parity, validate,
-                       validate_objective)
+from pomparity import (ContractError, ExactnessError, Objective, ParseError,
+                       Pomdp, StructuralError, UnsupportedConversionError,
+                       WinningMode, belief_update, load_fixture,
+                       make_absorbing, objective_as_parity,
+                       parity_to_three, positive_parity_to_buchi,
+                       serialize_model, serialize_strategy,
+                       solve_parity_fm, stationary_strategy,
+                       three_to_cobuchi, validate, validate_objective)
+from pomparity.chain import objective_colors
+from pomparity.strategy import SupportStrategy
 from conftest import random_pomdp
 
 
@@ -241,3 +247,52 @@ def test_make_absorbing_only_touches_targets(ex2):
             continue
         for a in pomdp.actions:
             assert fixed.dist(s, a) == pomdp.dist(s, a)
+
+
+EX1, EX1_OBJECTIVE = load_fixture("ex1")
+ONLY_INIT = Objective.parity({"s0": 0})
+UNPRIORITIZED = "parity objective assigns no priority to: X, X', Y, Y', Z, Z'"
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: belief_update(EX1, [], "a", "o_U"), ContractError,
+     "belief update from an empty belief"),
+    (lambda: belief_update(EX1, ["s0", "X"], "a", "o_U"), ContractError,
+     "belief mixes observations: o_U, o_init"),
+    (lambda: belief_update(EX1, ["s0"], "zz", "o_U"), ContractError,
+     "action 'zz' is unavailable at observation 'o_init'"),
+    (lambda: belief_update(EX1, ["s0"], "a", "nope"), StructuralError,
+     "unknown observation 'nope'"),
+    (lambda: objective_as_parity(EX1, Objective("bogus")), ContractError,
+     "unknown objective kind 'bogus'"),
+    (lambda: objective_colors(Objective.buchi({"X"})), ContractError,
+     "chain evaluation needs a parity or Muller objective, got buchi"),
+    (lambda: Objective.buchi({"X"}).max_priority, ContractError,
+     "max_priority undefined for buchi objective"),
+    (lambda: positive_parity_to_buchi(EX1, ONLY_INIT), ContractError,
+     UNPRIORITIZED),
+    (lambda: parity_to_three(EX1, ONLY_INIT), ContractError, UNPRIORITIZED),
+    (lambda: three_to_cobuchi(EX1, ONLY_INIT), ContractError, UNPRIORITIZED),
+    (lambda: stationary_strategy(EX1, ["a", "zz"]), StructuralError,
+     "unknown actions: zz"),
+    (lambda: solve_parity_fm(EX1, EX1_OBJECTIVE, "almost"), ContractError,
+     "unsupported winning mode 'almost'"),
+    (lambda: serialize_model(EX1, Objective.muller(
+        {s: 0 for s in EX1.states}, [{0}])), ParseError,
+     "objective kind 'muller' has no text form"),
+])
+def test_contract_errors_name_what_is_wrong(call, error, text):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == text
+
+
+def test_strategy_text_skips_update_rows_with_empty_support():
+    """An update row with an empty support (its memory stops) writes no
+    ``update:`` line; the other rows are written as usual."""
+    table = SupportStrategy(("m",), {"m": ("a",)},
+                            {("m", "o_U", "a"): (), ("m", "o_init", "a"): ("m",)},
+                            "m")
+    assert serialize_strategy(table) == (
+        "memories: m\ninit: m\nact: m -> a 1\n"
+        "update: m o_init a -> m 1\n")

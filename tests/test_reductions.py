@@ -8,8 +8,9 @@ import pytest
 from pomparity import (ContractError, Objective, Pomdp, WinningMode,
                        almost_parity_to_cobuchi, objective_as_parity,
                        parity_to_three, positive_parity_to_buchi,
-                       restrict_strategy, stationary_strategy,
-                       three_to_cobuchi, transfer_strategy, validate)
+                       restrict_strategy, solve_parity_fm,
+                       stationary_strategy, three_to_cobuchi,
+                       transfer_strategy, validate)
 from pomparity.reductions import ROLE_INITIAL, ROLE_SINK
 from conftest import (alternating, chain_wins, random_parity, random_pomdp,
                       random_strategy)
@@ -134,6 +135,58 @@ def test_composed_rewrite_origin_bookkeeping(ex1):
     assert len(out.pomdp.states) == 2 * len(base.states) + 1
     check_copy_bookkeeping(base, out, 2)
     assert set(out.fresh_states()) == {ROLE_SINK}
+
+
+def declared_max_models(ex1, ex2, draws, seed=11):
+    """ex1, ex2 and seeded parity models, each with the priorities it uses
+    and with the used maximum declared one and two above."""
+    rng = random.Random(seed)
+    models = [as_parity(ex1), as_parity(ex2)]
+    for _ in range(draws):
+        pomdp = random_pomdp(rng)
+        models.append((pomdp, random_parity(rng, pomdp, top=rng.choice((2, 3)))))
+    for pomdp, parity in models:
+        used = max(parity.priority_map.values())
+        yield pomdp, parity, [Objective.parity(parity.priority_map, declared_max=used + k)
+                              for k in (1, 2)]
+
+
+def test_a_declared_maximum_sets_the_copy_count(ex1, ex2):
+    """Every reduction's copy count d follows the declared top, not the
+    top used: d + 1 = top // 2 + 1 copies for the almost-sure route, and
+    (top + 1) // 2 + 1 for the positive one, whose range rounds up to even."""
+    for pomdp, parity, declared in declared_max_models(ex1, ex2, 30):
+        n, used = len(pomdp.states), max(parity.priority_map.values())
+        for objective in [parity, *declared]:
+            top = objective.max_priority
+            assert top == (objective.declared_max or used)
+            buchi = positive_parity_to_buchi(pomdp, objective)
+            assert len(buchi.pomdp.states) == n * ((top + 1) // 2 + 1) + 2
+            check_copy_bookkeeping(pomdp, buchi, (top + 1) // 2 + 1)
+            three = parity_to_three(pomdp, objective)
+            assert len(three.pomdp.states) == n * (top // 2 + 1)
+            check_copy_bookkeeping(pomdp, three, top // 2 + 1)
+            assert three.pomdp.initial_state == \
+                three.copy_states(top // 2)[pomdp.initial_state]
+            cob = three_to_cobuchi(three.pomdp, three.objective)
+            assert len(cob.pomdp.states) == n * (top // 2 + 1) + 1
+            composed = almost_parity_to_cobuchi(pomdp, objective)
+            assert composed.pomdp.states == cob.pomdp.states
+            check_copy_bookkeeping(pomdp, composed, top // 2 + 1)
+
+
+def test_unused_priorities_never_change_the_winners(ex1, ex2):
+    """The ``positive_parity_to_buchi`` docstring's claim, on the solver:
+    declaring a maximum one or two above the used one keeps every verdict,
+    in both modes."""
+    pairs = 0
+    for pomdp, parity, declared in declared_max_models(ex1, ex2, 60):
+        for mode in (ALMOST, POSITIVE):
+            plain = solve_parity_fm(pomdp, parity, mode).winning
+            for objective in declared:
+                assert solve_parity_fm(pomdp, objective, mode).winning == plain
+                pairs += 1
+    assert pairs == 248
 
 
 def test_reductions_need_a_parity_objective(ex1):
