@@ -337,12 +337,14 @@ class BeliefObsPomdp:
 
         By the commitment invariant these are exactly the committed belief
         states (class table {{2}}, priority 2).  Buchi-mode elements never
-        commit, so there the set is empty.
+        commit, so there the set is empty.  Elements are the graph's
+        observations that select no move, but the sink, in ``keys`` order.
         """
-        ranges, index = self.ranges, self.obs_index
-        return frozenset(ranges[index[ename]].start + p
-                         for ename, (belief, brec, _) in self.keys.items()
-                         for p, s in enumerate(belief) if s in brec)
+        g = self.graph
+        elements = zip((g.members[j] for j, sel in enumerate(g.moving)
+                        if not sel and j != DEAD), self.keys.values())
+        return frozenset(i for ids, (belief, brec, _) in elements
+                         for i, s in zip(ids, belief) if s in brec)
 
 
 @dataclass

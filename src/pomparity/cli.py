@@ -157,10 +157,7 @@ def _cmd_reduce(args) -> int:
     if objective.kind == MULLER:
         raise CliError("reduce does not handle Muller objectives")
     base, parity = objective_as_parity(pomdp, objective)
-    try:
-        red: ReductionOutput = _REDUCTIONS[args.to](base, parity)
-    except ContractError as exc:
-        raise CliError(str(exc)) from None
+    red: ReductionOutput = _REDUCTIONS[args.to](base, parity)
     text = serialize_model(red.pomdp, red.objective)
     origin_lines = []
     for new in red.pomdp.states:

@@ -234,7 +234,6 @@ class Pomdp:
         self.available = norm
         self.transitions = {key: exact_dist(dist, ("transition", key))
                             for key, dist in self.transitions.items()}
-        self._supp: dict[tuple[str, str], tuple[str, ...]] = {}
 
     # -- derived lookups (cached; instances are immutable by convention) --
 
@@ -282,15 +281,11 @@ class Pomdp:
     def supp(self, state: str, action: str) -> tuple[str, ...]:
         """Successor support of (state, action), in distribution order.
 
-        Derived once per pair on first use.  Readers whose result depends
-        on the order sort by ``state_index`` themselves.
+        Derived on each call: ``index_supports`` is the one cached table.
+        Readers whose result depends on the order sort by ``state_index``
+        themselves.
         """
-        key = (state, action)
-        got = self._supp.get(key)
-        if got is None:
-            got = self._supp[key] = tuple(
-                t for t, w in self.transitions.get(key, {}).items() if w > 0)
-        return got
+        return tuple(t for t, w in self.dist(state, action).items() if w > 0)
 
 
 def validate(pomdp: Pomdp) -> list[str]:

@@ -40,12 +40,11 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .model import (BUCHI, COBUCHI, PARITY, REACH, SAFE, ExactnessError,
-                    Objective, ParseError, Pomdp)
+from .model import (_TARGET_KINDS, PARITY, ExactnessError, Objective,
+                    ParseError, Pomdp)
 from .strategy import FiniteMemoryStrategy, MemoryElement, SupportStrategy
 
 _NAME_RE = re.compile(r"^[^\s:,#]+$")
-_TARGET_KINDS = {REACH, SAFE, BUCHI, COBUCHI}
 
 
 def _check_name(token: str, what: str, line_no: int) -> str:
@@ -316,11 +315,8 @@ def serialize_model(pomdp: Pomdp, objective: Objective | None = None) -> str:
             targets = sorted(objective.targets, key=lambda t: sidx.get(t, len(sidx)))
             out.append(f"objective: {objective.kind} {' '.join(targets)}")
         elif objective.kind == PARITY:
-            used = max((p for _, p in objective.priorities), default=0)
-            if objective.declared_max is not None and objective.declared_max > used:
-                out.append(f"objective: parity {objective.declared_max}")
-            else:
-                out.append("objective: parity")
+            top = objective.declared_max
+            out.append("objective: parity" + ("" if top is None else f" {top}"))
             pm = objective.priority_map
             for s in pomdp.states:
                 out.append(f"priority: {s} {pm[s]}")

@@ -253,8 +253,6 @@ def oracle_decide(pomdp: Pomdp, objective: Objective, mode: WinningMode,
     ``budget`` candidates are judged without a winner and more remain.
     Only the winner is named.
     """
-    if k < 1:
-        raise ContractError("memory bound must be at least 1")
     if budget is not None and budget < 0:
         raise ContractError("candidate budget must not be negative")
     base, evaluable = evaluable_objective(pomdp, objective)

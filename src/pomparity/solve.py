@@ -81,7 +81,7 @@ from .reductions import (almost_parity_to_cobuchi, positive_parity_to_buchi,
 from .strategy import SupportStrategy
 
 
-# -- observation-set operators -------------------------------------------
+# -- observation-set operators: the tests' reference, called by no pipeline --
 
 def allow(o: str, obs_set: Iterable[str], pomdp: Pomdp) -> frozenset[str]:
     """Actions available at ``o`` whose every successor observation stays in the set."""
@@ -126,24 +126,26 @@ def obs_cover(states: Iterable[str], pomdp: Pomdp) -> frozenset[str]:
                      if set(pomdp.states_with_obs(o)) <= states)
 
 
-def _obs_strategy(pomdp: Pomdp,
-                  plays: Mapping[str, Iterable[str]]) -> SupportStrategy:
-    """Memoryless observation-based strategy as a finite-memory table.
+def _obs_strategy(pomdp: Pomdp, graph: ObsGraph, inside: bytearray, live: bytearray
+                  ) -> tuple[frozenset[str], SupportStrategy | None]:
+    """The observations a core kept, and their companion strategy, if any.
 
-    One memory per observation in the play table; the memory simply tracks
-    the last observation.  It starts at the initial observation, or at the
-    first one of the table if that is missing.
+    A memoryless observation-based strategy as a finite-memory table: one
+    memory per kept observation, playing its live slots' actions, which
+    tracks the last observation: each live slot in ``graph.pred[j]`` moves
+    to j.  It starts at the initial observation, or else the first kept.
     """
-    obs_map = pomdp.obs_map
-    memories = tuple(sorted(plays, key=pomdp.obs_index.__getitem__))
-    action_support = {o: tuple(sorted(plays[o])) for o in memories}
-    update_support = {(o, obs_map[t], a): (obs_map[t],) for o in memories
-                      for a in action_support[o]
-                      for s in pomdp.states_with_obs(o)
-                      for t in pomdp.supp(s, a) if obs_map[t] in plays}
-    o0 = obs_map[pomdp.initial_state]
-    return SupportStrategy(memories, action_support, update_support,
-                           o0 if o0 in plays else memories[0])
+    kept, plays = graph.kept(inside, live)
+    if not kept:
+        return kept, None
+    names, owner, acts = graph.observations, graph.owner, graph.acts
+    update_support = {(names[owner[k]], names[j], acts[k]): (names[j],)
+                      for j in itertools.compress(range(len(names)), inside)
+                      for k in graph.pred[j] if live[k]}
+    o0 = pomdp.obs_map[pomdp.initial_state]
+    return kept, SupportStrategy(
+        tuple(plays), {o: tuple(sorted(a)) for o, a in plays.items()},
+        update_support, o0 if o0 in plays else next(iter(plays)))
 
 
 def _safe_obs(graph: ObsGraph, start: bytearray, stats: dict | None = None,
@@ -184,11 +186,11 @@ def almost_safe(pomdp: Pomdp, safe_states: Iterable[str],
     The companion strategy plays every preserving action.  A state the
     model lacks is a ``StructuralError``.
     """
-    cover = obs_cover(known_states(pomdp, safe_states, "safe set names"), pomdp)
+    safe = set(map(pomdp.state_index.__getitem__,
+                   known_states(pomdp, safe_states, "safe set names")))
     graph = obs_graph(pomdp)
-    y, plays = graph.kept(*_safe_obs(graph, bytearray(
-        o in cover for o in pomdp.observations), stats)[:2])
-    return y, (_obs_strategy(pomdp, plays) if y else None)
+    return _obs_strategy(pomdp, graph, *_safe_obs(graph, bytearray(
+        safe.issuperset(ids) for ids in graph.members), stats)[:2])
 
 
 def _buchi_obs(graph: ObsGraph, start: bytearray, targets: frozenset[int],
@@ -264,15 +266,14 @@ def almost_buchi(pomdp: Pomdp, targets: Iterable[str],
     classes are fully contained in the inner limit X, where X grows from
     the in-Z targets by positive-probability attraction (``apre``) that
     never risks leaving Z.  The companion strategy plays every action of
-    allow(o, Z*); its recurrent classes all intersect the targets.  A
+    Allow(o, Z*); its recurrent classes all intersect the targets.  A
     target the model lacks is a ``StructuralError``.
     """
     targets = known_states(pomdp, targets, "targets name")
     graph = obs_graph(pomdp)
-    z, plays = graph.kept(*_buchi_obs(
+    return _obs_strategy(pomdp, graph, *_buchi_obs(
         graph, bytearray([1]) * len(pomdp.observations),
         frozenset(map(pomdp.state_index.__getitem__, targets)), stats)[:2])
-    return z, (_obs_strategy(pomdp, plays) if z else None)
 
 
 def almost_reach(pomdp: Pomdp, targets: Iterable[str],

@@ -88,6 +88,40 @@ def random_pomdp(rng: random.Random, max_states: int = 4, n_actions: int = 2,
     return pomdp
 
 
+def gamble_pomdp(rng: random.Random) -> tuple[Pomdp, Objective]:
+    """A random model with a gamble, and a parity objective on it.
+
+    Besides 2 or 3 random states, two absorbing states share
+    one observation: the goal (priority 0) and the trap (priority 1).
+    Action b from a random non-empty set of states reaches both with
+    positive probability; action a never does, and no other move reaches
+    either.  Where the other states win nothing, taking the gamble wins
+    with positive probability but never almost surely, so the two modes
+    disagree far more often than on ``random_pomdp``.
+    """
+    n = rng.randint(2, 3)
+    inner = tuple(f"s{i}" for i in range(n))
+    groups = rng.randint(1, max(1, n - 1))
+    obs_map = {"s0": "o0", "goal": "o_end", "trap": "o_end"}
+    for s in inner[1:]:
+        obs_map[s] = f"o{rng.randint(1, groups)}"
+    risky = rng.sample(inner, rng.randint(1, n))
+    transitions = {(t, a): {t: Fraction(1)}
+                   for t in ("goal", "trap") for a in ("a", "b")}
+    for s in inner:
+        for a in ("a", "b"):
+            support = rng.sample(inner, rng.randint(1, 2))
+            if a == "b" and s in risky:
+                support += ["goal", "trap"]
+            transitions[(s, a)] = weighted(rng, support)
+    pomdp = Pomdp(states=inner + ("goal", "trap"), actions=("a", "b"),
+                  observations=tuple(sorted(set(obs_map.values()))),
+                  obs_map=obs_map, transitions=transitions, initial_state="s0")
+    assert validate(pomdp) == []
+    priority = {s: rng.randint(0, 3) for s in inner}
+    return pomdp, Objective.parity({**priority, "goal": 0, "trap": 1})
+
+
 def random_mdp(rng: random.Random, max_states: int = 4,
                n_actions: int = 2) -> Pomdp:
     """A perfect-observation random MDP: every state observes itself."""

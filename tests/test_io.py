@@ -178,8 +178,8 @@ def test_parity_objective_round_trips():
 
 
 def test_a_declared_parity_maximum_round_trips(ex1, ex2):
-    """A declared maximum above the used one is written as
-    ``objective: parity N`` and read back as the same objective."""
+    """A declared maximum, equal to the used one or above it, is written
+    as ``objective: parity N`` and read back as the same objective."""
     rng = random.Random(12)
     models = [objective_as_parity(*ex1), objective_as_parity(*ex2)]
     for _ in range(20):
@@ -187,7 +187,7 @@ def test_a_declared_parity_maximum_round_trips(ex1, ex2):
         models.append((pomdp, random_parity(rng, pomdp, top=3)))
     for pomdp, parity in models:
         used = max(parity.priority_map.values())
-        for top in (used + 1, used + 2):
+        for top in (used, used + 1, used + 2):
             declared = Objective.parity(parity.priority_map, declared_max=top)
             text = serialize_model(pomdp, declared)
             assert f"\nobjective: parity {top}\n" in text

@@ -24,7 +24,7 @@ from pomparity.cli import cli_main
 from pomparity.modelio import fixture_text
 from pomparity.solve import _buchi_obs, _safe_obs
 from pomparity.strategy import MemoryElement
-from conftest import (all_memoryless_supports, chain_wins,
+from conftest import (all_memoryless_supports, chain_wins, gamble_pomdp,
                       observation_stationary, random_belief_obs_pomdp,
                       random_mdp, random_parity, random_pomdp, run_core)
 
@@ -118,6 +118,38 @@ def test_the_fixpoint_wrappers_refuse_states_the_model_lacks(ex1):
     for fixpoint in (almost_safe, almost_buchi, almost_reach):
         with pytest.raises(StructuralError, match="unknown states: nope$"):
             fixpoint(pomdp, {"X", "nope"})
+
+
+def test_no_wrapper_or_pipeline_calls_the_name_level_operators(
+        ex1, ex2, monkeypatch):
+    """``allow``, ``pre``, ``apre`` and ``obs_cover`` are the tests'
+    reference: with all four raising, the fixpoint wrappers and both
+    pipelines return the same sets, names and tables as without, on the
+    fixtures and on seeded models."""
+    rng = random.Random(8005)
+    cases = [objective_as_parity(*ex1), objective_as_parity(*ex2)]
+    for _ in range(20):
+        pomdp = random_pomdp(rng)
+        cases.append((pomdp, random_parity(rng, pomdp, top=3)))
+
+    def run_all():
+        draw, out = random.Random(8006), []
+        for pomdp, objective in cases:
+            part = {s for s in pomdp.states if draw.random() < 0.6}
+            out += [fixpoint(pomdp, part)
+                    for fixpoint in (almost_safe, almost_buchi, almost_reach)]
+            out += [solve_parity_fm(pomdp, objective, mode)
+                    for mode in (ALMOST, POSITIVE)]
+        return out
+
+    expected = run_all()
+
+    def refuse(*args):
+        raise AssertionError("a name-level operator was called")
+
+    for name in ("allow", "pre", "apre", "obs_cover"):
+        monkeypatch.setattr(solve, name, refuse)
+    assert run_all() == expected
 
 
 # -- fixpoints against memoryless-support enumeration --
@@ -1025,6 +1057,28 @@ def test_solver_never_contradicts_the_bounded_search():
                 assert d.winning
             if d.winning:
                 assert chain_wins(pomdp, objective, mode, d.witness)
+
+
+def test_solver_backs_the_bounded_search_where_the_modes_disagree():
+    """The differential net on ``gamble_pomdp``, where a trap is reachable
+    under some actions only: every oracle "yes" at k <= 2 is a solver
+    "yes" in that mode, and every solver witness wins.  At least a
+    quarter of the draws win positively but not almost surely."""
+    rng = random.Random(8007)
+    draws, disagree = 40, 0
+    for _ in range(draws):
+        pomdp, objective = gamble_pomdp(rng)
+        verdicts = set()
+        for mode in (ALMOST, POSITIVE):
+            d = solve_parity_fm(pomdp, objective, mode)
+            r = oracle_decide(pomdp, objective, mode, 2, budget=3000)
+            if r.verdict == "yes":
+                assert d.winning
+            if d.winning:
+                assert chain_wins(pomdp, objective, mode, d.witness)
+            verdicts.add(d.winning)
+        disagree += len(verdicts) == 2
+    assert disagree >= draws // 4
 
 
 def sharing_the_initial_observation(rng, pomdp):
