@@ -81,7 +81,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .model import (
     ContractError,
@@ -172,38 +172,23 @@ def _explore_or_commit(prio: Sequence[int], forced: frozenset[int],
     return tuple(out)
 
 
-def _initial_elements(prio: Sequence[int], mode: str,
-                      root: int) -> tuple[ElementKey, ...]:
-    """Element moves available before the first action: the rule's moves
-    into {root}, nothing forced.  Co-Buchi elements certify that only
-    {2}-recurrences are reachable from the root, so its cap is {{2}}; every
-    other cap is maximal.  One state has at most two options."""
-    caps = [_TOP[mode]] * len(prio)
-    if mode == COBUCHI_MODE:
-        caps[root] = _GOOD2
-    return _explore_or_commit(prio, frozenset(), tuple(caps), (root,), 2)
-
-
 def _element_moves(rows: Sequence[Sequence[tuple[int, ...]]],
                    prio: Sequence[int], mode: str, action: int,
                    tables: tuple[frozenset[frozenset[int]], ...],
-                   committed: frozenset[int], limit: int
-                   ) -> tuple[()] | tuple[tuple, Callable[
-                       [tuple[int, ...]], tuple[ElementKey, ...]]]:
-    """The generated element moves after ``action`` from an element.
+                   committed: frozenset[int]) -> tuple:
+    """The signature of the element moves after ``action`` from an element.
 
     ``rows`` and ``prio`` are the model's successor rows and priorities by
     index; the element enters only through its class ``tables`` and its
     committed belief states.  Returns ``()`` if the action is disallowed:
     if under it a committed belief state, which certifies a priority-2
-    recurrence, reaches a state of another priority.  Otherwise returns a
-    signature, the forced commitments and the cap tables, and the rule's
-    moves (``_explore_or_commit``) under it as a function of a branch's new
-    belief; what the branch does not change is computed once, here.  Buchi
+    recurrence, reaches a state of another priority.  Otherwise returns
+    the signature, the forced commitments and the cap tables, under which
+    the rule (``_explore_or_commit``) gives each branch's moves.  Buchi
     mode is an instance: nothing commits and every table is maximal, so the
     signature is the same for every action and each branch gets its one
     belief-support successor.  By the commitment invariant every state has
-    an option, so every branch has a move; ``limit`` bounds their number.
+    an option, so every branch has a move.
     """
     forced = frozenset(t for s in committed for t in rows[s][action])
     if any(prio[t] != 2 for t in forced):
@@ -212,9 +197,7 @@ def _element_moves(rows: Sequence[Sequence[tuple[int, ...]]],
     for row, table in zip(rows, tables):
         for t in row[action]:
             caps[t] &= table
-    caps = tuple(caps)
-    return (forced, caps), lambda new_belief: _explore_or_commit(
-        prio, forced, caps, new_belief, limit)
+    return forced, tuple(caps)
 
 
 @dataclass
@@ -236,10 +219,13 @@ class BeliefObsPomdp:
     ``pred`` order, and otherwise for c's own.  ``successors`` reads every
     row off these records: an allowed (element, action) has one block in
     ``rows``, its states' successor ids in belief order, read off the
-    graph and the model's rows ``model_rows`` on demand; a disallowed one
-    is recorded once and leads to the sink, as does the sink under every
-    action; a move e leads the start, and the memory-selection state of
-    belief position p, to state p of element e.  ``element(name)``,
+    graph and the model's rows ``model_rows`` on demand.  Every other
+    action of an element is disallowed: under it a committed belief state
+    reaches a state of priority other than 2 (``_element_moves``).  It
+    leads to the sink, as does the sink under every action, and the graph
+    records it once, as the element's slot in ``graph.pred[DEAD]``.  A
+    move e leads the start, and the memory-selection state of belief
+    position p, to state p of element e.  ``element(name)``,
     ``elements`` and the named, playable ``pomdp`` are built on demand.
     Branches with equal signatures share one ``moves`` tuple and one
     ``available`` set, so these objects must never be mutated.
@@ -252,11 +238,8 @@ class BeliefObsPomdp:
     ranges: list[range]
     origin: array
     model_rows: tuple[tuple[tuple[int, ...], ...], ...]
-    disallowed: set[tuple[str, str]]
     prio: list[int]
     root: str
-    init_obs: str
-    sink_obs: str
     initial_moves: tuple[str, ...]
     keys: dict[str, ElementKey]
     state_names: tuple[str, ...]
@@ -264,6 +247,8 @@ class BeliefObsPomdp:
     moves: dict[str, tuple[str, ...]]
     stands_for: list[Sequence[int]]
     graph: ObsGraph
+    init_obs: ClassVar[str] = "o_start"
+    sink_obs: ClassVar[str] = "o_dead"
 
     def successors(self, i: int, j: int, action: str) -> tuple[int, ...]:
         """The successor ids of state ``i``, observed as ``observations[j]``,
@@ -272,7 +257,7 @@ class BeliefObsPomdp:
         block = self.rows.get((o, action))
         if block is not None:
             return block[i - ranges[j].start]
-        if j == DEAD or (o, action) in self.disallowed:
+        if j == DEAD or o in self.keys:
             return (DEAD,)
         return (ranges[self.obs_index[action]].start + i - ranges[j].start,)
 
@@ -510,7 +495,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     elem_obs: dict[ElementKey, int] = {}
     keys: dict[str, ElementKey] = {}
 
-    init_obs, sink_obs = "o_start", "o_dead"
+    init_obs, sink_obs = BeliefObsPomdp.init_obs, BeliefObsPomdp.sink_obs
     # per observation id its name and state ids, then state id -> its
     # model state index, written as ids are numbered
     observations: list[str] = [init_obs, sink_obs]
@@ -526,12 +511,11 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     into: list[Sequence[tuple]] = [(), ()]
     # (slot, belief size) of each disallowed (element, action)
     dead: list[tuple[int, int]] = []
-    disallowed: set[tuple[str, str]] = set()
     available: dict[str, frozenset[str]] = {}
     memsel: dict[tuple[str, str, str], str] = {}
     moves: dict[str, tuple[str, ...]] = {}
-    # (action, tables, committed belief states) -> _element_moves, () if
-    # the action is disallowed
+    # (action, tables, committed belief states) -> _element_moves, the
+    # signature, () if the action is disallowed
     cap_memo: dict[tuple, tuple] = {}
     # (belief, action) -> _branches
     split_memo: dict[tuple, list[tuple]] = {}
@@ -601,8 +585,15 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         names = [action_names[a] for a in here]
         playable.setdefault(o, (here, names, frozenset(names)))
 
-    initial = tuple(map(add_element, _initial_elements(
-        prio, mode, pomdp.state_index[root])))
+    # the rule's moves into {root}, nothing forced: co-Buchi elements
+    # certify that only {2}-recurrences are reachable from the root, so its
+    # cap is {{2}}; one state has at most two options
+    r = pomdp.state_index[root]
+    caps = [_TOP[mode]] * len(prio)
+    if mode == COBUCHI_MODE:
+        caps[r] = _GOOD2
+    initial = tuple(map(add_element, _explore_or_commit(
+        prio, frozenset(), tuple(caps), (r,), 2)))
     initial_moves = tuple(map(gnames.__getitem__, initial))
     available[init_obs] = frozenset(initial_moves)
     add_slots(START, initial_moves, initial)
@@ -614,15 +605,13 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         for k, a in enumerate(here, add_slots(je, names)):
             aname = action_names[a]
             cap_key = (a, tables, committed)
-            found = cap_memo.get(cap_key)
-            if found is None:
-                found = cap_memo[cap_key] = _element_moves(
-                    rows, prio, mode, a, tables, committed, budget)
-            if not found:
-                disallowed.add((ename, aname))
+            signature = cap_memo.get(cap_key)
+            if signature is None:
+                signature = cap_memo[cap_key] = _element_moves(
+                    rows, prio, mode, a, tables, committed)
+            if not signature:
                 dead.append((k, len(belief)))
                 continue
-            signature, moves_to = found
             split = split_memo.get((belief, a))
             if split is None:
                 split = split_memo[(belief, a)] = _branches(
@@ -634,7 +623,8 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                 branch = (signature, new_belief)
                 cls = branch_memo.get(branch)
                 if cls is None:
-                    made = tuple(map(add_element, moves_to(new_belief)))
+                    made = tuple(map(add_element, _explore_or_commit(
+                        prio, *signature, new_belief, budget)))
                     offered = tuple(map(gnames.__getitem__, made))
                     c = add_node(qname, array("i"), add_states(q, states), 1, [])
                     add_slots(c, offered, made)
@@ -659,8 +649,7 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     return BeliefObsPomdp(
         mode=mode, actions=all_actions, observations=tuple(observations),
         available=available, ranges=ranges, origin=origin, model_rows=rows,
-        disallowed=disallowed, prio=prio, root=root, init_obs=init_obs,
-        sink_obs=sink_obs, initial_moves=initial_moves, keys=keys,
+        prio=prio, root=root, initial_moves=initial_moves, keys=keys,
         state_names=pomdp.states, memsel=memsel, moves=moves,
         stands_for=stands_for,
         graph=ObsGraph(tuple(gnames), slots, acts, owner, pred, members,

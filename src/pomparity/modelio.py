@@ -45,6 +45,7 @@ from .model import (_TARGET_KINDS, PARITY, ExactnessError, Objective,
 from .strategy import FiniteMemoryStrategy, MemoryElement, SupportStrategy
 
 _NAME_RE = re.compile(r"^[^\s:,#]+$")
+_SECTIONS = ("states", "actions", "observations")
 
 
 def _check_name(token: str, what: str, line_no: int) -> str:
@@ -121,9 +122,7 @@ def _lines(text: str):
 
 def parse_model(text: str) -> tuple[Pomdp, Objective | None]:
     """Parse a model document; the objective may be absent."""
-    states: tuple[str, ...] | None = None
-    actions: tuple[str, ...] | None = None
-    observations: tuple[str, ...] | None = None
+    sections: dict[str, tuple[str, ...]] = {}  # keyword -> its names
     obs_map: dict[str, str] = {}
     initial: str | None = None
     available: dict[str, frozenset[str]] = {}
@@ -136,23 +135,14 @@ def parse_model(text: str) -> tuple[Pomdp, Objective | None]:
     weights: dict = {}  # weight tokens and weighted payloads, parsed once
 
     for line_no, keyword, payload, line in _lines(text):
-        if keyword in ("states", "actions", "observations"):
+        if keyword in _SECTIONS:
             names = tuple(_check_name(t, keyword[:-1], line_no)
                           for t in payload.split())
             if not names:
                 raise ParseError(f"empty {keyword} section", line=line_no)
-            if keyword == "states":
-                if states is not None:
-                    raise ParseError("duplicate states section", line=line_no)
-                states = names
-            elif keyword == "actions":
-                if actions is not None:
-                    raise ParseError("duplicate actions section", line=line_no)
-                actions = names
-            else:
-                if observations is not None:
-                    raise ParseError("duplicate observations section", line=line_no)
-                observations = names
+            if keyword in sections:
+                raise ParseError(f"duplicate {keyword} section", line=line_no)
+            sections[keyword] = names
         elif keyword == "obs":
             parts = [p.strip() for p in payload.split(":")]
             if len(parts) != 2 or not parts[0] or not parts[1]:
@@ -233,10 +223,10 @@ def parse_model(text: str) -> tuple[Pomdp, Objective | None]:
         else:
             raise ParseError(f"unknown keyword {keyword!r}", line=line_no)
 
-    for name, section in (("states", states), ("actions", actions),
-                          ("observations", observations)):
-        if section is None:
+    for name in _SECTIONS:
+        if name not in sections:
             raise ParseError(f"missing {name} section")
+    states, actions, observations = map(sections.__getitem__, _SECTIONS)
     if initial is None:
         raise ParseError("missing init line")
     state_set = set(states)

@@ -388,26 +388,21 @@ def _named(bo: BeliefObsPomdp, inside: bytearray) -> frozenset[str]:
         range(len(inside)), inside) for q in bo.stands_for[c])
 
 
-def _verify(pomdp: Pomdp, objective: Objective, mode: WinningMode,
-            table: SupportStrategy) -> SupportStrategy:
-    """Chain-check a witness table: the witness returned."""
-    chain = build_product_chain(pomdp, table)
-    if not evaluate_qualitative(chain, objective, mode):
-        raise ContractError(
-            "internal error: extracted witness failed independent "
-            "chain verification; refusing to answer yes")
-    return table
-
-
 def _finish(pomdp: Pomdp, objective: Objective, decision: Decision,
             bo: BeliefObsPomdp | None) -> Decision:
-    """Annotate (from ``bo``) or restrict a core's witness; check it once."""
+    """Annotate (from ``bo``) or restrict a core's witness; chain-check it
+    once."""
     table = decision.witness
     if table is not None:
         table = (restrict_strategy(pomdp, table) if bo is None else replace(
             table, elements={m: bo.element(m) for m in table.memories
                              if m in bo.keys}))
-        decision.witness = _verify(pomdp, objective, decision.mode, table)
+        chain = build_product_chain(pomdp, table)
+        if not evaluate_qualitative(chain, objective, decision.mode):
+            raise ContractError(
+                "internal error: extracted witness failed independent "
+                "chain verification; refusing to answer yes")
+        decision.witness = table
     return decision
 
 

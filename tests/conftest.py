@@ -35,6 +35,25 @@ def ex2fix(ex2):
     return fixed, Objective.buchi({"X", "X'", "Y", "Y'", "Z", "Z'"})
 
 
+# Two priority-2 states in one observation, each able to commit or explore:
+# one branch multiplies out to 2 * 2 = 4 element moves.
+SPLIT_MODEL = """\
+states: s0 x y
+actions: a
+observations: o0 o1
+obs: s0 : o0
+obs: x : o1
+obs: y : o1
+init: s0
+trans: s0 a -> x 1/2, y 1/2
+trans: x a -> x 1
+trans: y a -> y 1
+objective: cobuchi x y
+"""
+SPLIT_BUDGET_ERROR = ("one memory-selection branch multiplies out to 4 "
+                      "element moves, past the 3-state budget")
+
+
 def alternating(pomdp, first="ma", second="mb") -> FiniteMemoryStrategy:
     """Two memories playing a and b in turn, swapping on every observation."""
     swap = {first: second, second: first}

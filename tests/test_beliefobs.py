@@ -19,10 +19,11 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        is_belief_observation, objective_as_parity,
                        positive_buchi_red, validate)
 from pomparity import beliefobs
-from pomparity.modelio import load_fixture, serialize_model
+from pomparity.modelio import load_fixture, parse_model, serialize_model
 from pomparity.solve import _buchi_obs, _safe_obs
 from pomparity.strategy import MemoryElement
-from conftest import random_belief_obs_pomdp, random_pomdp, run_core
+from conftest import (SPLIT_BUDGET_ERROR, SPLIT_MODEL, random_belief_obs_pomdp,
+                      random_pomdp, run_core)
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +196,7 @@ def assert_commitment_invariant(bo):
     followed = 0
     for i in certified:
         for a in bo.available[observed[i]]:
-            if (observed[i], a) in bo.disallowed:
+            if (observed[i], a) not in bo.rows:
                 continue
             for m in block_row(bo, i, observed[i], a):
                 offered = bo.moves[observed[m]]
@@ -237,20 +238,24 @@ def reference_allowed(elem, action, pomdp, prio):
 def test_actions_are_allowed_by_the_reference_predicate(reduced_ex1_rewrite):
     """An (element, action) has memory-selection branches and one block of
     stored rows, a row per belief state, exactly when the reference
-    predicate allows it; otherwise it is recorded disallowed, once, has no
-    block, and its rows read as the sink row.  No other observation has a
-    block."""
+    predicate allows it; otherwise it is recorded disallowed, once, as the
+    element's slot among the sink's ``pred``, has no block, and its rows
+    read as the sink row.  No other observation has a block."""
     counts = Counter()
     rewrites = [*seeded_cobuchi_rewrites(7004, 150), reduced_ex1_rewrite]
     for pomdp, prio, bo in rewrites:
         branched = {(e, a) for e, a, _ in bo.memsel}
         blocks = set()
+        g = bo.graph
+        gid = {o: c for c, o in enumerate(g.observations)}
+        dead = set(g.pred[beliefobs.DEAD])
         for ename, elem in bo.elements.items():
             j = bo.obs_index[ename]
             for a in bo.available[ename]:
                 allowed = reference_allowed(elem, a, pomdp, prio)
                 assert ((ename, a) in branched) == allowed
-                assert ((ename, a) in bo.disallowed) == (not allowed)
+                slot, = (k for k in g.slots[gid[ename]] if g.acts[k] == a)
+                assert (slot in dead) == (not allowed)
                 assert ((ename, a) in bo.rows) == allowed
                 if allowed:
                     blocks.add((ename, a))
@@ -276,7 +281,7 @@ def assert_blocks_match_the_model(pomdp, bo):
     for e, (belief, _, _) in bo.keys.items():
         j = bo.obs_index[e]
         for a in bo.available[e]:
-            if (e, a) in bo.disallowed:
+            if (e, a) not in bo.rows:
                 continue
             per_state += len(bo.ranges[j])
             block = bo.rows[(e, a)]
@@ -391,6 +396,16 @@ def test_rewrite_respects_its_budget(ex1):
     base, parity = objective_as_parity(pomdp, objective)
     with pytest.raises(ResourceLimitError):
         almost_cobuchi_red(base, parity.priority_map, budget=5)
+
+
+def test_a_branch_past_the_budget_names_its_move_count():
+    """The branch of ``SPLIT_MODEL`` has 4 element moves; a 3-state budget
+    refuses it before building them, with this message."""
+    pomdp, objective = parse_model(SPLIT_MODEL)
+    base, parity = objective_as_parity(pomdp, objective)
+    with pytest.raises(ResourceLimitError) as raised:
+        almost_cobuchi_red(base, parity.priority_map, budget=3)
+    assert str(raised.value) == SPLIT_BUDGET_ERROR
 
 
 def test_the_state_budget_holds_exactly_at_its_boundary(reduced_ex1_rewrite):
@@ -665,21 +680,14 @@ def test_shared_branch_moves_are_the_enumerated_ones(ex1, monkeypatch):
     """Every memory-selection observation offers, in order, exactly the
     moves a fresh enumeration of its branch gives, though the construction
     enumerates each branch signature only once."""
-    element_moves = beliefobs._element_moves
+    explore_or_commit = beliefobs._explore_or_commit
     enumerated = []
 
     def counting(*args):
-        found = element_moves(*args)
-        if not found:
-            return found
-        signature, moves = found
+        enumerated.append(args[3])
+        return explore_or_commit(*args)
 
-        def counted(new_belief):
-            enumerated.append(new_belief)
-            return moves(new_belief)
-        return signature, counted
-
-    monkeypatch.setattr(beliefobs, "_element_moves", counting)
+    monkeypatch.setattr(beliefobs, "_explore_or_commit", counting)
     red = almost_parity_to_cobuchi(*objective_as_parity(*ex1))
     cases = [(almost_cobuchi_red, beliefobs.COBUCHI_MODE, red.pomdp,
               {s: 2 if s in red.objective.targets else 1
@@ -703,17 +711,17 @@ def test_shared_branch_moves_are_the_enumerated_ones(ex1, monkeypatch):
         by_index = [prio[s] for s in names]
         for (ename, a, o), q in bo.memsel.items():
             elem = bo.elements[ename]
-            _, moves = element_moves(
-                rows, by_index, mode, model.action_index[a],
-                tuple(elem.srec_map[s] for s in names),
-                frozenset(map(index.__getitem__, elem.belief & elem.brec)),
-                beliefobs.DEFAULT_STATE_BUDGET)
             new_belief = tuple(sorted(map(
                 index.__getitem__, belief_update(model, elem.belief, a, o))))
+            moves = explore_or_commit(by_index, *beliefobs._element_moves(
+                rows, by_index, mode, model.action_index[a],
+                tuple(elem.srec_map[s] for s in names),
+                frozenset(map(index.__getitem__, elem.belief & elem.brec))),
+                new_belief, beliefobs.DEFAULT_STATE_BUDGET)
             fresh = tuple(name_of[MemoryElement.make(
                               [names[i] for i in belief],
                               [names[i] for i in brec],
                               dict(zip(names, tables)))]
-                          for belief, brec, tables in moves(new_belief))
+                          for belief, brec, tables in moves)
             assert bo.moves[q] == fresh
             assert bo.available[q] == frozenset(fresh)

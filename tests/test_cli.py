@@ -20,7 +20,8 @@ from pomparity.modelio import (fixture_text, load_model_file, parse_model,
                                serialize_model)
 from pomparity.strategy import FiniteMemoryStrategy, memory_bound, stationary_strategy
 
-from conftest import alternating, random_parity, random_pomdp
+from conftest import (SPLIT_BUDGET_ERROR, SPLIT_MODEL, alternating,
+                      random_parity, random_pomdp)
 
 
 def run(capsys, *argv):
@@ -129,6 +130,16 @@ def test_solve_budget_exhaustion_exits_two(tmp_path, capsys):
                        "--budget", "2")
     assert code == 2
     assert err.startswith("error: state budget exhausted")
+
+
+def test_solve_names_a_branch_past_the_budget(tmp_path, capsys):
+    model = tmp_path / "split.pomdp"
+    model.write_text(SPLIT_MODEL, encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--mode", "almost", str(model),
+                         "--budget", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: state budget exhausted: {SPLIT_BUDGET_ERROR}\n"
 
 
 def test_verify_rejects_the_stationary_strategy(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Fixpoint operators and the solve pipelines, cross-checked independently."""
 
+import functools
 import gc
 import inspect
 import random
 import types
 from collections import Counter
+from copy import copy as shallow_copy
 from dataclasses import replace
 from fractions import Fraction
 
@@ -199,8 +201,17 @@ def test_buchi_fixpoint_matches_enumeration_on_belief_obs_models():
 
 # -- fixpoint cores against a reference iteration --
 
+def with_cached_supports(pomdp):
+    """A shallow copy of ``pomdp`` that derives each (state, action)
+    support once, however often the name-level operators read it."""
+    cached = shallow_copy(pomdp)
+    cached.supp = functools.cache(pomdp.supp)
+    return cached
+
+
 def reference_safe(pomdp, safe_states):
     """The safety fixpoint by its definition: nu Y. ObsCover(F) & Pre(Y)."""
+    pomdp = with_cached_supports(pomdp)
     y = obs_cover(safe_states, pomdp)
     rounds = 0
     removed = {}
@@ -216,6 +227,7 @@ def reference_safe(pomdp, safe_states):
 
 def reference_buchi(pomdp, targets):
     """The Buchi fixpoint by its definition, X grown one Apre layer a step."""
+    pomdp = with_cached_supports(pomdp)
     z = frozenset(pomdp.observations)
     outer = inner = 0
     removed = {}
