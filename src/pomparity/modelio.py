@@ -6,7 +6,10 @@ fractions like ``1/6``, integers, or decimal literals (``0.5`` means the
 rational 1/2, not a binary float).  Serialization is canonical — fixed
 section order, fixed whitespace, successors in state order — so that
 parse/serialize round-trips are byte-identical on canonical documents and
-two equal models always serialize to identical bytes.
+two equal models always serialize to identical bytes.  Both parsers hold
+every line to three rules, each stated once: its field layout, keys given
+once per document, and names checked after the document, the first
+unknown one named in document order (in name order within a set).
 
 Model document sections::
 
@@ -118,20 +121,47 @@ def _lines(text: str):
         yield i, keyword.strip(), payload.strip(), line
 
 
+# -- the line rules of both formats --
+
+def _fields(payload: str, sep: str | None, n: int, usage: str, line_no: int,
+            filled: bool = False) -> list[str]:
+    """A payload's ``n`` fields around ``sep`` (``None``: whitespace; ``'->'``:
+    head and rest at the first arrow), none of them empty if ``filled``.
+    Any other shape raises ``expected usage``."""
+    parts = payload.split(sep, 1 if sep == "->" else -1)
+    if len(parts) != n or filled and "" in parts:
+        raise ParseError(f"expected {usage}", line=line_no)
+    return parts
+
+
+def _once(store, key, line_no: int, what: str, *context) -> None:
+    """Raise ``duplicate <what>`` if an earlier line gave ``key`` to ``store``,
+    formatting ``what`` with ``context`` and the key only then.  It is a
+    statement of its own: ``store[k] = parse()`` would parse first."""
+    if key in store:
+        raise ParseError("duplicate " + what.format(*context, key), line=line_no)
+
+
+def _known(known, names, what: str, *context) -> None:
+    """Raise ``what``, formatted with ``context`` and the name, for the first
+    of ``names`` not in ``known``; callers pass document or name order."""
+    for name in names:
+        if name not in known:
+            raise ParseError(what.format(*context, name))
+
+
 # -- models --
 
 def parse_model(text: str) -> tuple[Pomdp, Objective | None]:
     """Parse a model document; the objective may be absent."""
-    sections: dict[str, tuple[str, ...]] = {}  # keyword -> its names
+    given: dict = {}  # each once-per-document keyword -> its value
     obs_map: dict[str, str] = {}
-    initial: str | None = None
     available: dict[str, frozenset[str]] = {}
     transitions: dict[tuple[str, str], dict[str, Fraction]] = {}
     objective_kind: str | None = None
     objective_targets: list[str] = []
     declared_max: int | None = None
     priorities: dict[str, int] = {}
-    obj_line = 0
     weights: dict = {}  # weight tokens and weighted payloads, parsed once
 
     for line_no, keyword, payload, line in _lines(text):
@@ -140,56 +170,40 @@ def parse_model(text: str) -> tuple[Pomdp, Objective | None]:
                           for t in payload.split())
             if not names:
                 raise ParseError(f"empty {keyword} section", line=line_no)
-            if keyword in sections:
-                raise ParseError(f"duplicate {keyword} section", line=line_no)
-            sections[keyword] = names
+            _once(given, keyword, line_no, "{} section")
+            given[keyword] = names
         elif keyword == "obs":
-            parts = [p.strip() for p in payload.split(":")]
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ParseError("expected 'obs: <state> : <observation>'", line=line_no)
-            s, o = parts
-            if s in obs_map:
-                raise ParseError(f"duplicate observation for state {s!r}", line=line_no)
-            obs_map[s] = o
+            s, o = _fields(payload, ":", 2, "'obs: <state> : <observation>'",
+                           line_no, filled=True)
+            s = s.strip()
+            _once(obs_map, s, line_no, "observation for state {!r}")
+            obs_map[s] = o.strip()
         elif keyword == "init":
-            if initial is not None:
-                raise ParseError("duplicate init line", line=line_no)
-            initial = _check_name(payload, "state", line_no)
+            _once(given, keyword, line_no, "{} line")
+            given[keyword] = _check_name(payload, "state", line_no)
         elif keyword == "available":
-            parts = payload.split(":")
-            if len(parts) != 2:
-                raise ParseError("expected 'available: <observation> : <actions>'",
-                                 line=line_no)
-            o = _check_name(parts[0].strip(), "observation", line_no)
-            if o in available:
-                raise ParseError(f"duplicate available line for {o!r}", line=line_no)
-            acts = frozenset(_check_name(t, "action", line_no)
-                             for t in parts[1].split())
+            o, acts = _fields(payload, ":", 2,
+                              "'available: <observation> : <actions>'", line_no)
+            o = _check_name(o.strip(), "observation", line_no)
+            _once(available, o, line_no, "available line for {!r}")
+            acts = frozenset(_check_name(t, "action", line_no) for t in acts.split())
             if not acts:
                 raise ParseError(f"empty available set for {o!r}", line=line_no)
             available[o] = acts
         elif keyword == "trans":
-            if "->" not in payload:
-                raise ParseError("expected 'trans: <state> <action> -> ...'", line=line_no)
-            head, rest = payload.split("->", 1)
-            head_tokens = head.split()
-            if len(head_tokens) != 2:
-                raise ParseError("expected '<state> <action>' before '->'", line=line_no)
-            s = _check_name(head_tokens[0], "state", line_no)
-            a = _check_name(head_tokens[1], "action", line_no)
-            if (s, a) in transitions:
-                raise ParseError(f"duplicate transition line for {s!r}/{a!r}",
-                                 line=line_no)
-            transitions[(s, a)] = _parse_weighted(rest, line_no, line, "state",
-                                                     weights)[0]
+            head, rest = _fields(payload, "->", 2,
+                                 "'trans: <state> <action> -> ...'", line_no)
+            s, a = _fields(head, None, 2, "'<state> <action>' before '->'", line_no)
+            key = (_check_name(s, "state", line_no), _check_name(a, "action", line_no))
+            _once(transitions, key, line_no, "transition line for {0[0]!r}/{0[1]!r}")
+            transitions[key] = _parse_weighted(rest, line_no, line, "state", weights)[0]
         elif keyword == "objective":
-            if objective_kind is not None:
-                raise ParseError("duplicate objective line", line=line_no)
+            _once(given, keyword, line_no, "{} line")
+            given[keyword] = line_no
             tokens = payload.split()
             if not tokens:
                 raise ParseError("empty objective line", line=line_no)
             objective_kind = tokens[0]
-            obj_line = line_no
             if objective_kind in _TARGET_KINDS:
                 if len(tokens) < 2:
                     raise ParseError(f"{objective_kind} objective needs target states",
@@ -209,50 +223,37 @@ def parse_model(text: str) -> tuple[Pomdp, Objective | None]:
                 raise ParseError(f"unknown objective kind {objective_kind!r}",
                                  line=line_no)
         elif keyword == "priority":
-            tokens = payload.split()
-            if len(tokens) != 2:
-                raise ParseError("expected 'priority: <state> <int>'", line=line_no)
-            s = _check_name(tokens[0], "state", line_no)
+            s, p = _fields(payload, None, 2, "'priority: <state> <int>'", line_no)
+            s = _check_name(s, "state", line_no)
             try:
-                p = int(tokens[1])
+                p = int(p)
             except ValueError:
-                raise ParseError(f"invalid priority {tokens[1]!r}", line=line_no) from None
-            if s in priorities:
-                raise ParseError(f"duplicate priority for state {s!r}", line=line_no)
+                raise ParseError(f"invalid priority {p!r}", line=line_no) from None
+            _once(priorities, s, line_no, "priority for state {!r}")
             priorities[s] = p
         else:
             raise ParseError(f"unknown keyword {keyword!r}", line=line_no)
 
     for name in _SECTIONS:
-        if name not in sections:
+        if name not in given:
             raise ParseError(f"missing {name} section")
-    states, actions, observations = map(sections.__getitem__, _SECTIONS)
+    states, actions, observations = map(given.__getitem__, _SECTIONS)
+    initial = given.get("init")
     if initial is None:
         raise ParseError("missing init line")
-    state_set = set(states)
-    action_set = set(actions)
-    obs_set = set(observations)
+    state_set, action_set, obs_set = set(states), set(actions), set(observations)
     for s, o in obs_map.items():
-        if s not in state_set:
-            raise ParseError(f"obs line for unknown state {s!r}")
-        if o not in obs_set:
-            raise ParseError(f"state {s!r} mapped to unknown observation {o!r}")
-    for o in available:
-        if o not in obs_set:
-            raise ParseError(f"available line for unknown observation {o!r}")
-        for a in available[o]:
-            if a not in action_set:
-                raise ParseError(f"available line for {o!r} names unknown action {a!r}")
+        _known(state_set, (s,), "obs line for unknown state {!r}")
+        _known(obs_set, (o,), "state {!r} mapped to unknown observation {!r}", s)
+    for o, acts in available.items():
+        _known(obs_set, (o,), "available line for unknown observation {!r}")
+        _known(action_set, sorted(acts),
+               "available line for {!r} names unknown action {!r}", o)
     for (s, a), dist in transitions.items():
-        if s not in state_set:
-            raise ParseError(f"transition from unknown state {s!r}")
-        if a not in action_set:
-            raise ParseError(f"transition uses unknown action {a!r}")
-        for t in dist:
-            if t not in state_set:
-                raise ParseError(f"transition targets unknown state {t!r}")
-    if initial not in state_set:
-        raise ParseError(f"initial state {initial!r} is not declared")
+        _known(state_set, (s,), "transition from unknown state {!r}")
+        _known(action_set, (a,), "transition uses unknown action {!r}")
+        _known(state_set, dist, "transition targets unknown state {!r}")
+    _known(state_set, (initial,), "initial state {!r} is not declared")
 
     pomdp = Pomdp(states=states, actions=actions, observations=observations,
                   obs_map=obs_map, transitions=transitions,
@@ -263,12 +264,10 @@ def parse_model(text: str) -> tuple[Pomdp, Objective | None]:
         unknown = sorted(set(objective_targets) - state_set)
         if unknown:
             raise ParseError(f"objective targets unknown states: {', '.join(unknown)}",
-                             line=obj_line)
+                             line=given["objective"])
         objective = Objective(objective_kind, targets=frozenset(objective_targets))
     elif objective_kind == PARITY:
-        for s in priorities:
-            if s not in state_set:
-                raise ParseError(f"priority for unknown state {s!r}")
+        _known(state_set, priorities, "priority for unknown state {!r}")
         missing = sorted(state_set - set(priorities))
         if missing:
             raise ParseError(f"missing priority for states: {', '.join(missing)}")
@@ -276,6 +275,11 @@ def parse_model(text: str) -> tuple[Pomdp, Objective | None]:
     elif priorities:
         raise ParseError("priority lines without 'objective: parity'")
     return pomdp, objective
+
+
+def _row(dist, key=None) -> str:
+    """A weighted row, ``name w, name w, ...``, in ``sorted(dist, key=key)`` order."""
+    return ", ".join([f"{x} {dist[x]}" for x in sorted(dist, key=key)])
 
 
 def serialize_model(pomdp: Pomdp, objective: Objective | None = None) -> str:
@@ -294,15 +298,13 @@ def serialize_model(pomdp: Pomdp, objective: Objective | None = None) -> str:
             out.append(f"available: {o} : {' '.join(ordered)}")
     sidx = pomdp.state_index
     aidx = pomdp.action_index
+    by_state = lambda t: sidx.get(t, len(sidx))
     for (s, a) in sorted(pomdp.transitions,
-                         key=lambda k: (sidx.get(k[0], len(sidx)), aidx.get(k[1], len(aidx)))):
-        dist = pomdp.transitions[(s, a)]
-        parts = ", ".join(f"{t} {dist[t]}"
-                          for t in sorted(dist, key=lambda t: sidx.get(t, len(sidx))))
-        out.append(f"trans: {s} {a} -> {parts}")
+                         key=lambda k: (by_state(k[0]), aidx.get(k[1], len(aidx)))):
+        out.append(f"trans: {s} {a} -> {_row(pomdp.transitions[(s, a)], by_state)}")
     if objective is not None:
         if objective.kind in _TARGET_KINDS:
-            targets = sorted(objective.targets, key=lambda t: sidx.get(t, len(sidx)))
+            targets = sorted(objective.targets, key=by_state)
             out.append(f"objective: {objective.kind} {' '.join(targets)}")
         elif objective.kind == PARITY:
             top = objective.declared_max
@@ -336,8 +338,7 @@ def _parse_color_sets(payload: str, line_no: int) -> frozenset[frozenset[int]]:
 def parse_strategy(text: str) -> FiniteMemoryStrategy:
     """Parse a strategy document, reading its support table as it goes:
     each distinct row is checked and its support sorted once."""
-    memories: tuple[str, ...] | None = None
-    initial: str | None = None
+    given: dict = {}  # each once-per-document keyword -> its value
     action_select: dict[str, dict[str, Fraction]] = {}
     memory_update: dict[tuple[str, str, str], dict[str, Fraction]] = {}
     action_support: dict[str, tuple[str, ...]] = {}
@@ -349,94 +350,70 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
 
     for line_no, keyword, payload, line in _lines(text):
         if keyword == "memories":
-            if memories is not None:
-                raise ParseError("duplicate memories section", line=line_no)
-            memories = tuple(_check_name(t, "memory", line_no) for t in payload.split())
+            _once(given, keyword, line_no, "{} section")
+            memories = given[keyword] = tuple(
+                _check_name(t, "memory", line_no) for t in payload.split())
             if len(set(memories)) != len(memories):
                 raise ParseError("memory names collide", line=line_no)
         elif keyword == "init":
-            if initial is not None:
-                raise ParseError("duplicate init line", line=line_no)
-            initial = _check_name(payload, "memory", line_no)
+            _once(given, keyword, line_no, "{} line")
+            given[keyword] = _check_name(payload, "memory", line_no)
         elif keyword == "act":
-            if "->" not in payload:
-                raise ParseError("expected 'act: <memory> -> <action> <w>, ...'",
-                                 line=line_no)
-            head, rest = payload.split("->", 1)
+            head, rest = _fields(payload, "->", 2,
+                                 "'act: <memory> -> <action> <w>, ...'", line_no)
             m = _check_name(head.strip(), "memory", line_no)
-            if m in action_select:
-                raise ParseError(f"duplicate act line for memory {m!r}", line=line_no)
+            _once(action_select, m, line_no, "act line for memory {!r}")
             action_select[m], action_support[m] = _parse_weighted(
                 rest, line_no, line, "action", weights)
         elif keyword == "update":
-            if "->" not in payload:
-                raise ParseError(
-                    "expected 'update: <memory> <obs> <action> -> <memory> <w>, ...'",
-                    line=line_no)
-            head, rest = payload.split("->", 1)
-            tokens = head.split()
-            if len(tokens) != 3:
-                raise ParseError("expected '<memory> <obs> <action>' before '->'",
-                                 line=line_no)
-            key = (tokens[0], tokens[1], tokens[2])
-            if key in memory_update:
-                raise ParseError(f"duplicate update line for {key}", line=line_no)
+            head, rest = _fields(
+                payload, "->", 2,
+                "'update: <memory> <obs> <action> -> <memory> <w>, ...'", line_no)
+            key = tuple(_fields(head, None, 3, "'<memory> <obs> <action>' before '->'",
+                                line_no))
+            _once(memory_update, key, line_no, "update line for {}")
             memory_update[key], update_support[key] = _parse_weighted(
                 rest, line_no, line, "memory", weights)
         elif keyword in ("belief", "brec"):
-            parts = payload.split(":")
-            if len(parts) != 2:
-                raise ParseError(f"expected '{keyword}: <memory> : <states>'",
-                                 line=line_no)
-            m = _check_name(parts[0].strip(), "memory", line_no)
+            m, states = _fields(payload, ":", 2, f"'{keyword}: <memory> : <states>'",
+                                line_no)
+            m = _check_name(m.strip(), "memory", line_no)
             store = beliefs if keyword == "belief" else brecs
-            if m in store:
-                raise ParseError(f"duplicate {keyword} line for memory {m!r}",
-                                 line=line_no)
+            _once(store, m, line_no, "{} line for memory {!r}", keyword)
             store[m] = frozenset(_check_name(t, "state", line_no)
-                                 for t in parts[1].split())
+                                 for t in states.split())
         elif keyword == "srec":
-            parts = payload.split(":")
-            if len(parts) != 3:
-                raise ParseError("expected 'srec: <memory> : <state> : <sets>'",
-                                 line=line_no)
-            m = _check_name(parts[0].strip(), "memory", line_no)
-            s = _check_name(parts[1].strip(), "state", line_no)
+            m, s, sets = _fields(payload, ":", 3,
+                                 "'srec: <memory> : <state> : <sets>'", line_no)
+            m = _check_name(m.strip(), "memory", line_no)
+            s = _check_name(s.strip(), "state", line_no)
             per = srecs.setdefault(m, {})
-            if s in per:
-                raise ParseError(f"duplicate srec line for ({m!r}, {s!r})", line=line_no)
-            per[s] = _parse_color_sets(parts[2], line_no)
+            _once(per, s, line_no, "srec line for ({!r}, {!r})", m)
+            per[s] = _parse_color_sets(sets, line_no)
         else:
             raise ParseError(f"unknown keyword {keyword!r}", line=line_no)
 
+    memories = given.get("memories")
     if memories is None:
         raise ParseError("missing memories section")
+    initial = given.get("init")
     if initial is None:
         raise ParseError("missing init line")
     memory_set = set(memories)
-    if initial not in memory_set:
-        raise ParseError(f"initial memory {initial!r} is not declared")
-    for m in action_select:
-        if m not in memory_set:
-            raise ParseError(f"act line for unknown memory {m!r}")
+    _known(memory_set, (initial,), "initial memory {!r} is not declared")
+    _known(memory_set, action_select, "act line for unknown memory {!r}")
     for (m, _o, _a), dist in memory_update.items():
-        if m not in memory_set:
-            raise ParseError(f"update line for unknown memory {m!r}")
-        for m2 in dist:
-            if m2 not in memory_set:
-                raise ParseError(f"update targets unknown memory {m2!r}")
+        _known(memory_set, (m,), "update line for unknown memory {!r}")
+        _known(memory_set, dist, "update targets unknown memory {!r}")
     for store, what in ((beliefs, "belief"), (brecs, "brec"), (srecs, "srec")):
-        for m in store:
-            if m not in memory_set:
-                raise ParseError(f"{what} line for unknown memory {m!r}")
+        _known(memory_set, store, "{} line for unknown memory {!r}", what)
 
     elements: dict[str, MemoryElement] = {}
-    annotated = set(beliefs) | set(brecs) | set(srecs)
-    for m in annotated:
-        if m not in beliefs:
-            raise ParseError(f"memory {m!r} has element lines but no belief")
-        elements[m] = MemoryElement(beliefs[m], brecs.get(m, frozenset()),
-                                    tuple(sorted(srecs.get(m, {}).items())))
+    for m in memories:  # in declaration order
+        if m in beliefs or m in brecs or m in srecs:
+            _known(beliefs, (m,), "memory {!r} has element lines but no belief")
+            elements[m] = MemoryElement(beliefs[m], brecs.get(m, frozenset()),
+                                        tuple(sorted(srecs.get(m, {}).items())))
     return FiniteMemoryStrategy.checked(
         SupportStrategy(memories, action_support, update_support, initial,
                         elements), action_select, memory_update)
@@ -457,24 +434,20 @@ def serialize_strategy(strategy) -> str:
         initial = strategy.initial_memory
     midx = {m: i for i, m in enumerate(strategy.memories)}
     by_index = lambda x: midx.get(x, len(midx))
-    render = lambda dist: ", ".join([f"{m2} {dist[m2]}"
-                                     for m2 in sorted(dist, key=by_index)])
     texts: dict[tuple[str, ...], str] = {}
     out = [f"memories: {' '.join(strategy.memories)}", f"init: {initial}"]
     for m in strategy.memories:
         dist = acts.get(m)
-        if not dist:
-            continue
-        parts = ", ".join(f"{a} {dist[a]}" for a in sorted(dist))
-        out.append(f"act: {m} -> {parts}")
+        if dist:
+            out.append(f"act: {m} -> {_row(dist)}")
     for (m, o, a) in sorted(updates, key=lambda k: (by_index(k[0]), k[1], k[2])):
         dist = updates[(m, o, a)]
         if not dist:
             continue
         if not table:
-            parts = render(dist)
+            parts = _row(dist, by_index)
         elif (parts := texts.get(dist)) is None:
-            parts = texts[dist] = render(row(dist))
+            parts = texts[dist] = _row(row(dist), by_index)
         out.append(f"update: {m} {o} {a} -> {parts}")
     for m in strategy.memories:
         element = strategy.elements.get(m)

@@ -1,11 +1,17 @@
 """Text formats: parsing, serialization, round-trip stability."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pomparity
 from pomparity import (ExactnessError, FiniteMemoryStrategy, Objective,
                        ParseError, load_fixture, objective_as_parity,
                        parse_model, parse_strategy, serialize_model,
@@ -265,6 +271,7 @@ def test_strategy_unknown_memory_reference_is_rejected():
     (MINI + "available: o1 : b\n",
      "available line for 'o1' names unknown action 'b'", None),
     (MINI + "trans: s9 a -> s1 1\n", "transition from unknown state 's9'", None),
+    (MINI + "trans: s0 z -> s1 1\n", "transition uses unknown action 'z'", None),
     (MINI.replace("init: s0", "init: s9"), "initial state 's9' is not declared",
      None),
     (MINI + "objective: parity\npriority: s0 1\npriority: s1 1\npriority: s9 1\n",
@@ -288,6 +295,8 @@ STRAT = "memories: m\ninit: m\nact: m -> a 1\nupdate: m o1 a -> m 1\n"
      "expected {...} colour sets, got '2' (line 6)", 6),
     (STRAT + "belief: m : s0\nsrec: m : s0 : {x}\n",
      "invalid colour in '{x}' (line 6)", 6),
+    (STRAT + "act: m a 1\n",
+     "expected 'act: <memory> -> <action> <w>, ...' (line 5)", 5),
     (STRAT + "belief: m\n", "expected 'belief: <memory> : <states>' (line 5)", 5),
     (STRAT + "belief: m : s0\nbelief: m : s0\n",
      "duplicate belief line for memory 'm' (line 6)", 6),
@@ -309,6 +318,34 @@ def test_strategy_parse_errors_name_their_line(doc, message, line):
     with pytest.raises(ParseError) as err:
         parse_strategy(doc)
     assert (str(err.value), err.value.line, err.value.column) == (message, line, None)
+
+
+SEEDED = [
+    ("parse_model", MINI + "available: o1 : zz1 zz2 zz3 zz4 zz5\n",
+     "available line for 'o1' names unknown action 'zz1'"),
+    ("parse_strategy", "memories: m1 m2 m3 m4 m5\ninit: m1\n"
+     + "".join(f"brec: m{i} : s0\n" for i in range(1, 6)),
+     "memory 'm1' has element lines but no belief"),
+]
+
+
+def test_parse_errors_do_not_depend_on_the_hash_seed():
+    """A set of unknown actions is named in name order, and memories with
+    element lines but no belief in declaration order, under every
+    string-hash seed."""
+    src = str(Path(pomparity.__file__).resolve().parent.parent)
+    script = ("import json, sys; sys.path[:0] = sys.argv[2:]\n"
+              "from pomparity import modelio\n"
+              "for parse, doc in json.loads(sys.argv[1]):\n"
+              "    try: getattr(modelio, parse)(doc)\n"
+              "    except modelio.ParseError as err: print(err)\n")
+    cases = json.dumps([case[:2] for case in SEEDED])
+    for seed in ("0", "1", "2", "3"):
+        done = subprocess.run([sys.executable, "-c", script, cases, src],
+                              env={**os.environ, "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [case[2] for case in SEEDED], seed
 
 
 def test_strategy_float_free_guarantee():

@@ -16,7 +16,7 @@ from pomparity import (ContractError, Objective, Pomdp, ResourceLimitError,
                        StructuralError, UnsupportedConversionError, WinningMode, allow,
                        almost_buchi, almost_cobuchi_red,
                        almost_parity_to_cobuchi, almost_reach,
-                       almost_safe, apre, make_absorbing, obs_cover,
+                       almost_safe, apre, build_product_chain, make_absorbing, obs_cover,
                        objective_as_parity, oracle_decide, positive_buchi_red,
                        pre, solve_parity_fm, solve_positive_buchi_fm,
                        solve_almost_cobuchi_fm, uniform, validate)
@@ -968,6 +968,28 @@ def test_a_losing_witness_is_refused_on_every_route(tmp_path, capsys,
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and refused in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.pomdp"]
+
+
+def test_a_positive_witness_may_stop_off_the_support_path():
+    """``_prefix_then``'s claim: a branch off the support path can hand
+    over where the tail's initial memory plays nothing, leaving a reached
+    pair with no successor, and the positive witness still verifies.  In
+    criterion 08's batch exactly one winning witness does so."""
+    rng = random.Random(41008)
+    stopped = []
+    for i in range(1, 26):
+        mdp = random_mdp(rng)
+        parity = random_parity(rng, mdp)
+        for mode in (ALMOST, POSITIVE):
+            witness = solve_parity_fm(mdp, parity, mode).witness
+            if witness is None:
+                continue
+            chain = build_product_chain(mdp, witness)
+            for pair, successors in chain.succ.items():
+                if not successors:
+                    stopped.append((i, mode, pair, witness.initial))
+                    assert chain_wins(mdp, parity, mode, witness)
+    assert stopped == [(13, POSITIVE, ("s2", "m0"), "p0")]
 
 
 def test_solve_diagnostics_names(ex1):
