@@ -172,34 +172,6 @@ def _explore_or_commit(prio: Sequence[int], forced: frozenset[int],
     return tuple(out)
 
 
-def _element_moves(rows: Sequence[Sequence[tuple[int, ...]]],
-                   prio: Sequence[int], mode: str, action: int,
-                   tables: tuple[frozenset[frozenset[int]], ...],
-                   committed: frozenset[int]) -> tuple:
-    """The signature of the element moves after ``action`` from an element.
-
-    ``rows`` and ``prio`` are the model's successor rows and priorities by
-    index; the element enters only through its class ``tables`` and its
-    committed belief states.  Returns ``()`` if the action is disallowed:
-    if under it a committed belief state, which certifies a priority-2
-    recurrence, reaches a state of another priority.  Otherwise returns
-    the signature, the forced commitments and the cap tables, under which
-    the rule (``_explore_or_commit``) gives each branch's moves.  Buchi
-    mode is an instance: nothing commits and every table is maximal, so the
-    signature is the same for every action and each branch gets its one
-    belief-support successor.  By the commitment invariant every state has
-    an option, so every branch has a move.
-    """
-    forced = frozenset(t for s in committed for t in rows[s][action])
-    if any(prio[t] != 2 for t in forced):
-        return ()
-    caps = [_TOP[mode]] * len(rows)
-    for row, table in zip(rows, tables):
-        for t in row[action]:
-            caps[t] &= table
-    return forced, tuple(caps)
-
-
 @dataclass
 class BeliefObsPomdp:
     """A belief-observation POMDP, recorded by its supports, plus bookkeeping.
@@ -221,9 +193,10 @@ class BeliefObsPomdp:
     ``rows``, its states' successor ids in belief order, read off the
     graph and the model's rows ``model_rows`` on demand.  Every other
     action of an element is disallowed: under it a committed belief state
-    reaches a state of priority other than 2 (``_element_moves``).  It
-    leads to the sink, as does the sink under every action, and the graph
-    records it once, as the element's slot in ``graph.pred[DEAD]``.  A
+    reaches a state of priority other than 2 (the rule the module
+    docstring states with the commitment invariant).  It leads to the
+    sink, as does the sink under every action, and the graph records it
+    once, as the element's slot in ``graph.pred[DEAD]``.  A
     move e leads the start, and the memory-selection state of belief
     position p, to state p of element e.  ``element(name)``,
     ``elements`` and the named, playable ``pomdp`` are built on demand.
@@ -437,16 +410,18 @@ def _template(into: Mapping[int, list[int]], targets: Iterable[int]
 
 def obs_graph(model: Pomdp) -> ObsGraph:
     """The observation graph of a model's available actions, compiled
-    from ``Pomdp.index_supports`` by walking the rows of every state.  A
-    rewrite's graph is written by its construction (``bo.graph``)."""
+    from ``Pomdp.index_supports`` by walking the rows of every state; each
+    observation's slots are in ``model.actions`` order.  A rewrite's graph
+    is written by its construction (``bo.graph``)."""
     (obs_of, table), sidx = model.index_supports, model.state_index
     members = [[sidx[s] for s in model.states_with_obs(o)]
                for o in model.observations]
     acts, owner, slots = [], [], []
     pred, into = [array("i") for _ in members], [[] for _ in members]
     for j, o in enumerate(model.observations):
-        slots.append(range(len(acts), len(acts) + len(model.available[o])))
-        for k, a in zip(slots[j], model.available[o]):
+        here = [a for a in model.actions if a in model.available[o]]
+        slots.append(range(len(acts), len(acts) + len(here)))
+        for k, a in zip(slots[j], here):
             acts.append(a)
             owner.append(j)
             col = model.action_index[a]
@@ -514,13 +489,13 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
     available: dict[str, frozenset[str]] = {}
     memsel: dict[tuple[str, str, str], str] = {}
     moves: dict[str, tuple[str, ...]] = {}
-    # (action, tables, committed belief states) -> _element_moves, the
-    # signature, () if the action is disallowed
-    cap_memo: dict[tuple, tuple] = {}
+    # (action, class tables) -> the cap tables: per state the intersection
+    # of the tables of the states that reach it under the action
+    cap_memo: dict[tuple, tuple[frozenset[frozenset[int]], ...]] = {}
     # (belief, action) -> _branches
     split_memo: dict[tuple, list[tuple]] = {}
-    # (signature, new belief) -> the class's graph id, offered names and
-    # their set, shared by its branches
+    # (forced commitments, cap tables, new belief) -> the class's graph id,
+    # offered names and their set, shared by its branches
     branch_memo: dict[tuple, tuple[int, tuple[str, ...], frozenset[str]]] = {}
     # (graph id, key) of each element; walked in order as it grows
     frontier: list[tuple[int, ElementKey]] = []
@@ -603,15 +578,20 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
         committed = brec.intersection(belief)
         here, names, available[ename] = playable[obs_of[belief[0]]]
         for k, a in enumerate(here, add_slots(je, names)):
-            aname = action_names[a]
-            cap_key = (a, tables, committed)
-            signature = cap_memo.get(cap_key)
-            if signature is None:
-                signature = cap_memo[cap_key] = _element_moves(
-                    rows, prio, mode, a, tables, committed)
-            if not signature:
+            # disallowed if a committed belief state, which certifies a
+            # priority-2 recurrence, reaches a state of another priority
+            forced = frozenset(t for s in committed for t in rows[s][a])
+            if any(prio[t] != 2 for t in forced):
                 dead.append((k, len(belief)))
                 continue
+            caps = cap_memo.get((a, tables))
+            if caps is None:
+                caps = [_TOP[mode]] * len(rows)
+                for row, table in zip(rows, tables):
+                    for t in row[a]:
+                        caps[t] &= table
+                caps = cap_memo[(a, tables)] = tuple(caps)
+            aname = action_names[a]
             split = split_memo.get((belief, a))
             if split is None:
                 split = split_memo[(belief, a)] = _branches(
@@ -620,11 +600,11 @@ def _materialize(pomdp: Pomdp, priority: Mapping[str, int], mode: str,
                 qname = f"q{len(memsel)}"
                 memsel[(ename, aname, pomdp.observations[o])] = qname
                 q = add_obs(qname)
-                branch = (signature, new_belief)
+                branch = (forced, caps, new_belief)
                 cls = branch_memo.get(branch)
                 if cls is None:
                     made = tuple(map(add_element, _explore_or_commit(
-                        prio, *signature, new_belief, budget)))
+                        prio, *branch, budget)))
                     offered = tuple(map(gnames.__getitem__, made))
                     c = add_node(qname, array("i"), add_states(q, states), 1, [])
                     add_slots(c, offered, made)

@@ -369,8 +369,10 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
             head, rest = _fields(
                 payload, "->", 2,
                 "'update: <memory> <obs> <action> -> <memory> <w>, ...'", line_no)
-            key = tuple(_fields(head, None, 3, "'<memory> <obs> <action>' before '->'",
-                                line_no))
+            m, o, a = _fields(head, None, 3, "'<memory> <obs> <action>' before '->'",
+                              line_no)
+            key = (m, _check_name(o, "observation", line_no),
+                   _check_name(a, "action", line_no))
             _once(memory_update, key, line_no, "update line for {}")
             memory_update[key], update_support[key] = _parse_weighted(
                 rest, line_no, line, "memory", weights)

@@ -10,8 +10,12 @@ in the calling process, one candidate at a time.
 
 The search never names a candidate.  Each one is a pair of index tables
 (action supports per memory, update supports per key), judged on bit sets
-(``_judge``) by the evaluation rules ``evaluate_qualitative`` applies to a
-named chain.  Only the winner becomes a ``SupportStrategy``;
+(``_judge``).  It searches total strategies: in both modes a candidate
+loses as soon as a pair its chain reaches has no move.  Otherwise it is
+judged by the rules ``evaluate_qualitative`` applies to a named chain,
+which counts a pair with no move as one losing class instead, so a
+partial table can verify as a positive winner where the oracle passes
+over it.  Only the winner becomes a ``SupportStrategy``;
 ``enumerate_strategies`` names every candidate of the same stream.
 
 The oracle shares nothing with the solve pipelines except the chain

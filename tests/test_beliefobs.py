@@ -617,7 +617,7 @@ PINNED_REWRITES = [
 
 def test_playable_rewrites_match_the_recorded_bytes():
     """The playable model of each pinned rewrite, serialized, and its
-    certified-recurrent states, in-process and under two string-hash
+    certified-recurrent states, in-process and under three string-hash
     seeds."""
     assert rewrite_digests() == PINNED_REWRITES
     here = Path(__file__).resolve().parent
@@ -625,13 +625,35 @@ def test_playable_rewrites_match_the_recorded_bytes():
     script = ("import json, sys; sys.path[:0] = sys.argv[1:]; "
               "import test_beliefobs; "
               "print(json.dumps(test_beliefobs.rewrite_digests()))")
-    for seed in ("0", "1"):
+    for seed in ("0", "1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": seed}
         done = subprocess.run([sys.executable, "-c", script, str(here), src],
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == PINNED_REWRITES, seed
+
+
+def test_model_graph_slots_follow_the_action_order():
+    """``obs_graph`` numbers each observation's slots in ``model.actions``
+    order, as the construction does, under every string-hash seed: on
+    ``ex1`` and on ``ex1`` with its actions declared ``b a``."""
+    src = str(Path(beliefobs.__file__).resolve().parent.parent)
+    script = ("import json, sys; sys.path[:0] = sys.argv[1:]\n"
+              "from pomparity.beliefobs import obs_graph\n"
+              "from pomparity.modelio import fixture_text, parse_model\n"
+              "text = fixture_text('ex1')\n"
+              "for doc in (text, text.replace('actions: a b', 'actions: b a')):\n"
+              "    g = obs_graph(parse_model(doc)[0])\n"
+              "    print(json.dumps([g.acts, [[r.start, r.stop] for r in g.slots]]))\n")
+    pinned = [[["a", "b", "a", "b"], [[0, 2], [2, 4]]],
+              [["b", "a", "b", "a"], [[0, 2], [2, 4]]]]
+    for seed in ("0", "1", "2", "3"):
+        done = subprocess.run([sys.executable, "-c", script, src],
+                              env={**os.environ, "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert list(map(json.loads, done.stdout.splitlines())) == pinned, seed
 
 
 def test_elements_are_interned(ex1, monkeypatch):
@@ -707,17 +729,23 @@ def test_shared_branch_moves_are_the_enumerated_ones(ex1, monkeypatch):
             assert len(enumerated) < len(bo.memsel) == 3454
         name_of = {elem: name for name, elem in bo.elements.items()}
         names, index = model.states, model.state_index
-        rows = model.index_supports[1]
         by_index = [prio[s] for s in names]
+        top = beliefobs._TOP[mode]
+        # action -> state -> the states that reach it under the action
+        preds = {a: {t: [s for s in names if t in model.supp(s, a)]
+                     for t in names} for a in model.actions}
         for (ename, a, o), q in bo.memsel.items():
             elem = bo.elements[ename]
             new_belief = tuple(sorted(map(
                 index.__getitem__, belief_update(model, elem.belief, a, o))))
-            moves = explore_or_commit(by_index, *beliefobs._element_moves(
-                rows, by_index, mode, model.action_index[a],
-                tuple(elem.srec_map[s] for s in names),
-                frozenset(map(index.__getitem__, elem.belief & elem.brec))),
-                new_belief, beliefobs.DEFAULT_STATE_BUDGET)
+            # the committed belief states force what they reach; each
+            # state's cap is the tables of its predecessors, intersected
+            forced = frozenset(index[t] for s in elem.belief & elem.brec
+                               for t in model.supp(s, a))
+            caps = tuple(top.intersection(*(elem.srec_map[s] for s in preds[a][t]))
+                         for t in names)
+            moves = explore_or_commit(by_index, forced, caps, new_belief,
+                                      beliefobs.DEFAULT_STATE_BUDGET)
             fresh = tuple(name_of[MemoryElement.make(
                               [names[i] for i in belief],
                               [names[i] for i in brec],

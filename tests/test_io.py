@@ -297,6 +297,12 @@ STRAT = "memories: m\ninit: m\nact: m -> a 1\nupdate: m o1 a -> m 1\n"
      "invalid colour in '{x}' (line 6)", 6),
     (STRAT + "act: m a 1\n",
      "expected 'act: <memory> -> <action> <w>, ...' (line 5)", 5),
+    (STRAT + "update: m o:U a -> m 1\n",
+     "invalid observation name 'o:U' (line 5)", 5),
+    (STRAT + "update: m o,x a -> m 1\n",
+     "invalid observation name 'o,x' (line 5)", 5),
+    (STRAT + "update: m o1 a:b -> m 1\n",
+     "invalid action name 'a:b' (line 5)", 5),
     (STRAT + "belief: m\n", "expected 'belief: <memory> : <states>' (line 5)", 5),
     (STRAT + "belief: m : s0\nbelief: m : s0\n",
      "duplicate belief line for memory 'm' (line 6)", 6),

@@ -171,6 +171,58 @@ def test_unplayable_candidates_are_never_winners():
         assert r.verdict == "no"
 
 
+# s0 splits to t1 and t3; t1 loops under c and falls into bad under d,
+# and t3 allows only d
+PARTIAL_MODEL = """\
+states: s0 t1 t3 bad
+actions: a c d
+observations: o1 o2 o3 o4
+obs: s0 : o1
+obs: t1 : o2
+obs: t3 : o3
+obs: bad : o4
+init: s0
+available: o1 : a
+available: o2 : c d
+available: o3 : d
+available: o4 : d
+trans: s0 a -> t1 1/2, t3 1/2
+trans: t1 c -> t1 1
+trans: t1 d -> bad 1
+trans: t3 d -> t3 1
+trans: bad d -> bad 1
+objective: buchi t1
+"""
+
+# one memory playing {a, c} and staying put: it has no move at t3
+PARTIAL_TABLE = """\
+memories: m
+init: m
+act: m -> a 1/2, c 1/2
+update: m o2 a -> m 1
+update: m o3 a -> m 1
+update: m o2 c -> m 1
+"""
+
+
+def test_the_oracle_searches_total_strategies(tmp_path, capsys):
+    """``verify`` counts a reached pair with no move as one losing class,
+    so a partial table wins positively; the oracle passes over every
+    candidate with such a pair, this one included, and finds no winner."""
+    model, table = tmp_path / "m.pomdp", tmp_path / "m.strat"
+    model.write_text(PARTIAL_MODEL, encoding="utf-8")
+    table.write_text(PARTIAL_TABLE, encoding="utf-8")
+    code = cli_main(["verify", str(model), str(table), "--mode", "positive"])
+    out, _ = capsys.readouterr()
+    assert (code, out) == (0, "verdict=yes mode=positive nodes=3 bottom_sccs=2\n")
+    code = cli_main(["oracle", str(model), "--mode", "positive",
+                     "--memory-bound", "1"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert out.startswith("verdict=no searched_memories=1 definitive=false "
+                          "candidates=7 ")
+
+
 def test_oracle_witnesses_verify_on_random_instances():
     rng = random.Random(9000)
     seen_yes = 0
